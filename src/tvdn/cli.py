@@ -336,7 +336,9 @@ def build_parser():
     ls.add_argument("--dim", type=int, required=True)
     ls.add_argument("--sizes", type=_parse_sizes, required=True)
     ls.add_argument("--reps", type=int, default=200)
-    ls.add_argument("--tol", type=float, default=1e-6)
+    ls.add_argument("--tol", type=float, default=1e-6,
+                    help="certified bracket per draw: value minus the "
+                         "best cut ratio is at most tol*(1+value)")
     ls.set_defaults(func=cmd_lambda_sample)
 
     lf = sub.add_parser("lambda-fit", help="fit Gumbel laws and the log-log "

@@ -4,8 +4,10 @@ Lambda(y) is the smallest box bound lambda for which a dual edge vector w
 with B^T w = y - mean(y) fits inside [-lambda, lambda]^P. It is the exact
 breakpoint of the TV path: denoising with lambda >= Lambda(y) returns the
 constant fit, anything smaller does not. In 1D it is the sup of the centered
-cumulative sums. On higher-dimensional lattices it is computed by operator
-splitting with a certified optimality gap.
+cumulative sums. On higher-dimensional lattices it is the largest ratio
+c(S) / |dS| over site sets S (coarea formula), found by Dinkelbach
+iterations of s-t minimum cuts; the cut set and the maximum flow bracket
+the value from below and above.
 
 Monte Carlo draws of Lambda under white noise feed a Gumbel fit, and the
 fitted location/scale follow a log-log-linear law in the side length, which
@@ -17,11 +19,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import brentq, minimize
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from scipy.stats import chi2
 
 from ._pool import parallel_map
-from .grid import LatticeShape, Signal, SpectralLaplacian, adjoint_flat, diff_flat
+from .grid import (LatticeShape, Signal, SpectralLaplacian, adjoint_flat,
+                   diff_flat, edge_endpoints)
 
 
 @dataclass(frozen=True)
@@ -84,27 +89,113 @@ def sample_lambda_1d(y: Signal) -> float:
     return float(np.abs(np.cumsum(c)[:-1]).max())
 
 
-def _project_l1_ball(v, radius):
-    a = np.abs(v)
-    if a.sum() <= radius:
-        return v.copy()
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    idx = np.nonzero(u * np.arange(1, len(u) + 1) > css - radius)[0][-1]
-    theta = (css[idx] - radius) / (idx + 1.0)
-    return np.sign(v) * np.maximum(a - theta, 0.0)
+# maximum_flow works in int32 and its residual arcs reach twice a capacity,
+# so every integer capacity stays at or below 2^29
+_CAP_LIMIT = 2 ** 29
+
+
+class _CutNetwork:
+    """The lattice as an s-t network for scipy's maximum_flow.
+
+    Sites are nodes 0..m-1, the source is m and the sink m+1. Every lattice
+    edge is an arc in both directions, the source feeds every site and every
+    site drains into the sink. The reverses of the terminal arcs are present
+    with capacity 0, so the arc set is closed under reversal: maximum_flow
+    adds no arcs of its own, and the flow matrix it returns has the same
+    CSR layout as the capacities.
+    """
+
+    def __init__(self, shape: LatticeShape):
+        m = shape.n_sites
+        near, far = edge_endpoints(shape)
+        sites = np.arange(m)
+        src = np.full(m, m)
+        snk = np.full(m, m + 1)
+        rows = np.concatenate([near, far, src, sites, sites, snk])
+        cols = np.concatenate([far, near, sites, src, snk, sites])
+        tagged = sp.csr_matrix((np.arange(1, rows.size + 1), (rows, cols)),
+                               shape=(m + 2, m + 2))
+        self.m = m
+        self.p = near.size
+        self.near = near
+        self.far = far
+        self._arc_of_slot = tagged.data - 1
+        self._edge_slots = np.argsort(self._arc_of_slot)[:near.size]
+        self._indices = tagged.indices
+        self._indptr = tagged.indptr
+        self._tails = np.repeat(np.arange(m + 2), np.diff(tagged.indptr))
+
+    def boundary(self, inside: np.ndarray) -> int:
+        """Number of lattice edges leaving a site set."""
+        return int(np.count_nonzero(inside[self.near] != inside[self.far]))
+
+    def route(self, demand, up, down):
+        """Route site demands through edge capacities, in integer units.
+
+        demand[i] > 0 is absorbed at site i, demand[i] < 0 is supplied there;
+        up and down cap the flow along and against each edge's direction.
+        Everything is scaled by a power of two so the largest capacity fits
+        under _CAP_LIMIT, demands are rounded and edge capacities rounded
+        down. No edge needs more than the total demand, so edge capacities
+        are clipped to it first, which keeps a small remainder at a fine unit.
+
+        Returns the edge flow (exact multiples of the unit) and, when the
+        rounded demand cannot all be routed, the sites on the sink side of
+        a minimum cut; otherwise None.
+        """
+        p, m = self.p, self.m
+        total = max(float(demand[demand > 0].sum()), float(-demand[demand < 0].sum()))
+        up = np.clip(up, 0.0, total)
+        down = np.clip(down, 0.0, total)
+        top = max(float(up.max()), float(down.max()), float(np.abs(demand).max()))
+        if top == 0.0:
+            return np.zeros(p), None
+        scale = 2.0 ** math.floor(math.log2(_CAP_LIMIT / top))
+        supply = np.rint(np.maximum(-demand, 0.0) * scale).astype(np.int64)
+        absorb = np.rint(np.maximum(demand, 0.0) * scale).astype(np.int64)
+        zero = np.zeros(m, dtype=np.int64)
+        caps = np.concatenate([np.floor(up * scale).astype(np.int64),
+                               np.floor(down * scale).astype(np.int64),
+                               supply, zero, absorb, zero])[self._arc_of_slot]
+        graph = sp.csr_matrix((caps.astype(np.int32), self._indices, self._indptr),
+                              shape=(m + 2, m + 2))
+        result = maximum_flow(graph, m, m + 1, method="dinic")
+        if result.flow.nnz != caps.size:
+            raise RuntimeError("maximum_flow returned a different arc layout")
+        fdata = result.flow.data.astype(np.int64)
+        w = fdata[self._edge_slots] / scale
+        if result.flow_value >= min(int(supply.sum()), int(absorb.sum())):
+            return w, None
+        open_ = caps > fdata
+        residual = sp.csr_matrix((np.ones(np.count_nonzero(open_), dtype=np.int8),
+                                  (self._tails[open_], self._indices[open_])),
+                                 shape=(m + 2, m + 2))
+        reached = breadth_first_order(residual, m, directed=True,
+                                      return_predecessors=False)
+        sink_side = np.ones(m + 2, dtype=bool)
+        sink_side[reached] = False
+        return w, sink_side[:m]
 
 
 def sample_lambda(y: Signal, tol: float = 1e-6, max_iter: int = 50000):
     """Minimum sup-norm dual vector for y, with the optimal value.
 
-    Douglas-Rachford splitting between the affine constraint (projected in
-    closed form via the lattice Laplacian pseudo-inverse) and the sup-norm
-    term (prox via l1-ball projection of the scaled point). Each iterate on
-    the affine set gives an upper bound; the prox residual direction gives a
-    dual feasible point and hence a lower bound. Returns once the two agree
-    to tol relative, which certifies the value. Raises RuntimeError if the
-    iteration cap is hit first.
+    By the coarea formula Lambda(y) = max over site sets S of c(S) / |dS|,
+    with c = y - mean(y) and |dS| the number of lattice edges leaving S.
+    Dinkelbach iterations find the maximizing set: at the best ratio lb so
+    far, a maximum flow routes c through edges of capacity mu, slightly
+    above lb. If it cannot, the sink side of the minimum cut is a set with
+    a larger ratio, which becomes the new lb. If it can, the flow is a dual
+    vector with B^T w = c and ||w||_inf <= mu.
+
+    Flows are computed in integer units (scipy's maximum_flow). The flow of
+    each round stays in place and the next round routes only what is left
+    over, on the capacity that is left over, at a finer unit; a final
+    minimum-norm correction through the lattice Laplacian removes the last
+    rounding. The cut set gives the exact lower bound c(S)/|dS| and the
+    returned value is ||w||_inf, an upper bound; it is returned once
+    value - lb <= tol * (1 + value). Raises RuntimeError if max_iter flow
+    computations do not close that bracket.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -114,35 +205,41 @@ def sample_lambda(y: Signal, tol: float = 1e-6, max_iter: int = 50000):
     if p == 0 or np.abs(c).max(initial=0.0) == 0.0:
         return 0.0, np.zeros(p)
     spectral = SpectralLaplacian(shape)
-    w0 = diff_flat(spectral.solve(c), shape.sizes)
     if p == shape.n_sites - 1:
         # tree graph (every 1D path, or a lattice with one nontrivial axis):
         # the affine set is a single point
+        w0 = diff_flat(spectral.solve(c), shape.sizes)
         return float(np.abs(w0).max()), w0
-    best_ub = float(np.abs(w0).max())
-    best_w = w0
-    best_lb = 0.0
-    t = 0.5 * best_ub
-    z = w0.copy()
-    for _ in range(max_iter):
-        u = z - diff_flat(spectral.solve(adjoint_flat(z, shape.sizes) - c),
-                          shape.sizes)
-        ub = float(np.abs(u).max())
-        if ub < best_ub:
-            best_ub, best_w = ub, u
-        r = 2.0 * u - z
-        v = r - t * _project_l1_ball(r / t, 1.0)
-        z += v - u
-        xi = (u - z) / t
-        nu = spectral.solve(adjoint_flat(xi, shape.sizes))
-        denom = float(np.abs(diff_flat(nu, shape.sizes)).sum())
-        if denom > 1e-300:
-            best_lb = max(best_lb, float(c @ nu) / denom)
-        if best_ub - best_lb <= tol * (1.0 + best_ub):
-            return best_ub, best_w
+    net = _CutNetwork(shape)
+
+    def ratio(inside):
+        return float(c[inside].sum()) / net.boundary(inside)
+
+    lb = ratio(c > 0)
+    w = np.zeros(p)
+    flows = 0
+    while flows < max_iter:
+        flows += 1
+        mu = lb + 0.5 * tol * (1.0 + lb)
+        dw, blocked = net.route(c - adjoint_flat(w, shape.sizes), mu - w, mu + w)
+        w += dw
+        if blocked is not None:
+            better = ratio(blocked)
+            if better > lb:
+                lb = better
+            elif not dw.any():
+                break
+            continue
+        rest = c - adjoint_flat(w, shape.sizes)
+        wc = w + diff_flat(spectral.solve(rest), shape.sizes)
+        value = float(np.abs(wc).max())
+        if value - lb <= tol * (1.0 + value):
+            return value, wc
+        if not dw.any():
+            break
     raise RuntimeError(
-        "sup-norm minimization did not certify tol=%g within %d iterations"
-        % (tol, max_iter))
+        "minimum cuts did not certify tol=%g after %d flow computations"
+        % (tol, flows))
 
 
 def _mc_one(args):

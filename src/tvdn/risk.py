@@ -77,15 +77,25 @@ def default_lambda_grid(lam_max: float, n_points: int = 30) -> np.ndarray:
 
 @dataclass
 class RiskCurve:
+    """Risk values over a lambda grid; converged[k] is False where the solve
+    at lambdas[k] stopped at the iteration cap (its value is then that of
+    the best certified iterate)."""
+
     lambdas: np.ndarray
     values: np.ndarray
     argmin_lambda: float
+    converged: np.ndarray | None = None
 
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         if self.lambdas.shape != self.values.shape:
             raise ValueError("lambdas and values must have equal length")
+        if self.converged is None:
+            self.converged = np.ones(self.lambdas.shape, dtype=bool)
+        self.converged = np.asarray(self.converged, dtype=bool)
+        if self.converged.shape != self.lambdas.shape:
+            raise ValueError("converged must have one flag per lambda")
         if self.lambdas.size and np.any(np.diff(self.lambdas) < 0):
             raise ValueError("lambdas must be sorted ascending")
 
@@ -99,9 +109,9 @@ def _risk_one(args):
     else:
         sol = tv_denoise(y, lam, cfg)
     if criterion == "sure":
-        return sure(y, sol.estimate, sigma)
+        return sure(y, sol.estimate, sigma), sol.converged
     diff = sol.estimate.values - ftv
-    return float(diff @ diff) / shape.n_sites
+    return float(diff @ diff) / shape.n_sites, sol.converged
 
 
 def risk_curve(y: Signal, lambdas, criterion: str = "sure",
@@ -132,5 +142,7 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
     cfg = cfg or SolverConfig()
     args = [(y.shape.sizes, y.values, float(l), criterion, sigma, ftv, cfg)
             for l in lams]
-    values = np.array(parallel_map(_risk_one, args))
-    return RiskCurve(lams, values, float(lams[int(np.argmin(values))]))
+    values, converged = zip(*parallel_map(_risk_one, args))
+    values = np.array(values)
+    return RiskCurve(lams, values, float(lams[int(np.argmin(values))]),
+                     np.array(converged, dtype=bool))

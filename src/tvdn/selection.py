@@ -22,6 +22,10 @@ from .tvsolve import SolverConfig, tv_denoise, tv_denoise_1d
 
 METHODS = ("universal", "adaptive", "sure", "exact_seg", "fixed")
 
+# cutoff of jump_threshold("nonzero"): 10 * sqrt of the default duality-gap
+# target 1e-8, fixed here so that solver defaults cannot change piece counts
+_NONZERO_JUMP_CUTOFF = 1e-3
+
 # MAD-to-sigma factor for Gaussian data; the extra 1/sqrt(2) accounts for
 # differencing doubling the variance
 _MAD_SCALE = 1.4826 / math.sqrt(2.0)
@@ -86,9 +90,9 @@ def jump_threshold(n: int, sigma: float, variant: str) -> float:
     if variant == "calibrated":
         return sigma * math.sqrt(2.0 / n) * _bonferroni_z(n)
     if variant == "nonzero":
-        # iterative fits never return exact zeros; tie the cutoff to the
-        # solver's gap tolerance (direct 1D fits have exact zeros anyway)
-        return 10.0 * math.sqrt(SolverConfig().gap_tol)
+        # iterative fits never return exact zeros (direct 1D fits have
+        # exact zeros anyway)
+        return _NONZERO_JUMP_CUTOFF
     raise ValueError("variant must be raw, nonzero or calibrated")
 
 

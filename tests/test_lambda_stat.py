@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from invariants import check_lambda_equivariance, check_mle_equivariance
@@ -89,6 +91,55 @@ def test_sample_lambda_iteration_cap():
     y = S(rng.normal(size=(5, 5)))
     with pytest.raises(RuntimeError):
         sample_lambda(y, tol=1e-14, max_iter=3)
+
+
+LATTICES = st.one_of(
+    st.sampled_from([(1, 9), (9, 1), (1, 1, 6), (1, 5, 1), (2, 2, 2), (3, 2, 4)]),
+    st.tuples(st.integers(1, 7), st.integers(1, 7)),
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4)),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sizes=LATTICES, seed=st.integers(0, 2 ** 32 - 1),
+       log_amp=st.floats(-6.0, 6.0), levels=st.booleans(),
+       tol=st.sampled_from([1e-6, 1e-8, 1e-9]))
+def test_sample_lambda_certificate_property(sizes, seed, log_amp, levels, tol):
+    assume(int(np.prod(sizes)) >= 2)
+    rng = np.random.default_rng(seed)
+    # integer levels give flat regions and tied cuts; normals give neither
+    base = rng.integers(-2, 3, size=sizes) if levels else rng.normal(size=sizes)
+    amp = 10.0 ** log_amp
+    y = amp * base
+    lam, w = sample_lambda(S(y), tol=tol)
+    c = y.ravel() - y.mean()
+    assert np.linalg.norm(adjoint_flat(w, sizes) - c) <= 1e-8 * np.linalg.norm(c)
+    assert lam == np.abs(w).max(initial=0.0)
+    # Lambda is positively homogeneous; the LP runs at unit amplitude
+    ref = amp * lambda_oracle_lp(base.ravel().astype(float), sizes)
+    assert abs(lam - ref) <= tol * (1.0 + lam) + 1e-7 * ref
+
+
+def _rectangles_and_disc(n):
+    rows, cols = np.mgrid[:n, :n]
+    f = np.zeros((n, n))
+    f[2:n // 2, 3:n - 4] += 3.0
+    f[n // 3:n - 2, n // 4:n // 2] -= 2.0
+    f[(rows - 2 * n // 3) ** 2 + (cols - 2 * n // 3) ** 2 <= (n // 5) ** 2] += 5.0
+    return f
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+def test_sample_lambda_piecewise_constant_image(noise):
+    # structured images need the largest integer capacities in the flow;
+    # pure noise does not reach them
+    rng = np.random.default_rng(21)
+    y = _rectangles_and_disc(24) + noise * rng.normal(size=(24, 24))
+    lam, w = sample_lambda(S(y), tol=1e-9)
+    ref = lambda_oracle_lp(y.ravel(), y.shape)
+    assert abs(lam - ref) <= 1e-9 * (1.0 + lam)
+    c = y.ravel() - y.mean()
+    assert np.linalg.norm(adjoint_flat(w, y.shape) - c) <= 1e-8 * np.linalg.norm(c)
 
 
 def test_lambda_equivariance_suite():

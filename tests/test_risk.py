@@ -6,7 +6,7 @@ from tvdn.grid import Signal
 from tvdn.risk import (RiskCurve, component_labels, default_lambda_grid,
                        default_quantization, ncc, risk_curve, sure)
 from tvdn.signals import gen_piecewise, gen_test_function
-from tvdn.tvsolve import lambda_max, tv_denoise_1d
+from tvdn.tvsolve import SolverConfig, lambda_max, tv_denoise, tv_denoise_1d
 
 S = Signal.from_array
 
@@ -163,3 +163,23 @@ def test_risk_curve_class_validation():
         RiskCurve(np.array([1.0, 2.0]), np.array([1.0]), 1.0)
     with pytest.raises(ValueError):
         RiskCurve(np.array([2.0, 1.0]), np.array([1.0, 2.0]), 2.0)
+    with pytest.raises(ValueError):
+        RiskCurve(np.array([1.0, 2.0]), np.array([1.0, 2.0]), 1.0,
+                  converged=np.array([True]))
+    curve = RiskCurve(np.array([1.0, 2.0]), np.array([3.0, 4.0]), 1.0)
+    assert curve.converged.dtype == bool
+    assert curve.converged.tolist() == [True, True]
+
+
+def test_risk_curve_reports_iteration_cap_hits():
+    rng = np.random.default_rng(36)
+    y = S(np.kron(np.array([[0.0, 4.0], [2.0, -1.0]]), np.ones((5, 5)))
+          + rng.normal(size=(10, 10)))
+    grid = np.geomspace(0.05, 20.0, 5)
+    capped = risk_curve(y, grid, criterion="sure", sigma=1.0,
+                        cfg=SolverConfig(max_iter=2, polish=False))
+    full = risk_curve(y, grid, criterion="sure", sigma=1.0)
+    for lam, flag in zip(grid, capped.converged):
+        assert flag == tv_denoise(y, lam, SolverConfig(max_iter=2, polish=False)).converged
+    assert not capped.converged.all()
+    assert full.converged.all()

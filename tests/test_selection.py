@@ -86,6 +86,14 @@ def test_jump_threshold_ordering():
     assert jump_threshold(100, 1.0, "nonzero") == pytest.approx(1e-3, rel=1e-9)
 
 
+def test_nonzero_cutoff_ignores_solver_defaults(monkeypatch):
+    import tvdn.selection
+    from tvdn.tvsolve import SolverConfig
+    monkeypatch.setattr(tvdn.selection, "SolverConfig",
+                        lambda: SolverConfig(gap_tol=1e-4))
+    assert jump_threshold(100, 1.0, "nonzero") == 1e-3
+
+
 def test_count_jumps_ordering_frequency():
     # raw on data <= true <= calibrated on fit <= nonzero on fit, typically
     rng = np.random.default_rng(5)
