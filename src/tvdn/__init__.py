@@ -3,9 +3,10 @@ threshold selection.
 
 The estimator minimizes (1/2)||y - f||^2 + lambda * ||Bf||_1 where B takes
 differences between neighboring lattice sites. The package provides exact
-1D solving, certified iterative solving in higher dimensions, universal and
-adaptive threshold rules, SURE risk search, exact-segmentation analysis,
-and the Monte Carlo machinery calibrating the threshold on lattices. The
+1D solving, at one threshold or along a whole threshold grid in one pass,
+certified iterative solving in higher dimensions, universal and adaptive
+threshold rules, SURE risk search, exact-segmentation analysis, and the
+Monte Carlo machinery calibrating the threshold on lattices. The
 calibrating statistic is computed exactly on lattices by s-t minimum cuts,
 with a certified lower/upper bracket.
 """
@@ -13,7 +14,8 @@ with a certified lower/upper bracket.
 from .grid import LatticeShape, Signal, apply_diff, apply_diff_adjoint, laplacian_solve
 from .signals import (NoiseSpec, PiecewiseConstantSpec, TEST_FUNCTIONS,
                       add_noise, gen_piecewise, gen_test_function)
-from .tvsolve import SolverConfig, TvSolution, lambda_max, tv_denoise, tv_denoise_1d
+from .tvsolve import (SolverConfig, TvSolution, lambda_max, tv_denoise,
+                      tv_denoise_1d, tv_path_1d)
 from .lambda_stat import (GevParams, GumbelFitCoefficients, GumbelParams,
                           fit_gev_and_lr_test, fit_gumbel, fit_loglog_regression,
                           monte_carlo_lambda, sample_lambda, sample_lambda_1d)
@@ -33,7 +35,8 @@ __all__ = [
     "LatticeShape", "Signal", "apply_diff", "apply_diff_adjoint",
     "laplacian_solve", "NoiseSpec", "PiecewiseConstantSpec", "TEST_FUNCTIONS",
     "add_noise", "gen_piecewise", "gen_test_function", "SolverConfig",
-    "TvSolution", "lambda_max", "tv_denoise", "tv_denoise_1d", "GevParams",
+    "TvSolution", "lambda_max", "tv_denoise", "tv_denoise_1d", "tv_path_1d",
+    "GevParams",
     "GumbelFitCoefficients", "GumbelParams", "fit_gev_and_lr_test",
     "fit_gumbel", "fit_loglog_regression", "monte_carlo_lambda",
     "sample_lambda", "sample_lambda_1d", "DEFAULT_COEFFICIENTS",

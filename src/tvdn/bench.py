@@ -22,7 +22,7 @@ from .segmentation import evaluate_outcome
 from .selection import (adaptive_tv, exact_seg_threshold, min_jump_height,
                         universal_threshold_1d)
 from .signals import TEST_FUNCTIONS, gen_piecewise, gen_test_function
-from .tvsolve import tv_denoise_1d
+from .tvsolve import tv_denoise_1d, tv_path_1d
 
 EXPERIMENTS = ("mse_1d", "seg_1d", "lambda_fit", "image")
 
@@ -116,10 +116,9 @@ def _mse_rep(args):
     grid = default_lambda_grid(lam_max)
     losses = np.empty(grid.size)
     sures = np.empty(grid.size)
-    for i, lam in enumerate(grid):
-        est = tv_denoise_1d(y, float(lam)).estimate
-        losses[i] = _loss(est.values, f.values)
-        sures[i] = sure(y, est, sigma)
+    for i, sol in enumerate(tv_path_1d(y, grid)):
+        losses[i] = _loss(sol.estimate.values, f.values)
+        sures[i] = sure(y, sol.estimate, sigma)
     _, sol2, _ = adaptive_tv(y, sigma=sigma)
     return (float(losses.min()),
             float(losses[int(np.argmin(sures))]),

@@ -20,8 +20,8 @@ from .bench import (ExperimentConfig, bench_mse, bench_seg, lambda_fit_report,
 from .coeffs import load_coefficients
 from .lambda_stat import GumbelParams, fit_gumbel
 from .risk import default_lambda_grid, default_quantization, ncc, risk_curve
-from .selection import (adaptive_tv, count_jumps, estimate_sigma,
-                        universal_threshold_1d, universal_threshold_lattice)
+from .selection import (adaptive_tv, estimate_sigma, universal_threshold_1d,
+                        universal_threshold_lattice)
 from .signals import gen_test_function
 from .tvsolve import SolverConfig, lambda_max, tv_denoise, tv_denoise_1d
 
@@ -55,10 +55,22 @@ def _solve(y, lam, cfg):
     return tv_denoise(y, lam, cfg)
 
 
-def _pieces(est, sigma):
-    if est.shape.ndim == 1:
-        return count_jumps(est, sigma, "nonzero") + 1
-    return ncc(est, default_quantization(est))
+def _warn(message):
+    print("warning: " + message, file=sys.stderr)
+
+
+def _warn_zero_sigma():
+    _warn("the estimated noise level is 0 (flat or quantized input): "
+          "thresholds scaled by it are 0 and SURE favours the smallest "
+          "lambda, so the fit stays at or near the input; set --sigma-known")
+
+
+def _warn_unconverged(curve):
+    capped = curve.lambdas[~curve.converged]
+    if capped.size:
+        _warn("%d of %d risk-curve solves stopped at the iteration cap, at "
+              "lambda = %s" % (capped.size, curve.lambdas.size,
+                               ", ".join("%.6g" % l for l in capped)))
 
 
 def cmd_denoise(args):
@@ -73,6 +85,9 @@ def cmd_denoise(args):
         method = "fixed"
     if method is None:
         method = "adaptive"
+    if args.sigma_known is None and sigma == 0.0 and \
+            method in ("universal", "adaptive", "sure"):
+        _warn_zero_sigma()
 
     truth = None
     if args.truth:
@@ -102,12 +117,13 @@ def cmd_denoise(args):
             curve = risk_curve(y, grid, "sure", sigma=sigma, cfg=cfg)
         else:
             curve = risk_curve(y, grid, "oracle", f_true=truth, cfg=cfg)
+        _warn_unconverged(curve)
         sol = _solve(y, curve.argmin_lambda, cfg)
         lam1, lam2 = float(grid.max()), curve.argmin_lambda
     else:
         raise ValueError("unknown method %r" % (method,))
 
-    final_pieces = _pieces(sol.estimate, sigma)
+    final_pieces = ncc(sol.estimate, default_quantization(sol.estimate))
     payload = {
         "method": method,
         "sigma_used": sigma,
@@ -261,9 +277,14 @@ def cmd_risk_curve(args):
         truth, _ = _read_input(args.truth)
         curve = risk_curve(y, grid, "oracle", f_true=truth, cfg=cfg)
     else:
-        sigma = args.sigma_known if args.sigma_known is not None \
-            else estimate_sigma(y)
+        if args.sigma_known is not None:
+            sigma = args.sigma_known
+        else:
+            sigma = estimate_sigma(y)
+            if sigma == 0.0:
+                _warn_zero_sigma()
         curve = risk_curve(y, grid, "sure", sigma=sigma, cfg=cfg)
+    _warn_unconverged(curve)
     if args.out:
         tvio.write_csv_rows(args.out, ("lambda", "value"),
                             list(zip(curve.lambdas.tolist(),

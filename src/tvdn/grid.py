@@ -1,4 +1,5 @@
-"""Lattice geometry, the finite-difference operator B and graph-Laplacian solves.
+"""Lattice geometry, the finite-difference operator B, connected components and
+graph-Laplacian solves.
 
 The difference operator stacks one block per direction (direction-major). A
 direction is a lattice axis, enumerated from the fastest-varying axis of the
@@ -12,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,20 @@ def edge_endpoints(shape: LatticeShape) -> tuple[np.ndarray, np.ndarray]:
         z = np.zeros(0, dtype=int)
         return z, z
     return np.concatenate(near), np.concatenate(far)
+
+
+def edge_components(shape: LatticeShape, joined: np.ndarray) -> np.ndarray:
+    """Connected-component label of every site, joining sites across the
+    edges where ``joined`` is True; components are numbered in the order of
+    their smallest member site."""
+    near, far = edge_endpoints(shape)
+    m = shape.n_sites
+    links = sp.csr_matrix((np.ones(int(np.count_nonzero(joined))),
+                           (near[joined], far[joined])), shape=(m, m))
+    # the traversal starts a new label at the first unlabeled site in index
+    # order, which is the smallest member of its component
+    _, labels = connected_components(links, directed=False)
+    return labels
 
 
 def laplacian_apply(x: np.ndarray, shape: LatticeShape,

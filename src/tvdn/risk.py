@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pool import parallel_map
-from .grid import LatticeShape, Signal, edge_endpoints
-from .tvsolve import SolverConfig, tv_denoise, tv_denoise_1d
+from .grid import LatticeShape, Signal, edge_components, edge_endpoints
+from .tvsolve import SolverConfig, tv_denoise, tv_path_1d
 
 
 def default_quantization(f: Signal) -> float:
@@ -22,40 +22,22 @@ def default_quantization(f: Signal) -> float:
 
 
 def component_labels(f: Signal, quantization: float) -> np.ndarray:
-    """Union-find component labels, numbered by smallest member site."""
+    """Component labels, numbered by smallest member site."""
     if quantization < 0:
         raise ValueError("quantization must be nonnegative")
     near, far = edge_endpoints(f.shape)
     v = f.values
-    joined = np.abs(v[far] - v[near]) <= quantization
-    parent = np.arange(f.shape.n_sites)
-
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    for i, j in zip(near[joined], far[joined]):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    labels = np.empty(f.shape.n_sites, dtype=int)
-    seen = {}
-    for site in range(f.shape.n_sites):
-        root = find(site)
-        if root not in seen:
-            seen[root] = len(seen)
-        labels[site] = seen[root]
-    return labels
+    return edge_components(f.shape, np.abs(v[far] - v[near]) <= quantization)
 
 
 def ncc(f: Signal, quantization: float) -> int:
     """Connected components of the fit, adjacency = difference within tolerance."""
-    labels = component_labels(f, quantization)
-    return int(labels.max()) + 1
+    if f.shape.ndim == 1:
+        if quantization < 0:
+            raise ValueError("quantization must be nonnegative")
+        # on a path every difference beyond the tolerance starts a component
+        return 1 + int(np.count_nonzero(~(np.abs(np.diff(f.values)) <= quantization)))
+    return int(component_labels(f, quantization).max()) + 1
 
 
 def sure(y: Signal, f_hat: Signal, sigma: float, quantization: float | None = None) -> float:
@@ -100,27 +82,29 @@ class RiskCurve:
             raise ValueError("lambdas must be sorted ascending")
 
 
+def _risk_of(y, f_hat, criterion, sigma, ftv):
+    if criterion == "sure":
+        return sure(y, f_hat, sigma)
+    diff = f_hat.values - ftv
+    return float(diff @ diff) / y.shape.n_sites
+
+
 def _risk_one(args):
     sizes, yv, lam, criterion, sigma, ftv, cfg = args
-    shape = LatticeShape(sizes)
-    y = Signal(shape, yv)
-    if shape.ndim == 1:
-        sol = tv_denoise_1d(y, lam)
-    else:
-        sol = tv_denoise(y, lam, cfg)
-    if criterion == "sure":
-        return sure(y, sol.estimate, sigma), sol.converged
-    diff = sol.estimate.values - ftv
-    return float(diff @ diff) / shape.n_sites, sol.converged
+    y = Signal(LatticeShape(sizes), yv)
+    sol = tv_denoise(y, lam, cfg)
+    return _risk_of(y, sol.estimate, criterion, sigma, ftv), sol.converged
 
 
 def risk_curve(y: Signal, lambdas, criterion: str = "sure",
                sigma: float | None = None, f_true: Signal | None = None,
                cfg: SolverConfig | None = None) -> RiskCurve:
-    """Evaluate SURE or oracle loss over a lambda grid, one solve per value.
+    """Evaluate SURE or oracle loss over a lambda grid.
 
-    Solves are distributed across workers (TVDN_THREADS) and gathered back
-    in grid order, so the curve does not depend on the worker count.
+    In 1D one pass over the exact fusion path gives every fit, in process.
+    On lattices there is one solve per value; solves are distributed across
+    workers (TVDN_THREADS) and gathered back in grid order, so the curve does
+    not depend on the worker count.
     """
     lams = np.sort(np.asarray(lambdas, dtype=float))
     if lams.size == 0:
@@ -139,10 +123,15 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
         ftv = f_true.values
     else:
         raise ValueError("criterion must be 'sure' or 'oracle'")
-    cfg = cfg or SolverConfig()
-    args = [(y.shape.sizes, y.values, float(l), criterion, sigma, ftv, cfg)
-            for l in lams]
-    values, converged = zip(*parallel_map(_risk_one, args))
+    if y.shape.ndim == 1:
+        values = [_risk_of(y, sol.estimate, criterion, sigma, ftv)
+                  for sol in tv_path_1d(y, lams)]
+        converged = [True] * lams.size
+    else:
+        cfg = cfg or SolverConfig()
+        args = [(y.shape.sizes, y.values, float(l), criterion, sigma, ftv, cfg)
+                for l in lams]
+        values, converged = zip(*parallel_map(_risk_one, args))
     values = np.array(values)
     return RiskCurve(lams, values, float(lams[int(np.argmin(values))]),
                      np.array(converged, dtype=bool))

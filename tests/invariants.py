@@ -56,15 +56,17 @@ def check_lambda_equivariance():
 
 
 def check_ncc_floodfill():
-    """Union-find component count equals an independent BFS count."""
+    """Component count equals an independent BFS count, also for
+    differences exactly at the tolerance."""
     rng = np.random.default_rng(103)
-    for sizes in [(30,), (7, 9), (4, 5, 4)]:
+    for sizes in [(1,), (2,), (30,), (7, 9), (4, 5, 4)]:
         for levels in (2, 3, 5):
-            v = rng.integers(0, levels, size=sizes).astype(float)
-            for tau in (0.0, 0.5, 1.5):
-                a = ncc(Signal.from_array(v), quantization=tau)
-                b = ncc_floodfill(v.ravel(), sizes, tau)
-                assert a == b, (sizes, levels, tau, a, b)
+            for step in (1.0, 0.25, 1e-7):
+                v = step * rng.integers(0, levels, size=sizes)
+                for tau in (0.0, 0.5 * step, step, 1.5 * step, 2.0 * step):
+                    a = ncc(Signal.from_array(v), quantization=tau)
+                    b = ncc_floodfill(v.ravel(), sizes, tau)
+                    assert a == b, (sizes, levels, step, tau, a, b)
 
 
 def check_kkt_solver_agreement():

@@ -13,6 +13,8 @@ from tvdn.io import (SCHEMA_VERSION, read_csv_column, read_json_report,
                      read_pgm, read_signal_csv, write_csv_column,
                      write_csv_rows, write_json_report, write_pgm,
                      write_signal_csv)
+from tvdn.risk import risk_curve
+from tvdn.tvsolve import SolverConfig
 
 
 def _read_bytes(path):
@@ -340,6 +342,70 @@ def test_cli_risk_curve(tmp_path, capsys):
     assert main(["risk-curve", "--in", noisy, "--sigma-known", "0.8",
                  "--grid", "9,1,5"]) == 2  # lo > hi
     capsys.readouterr()
+
+
+def test_cli_denoise_counts_small_steps_as_pieces(tmp_path, capsys):
+    # the piece count is relative to the fit's range, so a step far below
+    # any absolute cutoff still counts
+    path = str(tmp_path / "step.csv")
+    write_csv_column(path, np.repeat([0.0, 1e-4], 30), "value")
+    assert main(["denoise", "--in", path, "--lambda", "1e-7"]) == 0
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["ncc"] == 2
+    assert payload["count1"] == 2
+
+
+def _warnings(err):
+    return [l for l in err.splitlines() if l.startswith("warning: ")]
+
+
+def test_cli_reports_capped_risk_curve_solves(tmp_path, capsys):
+    rng = np.random.default_rng(12)
+    img = np.full((8, 8), 60.0)
+    img[2:6, 2:6] = 160.0
+    src = str(tmp_path / "img.pgm")
+    write_pgm(src, Signal.from_array(img + 8.0 * rng.standard_normal((8, 8))),
+              maxval=255)
+    y, _, _ = read_pgm(src)
+    grid = np.geomspace(1.0, 2000.0, 5)
+    curve = risk_curve(y, grid, "sure", sigma=8.0,
+                       cfg=SolverConfig(max_iter=1))
+    capped = grid[~curve.converged]
+    assert 0 < capped.size < grid.size
+    code = main(["denoise", "--in", src, "--method", "sure", "--sigma-known",
+                 "8", "--grid", "1,2000,5", "--max-iter", "1"])
+    assert code in (0, 3)
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out.strip().splitlines()[-1])
+    assert payload["lambda2"] == curve.argmin_lambda
+    (line,) = _warnings(captured.err)
+    assert "%d of 5" % capped.size in line
+    assert line.endswith(", ".join("%.6g" % l for l in capped))
+    # converged curves stay silent
+    assert main(["denoise", "--in", src, "--method", "sure", "--sigma-known",
+                 "8", "--grid", "1,2000,5"]) == 0
+    assert _warnings(capsys.readouterr().err) == []
+
+
+def test_cli_reports_zero_sigma_estimate(tmp_path, capsys):
+    path = str(tmp_path / "steps.csv")
+    write_csv_column(path, np.repeat([0.0, 5.0, 2.0], 20), "value")
+    for argv in (["denoise", "--in", path, "--method", "adaptive"],
+                 ["denoise", "--in", path, "--method", "sure"],
+                 ["risk-curve", "--in", path]):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        (line,) = _warnings(captured.err)
+        assert "noise level is 0" in line
+    payload = json.loads(captured.out.strip().splitlines()[-1])
+    assert payload["n_grid"] == 30
+    # a known sigma, or a method that does not use sigma, raises no warning
+    for argv in (["denoise", "--in", path, "--method", "adaptive",
+                  "--sigma-known", "1"],
+                 ["denoise", "--in", path, "--lambda", "1"],
+                 ["risk-curve", "--in", path, "--sigma-known", "1"]):
+        assert main(argv) == 0
+        assert _warnings(capsys.readouterr().err) == []
 
 
 def test_cli_coeffs_override(tmp_path, capsys):

@@ -34,6 +34,8 @@ def test_component_labels_smallest_site_first():
     v = S([[0.0, 1.0], [1.0, 0.0]])
     labels = component_labels(v, 0.0)
     assert np.array_equal(labels, [0, 1, 2, 3])
+    v = S([[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0, 0.0, 0.0]])
+    assert np.array_equal(component_labels(v, 0.0), [0, 1, 1, 0, 2, 1, 0, 0, 0])
     f = gen_piecewise("staircase", 12, 3, 1.0).realize()
     labels = component_labels(f, 0.0)
     assert np.array_equal(labels, np.repeat([0, 1, 2], 4))

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import tv_oracle_boxqp
 from tvdn.grid import LatticeShape, Signal, adjoint_flat
 from tvdn.lambda_stat import sample_lambda_1d
-from tvdn.tvsolve import SolverConfig, TvSolution, lambda_max, tv_denoise, tv_denoise_1d
+from tvdn.tvsolve import (SolverConfig, TvSolution, lambda_max, tv_denoise,
+                          tv_denoise_1d, tv_path_1d)
 
 S = Signal.from_array
 
@@ -76,6 +79,72 @@ def test_1d_jump_sets_nest_as_lambda_grows():
         if prev is not None:
             assert jumps.issubset(prev), lam
         prev = jumps
+
+
+def _path_input(n, seed, log_amp, ties):
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=n)
+    # rounding to integers gives runs of equal data and equal group values
+    return S(10.0 ** log_amp * (np.round(2 * base) if ties else base))
+
+
+def _path_grid(y, seed, k):
+    # 0, interior values, and values at and beyond the collapse point Lambda
+    rng = np.random.default_rng(seed + 1)
+    lam_max = sample_lambda_1d(y)
+    inner = lam_max * rng.uniform(0.0, 1.0, size=k)
+    return np.sort(np.concatenate([[0.0, lam_max, 2 * lam_max + 1e-3], inner]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(n=st.integers(2, 300), seed=st.integers(0, 2 ** 32 - 2),
+       log_amp=st.floats(-6.0, 6.0), ties=st.booleans(), k=st.integers(0, 12))
+def test_path_matches_direct_pass_with_certificates(n, seed, log_amp, ties, k):
+    y = _path_input(n, seed, log_amp, ties)
+    grid = _path_grid(y, seed, k)
+    lam_max = sample_lambda_1d(y)
+    amp = float(np.abs(y.values).max())
+    sols = tv_path_1d(y, grid)
+    assert [s.lam for s in sols] == grid.tolist()
+    for lam, sol in zip(grid, sols):
+        f = sol.estimate.values
+        direct = tv_denoise_1d(y, lam).estimate.values
+        assert np.abs(f - direct).max() <= 1e-10 * (1.0 + amp)
+        assert np.abs(sol.dual).max() <= lam
+        assert np.abs(y.values - adjoint_flat(sol.dual, (n,)) - f).max() \
+            <= 1e-8 * amp
+        assert 0.0 <= sol.gap <= 1e-9 * (1.0 + sol.objective(y))
+        if lam == 0.0:
+            assert np.array_equal(f, y.values)
+        if lam >= lam_max:
+            assert np.abs(f - y.values.mean()).max() <= 1e-12 * amp * n
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 2),
+       ties=st.booleans(), k=st.integers(1, 6))
+def test_path_matches_boxqp_oracle(n, seed, ties, k):
+    y = _path_input(n, seed, 0.0, ties)
+    grid = _path_grid(y, seed, k)
+    for lam, sol in zip(grid, tv_path_1d(y, grid)):
+        ref = tv_oracle_boxqp(y.values, lam, (n,))
+        assert np.abs(sol.estimate.values - ref).max() <= 1e-8
+
+
+def test_path_edge_cases_and_bad_grids():
+    assert tv_path_1d(S([1.0, 2.0]), []) == []
+    sols = tv_path_1d(S([2.5]), [0.0, 1.0])
+    assert [s.estimate.values.tolist() for s in sols] == [[2.5], [2.5]]
+    const = S(np.full(7, 0.1))
+    for sol in tv_path_1d(const, [0.0, 0.3, 9.0]):
+        assert np.array_equal(sol.estimate.values, const.values)
+        assert sol.gap == 0.0
+    y = S([0.0, 3.0, 1.0])
+    for bad in ([1.0, 0.5], [-0.1, 1.0], [0.0, np.nan], [0.0, np.inf]):
+        with pytest.raises(ValueError):
+            tv_path_1d(y, bad)
+    with pytest.raises(ValueError):
+        tv_path_1d(S(np.zeros((2, 3))), [1.0])
 
 
 def test_nd_constant_input():
