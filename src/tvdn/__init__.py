@@ -2,9 +2,9 @@
 threshold selection.
 
 The estimator minimizes (1/2)||y - f||^2 + lambda * ||Bf||_1 where B takes
-differences between neighboring lattice sites. The package provides exact
-1D solving, at one threshold or along a whole threshold grid in one pass,
-certified iterative solving in higher dimensions, universal and adaptive
+differences between neighboring lattice sites. The package provides one
+solver for every lattice (exact in 1D, certified iterative otherwise), exact
+1D solving along a whole threshold grid in one pass, universal and adaptive
 threshold rules, SURE risk search, exact-segmentation analysis, and the
 Monte Carlo machinery calibrating the threshold on lattices. The
 calibrating statistic is computed exactly on lattices by s-t minimum cuts,
@@ -23,7 +23,8 @@ from .coeffs import DEFAULT_COEFFICIENTS, default_coefficients, load_coefficient
 from .selection import (ThresholdReport, adaptive_threshold_1d, adaptive_tv,
                         count_jumps, estimate_sigma, exact_seg_prob_bound,
                         exact_seg_threshold, min_jump_height,
-                        universal_threshold_1d, universal_threshold_lattice)
+                        universal_threshold, universal_threshold_1d,
+                        universal_threshold_lattice)
 from .risk import RiskCurve, default_lambda_grid, ncc, risk_curve, sure
 from .segmentation import (SegmentationOutcome, evaluate_outcome, extract_jumps,
                            kkt_check)
@@ -43,7 +44,8 @@ __all__ = [
     "default_coefficients", "load_coefficients", "ThresholdReport",
     "adaptive_threshold_1d", "adaptive_tv", "count_jumps", "estimate_sigma",
     "exact_seg_prob_bound", "exact_seg_threshold", "min_jump_height",
-    "universal_threshold_1d", "universal_threshold_lattice", "RiskCurve",
+    "universal_threshold", "universal_threshold_1d",
+    "universal_threshold_lattice", "RiskCurve",
     "default_lambda_grid", "ncc", "risk_curve", "sure",
     "SegmentationOutcome", "evaluate_outcome", "extract_jumps", "kkt_check",
     "ExperimentConfig", "ResultTable", "bench_mse", "bench_seg",

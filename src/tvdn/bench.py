@@ -22,7 +22,7 @@ from .segmentation import evaluate_outcome
 from .selection import (adaptive_tv, exact_seg_threshold, min_jump_height,
                         universal_threshold_1d)
 from .signals import TEST_FUNCTIONS, gen_piecewise, gen_test_function
-from .tvsolve import tv_denoise_1d, tv_path_1d
+from .tvsolve import tv_denoise, tv_path_1d
 
 EXPERIMENTS = ("mse_1d", "seg_1d", "lambda_fit", "image")
 
@@ -42,8 +42,6 @@ class ExperimentConfig:
     seed: int = 0
     snr: float = 7.0
     sigma: float = 1.0
-    dim: int = 1
-    output: str | None = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -154,7 +152,7 @@ def _seg_rep(args):
     y = Signal(f.shape, f.values + sigma * rng.standard_normal(n))
     res = {}
     for method, lam in lambdas.items():
-        est = tv_denoise_1d(y, lam).estimate
+        est = tv_denoise(y, lam).estimate
         outcome = evaluate_outcome(est, spec, sigma)
         res[method] = (outcome.exact, outcome.screening,
                        len(outcome.jumps_estimated) + 1)

@@ -20,10 +20,9 @@ from .bench import (ExperimentConfig, bench_mse, bench_seg, lambda_fit_report,
 from .coeffs import load_coefficients
 from .lambda_stat import GumbelParams, fit_gumbel
 from .risk import default_lambda_grid, default_quantization, ncc, risk_curve
-from .selection import (adaptive_tv, estimate_sigma, universal_threshold_1d,
-                        universal_threshold_lattice)
+from .selection import adaptive_tv, estimate_sigma, universal_threshold
 from .signals import gen_test_function
-from .tvsolve import SolverConfig, lambda_max, tv_denoise, tv_denoise_1d
+from .tvsolve import SolverConfig, lambda_max, tv_denoise
 
 
 def _parse_sizes(text):
@@ -47,12 +46,6 @@ def _write_output(path, est, meta):
         tvio.write_pgm(path, est, maxval=meta["maxval"], binary=meta["binary"])
     else:
         tvio.write_signal_csv(path, est)
-
-
-def _solve(y, lam, cfg):
-    if y.shape.ndim == 1:
-        return tv_denoise_1d(y, lam)
-    return tv_denoise(y, lam, cfg)
 
 
 def _warn(message):
@@ -99,15 +92,11 @@ def cmd_denoise(args):
 
     count1 = None
     if method == "fixed":
-        sol = _solve(y, args.lam, cfg)
+        sol = tv_denoise(y, args.lam, cfg)
         lam1 = lam2 = args.lam
     elif method == "universal":
-        if y.shape.ndim == 1:
-            lam1 = universal_threshold_1d(y.shape.n_sites, sigma)
-        else:
-            lam1 = universal_threshold_lattice(y.shape, sigma, coeffs)
-        lam2 = lam1
-        sol = _solve(y, lam1, cfg)
+        lam1 = lam2 = universal_threshold(y.shape, sigma, coeffs)
+        sol = tv_denoise(y, lam1, cfg)
     elif method == "adaptive":
         _, sol, report = adaptive_tv(y, sigma=sigma, cfg=cfg, coeffs=coeffs)
         lam1, lam2, count1 = report.lambda1, report.lambda2, report.count1
@@ -118,7 +107,7 @@ def cmd_denoise(args):
         else:
             curve = risk_curve(y, grid, "oracle", f_true=truth, cfg=cfg)
         _warn_unconverged(curve)
-        sol = _solve(y, curve.argmin_lambda, cfg)
+        sol = tv_denoise(y, curve.argmin_lambda, cfg)
         lam1, lam2 = float(grid.max()), curve.argmin_lambda
     else:
         raise ValueError("unknown method %r" % (method,))
@@ -269,13 +258,12 @@ def _make_grid(spec, lam_max):
 
 def cmd_risk_curve(args):
     y, _ = _read_input(args.infile)
-    cfg = SolverConfig()
     grid = _make_grid(args.grid, lambda_max(y))
     if args.method == "oracle":
         if not args.truth:
             raise ValueError("--method oracle needs --truth")
         truth, _ = _read_input(args.truth)
-        curve = risk_curve(y, grid, "oracle", f_true=truth, cfg=cfg)
+        curve = risk_curve(y, grid, "oracle", f_true=truth)
     else:
         if args.sigma_known is not None:
             sigma = args.sigma_known
@@ -283,7 +271,7 @@ def cmd_risk_curve(args):
             sigma = estimate_sigma(y)
             if sigma == 0.0:
                 _warn_zero_sigma()
-        curve = risk_curve(y, grid, "sure", sigma=sigma, cfg=cfg)
+        curve = risk_curve(y, grid, "sure", sigma=sigma)
     _warn_unconverged(curve)
     if args.out:
         tvio.write_csv_rows(args.out, ("lambda", "value"),

@@ -176,39 +176,38 @@ def _site_degrees(shape, edge_mask):
     return deg
 
 
-def laplacian_solve(rhs: Signal, tol: float = 1e-10, max_iter: int | None = None,
-                    edge_mask: np.ndarray | None = None, shift: float = 0.0) -> Signal:
-    """Solve (shift*I + B^T B) x = rhs by preconditioned conjugate gradients.
+_CG_ITER_PER_SITE = 10
 
-    With shift = 0 the system is singular with the constants as kernel, so the
-    right-hand side must be mean-zero and the mean-zero (pseudo-inverse)
-    solution is returned. Jacobi scaling by the site degrees preconditions the
-    iteration; the operator itself is applied matrix-free.
+
+def laplacian_solve(rhs: Signal, tol: float = 1e-10,
+                    edge_mask: np.ndarray | None = None) -> Signal:
+    """Solve B^T B x = rhs by preconditioned conjugate gradients.
+
+    The system is singular with the constants as kernel, so the right-hand
+    side must be mean-zero and the mean-zero (pseudo-inverse) solution is
+    returned. Jacobi scaling by the site degrees preconditions the
+    iteration; the operator itself is applied matrix-free. It serves
+    edge-masked systems, which ``SpectralLaplacian`` cannot solve.
 
     Parameters
     ----------
     rhs : Signal
     tol : relative residual target.
-    max_iter : iteration cap, default 10 * n_sites.
     edge_mask : optional boolean mask restricting B to a subset of edges.
-    shift : nonnegative diagonal shift.
 
     Raises
     ------
-    ValueError if shift = 0 and rhs is not mean-zero within tolerance.
-    RuntimeError on hitting the iteration cap.
+    ValueError if rhs is not mean-zero within tolerance.
+    RuntimeError after 10 * n_sites iterations without reaching tol.
     """
     shape = rhs.shape
     b = rhs.values.copy()
     m = shape.n_sites
     scale = max(float(np.abs(b).max(initial=0.0)), 1e-300)
-    if shift == 0.0:
-        if abs(b.mean()) > max(tol, 1e-8) * scale:
-            raise ValueError("rhs must be mean-zero for the singular solve")
-        b -= b.mean()
-    if max_iter is None:
-        max_iter = 10 * m
-    diag = _site_degrees(shape, edge_mask) + shift
+    if abs(b.mean()) > max(tol, 1e-8) * scale:
+        raise ValueError("rhs must be mean-zero for the singular solve")
+    b -= b.mean()
+    diag = _site_degrees(shape, edge_mask)
     dinv = np.where(diag > 0, 1.0 / np.maximum(diag, 1e-300), 1.0)
     x = np.zeros(m)
     r = b.copy()
@@ -218,10 +217,10 @@ def laplacian_solve(rhs: Signal, tol: float = 1e-10, max_iter: int | None = None
     z = dinv * r
     p = z.copy()
     rz = float(r @ z)
-    for _ in range(max_iter):
+    for _ in range(_CG_ITER_PER_SITE * m):
         if np.linalg.norm(r) <= tol * nb:
             break
-        ap = laplacian_apply(p, shape, edge_mask) + shift * p
+        ap = laplacian_apply(p, shape, edge_mask)
         pap = float(p @ ap)
         if pap <= 0.0:
             break
@@ -234,8 +233,7 @@ def laplacian_solve(rhs: Signal, tol: float = 1e-10, max_iter: int | None = None
         rz = rz_new
     else:
         raise RuntimeError("laplacian_solve did not converge within the iteration cap")
-    if shift == 0.0:
-        x -= x.mean()
+    x -= x.mean()
     return Signal(shape, x)
 
 
@@ -244,8 +242,8 @@ class SpectralLaplacian:
 
     B^T B on a full rectangular lattice is the Kronecker sum of 1D path
     Laplacians, which the orthonormal DCT-II diagonalizes. Solvers use this
-    for their inner linear systems; it returns the same solutions as
-    laplacian_solve but in closed form.
+    for their inner linear systems, shifted or singular, in closed form;
+    its singular solve agrees with ``laplacian_solve`` without an edge mask.
     """
 
     def __init__(self, shape: LatticeShape):

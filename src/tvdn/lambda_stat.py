@@ -3,8 +3,9 @@
 Lambda(y) is the smallest box bound lambda for which a dual edge vector w
 with B^T w = y - mean(y) fits inside [-lambda, lambda]^P. It is the exact
 breakpoint of the TV path: denoising with lambda >= Lambda(y) returns the
-constant fit, anything smaller does not. In 1D it is the sup of the centered
-cumulative sums. On higher-dimensional lattices it is the largest ratio
+constant fit, anything smaller does not. On a tree lattice (1D, or one
+nontrivial axis) the dual is unique, minus the centered partial sums in flat
+order, and Lambda is their sup. On other lattices it is the largest ratio
 c(S) / |dS| over site sets S (coarea formula), found by Dinkelbach
 iterations of s-t minimum cuts; the cut set and the maximum flow bracket
 the value from below and above.
@@ -83,10 +84,7 @@ def sample_lambda_1d(y: Signal) -> float:
     """Closed form on a path: the sup of centered cumulative sums."""
     if y.shape.ndim != 1:
         raise ValueError("sample_lambda_1d requires a 1D signal")
-    c = y.values - y.values.mean()
-    if c.size <= 1:
-        return 0.0
-    return float(np.abs(np.cumsum(c)[:-1]).max())
+    return sample_lambda(y)[0]
 
 
 # maximum_flow works in int32 and its residual arcs reach twice a capacity,
@@ -196,6 +194,9 @@ def sample_lambda(y: Signal, tol: float = 1e-6, max_iter: int = 50000):
     returned value is ||w||_inf, an upper bound; it is returned once
     value - lb <= tol * (1 + value). Raises RuntimeError if max_iter flow
     computations do not close that bracket.
+
+    On a tree lattice (1D, or one nontrivial axis) no flow is computed: the
+    only dual is minus the partial sums of c in flat order.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -204,12 +205,12 @@ def sample_lambda(y: Signal, tol: float = 1e-6, max_iter: int = 50000):
     c = y.values - y.values.mean()
     if p == 0 or np.abs(c).max(initial=0.0) == 0.0:
         return 0.0, np.zeros(p)
-    spectral = SpectralLaplacian(shape)
     if p == shape.n_sites - 1:
-        # tree graph (every 1D path, or a lattice with one nontrivial axis):
-        # the affine set is a single point
-        w0 = diff_flat(spectral.solve(c), shape.sizes)
-        return float(np.abs(w0).max()), w0
+        # sites and edges lie on one path in flat order; site i ends edges
+        # i-1 and i, so B^T w = c is solved by w_i = -(c_0 + ... + c_i) alone
+        w = -np.cumsum(c)[:-1]
+        return float(np.abs(w).max()), w
+    spectral = SpectralLaplacian(shape)
     net = _CutNetwork(shape)
 
     def ratio(inside):
@@ -247,8 +248,6 @@ def _mc_one(args):
     rng = np.random.default_rng(seed_entropy)
     shape = LatticeShape(sizes)
     y = Signal(shape, rng.standard_normal(shape.n_sites))
-    if shape.ndim == 1:
-        return sample_lambda_1d(y)
     lam, _ = sample_lambda(y, tol=tol)
     return lam
 

@@ -124,9 +124,9 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
     else:
         raise ValueError("criterion must be 'sure' or 'oracle'")
     if y.shape.ndim == 1:
-        values = [_risk_of(y, sol.estimate, criterion, sigma, ftv)
-                  for sol in tv_path_1d(y, lams)]
-        converged = [True] * lams.size
+        sols = tv_path_1d(y, lams)
+        values = [_risk_of(y, sol.estimate, criterion, sigma, ftv) for sol in sols]
+        converged = [sol.converged for sol in sols]
     else:
         cfg = cfg or SolverConfig()
         args = [(y.shape.sizes, y.values, float(l), criterion, sigma, ftv, cfg)

@@ -3,7 +3,8 @@
 The universal threshold is the (1-alpha)-quantile of the dual sup-norm
 statistic under pure noise, with alpha = 2/sqrt(log P) for a lattice with P
 edges. In 1D it has the closed form (sigma/2)*sqrt(N log log N); on higher
-dimensional lattices it comes from the fitted Gumbel law. The adaptive rule
+dimensional lattices it comes from the fitted Gumbel law;
+``universal_threshold`` picks the form from the lattice. The adaptive rule
 reruns the same formula with the average piece size found in a first pass.
 """
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .coeffs import default_coefficients
 from .grid import LatticeShape, Signal, diff_flat
 from .lambda_stat import GumbelFitCoefficients
 from .risk import default_quantization, ncc
-from .tvsolve import SolverConfig, tv_denoise, tv_denoise_1d
+from .tvsolve import SolverConfig, tv_denoise
 
 METHODS = ("universal", "adaptive", "sure", "exact_seg", "fixed")
 
@@ -141,6 +142,15 @@ def universal_threshold_lattice(shape: LatticeShape, sigma: float,
     return max(0.0, sigma * params.quantile(1.0 - alpha))
 
 
+def universal_threshold(shape: LatticeShape, sigma: float,
+                        coeffs: GumbelFitCoefficients | None = None) -> float:
+    """Universal threshold on any lattice: the 1D closed form (coeffs not
+    read) or, on every other lattice, the Gumbel quantile."""
+    if shape.ndim == 1:
+        return universal_threshold_1d(shape.n_sites, sigma)
+    return universal_threshold_lattice(shape, sigma, coeffs)
+
+
 def exact_seg_threshold(n_max: int, sigma: float, alpha: float) -> float:
     """sigma * N_max * z_{1-alpha/2}, the exact-recovery threshold scale."""
     if not 0.0 < alpha < 0.5:
@@ -187,17 +197,13 @@ def adaptive_tv(y: Signal, sigma: float | None = None,
     if d not in (1, 2, 3):
         raise ValueError("adaptive rule covers d in {1, 2, 3}")
     sigma_used = estimate_sigma(y) if sigma is None else float(sigma)
+    lam1 = universal_threshold(y.shape, sigma_used, coeffs)
+    sol1 = tv_denoise(y, lam1, cfg)
     if d == 1:
-        n = y.shape.n_sites
-        lam1 = universal_threshold_1d(n, sigma_used)
-        sol1 = tv_denoise_1d(y, lam1)
         count1 = count_jumps(sol1.estimate, sigma_used, "calibrated") + 1
-        n_bar = max(n / count1, 3.0)
+        n_bar = max(y.shape.n_sites / count1, 3.0)
         lam2 = _threshold_1d(n_bar, sigma_used)
-        sol2 = tv_denoise_1d(y, lam2)
     else:
-        lam1 = universal_threshold_lattice(y.shape, sigma_used, coeffs)
-        sol1 = tv_denoise(y, lam1, cfg)
         count1 = ncc(sol1.estimate, default_quantization(sol1.estimate))
         n_bar = max((y.shape.n_sites / count1) ** (1.0 / d), 2.0)
         alpha2 = _lattice_alpha_at(n_bar, d)
@@ -208,7 +214,7 @@ def adaptive_tv(y: Signal, sigma: float | None = None,
         else:
             cf = coeffs if coeffs is not None else default_coefficients(d)
             lam2 = max(0.0, sigma_used * cf.params_at(n_bar).quantile(1.0 - alpha2))
-        sol2 = tv_denoise(y, lam2, cfg)
+    sol2 = tv_denoise(y, lam2, cfg)
     report = ThresholdReport(sigma_used=sigma_used, lambda1=lam1,
                              count1=int(count1), lambda2=lam2,
                              method="adaptive")

@@ -1,10 +1,10 @@
 """TV solvers: exact 1D fits, splitting with a gap certificate in any d.
 
-In 1D, ``tv_denoise_1d`` solves at one lambda by a direct pass, and
-``tv_path_1d`` solves a whole ascending lambda grid in one pass over the
-fusion path, on which neighbouring groups only ever merge. Every solver
-returns a dual edge vector w with ||w||_inf <= lambda whose reconstruction
-y - B^T w equals the reported estimate, so the duality gap
+``tv_denoise`` solves on any lattice: 1D by the exact direct pass
+``tv_denoise_1d``, others by operator splitting. ``tv_path_1d`` solves a 1D
+ascending lambda grid in one pass over the fusion path, on which groups only
+merge. Every solver returns a dual edge vector w with ||w||_inf <= lambda
+whose reconstruction y - B^T w equals the reported estimate, so the gap
 
     gap = lambda * ||B f||_1 - <B f, w>
 
@@ -19,7 +19,10 @@ import numpy as np
 
 from .grid import (LatticeShape, Signal, SpectralLaplacian, adjoint_flat,
                    diff_flat, edge_components, laplacian_solve)
-from .lambda_stat import sample_lambda, sample_lambda_1d
+from .lambda_stat import sample_lambda
+
+_OVER_RELAX = 1.8  # relaxation factor of the splitting iteration, in (0, 2)
+_CHECK_EVERY = 25  # iterations between certificate checks
 
 
 @dataclass
@@ -27,8 +30,6 @@ class SolverConfig:
     gap_tol: float = 1e-8          # relative duality-gap target
     max_iter: int = 5000
     rho: float | None = None       # splitting penalty, default scales with lambda
-    over_relax: float = 1.8
-    check_every: int = 25
     polish: bool = True            # exact re-solve on the identified pattern
     rebalance: bool = True
     track_residuals: bool = False
@@ -40,8 +41,6 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if self.rho is not None and self.rho <= 0:
             raise ValueError("rho must be positive")
-        if not 0 < self.over_relax < 2:
-            raise ValueError("over_relax must lie in (0, 2)")
 
 
 @dataclass
@@ -273,32 +272,20 @@ def _polish(y, lam, shape, z_tilde, scale):
     return Signal(shape, f), w, abs(gap)
 
 
-def _constant_certificate(y, lam):
-    """Dual proof that the constant fit is optimal, or None if it is not.
-
-    The smallest sup-norm of a dual reproducing the centered data is the
-    exact breakpoint; if it fits under lam (with certified accuracy) the
-    returned dual witnesses optimality of the mean.
-    """
-    try:
-        value, w = sample_lambda(y, tol=1e-8)
-    except RuntimeError:
-        return None
-    if value <= lam:
-        return np.clip(w, -lam, lam)
-    return None
-
-
 def tv_denoise(y: Signal, lam: float, cfg: SolverConfig | None = None) -> TvSolution:
-    """TV minimizer on a lattice of any dimension by operator splitting.
+    """TV minimizer on a lattice of any dimension.
 
-    Alternating-direction iterations on the edge variables; the coupling
-    solve (I + rho B^T B) f = rhs is carried out in closed form through the
+    A 1D signal is solved exactly by ``tv_denoise_1d`` (0 iterations; cfg is
+    not read). Every other lattice goes through alternating-direction
+    iterations on the edge variables; the coupling solve
+    (I + rho B^T B) f = rhs is carried out in closed form through the
     lattice cosine transform. Every convergence check builds a feasible dual
     from the running multipliers, so the reported gap is a true certificate.
     Stops when gap <= gap_tol * (1 + primal objective). If the iteration cap
     is reached the best certified iterate is returned with converged=False.
     """
+    if y.shape.ndim == 1:
+        return tv_denoise_1d(y, lam)
     cfg = cfg or SolverConfig()
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -312,15 +299,32 @@ def tv_denoise(y: Signal, lam: float, cfg: SolverConfig | None = None) -> TvSolu
     c = yv - ybar
     scale = max(float(np.abs(yv).max()), 1e-300)
     spectral = SpectralLaplacian(shape)
-    # if the minimum-norm feasible dual already fits the box, the constant
-    # fit is optimal and certified without iterating
-    w0 = diff_flat(spectral.solve(c), shape.sizes)
-    if np.abs(w0).max(initial=0.0) <= lam * (1 + 1e-12):
+    residuals = []
+
+    def constant_fit(w, it, exact=False):
+        """The constant fit, proven optimal by the projection of w onto the
+        duals with B^T w = c if that fits the box (at w = 0 the minimum-norm
+        dual) or, when exact, by sample_lambda's minimum sup-norm dual; else
+        None."""
+        wc = w - diff_flat(spectral.solve(adjoint_flat(w, shape.sizes) - c),
+                           shape.sizes)
+        if np.abs(wc).max() > lam * (1 + 1e-12):
+            if not exact:
+                return None
+            try:
+                value, wc = sample_lambda(y, tol=1e-8)
+            except RuntimeError:
+                return None
+            if value > lam:
+                return None
         return TvSolution(Signal(shape, np.full(m, ybar)), lam,
-                          np.clip(w0, -lam, lam), 0.0, 0)
+                          np.clip(wc, -lam, lam), 0.0, it, True, residuals)
+
+    const = constant_fit(np.zeros(p), 0)
+    if const is not None:
+        return const
 
     rho = cfg.rho if cfg.rho is not None else lam
-    alpha = cfg.over_relax
     # start on the proximal manifold z = shrink(z + u): the iteration is then
     # a relaxed Douglas-Rachford pass from the first step, so the tracked
     # displacement norms are monotone under a fixed rho
@@ -329,15 +333,14 @@ def tv_denoise(y: Signal, lam: float, cfg: SolverConfig | None = None) -> TvSolu
     u = s0 - z
     it = 0
     best = None
-    residuals = []
     dr_prev = z + u
     rebalance_left = 20
     while it < cfg.max_iter:
-        for _ in range(min(cfg.check_every, cfg.max_iter - it)):
+        for _ in range(min(_CHECK_EVERY, cfg.max_iter - it)):
             rhs = yv + rho * adjoint_flat(z - u, shape.sizes)
             f = spectral.solve(rhs / rho, shift=1.0 / rho)
             bf = diff_flat(f, shape.sizes)
-            bfr = alpha * bf + (1 - alpha) * z
+            bfr = _OVER_RELAX * bf + (1 - _OVER_RELAX) * z
             z_prev = z
             z = bfr + u
             z = np.sign(z) * np.maximum(np.abs(z) - lam / rho, 0.0)
@@ -362,19 +365,16 @@ def tv_denoise(y: Signal, lam: float, cfg: SolverConfig | None = None) -> TvSolu
                     est, wp, gp = polished
                     return TvSolution(est, lam, wp, gp, it, True, residuals)
             if near_const:
-                wc = _constant_certificate(y, lam)
-                if wc is not None:
-                    return TvSolution(Signal(shape, np.full(m, ybar)), lam,
-                                      wc, 0.0, it, True, residuals)
+                const = constant_fit(w, it, exact=True)
+                if const is not None:
+                    return const
             return TvSolution(Signal(shape, ft), lam, w, gap, it, True, residuals)
         if near_const:
-            # nearly constant: a feasible dual for the centered data proves
-            # the constant fit optimal without finishing the iteration
-            wa = w - diff_flat(spectral.solve(adjoint_flat(w, shape.sizes) - c),
-                               shape.sizes)
-            if np.abs(wa).max() <= lam * (1 + 1e-12):
-                return TvSolution(Signal(shape, np.full(m, ybar)), lam,
-                                  np.clip(wa, -lam, lam), 0.0, it, True, residuals)
+            # nearly constant: a projected dual may prove the constant fit
+            # optimal without finishing the iteration
+            const = constant_fit(w, it)
+            if const is not None:
+                return const
         if cfg.rebalance and rebalance_left > 0:
             rp = float(np.linalg.norm(bf - z))
             rd = rho * float(np.linalg.norm(adjoint_flat(z - z_prev, shape.sizes)))
@@ -393,7 +393,5 @@ def tv_denoise(y: Signal, lam: float, cfg: SolverConfig | None = None) -> TvSolu
 
 def lambda_max(y: Signal) -> float:
     """Smallest lambda at which the TV estimate collapses to the mean."""
-    if y.shape.ndim == 1:
-        return sample_lambda_1d(y)
     lam, _ = sample_lambda(y)
     return lam

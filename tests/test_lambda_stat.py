@@ -58,6 +58,22 @@ def test_sample_lambda_matches_1d_closed_form():
         assert np.linalg.norm(resid) <= 1e-6 * (1 + np.linalg.norm(y.values))
 
 
+def test_sample_lambda_tree_lattices_share_partial_sums():
+    # a lattice with one nontrivial axis is a path in flat order: Lambda
+    # comes from the same partial sums as in 1D, and the dual solves B^T w = c
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 17, 400):
+        for amp in (1e-6, 1.0, 1e6):
+            v = amp * rng.normal(size=n)
+            c = v - v.mean()
+            expect = sample_lambda_1d(S(v))
+            for sizes in [(n,), (1, n), (n, 1), (1, 1, n)]:
+                lam, w = sample_lambda(Signal(LatticeShape(sizes), v))
+                assert lam == expect, sizes
+                assert np.abs(adjoint_flat(w, sizes) - c).max() \
+                    <= 1e-14 * np.abs(c).max()
+
+
 def test_sample_lambda_matches_grid_oracle():
     rng = np.random.default_rng(11)
     for sizes in [(2, 2), (2, 3)]:

@@ -5,11 +5,13 @@ import pytest
 
 from tvdn.coeffs import default_coefficients
 from tvdn.grid import LatticeShape, Signal
+from tvdn.lambda_stat import GumbelFitCoefficients
 from tvdn.selection import (ThresholdReport, adaptive_threshold_1d, adaptive_tv,
                             count_jumps, edge_count_alpha, estimate_sigma,
                             exact_seg_prob_bound, exact_seg_threshold,
                             jump_threshold, min_jump_height,
-                            universal_threshold_1d, universal_threshold_lattice)
+                            universal_threshold, universal_threshold_1d,
+                            universal_threshold_lattice)
 from tvdn.signals import gen_piecewise, gen_test_function
 from tvdn.tvsolve import tv_denoise_1d
 
@@ -140,6 +142,27 @@ def test_universal_threshold_lattice_geometric_mean_sides():
     p = co.params_at(n_geo)
     alpha = edge_count_alpha(LatticeShape((32, 128)).n_edges)
     assert thr_rect == pytest.approx(max(0.0, p.quantile(1 - alpha)), rel=1e-12)
+
+
+def test_universal_threshold_dispatch():
+    co2 = default_coefficients(2)
+    # 1D: the closed form, coefficients are not read
+    assert universal_threshold(LatticeShape((500,)), 1.3) \
+        == universal_threshold_1d(500, 1.3)
+    assert universal_threshold(LatticeShape((500,)), 1.3, co2) \
+        == universal_threshold_1d(500, 1.3)
+    with pytest.raises(ValueError):
+        universal_threshold(LatticeShape((2,)), 1.0)
+    # any other lattice, a 1 x N one included: the Gumbel quantile
+    for sizes in [(32, 128), (1, 500), (8, 8, 8)]:
+        shape = LatticeShape(sizes)
+        assert universal_threshold(shape, 2.0) \
+            == universal_threshold_lattice(shape, 2.0)
+    custom = GumbelFitCoefficients(-0.3, 0.5, -1.4, -0.2, dim=2)
+    shape = LatticeShape((64, 64))
+    thr = universal_threshold(shape, 1.0, custom)
+    assert thr == universal_threshold_lattice(shape, 1.0, custom)
+    assert thr != universal_threshold_lattice(shape, 1.0)
 
 
 def test_default_coefficients_table():

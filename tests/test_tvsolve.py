@@ -155,16 +155,36 @@ def test_nd_constant_input():
     assert sol.gap == 0.0
 
 
+def test_tv_denoise_1d_is_the_direct_pass():
+    # a 1D signal never enters the iterative solver, whatever the config
+    rng = np.random.default_rng(13)
+    cfg = SolverConfig(max_iter=1)
+    for n in (1, 2, 50, 300):
+        y = S(rng.normal(size=n))
+        for lam in (0.0, 0.3, 2.0, 1.5 * sample_lambda_1d(y)):
+            a = tv_denoise(y, lam, cfg)
+            b = tv_denoise_1d(y, lam)
+            assert a.estimate.values.tobytes() == b.estimate.values.tobytes()
+            assert a.dual.tobytes() == b.dual.tobytes()
+            assert (a.gap, a.iterations, a.converged) == (b.gap, 0, True)
+    with pytest.raises(ValueError):
+        tv_denoise(S([1.0, 2.0]), -0.1, cfg)
+
+
 def test_nd_matches_1d_direct():
+    # the splitting solver on lattices with one nontrivial axis, against the
+    # exact 1D pass on the same values
     rng = np.random.default_rng(4)
     cfg = SolverConfig(gap_tol=1e-12, max_iter=20000)
     for _ in range(8):
         n = int(rng.integers(8, 65))
-        y = S(rng.normal(size=n))
+        v = rng.normal(size=n)
         lam = float(rng.uniform(0.2, 3.0))
-        a = tv_denoise(y, lam, cfg).estimate.values
-        b = tv_denoise_1d(y, lam).estimate.values
-        assert np.abs(a - b).max() <= 1e-6
+        b = tv_denoise_1d(S(v), lam).estimate.values
+        for sizes in [(1, n), (n, 1)]:
+            a = tv_denoise(Signal(LatticeShape(sizes), v), lam, cfg)
+            assert a.iterations > 0
+            assert np.abs(a.estimate.values - b).max() <= 1e-6
 
 
 def test_nd_certificates_and_reconstruction():
