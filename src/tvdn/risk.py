@@ -128,7 +128,6 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
         values = [_risk_of(y, sol.estimate, criterion, sigma, ftv) for sol in sols]
         converged = [sol.converged for sol in sols]
     else:
-        cfg = cfg or SolverConfig()
         args = [(y.shape.sizes, y.values, float(l), criterion, sigma, ftv, cfg)
                 for l in lams]
         values, converged = zip(*parallel_map(_risk_one, args))

@@ -302,20 +302,21 @@ def tv_denoise(y: Signal, lam: float, cfg: SolverConfig | None = None) -> TvSolu
     residuals = []
 
     def constant_fit(w, it, exact=False):
-        """The constant fit, proven optimal by the projection of w onto the
-        duals with B^T w = c if that fits the box (at w = 0 the minimum-norm
-        dual) or, when exact, by sample_lambda's minimum sup-norm dual; else
-        None."""
-        wc = w - diff_flat(spectral.solve(adjoint_flat(w, shape.sizes) - c),
-                           shape.sizes)
-        if np.abs(wc).max() > lam * (1 + 1e-12):
-            if not exact:
-                return None
+        """The constant fit, proven optimal by sample_lambda's minimum
+        sup-norm dual when exact, else by the projection of w onto the duals
+        with B^T w = c (at w = 0 the minimum-norm dual); None if that dual
+        does not fit the box."""
+        if exact:
             try:
                 value, wc = sample_lambda(y, tol=1e-8)
             except RuntimeError:
                 return None
             if value > lam:
+                return None
+        else:
+            wc = w - diff_flat(spectral.solve(adjoint_flat(w, shape.sizes) - c),
+                               shape.sizes)
+            if np.abs(wc).max() > lam * (1 + 1e-12):
                 return None
         return TvSolution(Signal(shape, np.full(m, ybar)), lam,
                           np.clip(wc, -lam, lam), 0.0, it, True, residuals)

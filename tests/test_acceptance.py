@@ -17,7 +17,8 @@ from oracles import lambda_oracle_gridsearch, tv_oracle_boxqp, tv_oracle_pattern
 from tvdn.bench import EXPERIMENTS, ExperimentConfig, bench_mse, bench_seg
 from tvdn.cli import build_parser
 from tvdn.coeffs import default_coefficients
-from tvdn.grid import LatticeShape, Signal
+from tvdn.grid import (LatticeShape, Signal, SpectralLaplacian, adjoint_flat,
+                       diff_flat)
 from tvdn.lambda_stat import (fit_gev_and_lr_test, fit_gumbel,
                               monte_carlo_lambda, sample_lambda,
                               sample_lambda_1d)
@@ -37,9 +38,11 @@ def _finish(num, name, ok, detail, t0, budget):
 
 
 def test_criterion_1_solver_matches_bruteforce():
-    # every 2-, 3-, 4-point 1D instance with entries in {-1,0,1,2} against a
-    # bounded-dual least-squares oracle, and every 2x2 instance against
-    # exhaustive sign-pattern enumeration; both solvers within 1e-8, gap 1e-8
+    # every 2-, 3-, 4-point path instance with entries in {-1,0,1,2} against
+    # a bounded-dual least-squares oracle, and every 2x2 instance against
+    # exhaustive sign-pattern enumeration; within 1e-8, gap 1e-8. Paths are
+    # solved by the exact 1D pass and, laid out as a 1xn or nx1 lattice (in
+    # turn), by the splitting solver
     t0 = time.time()
     cfg = SolverConfig(gap_tol=1e-12, max_iter=20000)
     lams = np.arange(0, 2.01, 0.25)
@@ -47,19 +50,18 @@ def test_criterion_1_solver_matches_bruteforce():
     worst_err = worst_gap = 0.0
     count = 0
     for npts in (2, 3, 4):
-        for vals in product(entries, repeat=npts):
+        for i, vals in enumerate(product(entries, repeat=npts)):
             y = np.array(vals)
-            ys = Signal.from_array(y)
+            sizes = [(1, npts), (npts, 1)][i % 2]
+            signals = [Signal.from_array(y), Signal(LatticeShape(sizes), y)]
             for lam in lams:
-                sol = tv_denoise(ys, float(lam), cfg)
-                direct = tv_denoise_1d(ys, float(lam))
                 ref = tv_oracle_boxqp(y, float(lam), (npts,))
-                worst_err = max(
-                    worst_err,
-                    float(np.abs(sol.estimate.values - ref).max()),
-                    float(np.abs(direct.estimate.values - ref).max()))
-                worst_gap = max(worst_gap, sol.gap, direct.gap)
-                count += 1
+                for ys in signals:
+                    sol = tv_denoise(ys, float(lam), cfg)
+                    worst_err = max(
+                        worst_err, float(np.abs(sol.estimate.values - ref).max()))
+                    worst_gap = max(worst_gap, sol.gap)
+                    count += 1
     for vals in product(entries, repeat=4):
         y = np.array(vals)
         ys = Signal.from_array(y.reshape(2, 2))
@@ -77,16 +79,23 @@ def test_criterion_1_solver_matches_bruteforce():
 
 
 def test_criterion_2_statistic_matches_oracles():
-    # the iterative sup-norm minimizer against the 1D cumulative-sum closed
-    # form (1e-6) and a refined grid-search oracle on 2x2/2x3 lattices (1e-4)
+    # on paths (n, 1xn, nx1) the partial-sum dual against the unique dual
+    # B L^+ c computed through the cosine transform (1e-6), with B^T w = c;
+    # the min-cut statistic against a refined grid-search oracle on 2x2/2x3
+    # lattices (1e-4)
     t0 = time.time()
     rng = np.random.default_rng(7)
     worst_1d = 0.0
-    for _ in range(100):
+    for k in range(100):
         n = int(rng.integers(2, 1025))
-        y = Signal.from_array(rng.normal(size=n))
-        ub, _ = sample_lambda(y, tol=1e-8)
-        worst_1d = max(worst_1d, abs(ub - sample_lambda_1d(y)))
+        sizes = [(n,), (1, n), (n, 1)][k % 3]
+        y = Signal(LatticeShape(sizes), rng.normal(size=n))
+        c = y.values - y.values.mean()
+        ub, w = sample_lambda(y, tol=1e-8)
+        ref = np.abs(diff_flat(SpectralLaplacian(y.shape).solve(c), sizes)).max()
+        residual = np.abs(adjoint_flat(w, sizes) - c).max() / np.abs(c).max()
+        worst_1d = max(worst_1d, abs(ub - ref), abs(ub - np.abs(w).max()),
+                       residual)
     worst_2d = 0.0
     for sizes in [(2, 2), (2, 3)]:
         for _ in range(20):
@@ -108,20 +117,25 @@ def test_criterion_3_statistic_is_constancy_boundary():
     bad = []
     for k in range(100):
         if k % 2 == 0:
+            # a path, solved by the exact 1D pass and, laid out as a 1xn or
+            # nx1 lattice, by the splitting solver
             n = int(rng.integers(8, 257))
-            y = Signal.from_array(rng.normal(size=n))
-            lam = sample_lambda_1d(y)
+            v = rng.normal(size=n)
+            ys = [Signal.from_array(v),
+                  Signal(LatticeShape([(1, n), (n, 1)][k % 4 // 2]), v)]
+            lam = sample_lambda_1d(ys[0])
         else:
             n1 = int(rng.integers(3, 13))
             n2 = int(rng.integers(3, 13))
-            y = Signal.from_array(rng.normal(size=(n1, n2)))
-            lam, _ = sample_lambda(y, tol=1e-9)
-        hi = tv_denoise(y, lam * (1 + 1e-6), cfg)
-        dev_hi = np.abs(hi.estimate.values - y.values.mean()).max()
-        lo = tv_denoise(y, lam * (1 - 1e-3), cfg)
-        dev_lo = np.abs(lo.estimate.values - lo.estimate.values.mean()).max()
-        if not (dev_hi <= 1e-6 and dev_lo > 1e-6):
-            bad.append((k, y.shape.sizes, dev_hi, dev_lo))
+            ys = [Signal.from_array(rng.normal(size=(n1, n2)))]
+            lam, _ = sample_lambda(ys[0], tol=1e-9)
+        for y in ys:
+            hi = tv_denoise(y, lam * (1 + 1e-6), cfg)
+            dev_hi = np.abs(hi.estimate.values - y.values.mean()).max()
+            lo = tv_denoise(y, lam * (1 - 1e-3), cfg)
+            dev_lo = np.abs(lo.estimate.values - lo.estimate.values.mean()).max()
+            if not (dev_hi <= 1e-6 and dev_lo > 1e-6):
+                bad.append((k, y.shape.sizes, dev_hi, dev_lo))
     _finish(3, "constancy boundary", not bad,
             "100 instances, failures %r" % (bad,), t0, 300.0)
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import tv_oracle_boxqp
 from tvdn.grid import LatticeShape, Signal, adjoint_flat
-from tvdn.lambda_stat import sample_lambda_1d
+from tvdn.lambda_stat import sample_lambda, sample_lambda_1d
 from tvdn.tvsolve import (SolverConfig, TvSolution, lambda_max, tv_denoise,
                           tv_denoise_1d, tv_path_1d)
 
@@ -185,6 +185,19 @@ def test_nd_matches_1d_direct():
             a = tv_denoise(Signal(LatticeShape(sizes), v), lam, cfg)
             assert a.iterations > 0
             assert np.abs(a.estimate.values - b).max() <= 1e-6
+
+
+def test_nd_converged_constant_fit_reports_minimum_sup_dual():
+    # at Lambda and just above it the iterations converge onto the constant
+    # fit before a projected dual fits the box; the certificate is then
+    # sample_lambda's minimum sup-norm dual, clipped to the box
+    y = S(np.random.default_rng(1).normal(size=(4, 4)))
+    value, w = sample_lambda(y, tol=1e-8)
+    for lam in (value, value * (1 + 1e-6)):
+        sol = tv_denoise(y, lam)
+        assert sol.converged and sol.iterations > 0
+        assert np.ptp(sol.estimate.values) == 0.0
+        assert np.array_equal(sol.dual, np.clip(w, -lam, lam))
 
 
 def test_nd_certificates_and_reconstruction():
