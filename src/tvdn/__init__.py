@@ -2,11 +2,14 @@
 threshold selection.
 
 The estimator minimizes (1/2)||y - f||^2 + lambda * ||Bf||_1 where B takes
-differences between neighboring lattice sites. The package provides one
-solver for every lattice (exact in 1D, certified iterative otherwise), exact
-1D solving along a whole threshold grid in one pass, universal and adaptive
-threshold rules, SURE risk search, exact-segmentation analysis, and the
-Monte Carlo machinery calibrating the threshold on lattices. The
+differences between neighboring lattice sites. A path lattice (at most one
+axis longer than 1, so its sites form one chain in flat order) is treated
+everywhere as the 1D signal of its flat values. The package provides one
+solver for every lattice (exact on path lattices, certified iterative
+otherwise), exact solving of a path lattice along a whole threshold grid in
+one pass, universal and adaptive threshold rules, SURE risk search,
+exact-segmentation analysis, and the Monte Carlo machinery calibrating the
+threshold on lattices. The
 calibrating statistic is computed exactly on lattices by s-t minimum cuts,
 with a certified lower/upper bracket.
 """

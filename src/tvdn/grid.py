@@ -42,6 +42,12 @@ class LatticeShape:
         m = self.n_sites
         return sum((n - 1) * (m // n) for n in self.sizes)
 
+    @property
+    def is_path(self) -> bool:
+        """At most one axis longer than 1: the sites form one chain in flat
+        order, and edge i joins sites i and i + 1."""
+        return sum(n > 1 for n in self.sizes) <= 1
+
 
 @dataclass
 class Signal:

@@ -3,10 +3,10 @@
 Lambda(y) is the smallest box bound lambda for which a dual edge vector w
 with B^T w = y - mean(y) fits inside [-lambda, lambda]^P. It is the exact
 breakpoint of the TV path: denoising with lambda >= Lambda(y) returns the
-constant fit, anything smaller does not. On a tree lattice (1D, or one
-nontrivial axis) the dual is unique, minus the centered partial sums in flat
-order, and Lambda is their sup. On other lattices it is the largest ratio
-c(S) / |dS| over site sets S (coarea formula), found by Dinkelbach
+constant fit, anything smaller does not. On a path lattice (at most one
+axis longer than 1) the dual is unique, minus the centered partial sums in
+flat order, and Lambda is their sup. On other lattices it is the largest
+ratio c(S) / |dS| over site sets S (coarea formula), found by Dinkelbach
 iterations of s-t minimum cuts; the cut set and the maximum flow bracket
 the value from below and above.
 
@@ -81,9 +81,9 @@ class GumbelFitCoefficients:
 
 
 def sample_lambda_1d(y: Signal) -> float:
-    """Closed form on a path: the sup of centered cumulative sums."""
-    if y.shape.ndim != 1:
-        raise ValueError("sample_lambda_1d requires a 1D signal")
+    """Closed form on a path lattice: the sup of centered cumulative sums."""
+    if not y.shape.is_path:
+        raise ValueError("sample_lambda_1d requires a path lattice")
     return sample_lambda(y)[0]
 
 
@@ -195,8 +195,8 @@ def sample_lambda(y: Signal, tol: float = 1e-6, max_iter: int = 50000):
     value - lb <= tol * (1 + value). Raises RuntimeError if max_iter flow
     computations do not close that bracket.
 
-    On a tree lattice (1D, or one nontrivial axis) no flow is computed: the
-    only dual is minus the partial sums of c in flat order.
+    On a path lattice no flow is computed: the only dual is minus the
+    partial sums of c in flat order.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -205,9 +205,9 @@ def sample_lambda(y: Signal, tol: float = 1e-6, max_iter: int = 50000):
     c = y.values - y.values.mean()
     if p == 0 or np.abs(c).max(initial=0.0) == 0.0:
         return 0.0, np.zeros(p)
-    if p == shape.n_sites - 1:
-        # sites and edges lie on one path in flat order; site i ends edges
-        # i-1 and i, so B^T w = c is solved by w_i = -(c_0 + ... + c_i) alone
+    if shape.is_path:
+        # site i ends edges i-1 and i, so B^T w = c is solved by
+        # w_i = -(c_0 + ... + c_i) alone
         w = -np.cumsum(c)[:-1]
         return float(np.abs(w).max()), w
     spectral = SpectralLaplacian(shape)

@@ -32,9 +32,9 @@ def component_labels(f: Signal, quantization: float) -> np.ndarray:
 
 def ncc(f: Signal, quantization: float) -> int:
     """Connected components of the fit, adjacency = difference within tolerance."""
-    if f.shape.ndim == 1:
-        if quantization < 0:
-            raise ValueError("quantization must be nonnegative")
+    if quantization < 0:
+        raise ValueError("quantization must be nonnegative")
+    if f.shape.is_path:
         # on a path every difference beyond the tolerance starts a component
         return 1 + int(np.count_nonzero(~(np.abs(np.diff(f.values)) <= quantization)))
     return int(component_labels(f, quantization).max()) + 1
@@ -101,10 +101,10 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
                cfg: SolverConfig | None = None) -> RiskCurve:
     """Evaluate SURE or oracle loss over a lambda grid.
 
-    In 1D one pass over the exact fusion path gives every fit, in process.
-    On lattices there is one solve per value; solves are distributed across
-    workers (TVDN_THREADS) and gathered back in grid order, so the curve does
-    not depend on the worker count.
+    On a path lattice one pass over the exact fusion path gives every fit,
+    in process. On other lattices there is one solve per value; solves are
+    distributed across workers (TVDN_THREADS) and gathered back in grid
+    order, so the curve does not depend on the worker count.
     """
     lams = np.sort(np.asarray(lambdas, dtype=float))
     if lams.size == 0:
@@ -123,7 +123,7 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
         ftv = f_true.values
     else:
         raise ValueError("criterion must be 'sure' or 'oracle'")
-    if y.shape.ndim == 1:
+    if y.shape.is_path:
         sols = tv_path_1d(y, lams)
         values = [_risk_of(y, sol.estimate, criterion, sigma, ftv) for sol in sols]
         converged = [sol.converged for sol in sols]

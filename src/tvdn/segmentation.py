@@ -1,4 +1,5 @@
-"""Jump recovery in 1D: extraction, the optimality checker, and event scoring.
+"""Jump recovery on path lattices: extraction, the optimality checker, and
+event scoring.
 
 A candidate segmentation (set of jump locations) is certified by building
 the explicit dual vector from partial sums: the fitted level on each piece
@@ -8,7 +9,7 @@ while touching +-lambda with the right sign at each jump. When the check
 holds the TV estimate at that lambda has exactly the candidate jump set.
 
 Jump locations are expressed as cumulative lengths: location k means the
-difference between sites k-1 and k (0-based), so valid locations lie in
+difference between flat sites k-1 and k (0-based), so valid locations lie in
 1..N-1, matching PiecewiseConstantSpec.jump_locations.
 """
 from __future__ import annotations
@@ -38,14 +39,14 @@ class SegmentationOutcome:
 
 def extract_jumps(f_hat: Signal, sigma: float = 0.0, rule: str = "nonzero",
                   tolerance: float | None = None) -> np.ndarray:
-    """Sorted jump locations of a 1D fit.
+    """Sorted jump locations of a fit on a path lattice.
 
     rule 'nonzero' keeps any difference above an absolute tolerance (default
     tied to the solver gap tolerance); rule 'calibrated' keeps differences
     above sigma*sqrt(2/N)*z_{1-0.025/(N-1)}.
     """
-    if f_hat.shape.ndim != 1:
-        raise ValueError("extract_jumps is defined for 1D signals")
+    if not f_hat.shape.is_path:
+        raise ValueError("extract_jumps is defined on path lattices")
     n = f_hat.shape.n_sites
     if n < 2:
         return np.empty(0, dtype=int)
@@ -60,15 +61,15 @@ def extract_jumps(f_hat: Signal, sigma: float = 0.0, rule: str = "nonzero",
 
 
 def kkt_check(y: Signal, jump_locations, lam: float):
-    """Certify a candidate 1D segmentation at a given lambda.
+    """Certify a candidate segmentation of a path lattice at a given lambda.
 
     Returns (holds, h_hat, w, max_abs_w). h_hat holds the fitted level per
     piece; w is the dual over the N-1 interior edges. holds is True when
     the jump signs reproduce themselves from the fitted levels and the dual
     never leaves [-lambda, lambda].
     """
-    if y.shape.ndim != 1:
-        raise ValueError("kkt_check is defined for 1D signals")
+    if not y.shape.is_path:
+        raise ValueError("kkt_check is defined on path lattices")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     n = y.shape.n_sites
@@ -105,8 +106,8 @@ def evaluate_outcome(f_hat: Signal, true_spec: PiecewiseConstantSpec,
     exact means the estimated and true jump sets coincide as index sets;
     screening means every true jump is detected (possibly among extras).
     """
-    if f_hat.shape.ndim != 1:
-        raise ValueError("evaluate_outcome is defined for 1D signals")
+    if not f_hat.shape.is_path:
+        raise ValueError("evaluate_outcome is defined on path lattices")
     if f_hat.shape.n_sites != true_spec.n:
         raise ValueError("fit length does not match the true segmentation")
     est = set(int(j) for j in extract_jumps(f_hat, sigma, rule))

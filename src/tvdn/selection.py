@@ -2,10 +2,11 @@
 
 The universal threshold is the (1-alpha)-quantile of the dual sup-norm
 statistic under pure noise, with alpha = 2/sqrt(log P) for a lattice with P
-edges. In 1D it has the closed form (sigma/2)*sqrt(N log log N); on higher
-dimensional lattices it comes from the fitted Gumbel law;
-``universal_threshold`` picks the form from the lattice. The adaptive rule
-reruns the same formula with the average piece size found in a first pass.
+edges. On a path lattice (at most one axis longer than 1) it has the closed
+form (sigma/2)*sqrt(N log log N); on every other lattice it comes from the
+Gumbel law fitted for its dimension; ``universal_threshold`` picks the form
+from the lattice. The adaptive rule reruns the same formula with the
+average piece size found in a first pass.
 """
 from __future__ import annotations
 
@@ -98,15 +99,15 @@ def jump_threshold(n: int, sigma: float, variant: str) -> float:
 
 
 def count_jumps(y_or_f: Signal, sigma: float, variant: str = "calibrated") -> int:
-    """Number of significant differences of a 1D signal.
+    """Number of significant differences of a signal on a path lattice.
 
     raw: on the data, cutoff sigma*sqrt(2)*z (Bonferroni level 0.05);
     nonzero: on a fit, any nonvanishing difference;
     calibrated: on a fit, cutoff sigma*sqrt(2/N)*z, matching the variance
     of a within-piece average rather than that of a single observation.
     """
-    if y_or_f.shape.ndim != 1:
-        raise ValueError("count_jumps is defined for 1D signals")
+    if not y_or_f.shape.is_path:
+        raise ValueError("count_jumps is defined on path lattices")
     n = y_or_f.shape.n_sites
     if n < 2:
         return 0
@@ -122,6 +123,20 @@ def edge_count_alpha(n_edges: int) -> float:
     return 2.0 / math.sqrt(math.log(n_edges))
 
 
+def _gumbel_threshold(d: int, n_side: float, alpha: float, sigma: float,
+                      coeffs: GumbelFitCoefficients | None) -> float:
+    """sigma times the (1 - alpha)-quantile of the Gumbel law of a d-lattice
+    with side n_side; coeffs (the shipped fit for d when None) must have
+    been fitted in dimension d."""
+    if coeffs is None:
+        coeffs = default_coefficients(d)
+    elif coeffs.dim != d:
+        raise ValueError("calibration coefficients fitted for dimension %d "
+                         "cannot serve a %d-dimensional lattice"
+                         % (coeffs.dim, d))
+    return max(0.0, sigma * coeffs.params_at(n_side).quantile(1.0 - alpha))
+
+
 def universal_threshold_lattice(shape: LatticeShape, sigma: float,
                                 coeffs: GumbelFitCoefficients | None = None) -> float:
     """Gumbel-calibrated universal threshold for d >= 2 lattices.
@@ -130,23 +145,20 @@ def universal_threshold_lattice(shape: LatticeShape, sigma: float,
     then the (1 - 2/sqrt(log P))-quantile is scaled by sigma.
     """
     d = shape.ndim
-    if coeffs is None:
-        coeffs = default_coefficients(d)
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     alpha = edge_count_alpha(shape.n_edges)
     if alpha >= 1.0:
         raise ValueError("lattice too small: 2/sqrt(log P) is not below 1")
-    n_geo = shape.n_sites ** (1.0 / d)
-    params = coeffs.params_at(n_geo)
-    return max(0.0, sigma * params.quantile(1.0 - alpha))
+    return _gumbel_threshold(d, shape.n_sites ** (1.0 / d), alpha, sigma,
+                             coeffs)
 
 
 def universal_threshold(shape: LatticeShape, sigma: float,
                         coeffs: GumbelFitCoefficients | None = None) -> float:
-    """Universal threshold on any lattice: the 1D closed form (coeffs not
-    read) or, on every other lattice, the Gumbel quantile."""
-    if shape.ndim == 1:
+    """Universal threshold on any lattice: the closed form on a path lattice
+    (coeffs not read) or, on every other lattice, the Gumbel quantile."""
+    if shape.is_path:
         return universal_threshold_1d(shape.n_sites, sigma)
     return universal_threshold_lattice(shape, sigma, coeffs)
 
@@ -189,17 +201,18 @@ def adaptive_tv(y: Signal, sigma: float | None = None,
     """Two-step denoising with the adaptive universal threshold.
 
     Step 1 denoises at the universal threshold for the full lattice. The
-    piece count of that fit (level count in 1D, connected components in
-    d >= 2) sets the average piece size N_bar, and step 2 re-solves once at
-    the threshold recomputed for N_bar. Returns both solutions and a report.
+    piece count of that fit (level count on a path lattice, connected
+    components on lattices of dimension 2 or 3) sets the average piece size
+    N_bar, and step 2 re-solves once at the threshold recomputed for N_bar.
+    Returns both solutions and a report.
     """
     d = y.shape.ndim
-    if d not in (1, 2, 3):
-        raise ValueError("adaptive rule covers d in {1, 2, 3}")
+    if not (y.shape.is_path or d in (2, 3)):
+        raise ValueError("adaptive rule covers path lattices and d in {2, 3}")
     sigma_used = estimate_sigma(y) if sigma is None else float(sigma)
     lam1 = universal_threshold(y.shape, sigma_used, coeffs)
     sol1 = tv_denoise(y, lam1, cfg)
-    if d == 1:
+    if y.shape.is_path:
         count1 = count_jumps(sol1.estimate, sigma_used, "calibrated") + 1
         n_bar = max(y.shape.n_sites / count1, 3.0)
         lam2 = _threshold_1d(n_bar, sigma_used)
@@ -212,8 +225,7 @@ def adaptive_tv(y: Signal, sigma: float | None = None,
             # meaningless; keep the step-1 threshold
             lam2 = lam1
         else:
-            cf = coeffs if coeffs is not None else default_coefficients(d)
-            lam2 = max(0.0, sigma_used * cf.params_at(n_bar).quantile(1.0 - alpha2))
+            lam2 = _gumbel_threshold(d, n_bar, alpha2, sigma_used, coeffs)
     sol2 = tv_denoise(y, lam2, cfg)
     report = ThresholdReport(sigma_used=sigma_used, lambda1=lam1,
                              count1=int(count1), lambda2=lam2,

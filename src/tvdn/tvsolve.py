@@ -1,10 +1,12 @@
-"""TV solvers: exact 1D fits, splitting with a gap certificate in any d.
+"""TV solvers: exact fits on paths, splitting with a gap certificate in any d.
 
-``tv_denoise`` solves on any lattice: 1D by the exact direct pass
-``tv_denoise_1d``, others by operator splitting. ``tv_path_1d`` solves a 1D
-ascending lambda grid in one pass over the fusion path, on which groups only
-merge. Every solver returns a dual edge vector w with ||w||_inf <= lambda
-whose reconstruction y - B^T w equals the reported estimate, so the gap
+``tv_denoise`` solves on any lattice: a path lattice (at most one axis
+longer than 1, so its sites form one chain in flat order) by the exact
+direct pass ``tv_denoise_1d``, others by operator splitting. ``tv_path_1d``
+solves a path lattice over an ascending lambda grid in one pass over the
+fusion path, on which groups only merge. Every solver returns a dual edge
+vector w with ||w||_inf <= lambda whose reconstruction y - B^T w equals the
+reported estimate, so the gap
 
     gap = lambda * ||B f||_1 - <B f, w>
 
@@ -137,9 +139,10 @@ def _certified_1d(y: Signal, lam: float, f: np.ndarray) -> TvSolution:
 
 
 def tv_denoise_1d(y: Signal, lam: float) -> TvSolution:
-    """Exact 1D TV minimizer at one lambda by a direct pass."""
-    if y.shape.ndim != 1:
-        raise ValueError("tv_denoise_1d requires a 1D signal")
+    """Exact TV minimizer on a path lattice at one lambda by a direct pass
+    over the flat values; the estimate keeps the input's shape."""
+    if not y.shape.is_path:
+        raise ValueError("tv_denoise_1d requires a path lattice")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if lam == 0.0 or y.shape.n_sites == 1 or np.ptp(y.values) == 0.0:
@@ -214,15 +217,16 @@ def _fusion_path(y, lams):
 
 
 def tv_path_1d(y: Signal, lambdas) -> list[TvSolution]:
-    """Exact 1D TV minimizers over an ascending lambda grid, in one pass.
+    """Exact TV minimizers on a path lattice over an ascending lambda grid,
+    in one pass.
 
     Follows the fusion path from lambda = 0 upward and writes out the fit at
     each grid value with the same dual and gap certificate as
     ``tv_denoise_1d``. Within a fused group the fit's differences are
     exactly 0.
     """
-    if y.shape.ndim != 1:
-        raise ValueError("tv_path_1d requires a 1D signal")
+    if not y.shape.is_path:
+        raise ValueError("tv_path_1d requires a path lattice")
     lams = np.asarray(lambdas, dtype=float).ravel()
     if not np.all(np.isfinite(lams)) or np.any(lams < 0):
         raise ValueError("lambda values must be finite and nonnegative")
@@ -275,8 +279,8 @@ def _polish(y, lam, shape, z_tilde, scale):
 def tv_denoise(y: Signal, lam: float, cfg: SolverConfig | None = None) -> TvSolution:
     """TV minimizer on a lattice of any dimension.
 
-    A 1D signal is solved exactly by ``tv_denoise_1d`` (0 iterations; cfg is
-    not read). Every other lattice goes through alternating-direction
+    A path lattice is solved exactly by ``tv_denoise_1d`` (0 iterations; cfg
+    is not read). Every other lattice goes through alternating-direction
     iterations on the edge variables; the coupling solve
     (I + rho B^T B) f = rhs is carried out in closed form through the
     lattice cosine transform. Every convergence check builds a feasible dual
@@ -284,15 +288,20 @@ def tv_denoise(y: Signal, lam: float, cfg: SolverConfig | None = None) -> TvSolu
     Stops when gap <= gap_tol * (1 + primal objective). If the iteration cap
     is reached the best certified iterate is returned with converged=False.
     """
-    if y.shape.ndim == 1:
+    if y.shape.is_path:
         return tv_denoise_1d(y, lam)
-    cfg = cfg or SolverConfig()
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
+    return _split_solve(y, lam, cfg or SolverConfig())
+
+
+def _split_solve(y: Signal, lam: float, cfg: SolverConfig) -> TvSolution:
+    """The splitting iterations of ``tv_denoise`` at lam >= 0, on a lattice
+    with at least one edge."""
     shape = y.shape
     m = shape.n_sites
     p = shape.n_edges
-    if lam == 0.0 or p == 0 or np.ptp(y.values) == 0.0:
+    if lam == 0.0 or np.ptp(y.values) == 0.0:
         return TvSolution(Signal(shape, y.values.copy()), lam, np.zeros(p), 0.0, 0)
     yv = y.values
     ybar = yv.mean()

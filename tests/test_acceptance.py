@@ -24,7 +24,7 @@ from tvdn.lambda_stat import (fit_gev_and_lr_test, fit_gumbel,
                               sample_lambda_1d)
 from tvdn.risk import sure
 from tvdn.selection import exact_seg_prob_bound
-from tvdn.tvsolve import SolverConfig, tv_denoise, tv_denoise_1d
+from tvdn.tvsolve import SolverConfig, _split_solve, tv_denoise, tv_denoise_1d
 
 
 def _finish(num, name, ok, detail, t0, budget):
@@ -41,8 +41,9 @@ def test_criterion_1_solver_matches_bruteforce():
     # every 2-, 3-, 4-point path instance with entries in {-1,0,1,2} against
     # a bounded-dual least-squares oracle, and every 2x2 instance against
     # exhaustive sign-pattern enumeration; within 1e-8, gap 1e-8. Paths are
-    # solved by the exact 1D pass and, laid out as a 1xn or nx1 lattice (in
-    # turn), by the splitting solver
+    # solved by tv_denoise (the exact 1D pass) and, laid out as a 1xn or nx1
+    # lattice (in turn), by the splitting solver called directly, since
+    # tv_denoise sends every path lattice to the 1D pass
     t0 = time.time()
     cfg = SolverConfig(gap_tol=1e-12, max_iter=20000)
     lams = np.arange(0, 2.01, 0.25)
@@ -53,11 +54,12 @@ def test_criterion_1_solver_matches_bruteforce():
         for i, vals in enumerate(product(entries, repeat=npts)):
             y = np.array(vals)
             sizes = [(1, npts), (npts, 1)][i % 2]
-            signals = [Signal.from_array(y), Signal(LatticeShape(sizes), y)]
+            solves = [(tv_denoise, Signal.from_array(y)),
+                      (_split_solve, Signal(LatticeShape(sizes), y))]
             for lam in lams:
                 ref = tv_oracle_boxqp(y, float(lam), (npts,))
-                for ys in signals:
-                    sol = tv_denoise(ys, float(lam), cfg)
+                for solve, ys in solves:
+                    sol = solve(ys, float(lam), cfg)
                     worst_err = max(
                         worst_err, float(np.abs(sol.estimate.values - ref).max()))
                     worst_gap = max(worst_gap, sol.gap)
@@ -118,21 +120,22 @@ def test_criterion_3_statistic_is_constancy_boundary():
     for k in range(100):
         if k % 2 == 0:
             # a path, solved by the exact 1D pass and, laid out as a 1xn or
-            # nx1 lattice, by the splitting solver
+            # nx1 lattice, by the splitting solver called directly
             n = int(rng.integers(8, 257))
             v = rng.normal(size=n)
-            ys = [Signal.from_array(v),
-                  Signal(LatticeShape([(1, n), (n, 1)][k % 4 // 2]), v)]
-            lam = sample_lambda_1d(ys[0])
+            solves = [(tv_denoise, Signal.from_array(v)),
+                      (_split_solve,
+                       Signal(LatticeShape([(1, n), (n, 1)][k % 4 // 2]), v))]
+            lam = sample_lambda_1d(solves[0][1])
         else:
             n1 = int(rng.integers(3, 13))
             n2 = int(rng.integers(3, 13))
-            ys = [Signal.from_array(rng.normal(size=(n1, n2)))]
-            lam, _ = sample_lambda(ys[0], tol=1e-9)
-        for y in ys:
-            hi = tv_denoise(y, lam * (1 + 1e-6), cfg)
+            solves = [(tv_denoise, Signal.from_array(rng.normal(size=(n1, n2))))]
+            lam, _ = sample_lambda(solves[0][1], tol=1e-9)
+        for solve, y in solves:
+            hi = solve(y, lam * (1 + 1e-6), cfg)
             dev_hi = np.abs(hi.estimate.values - y.values.mean()).max()
-            lo = tv_denoise(y, lam * (1 - 1e-3), cfg)
+            lo = solve(y, lam * (1 - 1e-3), cfg)
             dev_lo = np.abs(lo.estimate.values - lo.estimate.values.mean()).max()
             if not (dev_hi <= 1e-6 and dev_lo > 1e-6):
                 bad.append((k, y.shape.sizes, dev_hi, dev_lo))

@@ -34,6 +34,20 @@ def test_edge_count_formula_all_small_shapes():
         assert len(oracle_edge_list(sizes)) == shape.n_edges
 
 
+def test_is_path_is_the_chain_in_flat_order():
+    # a path lattice is a tree whose edge i joins flat sites i and i + 1;
+    # every other lattice has a cycle
+    shapes = ALL_SHAPES + [(1,), (1, 1), (1, 7), (7, 1), (1, 1, 6), (1, 6, 1),
+                           (1, 3, 4), (3, 1, 4)]
+    for sizes in shapes:
+        shape = LatticeShape(sizes)
+        assert shape.is_path == (shape.n_edges == shape.n_sites - 1)
+        if shape.is_path:
+            m = shape.n_sites
+            chain = np.stack([np.arange(m - 1), np.arange(1, m)], axis=1)
+            assert np.array_equal(oracle_edge_list(sizes).reshape(-1, 2), chain)
+
+
 def test_signal_validation():
     with pytest.raises(ValueError):
         Signal(LatticeShape((3,)), np.zeros(4))

@@ -14,6 +14,7 @@ from tvdn.io import (SCHEMA_VERSION, read_csv_column, read_json_report,
                      write_csv_rows, write_json_report, write_pgm,
                      write_signal_csv)
 from tvdn.risk import risk_curve
+from tvdn.selection import universal_threshold_1d
 from tvdn.tvsolve import SolverConfig
 
 
@@ -425,6 +426,63 @@ def test_cli_coeffs_override(tmp_path, capsys):
         lam.append(json.loads(
             capsys.readouterr().out.strip().splitlines()[-1])["lambda1"])
     assert lam[0] == pytest.approx(lam[1], rel=1e-12)
+    # a fit for another dimension is refused on an image (exit 2); a 1D
+    # signal takes the closed form and reads no fit
+    series = str(tmp_path / "s.csv")
+    write_csv_column(series, img.ravel(), "value")
+    for dim in (1, 3):
+        write_json_report(fit, {"dim": dim, "a_mu": c.a_mu, "b_mu": c.b_mu,
+                                "a_beta": c.a_beta, "b_beta": c.b_beta})
+        for method in ("universal", "adaptive"):
+            assert main(["denoise", "--in", src, "--method", method,
+                         "--sigma-known", "10.0", "--coeffs", fit]) == 2
+            assert "dimension" in capsys.readouterr().err
+            assert main(["denoise", "--in", series, "--method", method,
+                         "--sigma-known", "10.0", "--coeffs", fit]) == 0
+            capsys.readouterr()
+
+
+def _path_images(tmp_path):
+    # 60 samples of blocks plus noise as a 60-sample CSV and as 1x60 and
+    # 60x1 PGMs holding the same values
+    rng = np.random.default_rng(16)
+    v = np.clip(np.rint(np.repeat([60.0, 160.0, 90.0, 200.0], 15)
+                        + 12.0 * rng.standard_normal(60)), 0, 255)
+    series = str(tmp_path / "s.csv")
+    write_csv_column(series, v, "value")
+    images = []
+    for sizes in [(1, 60), (60, 1)]:
+        path = str(tmp_path / ("img_%dx%d.pgm" % sizes))
+        write_pgm(path, Signal.from_array(v.reshape(sizes)), maxval=255)
+        images.append(path)
+    return series, images
+
+
+def test_cli_path_images_take_the_1d_rules(tmp_path, capsys):
+    series, images = _path_images(tmp_path)
+    for method in ("universal", "adaptive", "sure"):
+        assert main(["denoise", "--in", series, "--method", method]) == 0
+        ref = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        for path in images:
+            assert main(["denoise", "--in", path, "--method", method]) == 0
+            payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            assert payload.pop("sizes") in ([1, 60], [60, 1])
+            assert payload == {k: x for k, x in ref.items() if k != "sizes"}
+            assert payload["iterations"] == 0
+            if method == "universal":
+                assert payload["lambda1"] == \
+                    universal_threshold_1d(60, payload["sigma_used"])
+
+
+def test_cli_risk_curve_on_path_images(tmp_path, capsys):
+    series, images = _path_images(tmp_path)
+    ref = str(tmp_path / "ref.csv")
+    assert main(["risk-curve", "--in", series, "--out", ref]) == 0
+    for path in images:
+        out = path + ".curve.csv"
+        assert main(["risk-curve", "--in", path, "--out", out]) == 0
+        assert _read_bytes(out) == _read_bytes(ref)
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------- pool

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from invariants import check_ncc_floodfill
-from tvdn.grid import Signal
+from tvdn.grid import LatticeShape, Signal
 from tvdn.risk import (RiskCurve, component_labels, default_lambda_grid,
                        default_quantization, ncc, risk_curve, sure)
 from tvdn.signals import gen_piecewise, gen_test_function
@@ -158,6 +158,32 @@ def test_risk_curve_2d_path():
     curve = risk_curve(y, grid, criterion="sure", sigma=0.5)
     assert len(curve.values) == 6
     assert np.all(np.isfinite(curve.values))
+
+
+def test_path_lattices_match_1d():
+    # n values on any one-chain layout: the 1D piece count and the 1D
+    # fusion-path curves, bit for bit
+    rng = np.random.default_rng(38)
+    f = gen_test_function("blocks", 120, 7.0)
+    v = f.values + rng.normal(size=120)
+    y = S(v)
+    grid = default_lambda_grid(lambda_max(y), n_points=10)
+    refs = [risk_curve(y, grid, "sure", sigma=1.0),
+            risk_curve(y, grid, "oracle", f_true=f)]
+    fits = [tv_denoise_1d(y, lam).estimate.values for lam in grid[::3]]
+    for sizes in [(1, 120), (120, 1), (1, 1, 120)]:
+        shape = LatticeShape(sizes)
+        ys = Signal(shape, v)
+        curves = [risk_curve(ys, grid, "sure", sigma=1.0),
+                  risk_curve(ys, grid, "oracle", f_true=Signal(shape, f.values))]
+        for curve, ref in zip(curves, refs):
+            assert curve.values.tobytes() == ref.values.tobytes()
+            assert curve.argmin_lambda == ref.argmin_lambda
+        for fit in fits:
+            for q in (0.0, default_quantization(S(fit))):
+                assert ncc(Signal(shape, fit), q) == ncc(S(fit), q)
+        with pytest.raises(ValueError):
+            ncc(ys, -1.0)
 
 
 def test_risk_curve_class_validation():

@@ -1,8 +1,8 @@
-"""Tests for 1D jump extraction, the dual certificate check, and outcome scoring."""
+"""Tests for jump extraction on path lattices, the dual certificate check, and outcome scoring."""
 import numpy as np
 import pytest
 
-from tvdn.grid import Signal
+from tvdn.grid import LatticeShape, Signal
 from tvdn.lambda_stat import sample_lambda_1d
 from tvdn.segmentation import (SegmentationOutcome, evaluate_outcome,
                                extract_jumps, kkt_check)
@@ -152,6 +152,25 @@ def test_evaluate_outcome_extra_jumps_screen_only():
     out = evaluate_outcome(Signal.from_array(v), spec)
     assert out.screening and not out.exact
     assert 5 in out.jumps_estimated
+
+
+def test_path_lattices_match_1d():
+    spec = gen_piecewise("battlements", 60, 3, 5.0)
+    v = spec.realize().values + np.random.default_rng(15).normal(size=60)
+    lam = 4.0
+    fit = tv_denoise_1d(Signal.from_array(v), lam).estimate.values
+    ref_kkt = kkt_check(Signal.from_array(v), [20, 40], lam)
+    for sizes in [(1, 60), (60, 1), (1, 1, 60)]:
+        shape = LatticeShape(sizes)
+        f = Signal(shape, fit)
+        np.testing.assert_array_equal(extract_jumps(f),
+                                      extract_jumps(Signal.from_array(fit)))
+        assert evaluate_outcome(f, spec) \
+            == evaluate_outcome(Signal.from_array(fit), spec)
+        holds, h_hat, w, top = kkt_check(Signal(shape, v), [20, 40], lam)
+        assert holds == ref_kkt[0] and top == ref_kkt[3]
+        assert h_hat.tobytes() == ref_kkt[1].tobytes()
+        assert w.tobytes() == ref_kkt[2].tobytes()
 
 
 def test_outcome_validation():

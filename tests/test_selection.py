@@ -146,15 +146,17 @@ def test_universal_threshold_lattice_geometric_mean_sides():
 
 def test_universal_threshold_dispatch():
     co2 = default_coefficients(2)
-    # 1D: the closed form, coefficients are not read
-    assert universal_threshold(LatticeShape((500,)), 1.3) \
-        == universal_threshold_1d(500, 1.3)
-    assert universal_threshold(LatticeShape((500,)), 1.3, co2) \
-        == universal_threshold_1d(500, 1.3)
+    # path lattices: the closed form, coefficients are not read
+    for sizes in [(500,), (1, 500), (500, 1), (1, 1, 500)]:
+        shape = LatticeShape(sizes)
+        assert universal_threshold(shape, 1.3) == universal_threshold_1d(500, 1.3)
+        assert universal_threshold(shape, 1.3, co2) \
+            == universal_threshold_1d(500, 1.3)
     with pytest.raises(ValueError):
         universal_threshold(LatticeShape((2,)), 1.0)
-    # any other lattice, a 1 x N one included: the Gumbel quantile
-    for sizes in [(32, 128), (1, 500), (8, 8, 8)]:
+    # any other lattice, a 1 x N x M one included: the Gumbel quantile of
+    # its dimension
+    for sizes in [(32, 128), (1, 8, 64), (8, 8, 8)]:
         shape = LatticeShape(sizes)
         assert universal_threshold(shape, 2.0) \
             == universal_threshold_lattice(shape, 2.0)
@@ -163,6 +165,25 @@ def test_universal_threshold_dispatch():
     thr = universal_threshold(shape, 1.0, custom)
     assert thr == universal_threshold_lattice(shape, 1.0, custom)
     assert thr != universal_threshold_lattice(shape, 1.0)
+
+
+def test_coefficients_must_fit_the_lattice_dimension():
+    # a fit for another dimension is refused instead of read; a path lattice
+    # takes the closed form and reads no coefficients
+    c = default_coefficients(3)
+    for shape, dim in [((64, 64), 3), ((64, 64), 1), ((8, 8, 8), 2)]:
+        wrong = GumbelFitCoefficients(c.a_mu, c.b_mu, c.a_beta, c.b_beta, dim)
+        with pytest.raises(ValueError, match="dimension"):
+            universal_threshold_lattice(LatticeShape(shape), 1.0, wrong)
+        with pytest.raises(ValueError, match="dimension"):
+            universal_threshold(LatticeShape(shape), 1.0, wrong)
+        with pytest.raises(ValueError, match="dimension"):
+            adaptive_tv(S(np.arange(float(np.prod(shape))).reshape(shape)),
+                        sigma=1.0, coeffs=wrong)
+    y = S(np.repeat([0.0, 4.0, 1.0], 20).reshape(1, 60))
+    wrong = GumbelFitCoefficients(c.a_mu, c.b_mu, c.a_beta, c.b_beta, 3)
+    assert adaptive_tv(y, sigma=1.0, coeffs=wrong)[2] \
+        == adaptive_tv(y, sigma=1.0)[2]
 
 
 def test_default_coefficients_table():
@@ -239,6 +260,23 @@ def test_adaptive_tv_2d_runs_and_orders_thresholds():
     if report.count1 > 1:
         assert report.lambda2 <= report.lambda1
     assert sol2.converged
+
+
+def test_adaptive_tv_path_lattices_match_1d():
+    # n values on any one-chain layout take both 1D passes bit for bit
+    rng = np.random.default_rng(25)
+    f = gen_test_function("blocks", 300, 7.0)
+    v = f.values + rng.normal(size=300)
+    ref1, ref2, ref = adaptive_tv(S(v))
+    assert ref.count1 > 1 and ref.lambda2 < ref.lambda1
+    for sizes in [(1, 300), (300, 1), (1, 1, 300), (1, 1, 1, 300)]:
+        sol1, sol2, report = adaptive_tv(Signal(LatticeShape(sizes), v))
+        assert report == ref
+        for sol, r in ((sol1, ref1), (sol2, ref2)):
+            assert sol.estimate.shape.sizes == sizes and sol.iterations == 0
+            assert sol.estimate.values.tobytes() == r.estimate.values.tobytes()
+    assert count_jumps(Signal(LatticeShape((1, 300)), v), 1.0, "raw") \
+        == count_jumps(S(v), 1.0, "raw")
 
 
 def test_adaptive_tv_rejects_high_dims():

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from oracles import tv_oracle_boxqp
 from tvdn.grid import LatticeShape, Signal, adjoint_flat
 from tvdn.lambda_stat import sample_lambda, sample_lambda_1d
-from tvdn.tvsolve import (SolverConfig, TvSolution, lambda_max, tv_denoise,
-                          tv_denoise_1d, tv_path_1d)
+from tvdn.tvsolve import (SolverConfig, TvSolution, _split_solve, lambda_max,
+                          tv_denoise, tv_denoise_1d, tv_path_1d)
 
 S = Signal.from_array
 
@@ -156,24 +156,41 @@ def test_nd_constant_input():
 
 
 def test_tv_denoise_1d_is_the_direct_pass():
-    # a 1D signal never enters the iterative solver, whatever the config
+    # a path lattice never enters the iterative solver, whatever the config:
+    # every layout of n values on one chain gives the 1D pass on the flat
+    # values bit for bit, in the input's shape
     rng = np.random.default_rng(13)
     cfg = SolverConfig(max_iter=1)
     for n in (1, 2, 50, 300):
-        y = S(rng.normal(size=n))
-        for lam in (0.0, 0.3, 2.0, 1.5 * sample_lambda_1d(y)):
-            a = tv_denoise(y, lam, cfg)
-            b = tv_denoise_1d(y, lam)
-            assert a.estimate.values.tobytes() == b.estimate.values.tobytes()
-            assert a.dual.tobytes() == b.dual.tobytes()
-            assert (a.gap, a.iterations, a.converged) == (b.gap, 0, True)
+        v = rng.normal(size=n)
+        y = S(v)
+        lams = [0.0, 0.3, 2.0, 1.5 * sample_lambda_1d(y)]
+        path = tv_path_1d(y, sorted(lams))
+        for sizes in [(n,), (1, n), (n, 1), (1, 1, n)]:
+            ys = Signal(LatticeShape(sizes), v)
+            for lam in lams:
+                a = tv_denoise(ys, lam, cfg)
+                b = tv_denoise_1d(y, lam)
+                assert a.estimate.shape.sizes == sizes
+                assert a.estimate.values.tobytes() == b.estimate.values.tobytes()
+                assert a.dual.tobytes() == b.dual.tobytes()
+                assert (a.gap, a.iterations, a.converged) == (b.gap, 0, True)
+            for a, b in zip(tv_path_1d(ys, sorted(lams)), path):
+                assert a.estimate.shape.sizes == sizes
+                assert a.estimate.values.tobytes() == b.estimate.values.tobytes()
+                assert a.dual.tobytes() == b.dual.tobytes()
     with pytest.raises(ValueError):
         tv_denoise(S([1.0, 2.0]), -0.1, cfg)
+    with pytest.raises(ValueError):
+        tv_denoise(S(np.zeros((1, 3))), -0.1, cfg)
+    with pytest.raises(ValueError):
+        tv_denoise_1d(S(np.zeros((2, 3))), 0.1)
 
 
 def test_nd_matches_1d_direct():
     # the splitting solver on lattices with one nontrivial axis, against the
-    # exact 1D pass on the same values
+    # exact 1D pass on the same values; tv_denoise sends these lattices to
+    # the 1D pass, so the splitting solver is called directly
     rng = np.random.default_rng(4)
     cfg = SolverConfig(gap_tol=1e-12, max_iter=20000)
     for _ in range(8):
@@ -182,9 +199,43 @@ def test_nd_matches_1d_direct():
         lam = float(rng.uniform(0.2, 3.0))
         b = tv_denoise_1d(S(v), lam).estimate.values
         for sizes in [(1, n), (n, 1)]:
-            a = tv_denoise(Signal(LatticeShape(sizes), v), lam, cfg)
+            a = _split_solve(Signal(LatticeShape(sizes), v), lam, cfg)
             assert a.iterations > 0
             assert np.abs(a.estimate.values - b).max() <= 1e-6
+
+
+_CERTIFICATE_SHAPES = st.one_of(
+    st.integers(1, 40).map(lambda n: (1, n)),
+    st.integers(1, 40).map(lambda n: (n, 1)),
+    st.integers(1, 40).map(lambda n: (1, 1, n)),
+    st.tuples(st.integers(2, 6), st.integers(2, 6)),
+    st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(2, 4)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sizes=_CERTIFICATE_SHAPES, seed=st.integers(0, 2 ** 32 - 2),
+       log_amp=st.floats(-3.0, 3.0), frac=st.floats(0.0, 1.5))
+def test_tv_denoise_certificate_on_random_shapes(sizes, seed, log_amp, frac):
+    # every solve carries a feasible dual that reconstructs the estimate and
+    # a nonnegative gap; a path lattice is the 1D pass on its flat values
+    shape = LatticeShape(sizes)
+    v = 10.0 ** log_amp * np.random.default_rng(seed).normal(size=shape.n_sites)
+    y = Signal(shape, v)
+    lam = frac * sample_lambda(y)[0]
+    sol = tv_denoise(y, lam)
+    f = sol.estimate.values
+    assert sol.estimate.shape == shape
+    assert sol.gap >= 0.0
+    assert np.abs(sol.dual).max(initial=0.0) <= lam
+    assert np.abs(v - adjoint_flat(sol.dual, sizes) - f).max() \
+        <= 1e-8 * np.abs(v).max()
+    if shape.is_path:
+        ref = tv_denoise_1d(S(v), lam)
+        assert sol.iterations == 0
+        assert f.tobytes() == ref.estimate.values.tobytes()
+        assert sol.dual.tobytes() == ref.dual.tobytes()
+        assert sol.gap == ref.gap
 
 
 def test_nd_converged_constant_fit_reports_minimum_sup_dual():
