@@ -3,7 +3,7 @@
 Subcommands: denoise, gen, bench-mse, bench-seg, lambda-sample, lambda-fit,
 risk-curve. 1D signals travel as single-column CSV (header `value`), images
 as PGM (P2/P5), results as JSON with a schema_version field. Exit codes:
-0 success, 2 bad input, 3 solver non-convergence.
+0 success, 2 bad input, 3 a solver could not certify its result.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .lambda_stat import GumbelParams, fit_gumbel
 from .risk import default_lambda_grid, default_quantization, ncc, risk_curve
 from .selection import adaptive_tv, estimate_sigma, universal_threshold
 from .signals import gen_test_function
-from .tvsolve import SolverConfig, lambda_max, tv_denoise
+from .tvsolve import lambda_max, tv_denoise
 
 
 def _parse_sizes(text):
@@ -58,19 +58,10 @@ def _warn_zero_sigma():
           "lambda, so the fit stays at or near the input; set --sigma-known")
 
 
-def _warn_unconverged(curve):
-    capped = curve.lambdas[~curve.converged]
-    if capped.size:
-        _warn("%d of %d risk-curve solves stopped at the iteration cap, at "
-              "lambda = %s" % (capped.size, curve.lambdas.size,
-                               ", ".join("%.6g" % l for l in capped)))
-
-
 def cmd_denoise(args):
     y, meta = _read_input(args.infile)
     sigma = args.sigma_known if args.sigma_known is not None else estimate_sigma(y)
     coeffs = load_coefficients(args.coeffs) if args.coeffs else None
-    cfg = SolverConfig(gap_tol=args.gap_tol, max_iter=args.max_iter)
     method = args.method
     if method == "fixed" and args.lam is None:
         raise ValueError("--method fixed needs --lambda")
@@ -92,22 +83,21 @@ def cmd_denoise(args):
 
     count1 = None
     if method == "fixed":
-        sol = tv_denoise(y, args.lam, cfg)
+        sol = tv_denoise(y, args.lam)
         lam1 = lam2 = args.lam
     elif method == "universal":
         lam1 = lam2 = universal_threshold(y.shape, sigma, coeffs)
-        sol = tv_denoise(y, lam1, cfg)
+        sol = tv_denoise(y, lam1)
     elif method == "adaptive":
-        _, sol, report = adaptive_tv(y, sigma=sigma, cfg=cfg, coeffs=coeffs)
+        _, sol, report = adaptive_tv(y, sigma=sigma, coeffs=coeffs)
         lam1, lam2, count1 = report.lambda1, report.lambda2, report.count1
     elif method in ("sure", "oracle"):
         grid = _make_grid(args.grid, lambda_max(y))
         if method == "sure":
-            curve = risk_curve(y, grid, "sure", sigma=sigma, cfg=cfg)
+            curve = risk_curve(y, grid, "sure", sigma=sigma)
         else:
-            curve = risk_curve(y, grid, "oracle", f_true=truth, cfg=cfg)
-        _warn_unconverged(curve)
-        sol = tv_denoise(y, curve.argmin_lambda, cfg)
+            curve = risk_curve(y, grid, "oracle", f_true=truth)
+        sol = tv_denoise(y, curve.argmin_lambda)
         lam1, lam2 = float(grid.max()), curve.argmin_lambda
     else:
         raise ValueError("unknown method %r" % (method,))
@@ -132,7 +122,7 @@ def cmd_denoise(args):
         _write_output(args.out, sol.estimate, meta)
         tvio.write_json_report(args.out + ".json", payload)
     print(json.dumps(payload, sort_keys=True))
-    return 0 if sol.converged else 3
+    return 0
 
 
 def cmd_gen(args):
@@ -272,7 +262,6 @@ def cmd_risk_curve(args):
             if sigma == 0.0:
                 _warn_zero_sigma()
         curve = risk_curve(y, grid, "sure", sigma=sigma)
-    _warn_unconverged(curve)
     if args.out:
         tvio.write_csv_rows(args.out, ("lambda", "value"),
                             list(zip(curve.lambdas.tolist(),
@@ -307,8 +296,6 @@ def build_parser():
     d.add_argument("--coeffs", help="JSON fit file overriding the shipped "
                                     "Gumbel coefficients")
     d.add_argument("--grid", help="lambda grid: COUNT or LO,HI,COUNT")
-    d.add_argument("--gap-tol", dest="gap_tol", type=float, default=1e-8)
-    d.add_argument("--max-iter", dest="max_iter", type=int, default=5000)
     d.set_defaults(func=cmd_denoise)
 
     g = sub.add_parser("gen", help="generate a noisy 1D test signal")

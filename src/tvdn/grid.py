@@ -43,10 +43,17 @@ class LatticeShape:
         return sum((n - 1) * (m // n) for n in self.sizes)
 
     @property
+    def squeezed(self) -> "LatticeShape":
+        """The same lattice without its axes of size 1. Sites and edges keep
+        their flat order, so this is the same graph in the same order; its
+        ndim is the lattice's dimension."""
+        return LatticeShape(tuple(n for n in self.sizes if n > 1) or (1,))
+
+    @property
     def is_path(self) -> bool:
-        """At most one axis longer than 1: the sites form one chain in flat
-        order, and edge i joins sites i and i + 1."""
-        return sum(n > 1 for n in self.sizes) <= 1
+        """Dimension at most 1: the sites form one chain in flat order, and
+        edge i joins sites i and i + 1."""
+        return self.squeezed.ndim <= 1
 
 
 @dataclass
@@ -192,8 +199,9 @@ def laplacian_solve(rhs: Signal, tol: float = 1e-10,
     The system is singular with the constants as kernel, so the right-hand
     side must be mean-zero and the mean-zero (pseudo-inverse) solution is
     returned. Jacobi scaling by the site degrees preconditions the
-    iteration; the operator itself is applied matrix-free. It serves
-    edge-masked systems, which ``SpectralLaplacian`` cannot solve.
+    iteration; the operator itself is applied matrix-free. It solves
+    edge-masked systems, which ``SpectralLaplacian`` cannot. No solver in
+    the package calls it; perfbench's tracer wraps it by name.
 
     Parameters
     ----------
@@ -247,9 +255,9 @@ class SpectralLaplacian:
     """Exact lattice-Laplacian solves through the cosine transform.
 
     B^T B on a full rectangular lattice is the Kronecker sum of 1D path
-    Laplacians, which the orthonormal DCT-II diagonalizes. Solvers use this
-    for their inner linear systems, shifted or singular, in closed form;
-    its singular solve agrees with ``laplacian_solve`` without an edge mask.
+    Laplacians, which the orthonormal DCT-II diagonalizes, so the singular
+    system is solved in closed form; the solve agrees with
+    ``laplacian_solve`` without an edge mask.
     """
 
     def __init__(self, shape: LatticeShape):
@@ -263,16 +271,12 @@ class SpectralLaplacian:
             eig = eig + mode.reshape(dims)
         self._eig = eig
 
-    def solve(self, rhs: np.ndarray, shift: float = 0.0) -> np.ndarray:
-        """Solve (shift*I + B^T B) x = rhs; shift=0 gives the pseudo-inverse."""
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The mean-zero solution of B^T B x = rhs (pseudo-inverse)."""
         arr = np.asarray(rhs, dtype=float).reshape(self.shape.sizes)
         coef = scipy.fft.dctn(arr, type=2, norm="ortho")
-        den = self._eig + shift
-        if shift == 0.0:
-            den = den.copy()
-            den.reshape(-1)[0] = 1.0
-            coef = coef / den
-            coef.reshape(-1)[0] = 0.0
-        else:
-            coef = coef / den
+        den = self._eig.copy()
+        den.reshape(-1)[0] = 1.0
+        coef = coef / den
+        coef.reshape(-1)[0] = 0.0
         return scipy.fft.idctn(coef, type=2, norm="ortho").ravel()

@@ -20,14 +20,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import brentq, minimize
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from scipy.stats import chi2
 
 from ._pool import parallel_map
-from .grid import (LatticeShape, Signal, SpectralLaplacian, adjoint_flat,
-                   diff_flat, edge_endpoints)
+from .cuts import CutNetwork
+from .grid import LatticeShape, Signal, SpectralLaplacian, adjoint_flat, diff_flat
 
 
 @dataclass(frozen=True)
@@ -87,94 +85,6 @@ def sample_lambda_1d(y: Signal) -> float:
     return sample_lambda(y)[0]
 
 
-# maximum_flow works in int32 and its residual arcs reach twice a capacity,
-# so every integer capacity stays at or below 2^29
-_CAP_LIMIT = 2 ** 29
-
-
-class _CutNetwork:
-    """The lattice as an s-t network for scipy's maximum_flow.
-
-    Sites are nodes 0..m-1, the source is m and the sink m+1. Every lattice
-    edge is an arc in both directions, the source feeds every site and every
-    site drains into the sink. The reverses of the terminal arcs are present
-    with capacity 0, so the arc set is closed under reversal: maximum_flow
-    adds no arcs of its own, and the flow matrix it returns has the same
-    CSR layout as the capacities.
-    """
-
-    def __init__(self, shape: LatticeShape):
-        m = shape.n_sites
-        near, far = edge_endpoints(shape)
-        sites = np.arange(m)
-        src = np.full(m, m)
-        snk = np.full(m, m + 1)
-        rows = np.concatenate([near, far, src, sites, sites, snk])
-        cols = np.concatenate([far, near, sites, src, snk, sites])
-        tagged = sp.csr_matrix((np.arange(1, rows.size + 1), (rows, cols)),
-                               shape=(m + 2, m + 2))
-        self.m = m
-        self.p = near.size
-        self.near = near
-        self.far = far
-        self._arc_of_slot = tagged.data - 1
-        self._edge_slots = np.argsort(self._arc_of_slot)[:near.size]
-        self._indices = tagged.indices
-        self._indptr = tagged.indptr
-        self._tails = np.repeat(np.arange(m + 2), np.diff(tagged.indptr))
-
-    def boundary(self, inside: np.ndarray) -> int:
-        """Number of lattice edges leaving a site set."""
-        return int(np.count_nonzero(inside[self.near] != inside[self.far]))
-
-    def route(self, demand, up, down):
-        """Route site demands through edge capacities, in integer units.
-
-        demand[i] > 0 is absorbed at site i, demand[i] < 0 is supplied there;
-        up and down cap the flow along and against each edge's direction.
-        Everything is scaled by a power of two so the largest capacity fits
-        under _CAP_LIMIT, demands are rounded and edge capacities rounded
-        down. No edge needs more than the total demand, so edge capacities
-        are clipped to it first, which keeps a small remainder at a fine unit.
-
-        Returns the edge flow (exact multiples of the unit) and, when the
-        rounded demand cannot all be routed, the sites on the sink side of
-        a minimum cut; otherwise None.
-        """
-        p, m = self.p, self.m
-        total = max(float(demand[demand > 0].sum()), float(-demand[demand < 0].sum()))
-        up = np.clip(up, 0.0, total)
-        down = np.clip(down, 0.0, total)
-        top = max(float(up.max()), float(down.max()), float(np.abs(demand).max()))
-        if top == 0.0:
-            return np.zeros(p), None
-        scale = 2.0 ** math.floor(math.log2(_CAP_LIMIT / top))
-        supply = np.rint(np.maximum(-demand, 0.0) * scale).astype(np.int64)
-        absorb = np.rint(np.maximum(demand, 0.0) * scale).astype(np.int64)
-        zero = np.zeros(m, dtype=np.int64)
-        caps = np.concatenate([np.floor(up * scale).astype(np.int64),
-                               np.floor(down * scale).astype(np.int64),
-                               supply, zero, absorb, zero])[self._arc_of_slot]
-        graph = sp.csr_matrix((caps.astype(np.int32), self._indices, self._indptr),
-                              shape=(m + 2, m + 2))
-        result = maximum_flow(graph, m, m + 1, method="dinic")
-        if result.flow.nnz != caps.size:
-            raise RuntimeError("maximum_flow returned a different arc layout")
-        fdata = result.flow.data.astype(np.int64)
-        w = fdata[self._edge_slots] / scale
-        if result.flow_value >= min(int(supply.sum()), int(absorb.sum())):
-            return w, None
-        open_ = caps > fdata
-        residual = sp.csr_matrix((np.ones(np.count_nonzero(open_), dtype=np.int8),
-                                  (self._tails[open_], self._indices[open_])),
-                                 shape=(m + 2, m + 2))
-        reached = breadth_first_order(residual, m, directed=True,
-                                      return_predecessors=False)
-        sink_side = np.ones(m + 2, dtype=bool)
-        sink_side[reached] = False
-        return w, sink_side[:m]
-
-
 def sample_lambda(y: Signal, tol: float = 1e-6, max_iter: int = 50000):
     """Minimum sup-norm dual vector for y, with the optimal value.
 
@@ -192,8 +102,9 @@ def sample_lambda(y: Signal, tol: float = 1e-6, max_iter: int = 50000):
     minimum-norm correction through the lattice Laplacian removes the last
     rounding. The cut set gives the exact lower bound c(S)/|dS| and the
     returned value is ||w||_inf, an upper bound; it is returned once
-    value - lb <= tol * (1 + value). Raises RuntimeError if max_iter flow
-    computations do not close that bracket.
+    value - lb <= tol * value, a relative bracket at every scale (lb > 0
+    whenever c is not 0). Raises RuntimeError if max_iter flow computations
+    do not close that bracket.
 
     On a path lattice no flow is computed: the only dual is minus the
     partial sums of c in flat order.
@@ -211,7 +122,7 @@ def sample_lambda(y: Signal, tol: float = 1e-6, max_iter: int = 50000):
         w = -np.cumsum(c)[:-1]
         return float(np.abs(w).max()), w
     spectral = SpectralLaplacian(shape)
-    net = _CutNetwork(shape)
+    net = CutNetwork(shape)
 
     def ratio(inside):
         return float(c[inside].sum()) / net.boundary(inside)
@@ -221,7 +132,7 @@ def sample_lambda(y: Signal, tol: float = 1e-6, max_iter: int = 50000):
     flows = 0
     while flows < max_iter:
         flows += 1
-        mu = lb + 0.5 * tol * (1.0 + lb)
+        mu = lb * (1.0 + 0.5 * tol)
         dw, blocked = net.route(c - adjoint_flat(w, shape.sizes), mu - w, mu + w)
         w += dw
         if blocked is not None:
@@ -234,7 +145,7 @@ def sample_lambda(y: Signal, tol: float = 1e-6, max_iter: int = 50000):
         rest = c - adjoint_flat(w, shape.sizes)
         wc = w + diff_flat(spectral.solve(rest), shape.sizes)
         value = float(np.abs(wc).max())
-        if value - lb <= tol * (1.0 + value):
+        if value - lb <= tol * value:
             return value, wc
         if not dw.any():
             break

@@ -1,9 +1,11 @@
 """Risk functionals for threshold selection: SURE and oracle loss curves.
 
 The unbiased risk estimate charges one degree of freedom per connected
-component of the fit, so component counting (with a quantization tolerance,
-since iterative solutions are never exactly piecewise constant) is the
-workhorse here.
+component of the fit, so component counting is the workhorse here. The
+solvers write every piece of a fit as one constant, so its within-piece
+differences are exactly 0; the quantization tolerance of the count serves
+fits supplied from elsewhere and keeps rounding-level steps between
+neighbouring pieces from counting as separate components.
 """
 from __future__ import annotations
 
@@ -59,25 +61,17 @@ def default_lambda_grid(lam_max: float, n_points: int = 30) -> np.ndarray:
 
 @dataclass
 class RiskCurve:
-    """Risk values over a lambda grid; converged[k] is False where the solve
-    at lambdas[k] stopped at the iteration cap (its value is then that of
-    the best certified iterate)."""
+    """Risk values over a lambda grid, one exact fit per value."""
 
     lambdas: np.ndarray
     values: np.ndarray
     argmin_lambda: float
-    converged: np.ndarray | None = None
 
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         if self.lambdas.shape != self.values.shape:
             raise ValueError("lambdas and values must have equal length")
-        if self.converged is None:
-            self.converged = np.ones(self.lambdas.shape, dtype=bool)
-        self.converged = np.asarray(self.converged, dtype=bool)
-        if self.converged.shape != self.lambdas.shape:
-            raise ValueError("converged must have one flag per lambda")
         if self.lambdas.size and np.any(np.diff(self.lambdas) < 0):
             raise ValueError("lambdas must be sorted ascending")
 
@@ -90,10 +84,9 @@ def _risk_of(y, f_hat, criterion, sigma, ftv):
 
 
 def _risk_one(args):
-    sizes, yv, lam, criterion, sigma, ftv, cfg = args
+    sizes, yv, lam, criterion, sigma, ftv = args
     y = Signal(LatticeShape(sizes), yv)
-    sol = tv_denoise(y, lam, cfg)
-    return _risk_of(y, sol.estimate, criterion, sigma, ftv), sol.converged
+    return _risk_of(y, tv_denoise(y, lam).estimate, criterion, sigma, ftv)
 
 
 def risk_curve(y: Signal, lambdas, criterion: str = "sure",
@@ -102,9 +95,11 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
     """Evaluate SURE or oracle loss over a lambda grid.
 
     On a path lattice one pass over the exact fusion path gives every fit,
-    in process. On other lattices there is one solve per value; solves are
-    distributed across workers (TVDN_THREADS) and gathered back in grid
-    order, so the curve does not depend on the worker count.
+    in process. On other lattices there is one exact minimum-cut solve per
+    value (pieces can split as lambda grows, so there is no path to
+    follow); solves are distributed across workers (TVDN_THREADS) and
+    gathered back in grid order, so the curve does not depend on the worker
+    count. cfg is accepted for compatibility and not read.
     """
     lams = np.sort(np.asarray(lambdas, dtype=float))
     if lams.size == 0:
@@ -124,13 +119,11 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
     else:
         raise ValueError("criterion must be 'sure' or 'oracle'")
     if y.shape.is_path:
-        sols = tv_path_1d(y, lams)
-        values = [_risk_of(y, sol.estimate, criterion, sigma, ftv) for sol in sols]
-        converged = [sol.converged for sol in sols]
+        values = [_risk_of(y, sol.estimate, criterion, sigma, ftv)
+                  for sol in tv_path_1d(y, lams)]
     else:
-        args = [(y.shape.sizes, y.values, float(l), criterion, sigma, ftv, cfg)
+        args = [(y.shape.sizes, y.values, float(l), criterion, sigma, ftv)
                 for l in lams]
-        values, converged = zip(*parallel_map(_risk_one, args))
+        values = parallel_map(_risk_one, args)
     values = np.array(values)
-    return RiskCurve(lams, values, float(lams[int(np.argmin(values))]),
-                     np.array(converged, dtype=bool))
+    return RiskCurve(lams, values, float(lams[int(np.argmin(values))]))

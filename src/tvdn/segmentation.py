@@ -42,7 +42,7 @@ def extract_jumps(f_hat: Signal, sigma: float = 0.0, rule: str = "nonzero",
     """Sorted jump locations of a fit on a path lattice.
 
     rule 'nonzero' keeps any difference above an absolute tolerance (default
-    tied to the solver gap tolerance); rule 'calibrated' keeps differences
+    1e-3, see ``jump_threshold``); rule 'calibrated' keeps differences
     above sigma*sqrt(2/N)*z_{1-0.025/(N-1)}.
     """
     if not f_hat.shape.is_path:

@@ -20,12 +20,14 @@ from .coeffs import default_coefficients
 from .grid import LatticeShape, Signal, diff_flat
 from .lambda_stat import GumbelFitCoefficients
 from .risk import default_quantization, ncc
-from .tvsolve import SolverConfig, tv_denoise
+from .tvsolve import tv_denoise
 
 METHODS = ("universal", "adaptive", "sure", "exact_seg", "fixed")
 
-# cutoff of jump_threshold("nonzero"): 10 * sqrt of the default duality-gap
-# target 1e-8, fixed here so that solver defaults cannot change piece counts
+# cutoff of jump_threshold("nonzero"): the solvers' fits are exactly
+# constant within pieces, so for them any cutoff below their smallest jump
+# counts the same jumps; the fixed absolute cutoff also ignores near-zero
+# differences in fits supplied from elsewhere, and follows no solver setting
 _NONZERO_JUMP_CUTOFF = 1e-3
 
 # MAD-to-sigma factor for Gaussian data; the extra 1/sqrt(2) accounts for
@@ -92,8 +94,6 @@ def jump_threshold(n: int, sigma: float, variant: str) -> float:
     if variant == "calibrated":
         return sigma * math.sqrt(2.0 / n) * _bonferroni_z(n)
     if variant == "nonzero":
-        # iterative fits never return exact zeros (direct 1D fits have
-        # exact zeros anyway)
         return _NONZERO_JUMP_CUTOFF
     raise ValueError("variant must be raw, nonzero or calibrated")
 
@@ -139,12 +139,13 @@ def _gumbel_threshold(d: int, n_side: float, alpha: float, sigma: float,
 
 def universal_threshold_lattice(shape: LatticeShape, sigma: float,
                                 coeffs: GumbelFitCoefficients | None = None) -> float:
-    """Gumbel-calibrated universal threshold for d >= 2 lattices.
+    """Gumbel-calibrated universal threshold for lattices of dimension
+    d >= 2, the number of axes longer than 1.
 
     Location and scale are extrapolated to the geometric-mean side length,
     then the (1 - 2/sqrt(log P))-quantile is scaled by sigma.
     """
-    d = shape.ndim
+    d = shape.squeezed.ndim
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     alpha = edge_count_alpha(shape.n_edges)
@@ -196,7 +197,6 @@ def _lattice_alpha_at(n_bar: float, d: int) -> float:
 
 
 def adaptive_tv(y: Signal, sigma: float | None = None,
-                cfg: SolverConfig | None = None,
                 coeffs: GumbelFitCoefficients | None = None):
     """Two-step denoising with the adaptive universal threshold.
 
@@ -204,14 +204,15 @@ def adaptive_tv(y: Signal, sigma: float | None = None,
     piece count of that fit (level count on a path lattice, connected
     components on lattices of dimension 2 or 3) sets the average piece size
     N_bar, and step 2 re-solves once at the threshold recomputed for N_bar.
-    Returns both solutions and a report.
+    The dimension d is the number of axes longer than 1. Returns both
+    solutions and a report.
     """
-    d = y.shape.ndim
+    d = y.shape.squeezed.ndim
     if not (y.shape.is_path or d in (2, 3)):
         raise ValueError("adaptive rule covers path lattices and d in {2, 3}")
     sigma_used = estimate_sigma(y) if sigma is None else float(sigma)
     lam1 = universal_threshold(y.shape, sigma_used, coeffs)
-    sol1 = tv_denoise(y, lam1, cfg)
+    sol1 = tv_denoise(y, lam1)
     if y.shape.is_path:
         count1 = count_jumps(sol1.estimate, sigma_used, "calibrated") + 1
         n_bar = max(y.shape.n_sites / count1, 3.0)
@@ -226,7 +227,7 @@ def adaptive_tv(y: Signal, sigma: float | None = None,
             lam2 = lam1
         else:
             lam2 = _gumbel_threshold(d, n_bar, alpha2, sigma_used, coeffs)
-    sol2 = tv_denoise(y, lam2, cfg)
+    sol2 = tv_denoise(y, lam2)
     report = ThresholdReport(sigma_used=sigma_used, lambda1=lam1,
                              count1=int(count1), lambda2=lam2,
                              method="adaptive")

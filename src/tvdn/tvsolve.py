@@ -1,48 +1,49 @@
-"""TV solvers: exact fits on paths, splitting with a gap certificate in any d.
+"""Exact TV solvers with dual certificates, on lattices of any dimension.
 
 ``tv_denoise`` solves on any lattice: a path lattice (at most one axis
-longer than 1, so its sites form one chain in flat order) by the exact
-direct pass ``tv_denoise_1d``, others by operator splitting. ``tv_path_1d``
-solves a path lattice over an ascending lambda grid in one pass over the
-fusion path, on which groups only merge. Every solver returns a dual edge
-vector w with ||w||_inf <= lambda whose reconstruction y - B^T w equals the
-reported estimate, so the gap
+longer than 1, so its sites form one chain in flat order) by the direct
+pass ``tv_denoise_1d``, every other lattice by divide-and-conquer minimum
+cuts over the level sets of the fit. ``tv_path_1d`` solves a path lattice
+over an ascending lambda grid in one pass over the fusion path, on which
+groups only merge. No solver iterates to a tolerance: every one writes each
+piece of the fit as one constant and returns a dual edge vector w with
+||w||_inf <= lambda whose reconstruction y - B^T w equals the estimate up
+to rounding, so the gap
 
     gap = lambda * ||B f||_1 - <B f, w>
 
-is nonnegative by construction and zero exactly at the optimum.
+is nonnegative by construction and zero at the optimum.
 """
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (LatticeShape, Signal, SpectralLaplacian, adjoint_flat,
-                   diff_flat, edge_components, laplacian_solve)
+from .cuts import CutNetwork
+from .grid import Signal, adjoint_flat, diff_flat
 from .lambda_stat import sample_lambda
 
-_OVER_RELAX = 1.8  # relaxation factor of the splitting iteration, in (0, 2)
-_CHECK_EVERY = 25  # iterations between certificate checks
+# a region's rounds stop once its leftover demand is below this times max|y|
+_RESIDUAL_TOL = 1e-12
+# a lattice fit is returned only if ||y - B^T w - f||_inf <= this * max|y|
+_CERTIFIED_TOL = 1e-8
 
 
 @dataclass
 class SolverConfig:
-    gap_tol: float = 1e-8          # relative duality-gap target
+    """Accepted by ``tv_denoise`` and ``risk_curve`` and not read: both
+    solvers are exact. The fields are validated but have no effect."""
+
+    gap_tol: float = 1e-8
     max_iter: int = 5000
-    rho: float | None = None       # splitting penalty, default scales with lambda
-    polish: bool = True            # exact re-solve on the identified pattern
-    rebalance: bool = True
-    track_residuals: bool = False
 
     def __post_init__(self):
         if self.gap_tol <= 0:
             raise ValueError("gap_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.rho is not None and self.rho <= 0:
-            raise ValueError("rho must be positive")
 
 
 @dataclass
@@ -53,7 +54,6 @@ class TvSolution:
     gap: float
     iterations: int
     converged: bool = True
-    residuals: list = field(default_factory=list)
 
     def objective(self, y: Signal) -> float:
         z = diff_flat(self.estimate.values, y.shape.sizes)
@@ -237,168 +237,105 @@ def tv_path_1d(y: Signal, lambdas) -> list[TvSolution]:
             for lam, f in zip(lams, _fusion_path(y.values, lams))]
 
 
-def _polish(y, lam, shape, z_tilde, scale):
-    """Re-solve exactly on the zero/sign pattern of z_tilde, or reject.
-
-    Merges sites across edges with (near-)zero differences, fixes the dual at
-    +-lambda on the remaining edges, and completes the dual inside components
-    by a masked Laplacian solve. Accepted only if the completed dual is
-    feasible and sign-consistent, in which case the result is the exact
-    minimizer with a certificate.
-    """
-    sizes = shape.sizes
-    ztol = max(1e-9 * scale, 1e-5 * float(np.abs(z_tilde).max(initial=0.0)))
-    zero = np.abs(z_tilde) <= ztol
-    sign = np.where(zero, 0.0, np.sign(z_tilde))
-    comp = edge_components(shape, zero)
-    csize = np.bincount(comp).astype(float)
-    w_act = lam * sign
-    corr = adjoint_flat(w_act, sizes)
-    cmean = np.bincount(comp, weights=y - corr) / csize
-    f = cmean[comp]
-    z = diff_flat(f, sizes)
-    if np.any(sign * z < -1e-12 * scale):
-        return None
-    r = y - f - corr
-    r -= (np.bincount(comp, weights=r) / csize)[comp]
-    try:
-        nu = laplacian_solve(Signal(shape, r), tol=1e-11, edge_mask=zero)
-    except (RuntimeError, ValueError):
-        return None
-    wz = diff_flat(nu.values, sizes)
-    wz[~zero] = 0.0
-    if np.abs(wz).max(initial=0.0) > lam * (1 + 1e-9):
-        return None
-    w = np.clip(w_act + wz, -lam, lam)
-    if np.abs(y - f - adjoint_flat(w, sizes)).max() > 1e-8 * scale:
-        return None
-    gap = lam * float(np.abs(z).sum()) - float(z @ w)
-    return Signal(shape, f), w, abs(gap)
-
-
 def tv_denoise(y: Signal, lam: float, cfg: SolverConfig | None = None) -> TvSolution:
-    """TV minimizer on a lattice of any dimension.
+    """Exact TV minimizer on a lattice of any dimension.
 
-    A path lattice is solved exactly by ``tv_denoise_1d`` (0 iterations; cfg
-    is not read). Every other lattice goes through alternating-direction
-    iterations on the edge variables; the coupling solve
-    (I + rho B^T B) f = rhs is carried out in closed form through the
-    lattice cosine transform. Every convergence check builds a feasible dual
-    from the running multipliers, so the reported gap is a true certificate.
-    Stops when gap <= gap_tol * (1 + primal objective). If the iteration cap
-    is reached the best certified iterate is returned with converged=False.
+    A path lattice is solved by the direct pass ``tv_denoise_1d``, every
+    other lattice by divide-and-conquer minimum cuts (``iterations`` counts
+    their batched rounds). cfg is accepted for compatibility and not read.
+    Raises RuntimeError rather than return a fit it cannot certify.
     """
     if y.shape.is_path:
         return tv_denoise_1d(y, lam)
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    return _split_solve(y, lam, cfg or SolverConfig())
+    return _cut_solve(y, lam)
 
 
-def _split_solve(y: Signal, lam: float, cfg: SolverConfig) -> TvSolution:
-    """The splitting iterations of ``tv_denoise`` at lam >= 0, on a lattice
-    with at least one edge."""
+def _cut_solve(y: Signal, lam: float) -> TvSolution:
+    """The exact TV fit at lam >= 0 on any lattice, by minimum cuts.
+
+    The level set {f > t} of the fit is the minimal minimizer of
+    lam |dS| + sum_{i in S} (t - y_i) (Hochbaum 2001; Chambolle & Darbon
+    2009). The sites are kept in regions; every edge between two regions
+    has a known orientation (which side ends higher), so across it the dual
+    is +-lam and each region is a TV problem of its own on the shifted data
+    y' = y - B^T w_jump. A region is constant at v, the mean of y' over it,
+    exactly when y' - v can be routed through its internal edges at
+    capacity lam. Each round routes the leftover demand of every unfinished
+    region on the leftover capacity, all regions in one maximum_flow call.
+    A region that cannot route all of it splits at the sink side T of the
+    minimum cut, which is the level set {f >= v} of its fit, into T (higher)
+    and the rest (lower), once the excess of T over its cut capacity is
+    positive in floating point; rounding can then never split a region
+    whose data do not ask for it. The flow of a region stays in place for
+    its parts. A region is final once its leftover demand is below
+    _RESIDUAL_TOL or stops halving; the flows inside the regions are the
+    dual there, so every piece is written as one constant and certified by
+    w with ||w||_inf <= lam and y - B^T w = f up to _CERTIFIED_TOL.
+    """
     shape = y.shape
-    m = shape.n_sites
-    p = shape.n_edges
-    if lam == 0.0 or np.ptp(y.values) == 0.0:
-        return TvSolution(Signal(shape, y.values.copy()), lam, np.zeros(p), 0.0, 0)
+    sizes = shape.sizes
     yv = y.values
-    ybar = yv.mean()
-    c = yv - ybar
-    scale = max(float(np.abs(yv).max()), 1e-300)
-    spectral = SpectralLaplacian(shape)
-    residuals = []
-
-    def constant_fit(w, it, exact=False):
-        """The constant fit, proven optimal by sample_lambda's minimum
-        sup-norm dual when exact, else by the projection of w onto the duals
-        with B^T w = c (at w = 0 the minimum-norm dual); None if that dual
-        does not fit the box."""
-        if exact:
-            try:
-                value, wc = sample_lambda(y, tol=1e-8)
-            except RuntimeError:
-                return None
-            if value > lam:
-                return None
-        else:
-            wc = w - diff_flat(spectral.solve(adjoint_flat(w, shape.sizes) - c),
-                               shape.sizes)
-            if np.abs(wc).max() > lam * (1 + 1e-12):
-                return None
-        return TvSolution(Signal(shape, np.full(m, ybar)), lam,
-                          np.clip(wc, -lam, lam), 0.0, it, True, residuals)
-
-    const = constant_fit(np.zeros(p), 0)
-    if const is not None:
-        return const
-
-    rho = cfg.rho if cfg.rho is not None else lam
-    # start on the proximal manifold z = shrink(z + u): the iteration is then
-    # a relaxed Douglas-Rachford pass from the first step, so the tracked
-    # displacement norms are monotone under a fixed rho
-    s0 = diff_flat(yv, shape.sizes)
-    z = np.sign(s0) * np.maximum(np.abs(s0) - lam / rho, 0.0)
-    u = s0 - z
-    it = 0
-    best = None
-    dr_prev = z + u
-    rebalance_left = 20
-    while it < cfg.max_iter:
-        for _ in range(min(_CHECK_EVERY, cfg.max_iter - it)):
-            rhs = yv + rho * adjoint_flat(z - u, shape.sizes)
-            f = spectral.solve(rhs / rho, shift=1.0 / rho)
-            bf = diff_flat(f, shape.sizes)
-            bfr = _OVER_RELAX * bf + (1 - _OVER_RELAX) * z
-            z_prev = z
-            z = bfr + u
-            z = np.sign(z) * np.maximum(np.abs(z) - lam / rho, 0.0)
-            u += bfr - z
-            it += 1
-            if cfg.track_residuals:
-                dr_cur = z + u
-                residuals.append(float(np.linalg.norm(dr_cur - dr_prev)))
-                dr_prev = dr_cur
-        w = np.clip(rho * u, -lam, lam)
-        ft = yv - adjoint_flat(w, shape.sizes)
-        zt = diff_flat(ft, shape.sizes)
-        gap = abs(lam * float(np.abs(zt).sum()) - float(zt @ w))
-        primal = 0.5 * float(np.sum((yv - ft) ** 2)) + lam * float(np.abs(zt).sum())
-        if best is None or gap < best[2]:
-            best = (ft, w, gap)
-        near_const = float(np.ptp(ft)) <= 1e-3 * (1.0 + scale)
-        if gap <= cfg.gap_tol * (1.0 + primal):
-            if cfg.polish:
-                polished = _polish(yv, lam, shape, zt, scale)
-                if polished is not None:
-                    est, wp, gp = polished
-                    return TvSolution(est, lam, wp, gp, it, True, residuals)
-            if near_const:
-                const = constant_fit(w, it, exact=True)
-                if const is not None:
-                    return const
-            return TvSolution(Signal(shape, ft), lam, w, gap, it, True, residuals)
-        if near_const:
-            # nearly constant: a projected dual may prove the constant fit
-            # optimal without finishing the iteration
-            const = constant_fit(w, it)
-            if const is not None:
-                return const
-        if cfg.rebalance and rebalance_left > 0:
-            rp = float(np.linalg.norm(bf - z))
-            rd = rho * float(np.linalg.norm(adjoint_flat(z - z_prev, shape.sizes)))
-            if max(rp, rd) > 1e-8 * (1.0 + scale):
-                if rp > 10 * rd and rho < 1e3 * lam:
-                    rho *= 2.0
-                    u /= 2.0
-                    rebalance_left -= 1
-                elif rd > 10 * rp and rho > 1e-3 * lam:
-                    rho /= 2.0
-                    u *= 2.0
-                    rebalance_left -= 1
-    ft, w, gap = best
-    return TvSolution(Signal(shape, ft), lam, w, gap, cfg.max_iter, False, residuals)
+    p = shape.n_edges
+    if lam == 0.0 or np.ptp(yv) == 0.0:
+        return TvSolution(Signal(shape, yv.copy()), lam, np.zeros(p), 0.0, 0)
+    net = CutNetwork(shape)
+    near, far = net.near, net.far
+    scale = float(np.abs(yv).max())
+    label = np.zeros(shape.n_sites, dtype=np.intp)
+    jump = np.zeros(p, dtype=bool)   # edges between regions
+    w = np.zeros(p)                  # +-lam across regions, flow inside
+    last = np.array([np.inf])        # leftover demand when last routed
+    done = np.array([False])
+    rounds = 0
+    while True:
+        n = last.size
+        count = np.bincount(label, minlength=n)
+        shifted = yv - adjoint_flat(np.where(jump, w, 0.0), sizes)
+        f = (np.bincount(label, shifted, n) / count)[label]
+        rest = yv - f - adjoint_flat(w, sizes)
+        left = np.zeros(n)
+        np.maximum.at(left, label, np.abs(rest))
+        done |= (left <= _RESIDUAL_TOL * scale) | (left > 0.5 * last)
+        if done.all():
+            break
+        last = np.where(done, last, left)
+        groups = np.where(done[label], -1, label)
+        dw, sink_side = net.route(rest, lam - w, lam + w, groups)
+        w += dw
+        rounds += 1
+        if sink_side is None:
+            continue
+        blocked = np.zeros(n, dtype=bool)
+        blocked[label[(groups >= 0) & ~sink_side]] = True
+        high = sink_side & blocked[label]
+        cut = ~jump & blocked[label[near]] & (high[near] != high[far])
+        excess = np.bincount(label[high], (shifted - f)[high], n) \
+            - lam * np.bincount(label[near[cut]], minlength=n)
+        n_high = np.bincount(label[high], minlength=n)
+        split = blocked & (excess > 0) & (n_high < count)
+        k = np.count_nonzero(split)
+        if k == 0:
+            continue
+        cut &= split[label[near]]
+        move = high & split[label]
+        fresh = np.full(n, -1)
+        fresh[split] = n + np.arange(k)
+        label[move] = fresh[label[move]]
+        jump |= cut
+        w[cut] = np.where(high[far[cut]], lam, -lam)
+        last[split] = np.inf
+        last = np.concatenate([last, np.full(k, np.inf)])
+        done = np.concatenate([done, np.zeros(k, dtype=bool)])
+    w = np.clip(w, -lam, lam)
+    if np.abs(yv - f - adjoint_flat(w, sizes)).max() > _CERTIFIED_TOL * scale:
+        raise RuntimeError("minimum cuts did not certify the TV fit")
+    z = diff_flat(f, sizes)
+    jumps = z != 0.0
+    # each term is >= 0 in floating point since |w| <= lam
+    gap = float(np.sum(lam * np.abs(z[jumps]) - z[jumps] * w[jumps]))
+    return TvSolution(Signal(shape, f), lam, w, gap, rounds)
 
 
 def lambda_max(y: Signal) -> float:

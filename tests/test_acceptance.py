@@ -24,7 +24,7 @@ from tvdn.lambda_stat import (fit_gev_and_lr_test, fit_gumbel,
                               sample_lambda_1d)
 from tvdn.risk import sure
 from tvdn.selection import exact_seg_prob_bound
-from tvdn.tvsolve import SolverConfig, _split_solve, tv_denoise, tv_denoise_1d
+from tvdn.tvsolve import _cut_solve, tv_denoise, tv_denoise_1d
 
 
 def _finish(num, name, ok, detail, t0, budget):
@@ -42,10 +42,9 @@ def test_criterion_1_solver_matches_bruteforce():
     # a bounded-dual least-squares oracle, and every 2x2 instance against
     # exhaustive sign-pattern enumeration; within 1e-8, gap 1e-8. Paths are
     # solved by tv_denoise (the exact 1D pass) and, laid out as a 1xn or nx1
-    # lattice (in turn), by the splitting solver called directly, since
+    # lattice (in turn), by the cut solver called directly, since
     # tv_denoise sends every path lattice to the 1D pass
     t0 = time.time()
-    cfg = SolverConfig(gap_tol=1e-12, max_iter=20000)
     lams = np.arange(0, 2.01, 0.25)
     entries = (-1.0, 0.0, 1.0, 2.0)
     worst_err = worst_gap = 0.0
@@ -55,11 +54,11 @@ def test_criterion_1_solver_matches_bruteforce():
             y = np.array(vals)
             sizes = [(1, npts), (npts, 1)][i % 2]
             solves = [(tv_denoise, Signal.from_array(y)),
-                      (_split_solve, Signal(LatticeShape(sizes), y))]
+                      (_cut_solve, Signal(LatticeShape(sizes), y))]
             for lam in lams:
                 ref = tv_oracle_boxqp(y, float(lam), (npts,))
                 for solve, ys in solves:
-                    sol = solve(ys, float(lam), cfg)
+                    sol = solve(ys, float(lam))
                     worst_err = max(
                         worst_err, float(np.abs(sol.estimate.values - ref).max()))
                     worst_gap = max(worst_gap, sol.gap)
@@ -68,7 +67,7 @@ def test_criterion_1_solver_matches_bruteforce():
         y = np.array(vals)
         ys = Signal.from_array(y.reshape(2, 2))
         for lam in lams:
-            sol = tv_denoise(ys, float(lam), cfg)
+            sol = tv_denoise(ys, float(lam))
             ref = y if lam == 0.0 else tv_oracle_patterns(y, float(lam), (2, 2))
             worst_err = max(worst_err,
                             float(np.abs(sol.estimate.values - ref).max()))
@@ -115,16 +114,15 @@ def test_criterion_3_statistic_is_constancy_boundary():
     # notch below it does not
     t0 = time.time()
     rng = np.random.default_rng(31)
-    cfg = SolverConfig(gap_tol=1e-10, max_iter=20000)
     bad = []
     for k in range(100):
         if k % 2 == 0:
             # a path, solved by the exact 1D pass and, laid out as a 1xn or
-            # nx1 lattice, by the splitting solver called directly
+            # nx1 lattice, by the cut solver called directly
             n = int(rng.integers(8, 257))
             v = rng.normal(size=n)
             solves = [(tv_denoise, Signal.from_array(v)),
-                      (_split_solve,
+                      (_cut_solve,
                        Signal(LatticeShape([(1, n), (n, 1)][k % 4 // 2]), v))]
             lam = sample_lambda_1d(solves[0][1])
         else:
@@ -133,9 +131,9 @@ def test_criterion_3_statistic_is_constancy_boundary():
             solves = [(tv_denoise, Signal.from_array(rng.normal(size=(n1, n2))))]
             lam, _ = sample_lambda(solves[0][1], tol=1e-9)
         for solve, y in solves:
-            hi = solve(y, lam * (1 + 1e-6), cfg)
+            hi = solve(y, lam * (1 + 1e-6))
             dev_hi = np.abs(hi.estimate.values - y.values.mean()).max()
-            lo = solve(y, lam * (1 - 1e-3), cfg)
+            lo = solve(y, lam * (1 - 1e-3))
             dev_lo = np.abs(lo.estimate.values - lo.estimate.values.mean()).max()
             if not (dev_hi <= 1e-6 and dev_lo > 1e-6):
                 bad.append((k, y.shape.sizes, dev_hi, dev_lo))

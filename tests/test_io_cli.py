@@ -13,9 +13,7 @@ from tvdn.io import (SCHEMA_VERSION, read_csv_column, read_json_report,
                      read_pgm, read_signal_csv, write_csv_column,
                      write_csv_rows, write_json_report, write_pgm,
                      write_signal_csv)
-from tvdn.risk import risk_curve
 from tvdn.selection import universal_threshold_1d
-from tvdn.tvsolve import SolverConfig
 
 
 def _read_bytes(path):
@@ -248,16 +246,22 @@ def test_cli_pgm_denoise(tmp_path, capsys):
         np.std(Signal.from_array(noisy).values.reshape(12, 12)[0:3, :])
 
 
-def test_cli_iteration_cap_exit_3(tmp_path, capsys):
+def test_cli_uncertified_solve_exits_3(tmp_path, capsys, monkeypatch):
+    # a lattice fit the solver cannot certify is an error, never an output
+    import tvdn.tvsolve
     rng = np.random.default_rng(9)
     noisy = np.clip(128 + 20 * rng.standard_normal((16, 16)), 0, 255)
     src = str(tmp_path / "n.pgm")
+    out = str(tmp_path / "out.pgm")
     write_pgm(src, Signal.from_array(noisy), maxval=255)
-    assert main(["denoise", "--in", src, "--lambda", "5",
-                 "--max-iter", "2"]) == 3
+    assert main(["denoise", "--in", src, "--lambda", "5"]) == 0
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert payload["converged"] is False
-    assert payload["iterations"] == 2
+    assert payload["converged"] is True and payload["iterations"] > 0
+    monkeypatch.setattr(tvdn.tvsolve, "_CERTIFIED_TOL", -1.0)
+    assert main(["denoise", "--in", src, "--lambda", "5", "--out", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "solver error" in captured.err
+    assert not os.path.exists(out)
 
 
 def test_cli_rerun_byte_identical(tmp_path, capsys):
@@ -358,34 +362,6 @@ def test_cli_denoise_counts_small_steps_as_pieces(tmp_path, capsys):
 
 def _warnings(err):
     return [l for l in err.splitlines() if l.startswith("warning: ")]
-
-
-def test_cli_reports_capped_risk_curve_solves(tmp_path, capsys):
-    rng = np.random.default_rng(12)
-    img = np.full((8, 8), 60.0)
-    img[2:6, 2:6] = 160.0
-    src = str(tmp_path / "img.pgm")
-    write_pgm(src, Signal.from_array(img + 8.0 * rng.standard_normal((8, 8))),
-              maxval=255)
-    y, _, _ = read_pgm(src)
-    grid = np.geomspace(1.0, 2000.0, 5)
-    curve = risk_curve(y, grid, "sure", sigma=8.0,
-                       cfg=SolverConfig(max_iter=1))
-    capped = grid[~curve.converged]
-    assert 0 < capped.size < grid.size
-    code = main(["denoise", "--in", src, "--method", "sure", "--sigma-known",
-                 "8", "--grid", "1,2000,5", "--max-iter", "1"])
-    assert code in (0, 3)
-    captured = capsys.readouterr()
-    payload = json.loads(captured.out.strip().splitlines()[-1])
-    assert payload["lambda2"] == curve.argmin_lambda
-    (line,) = _warnings(captured.err)
-    assert "%d of 5" % capped.size in line
-    assert line.endswith(", ".join("%.6g" % l for l in capped))
-    # converged curves stay silent
-    assert main(["denoise", "--in", src, "--method", "sure", "--sigma-known",
-                 "8", "--grid", "1,2000,5"]) == 0
-    assert _warnings(capsys.readouterr().err) == []
 
 
 def test_cli_reports_zero_sigma_estimate(tmp_path, capsys):

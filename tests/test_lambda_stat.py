@@ -109,6 +109,23 @@ def test_sample_lambda_iteration_cap():
         sample_lambda(y, tol=1e-14, max_iter=3)
 
 
+def test_sample_lambda_is_scale_equivariant():
+    # the bracket is relative, so Lambda(a y) / a is Lambda(y) within tol at
+    # every amplitude, far below unit scale included
+    rng = np.random.default_rng(15)
+    for sizes in [(32, 32), (5, 7), (3, 4, 5)]:
+        v = rng.normal(size=sizes)
+        ref = lambda_oracle_lp(v.ravel(), sizes) if v.size < 100 else None
+        base, _ = sample_lambda(S(v), tol=1e-9)
+        for amp in (1e-6, 1.0, 1e6):
+            for tol in (1e-6, 1e-9):
+                lam, w = sample_lambda(S(amp * v), tol=tol)
+                assert lam == np.abs(w).max()
+                assert abs(lam / amp - base) <= 2 * tol * base
+                if ref is not None:
+                    assert ref * (1 - 1e-7) <= lam / amp <= ref * (1 + tol) + 1e-7 * ref
+
+
 LATTICES = st.one_of(
     st.sampled_from([(1, 9), (9, 1), (1, 1, 6), (1, 5, 1), (2, 2, 2), (3, 2, 4)]),
     st.tuples(st.integers(1, 7), st.integers(1, 7)),

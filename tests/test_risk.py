@@ -6,7 +6,7 @@ from tvdn.grid import LatticeShape, Signal
 from tvdn.risk import (RiskCurve, component_labels, default_lambda_grid,
                        default_quantization, ncc, risk_curve, sure)
 from tvdn.signals import gen_piecewise, gen_test_function
-from tvdn.tvsolve import SolverConfig, lambda_max, tv_denoise, tv_denoise_1d
+from tvdn.tvsolve import lambda_max, tv_denoise, tv_denoise_1d
 
 S = Signal.from_array
 
@@ -191,23 +191,31 @@ def test_risk_curve_class_validation():
         RiskCurve(np.array([1.0, 2.0]), np.array([1.0]), 1.0)
     with pytest.raises(ValueError):
         RiskCurve(np.array([2.0, 1.0]), np.array([1.0, 2.0]), 2.0)
-    with pytest.raises(ValueError):
-        RiskCurve(np.array([1.0, 2.0]), np.array([1.0, 2.0]), 1.0,
-                  converged=np.array([True]))
-    curve = RiskCurve(np.array([1.0, 2.0]), np.array([3.0, 4.0]), 1.0)
-    assert curve.converged.dtype == bool
-    assert curve.converged.tolist() == [True, True]
+    curve = RiskCurve([1.0, 2.0], [3.0, 4.0], 1.0)
+    assert curve.lambdas.dtype == curve.values.dtype == float
 
 
-def test_risk_curve_reports_iteration_cap_hits():
+def _fit_values(args):
+    sizes, values, lam = args
+    return tv_denoise(Signal(LatticeShape(sizes), values), lam).estimate.values
+
+
+def test_lattice_risk_curve_independent_of_worker_count(monkeypatch):
+    # the fits behind a lattice risk curve, its values and its argmin are
+    # bitwise the same with one worker and with two
+    from tvdn._pool import parallel_map
     rng = np.random.default_rng(36)
-    y = S(np.kron(np.array([[0.0, 4.0], [2.0, -1.0]]), np.ones((5, 5)))
-          + rng.normal(size=(10, 10)))
-    grid = np.geomspace(0.05, 20.0, 5)
-    capped = risk_curve(y, grid, criterion="sure", sigma=1.0,
-                        cfg=SolverConfig(max_iter=2, polish=False))
-    full = risk_curve(y, grid, criterion="sure", sigma=1.0)
-    for lam, flag in zip(grid, capped.converged):
-        assert flag == tv_denoise(y, lam, SolverConfig(max_iter=2, polish=False)).converged
-    assert not capped.converged.all()
-    assert full.converged.all()
+    y = S(np.kron(np.array([[0.0, 4.0], [2.0, -1.0]]), np.ones((6, 6)))
+          + rng.normal(size=(12, 12)))
+    grid = np.geomspace(0.05, 20.0, 6)
+    args = [(y.shape.sizes, y.values, float(l)) for l in grid]
+    curves, fits = [], []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("TVDN_THREADS", threads)
+        curves.append(risk_curve(y, grid, criterion="sure", sigma=1.0))
+        fits.append(parallel_map(_fit_values, args))
+    assert curves[0].values.tobytes() == curves[1].values.tobytes()
+    assert curves[0].argmin_lambda == curves[1].argmin_lambda
+    for a, b, lam in zip(*fits, grid):
+        assert a.tobytes() == b.tobytes()
+        assert a.tobytes() == tv_denoise(y, lam).estimate.values.tobytes()

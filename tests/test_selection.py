@@ -13,7 +13,7 @@ from tvdn.selection import (ThresholdReport, adaptive_threshold_1d, adaptive_tv,
                             universal_threshold, universal_threshold_1d,
                             universal_threshold_lattice)
 from tvdn.signals import gen_piecewise, gen_test_function
-from tvdn.tvsolve import tv_denoise_1d
+from tvdn.tvsolve import tv_denoise, tv_denoise_1d
 
 S = Signal.from_array
 
@@ -89,9 +89,9 @@ def test_jump_threshold_ordering():
 
 
 def test_nonzero_cutoff_ignores_solver_defaults(monkeypatch):
-    import tvdn.selection
+    import tvdn.tvsolve
     from tvdn.tvsolve import SolverConfig
-    monkeypatch.setattr(tvdn.selection, "SolverConfig",
+    monkeypatch.setattr(tvdn.tvsolve, "SolverConfig",
                         lambda: SolverConfig(gap_tol=1e-4))
     assert jump_threshold(100, 1.0, "nonzero") == 1e-3
 
@@ -165,6 +165,29 @@ def test_universal_threshold_dispatch():
     thr = universal_threshold(shape, 1.0, custom)
     assert thr == universal_threshold_lattice(shape, 1.0, custom)
     assert thr != universal_threshold_lattice(shape, 1.0)
+
+
+def test_trivial_axes_do_not_count_towards_the_dimension():
+    # a 1 x 64 x 64 lattice is the 64 x 64 image in the same flat and edge
+    # order: the same threshold (d = 2 law at side 64), the same fit and the
+    # same adaptive rule, bit for bit
+    rng = np.random.default_rng(64)
+    v = np.kron(rng.normal(scale=3.0, size=(4, 4)), np.ones((16, 16))) \
+        + rng.normal(size=(64, 64))
+    flat, deep = S(v), Signal(LatticeShape((1, 64, 64)), v.ravel())
+    assert LatticeShape((1, 64, 64)).squeezed == LatticeShape((64, 64))
+    assert LatticeShape((1, 1)).squeezed == LatticeShape((1,))
+    assert universal_threshold(deep.shape, 1.0) \
+        == universal_threshold(flat.shape, 1.0) \
+        == universal_threshold_lattice(flat.shape, 1.0)
+    assert abs(universal_threshold(deep.shape, 1.0) - 1.465) < 1e-3
+    lam = universal_threshold(flat.shape, 1.0)
+    a, b = tv_denoise(deep, lam), tv_denoise(flat, lam)
+    assert a.estimate.shape == deep.shape
+    assert a.estimate.values.tobytes() == b.estimate.values.tobytes()
+    assert a.dual.tobytes() == b.dual.tobytes()
+    ra, rb = adaptive_tv(deep, sigma=1.0)[2], adaptive_tv(flat, sigma=1.0)[2]
+    assert ra == rb
 
 
 def test_coefficients_must_fit_the_lattice_dimension():

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from oracles import tv_oracle_boxqp
 from tvdn.grid import LatticeShape, Signal, adjoint_flat
 from tvdn.lambda_stat import sample_lambda, sample_lambda_1d
-from tvdn.tvsolve import (SolverConfig, TvSolution, _split_solve, lambda_max,
+import tvdn.tvsolve
+from tvdn.tvsolve import (SolverConfig, TvSolution, _cut_solve, lambda_max,
                           tv_denoise, tv_denoise_1d, tv_path_1d)
 
 S = Signal.from_array
@@ -156,7 +157,7 @@ def test_nd_constant_input():
 
 
 def test_tv_denoise_1d_is_the_direct_pass():
-    # a path lattice never enters the iterative solver, whatever the config:
+    # a path lattice never enters the cut solver, whatever the config:
     # every layout of n values on one chain gives the 1D pass on the flat
     # values bit for bit, in the input's shape
     rng = np.random.default_rng(13)
@@ -188,18 +189,17 @@ def test_tv_denoise_1d_is_the_direct_pass():
 
 
 def test_nd_matches_1d_direct():
-    # the splitting solver on lattices with one nontrivial axis, against the
-    # exact 1D pass on the same values; tv_denoise sends these lattices to
-    # the 1D pass, so the splitting solver is called directly
+    # the cut solver on lattices with one nontrivial axis, against the exact
+    # 1D pass on the same values; tv_denoise sends these lattices to the 1D
+    # pass, so the cut solver is called directly
     rng = np.random.default_rng(4)
-    cfg = SolverConfig(gap_tol=1e-12, max_iter=20000)
     for _ in range(8):
         n = int(rng.integers(8, 65))
         v = rng.normal(size=n)
         lam = float(rng.uniform(0.2, 3.0))
         b = tv_denoise_1d(S(v), lam).estimate.values
         for sizes in [(1, n), (n, 1)]:
-            a = _split_solve(Signal(LatticeShape(sizes), v), lam, cfg)
+            a = _cut_solve(Signal(LatticeShape(sizes), v), lam)
             assert a.iterations > 0
             assert np.abs(a.estimate.values - b).max() <= 1e-6
 
@@ -239,25 +239,29 @@ def test_tv_denoise_certificate_on_random_shapes(sizes, seed, log_amp, frac):
 
 
 def test_nd_converged_constant_fit_reports_minimum_sup_dual():
-    # at Lambda and just above it the iterations converge onto the constant
-    # fit before a projected dual fits the box; the certificate is then
-    # sample_lambda's minimum sup-norm dual, clipped to the box
+    # at the upper end of Lambda's certified bracket and just above it the
+    # first cut round already finds the constant fit; its certificate is a
+    # dual of sup-norm at most lambda, so at lambda = Lambda it is a
+    # minimum sup-norm dual within the bracket
     y = S(np.random.default_rng(1).normal(size=(4, 4)))
-    value, w = sample_lambda(y, tol=1e-8)
-    for lam in (value, value * (1 + 1e-6)):
+    value, _ = sample_lambda(y, tol=1e-8)
+    for lam in (value, value * (1 + 1e-6), np.inf):
         sol = tv_denoise(y, lam)
         assert sol.converged and sol.iterations > 0
         assert np.ptp(sol.estimate.values) == 0.0
-        assert np.array_equal(sol.dual, np.clip(w, -lam, lam))
+        assert sol.estimate.values[0] == pytest.approx(y.values.mean(), rel=1e-15)
+        assert np.abs(sol.dual).max() <= lam
+        assert np.abs(y.values - adjoint_flat(sol.dual, (4, 4))
+                      - sol.estimate.values).max() <= 1e-12
+        assert sol.gap == 0.0
 
 
 def test_nd_certificates_and_reconstruction():
     rng = np.random.default_rng(5)
-    cfg = SolverConfig(gap_tol=1e-10, max_iter=20000)
     for sizes in [(7, 9), (4, 5, 3)]:
         y = S(rng.normal(size=sizes))
         lam = 0.4
-        sol = tv_denoise(y, lam, cfg)
+        sol = tv_denoise(y, lam)
         assert sol.converged
         assert sol.gap <= 1e-10 * (1 + sol.objective(y))
         assert np.abs(sol.dual).max() <= lam + 1e-9
@@ -265,36 +269,91 @@ def test_nd_certificates_and_reconstruction():
         assert np.abs(sol.estimate.values - recon).max() <= 1e-8
 
 
-def test_nd_two_starts_agree():
-    rng = np.random.default_rng(6)
-    y = S(rng.normal(size=(8, 8)))
-    cfg_a = SolverConfig(gap_tol=1e-11, max_iter=30000, rho=0.3)
-    cfg_b = SolverConfig(gap_tol=1e-11, max_iter=30000, rho=2.0)
-    a = tv_denoise(y, 0.7, cfg_a).estimate.values
-    b = tv_denoise(y, 0.7, cfg_b).estimate.values
-    assert np.abs(a - b).max() <= 1e-5
-
-
-def test_nd_displacement_monotone():
-    rng = np.random.default_rng(7)
-    y = S(rng.normal(size=(10, 10)))
-    cfg = SolverConfig(gap_tol=1e-10, max_iter=4000, rebalance=False,
-                       track_residuals=True)
-    sol = tv_denoise(y, 0.8, cfg)
-    r = np.asarray(sol.residuals)
-    assert len(r) > 3
-    assert np.all(r[1:] <= r[:-1] * (1 + 1e-12))
-
-
-def test_nd_nonconvergence_flagged():
+def test_nd_nonconvergence_flagged(monkeypatch):
+    # a lattice fit that cannot be certified is never returned: the solver
+    # raises instead (here the certificate bound is made unreachable)
     rng = np.random.default_rng(8)
     y = S(rng.normal(size=(12, 12)))
     sol = tv_denoise(y, 1.0, SolverConfig(gap_tol=1e-12, max_iter=2))
-    assert not sol.converged
-    assert sol.iterations == 2
-    # returned iterate is still a usable signal with a finite gap
-    assert np.all(np.isfinite(sol.estimate.values))
-    assert np.isfinite(sol.gap)
+    assert sol.converged
+    monkeypatch.setattr(tvdn.tvsolve, "_CERTIFIED_TOL", -1.0)
+    with pytest.raises(RuntimeError):
+        tv_denoise(y, 1.0)
+
+
+def test_solver_config_is_not_read():
+    rng = np.random.default_rng(10)
+    y = S(rng.normal(size=(9, 7)))
+    ref = tv_denoise(y, 0.6)
+    for cfg in (SolverConfig(max_iter=1), SolverConfig(gap_tol=1.0)):
+        sol = tv_denoise(y, 0.6, cfg)
+        assert sol.estimate.values.tobytes() == ref.estimate.values.tobytes()
+        assert sol.dual.tobytes() == ref.dual.tobytes()
+        assert sol.iterations == ref.iterations
+
+
+def _cut_certificate(y, lam, sol):
+    v = y.values
+    assert sol.converged
+    assert sol.gap >= 0.0
+    assert np.abs(sol.dual).max(initial=0.0) <= lam
+    assert np.abs(v - adjoint_flat(sol.dual, y.shape.sizes)
+                  - sol.estimate.values).max() <= 1e-8 * np.abs(v).max()
+
+
+def test_cut_fit_is_scale_equivariant():
+    # the fit at (a y, a lambda) is a times the fit at (y, lambda), at
+    # amplitudes far below and above unit scale; every piece is one constant
+    rng = np.random.default_rng(14)
+    for sizes in [(32, 32), (5, 7), (3, 4, 5)]:
+        v = rng.normal(size=sizes)
+        y = S(v)
+        for frac in (0.05, 0.3, 0.9):
+            lam = frac * sample_lambda(y, tol=1e-9)[0]
+            ref = tv_denoise(y, lam)
+            _cut_certificate(y, lam, ref)
+            pieces = len(np.unique(ref.estimate.values))
+            for amp in (1e-6, 1.0, 1e6):
+                ya = S(amp * v)
+                sol = tv_denoise(ya, amp * lam)
+                _cut_certificate(ya, amp * lam, sol)
+                assert len(np.unique(sol.estimate.values)) == pieces
+                assert np.abs(sol.estimate.values / amp
+                              - ref.estimate.values).max() <= 1e-9 * np.abs(v).max()
+
+
+def _phantom_256():
+    # perfbench's noisy_phantom(2, 0, 256): three rectangles and two discs
+    # at levels +-[2, 4], plus unit noise
+    n = 256
+    rng = np.random.default_rng([160501438, 2, 0])
+    yy, xx = (np.mgrid[0:n, 0:n] + 0.5) / n
+    f = np.zeros((n, n))
+    for _ in range(3):
+        y0, x0 = rng.uniform(0.0, 0.6, 2)
+        h, w = rng.uniform(0.15, 0.4, 2)
+        f[(yy >= y0) & (yy < y0 + h) & (xx >= x0) & (xx < x0 + w)] = \
+            rng.choice((-1.0, 1.0)) * rng.uniform(2.0, 4.0)
+    for _ in range(2):
+        cy, cx = rng.uniform(0.2, 0.8, 2)
+        r = rng.uniform(0.08, 0.18)
+        f[(yy - cy) ** 2 + (xx - cx) ** 2 < r * r] = \
+            rng.choice((-1.0, 1.0)) * rng.uniform(2.0, 4.0)
+    return f + rng.standard_normal(f.shape), f
+
+
+def test_cut_solve_converges_on_the_256_phantom():
+    # the default universal-threshold solve of the 256^2 phantom, where the
+    # former splitting solver stopped at its 5000-iteration cap with gap
+    # 1.6e-2
+    from tvdn.selection import estimate_sigma, universal_threshold
+    v, f = _phantom_256()
+    y = S(v)
+    lam = universal_threshold(y.shape, estimate_sigma(y))
+    sol = tv_denoise(y, lam)
+    _cut_certificate(y, lam, sol)
+    assert sol.gap <= 1e-8 * (1.0 + sol.objective(y))
+    assert np.mean((sol.estimate.values - f.ravel()) ** 2) < 0.1
 
 
 def test_tvsolution_objective():
@@ -315,5 +374,5 @@ def test_lambda_max_consistency():
     for sizes in [(33,), (6, 7)]:
         y = S(rng.normal(size=sizes))
         lam = lambda_max(y)
-        sol = tv_denoise(y, lam * (1 + 1e-6), SolverConfig(gap_tol=1e-10))
+        sol = tv_denoise(y, lam * (1 + 1e-6))
         assert np.ptp(sol.estimate.values) <= 1e-6
