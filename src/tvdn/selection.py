@@ -20,7 +20,7 @@ from .coeffs import default_coefficients
 from .grid import LatticeShape, Signal, diff_flat
 from .lambda_stat import GumbelFitCoefficients
 from .risk import default_quantization, ncc
-from .tvsolve import tv_denoise
+from .tvsolve import FusionPath, tv_denoise
 
 METHODS = ("universal", "adaptive", "sure", "exact_seg", "fixed")
 
@@ -204,20 +204,24 @@ def adaptive_tv(y: Signal, sigma: float | None = None,
     piece count of that fit (level count on a path lattice, connected
     components on lattices of dimension 2 or 3) sets the average piece size
     N_bar, and step 2 re-solves once at the threshold recomputed for N_bar.
-    The dimension d is the number of axes longer than 1. Returns both
-    solutions and a report.
+    The dimension d is the number of axes longer than 1. On a path lattice
+    N_bar <= N, so lambda2 <= lambda1 and one ``FusionPath`` pass up to
+    lambda1 gives both fits. Returns both solutions and a report.
     """
     d = y.shape.squeezed.ndim
     if not (y.shape.is_path or d in (2, 3)):
         raise ValueError("adaptive rule covers path lattices and d in {2, 3}")
     sigma_used = estimate_sigma(y) if sigma is None else float(sigma)
     lam1 = universal_threshold(y.shape, sigma_used, coeffs)
-    sol1 = tv_denoise(y, lam1)
     if y.shape.is_path:
+        path = FusionPath(y, lam1)
+        sol1 = path.solve(lam1)
         count1 = count_jumps(sol1.estimate, sigma_used, "calibrated") + 1
         n_bar = max(y.shape.n_sites / count1, 3.0)
         lam2 = _threshold_1d(n_bar, sigma_used)
+        sol2 = path.solve(lam2)
     else:
+        sol1 = tv_denoise(y, lam1)
         count1 = ncc(sol1.estimate, default_quantization(sol1.estimate))
         n_bar = max((y.shape.n_sites / count1) ** (1.0 / d), 2.0)
         alpha2 = _lattice_alpha_at(n_bar, d)
@@ -227,7 +231,7 @@ def adaptive_tv(y: Signal, sigma: float | None = None,
             lam2 = lam1
         else:
             lam2 = _gumbel_threshold(d, n_bar, alpha2, sigma_used, coeffs)
-    sol2 = tv_denoise(y, lam2)
+        sol2 = tv_denoise(y, lam2)
     report = ThresholdReport(sigma_used=sigma_used, lambda1=lam1,
                              count1=int(count1), lambda2=lam2,
                              method="adaptive")

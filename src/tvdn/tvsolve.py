@@ -3,12 +3,14 @@
 ``tv_denoise`` solves on any lattice: a path lattice (at most one axis
 longer than 1, so its sites form one chain in flat order) by the direct
 pass ``tv_denoise_1d``, every other lattice by divide-and-conquer minimum
-cuts over the level sets of the fit. ``tv_path_1d`` solves a path lattice
-over an ascending lambda grid in one pass over the fusion path, on which
-groups only merge. No solver iterates to a tolerance: every one writes each
-piece of the fit as one constant and returns a dual edge vector w with
-||w||_inf <= lambda whose reconstruction y - B^T w equals the estimate up
-to rounding, so the gap
+cuts over the level sets of the fit. On a path lattice groups only merge as
+lambda grows, so ``FusionPath`` makes one heap pass over the fusion path
+that records the lambda at which each edge fuses, and writes the fit at any
+set of lambda values from those times; ``tv_path_1d`` (a lambda grid) and
+the adaptive rule (both of its thresholds) use it. No solver iterates to
+a tolerance: every one writes each piece of the fit as one constant and
+returns a dual edge vector w with ||w||_inf <= lambda whose reconstruction
+y - B^T w equals the estimate up to rounding, so the gap
 
     gap = lambda * ||B f||_1 - <B f, w>
 
@@ -17,6 +19,7 @@ is nonnegative by construction and zero at the optimum.
 from __future__ import annotations
 
 import heapq
+from itertools import repeat
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,24 +137,31 @@ def _certified_1d(y: Signal, lam: float, f: np.ndarray) -> TvSolution:
     close = np.abs(w[active] - snap) <= 1e-8 * (1.0 + lam)
     w[active] = np.where(close, snap, w[active])
     w = np.clip(w, -lam, lam)
-    gap = lam * float(np.abs(z).sum()) - float(z @ w)
+    tv = float(np.abs(z).sum())
+    # a constant fit has gap 0 at any lambda, lambda = inf included
+    gap = lam * tv - float(z @ w) if tv else 0.0
     return TvSolution(Signal(y.shape, f), lam, w, abs(gap), 0)
 
 
 def tv_denoise_1d(y: Signal, lam: float) -> TvSolution:
     """Exact TV minimizer on a path lattice at one lambda by a direct pass
-    over the flat values; the estimate keeps the input's shape."""
+    over the flat values (at lambda = inf, the mean); the estimate keeps the
+    input's shape."""
     if not y.shape.is_path:
         raise ValueError("tv_denoise_1d requires a path lattice")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if lam == 0.0 or y.shape.n_sites == 1 or np.ptp(y.values) == 0.0:
         return _certified_1d(y, lam, y.values.copy())
+    if lam == np.inf:
+        return _certified_1d(y, lam, np.full(y.shape.n_sites, y.values.mean()))
     return _certified_1d(y, lam, _condat_1d(y.values, lam))
 
 
-def _fusion_path(y, lams):
-    """Yield the exact 1D fit at each of the ascending lams.
+def _fusion_times(y, lam_stop):
+    """The lambda at which each edge of the 1D signal y fuses, by one pass
+    over the fusion path up to lam_stop: 0 inside runs of equal data, inf
+    for an edge still unfused at lam_stop.
 
     A group g of neighbouring sites sharing one fitted value has, between
     merges, the value (S_g - lambda (s_L + s_R)) / |g|: S_g is its data sum
@@ -164,24 +174,31 @@ def _fusion_path(y, lams):
     n = y.size
     # a group is indexed by its first site; runs of equal data start fused
     first = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+    times = np.where(y[1:] == y[:-1], 0.0, np.inf).tolist()
+    lo, hi = first[:-1], first[1:]      # the initial neighbouring pairs
+    count = np.diff(np.append(first, n))
+    side = np.sign(y[lo] - y[hi])
     size = [0] * n
     level = [0.0] * n       # S_g / |g|
     left = [0] * n          # s_L
     right = [0] * n         # s_R
     prev = [0] * n          # first site of the left neighbour
     version = [0] * n
-    for g, k in zip(first.tolist(), np.diff(np.append(first, n)).tolist()):
+    for g, k in zip(first.tolist(), count.tolist()):
         size[g] = k
         level[g] = float(y[g])
-    side = np.sign(y[first[:-1]] - y[first[1:]]).astype(int)
-    for g, h, s in zip(first[:-1].tolist(), first[1:].tolist(), side.tolist()):
+    for g, h, s in zip(lo.tolist(), hi.tolist(), side.astype(int).tolist()):
         right[g] = s
         left[h] = -s
         prev[h] = g
-    alive = np.zeros(n, dtype=bool)
-    alive[first] = True
-
-    heap = []
+    # the initial meeting times, computed as push does, all at once
+    slope = (np.append(side, 0.0) - np.append(0.0, side)) / count
+    d = slope[:-1] - slope[1:]
+    meets = d != 0.0
+    heap = list(zip(((y[lo] - y[hi])[meets] / d[meets]).tolist(),
+                    lo[meets].tolist(), hi[meets].tolist(),
+                    repeat(0), repeat(0)))
+    heapq.heapify(heap)
 
     def push(g, h):
         # neighbouring slopes have opposite signs or are both 0, so d is 0
@@ -191,39 +208,79 @@ def _fusion_path(y, lams):
             heapq.heappush(heap, ((level[g] - level[h]) / d, g, h,
                                   version[g], version[h]))
 
-    for g, h in zip(first[:-1].tolist(), first[1:].tolist()):
-        push(g, h)
-    for lam in lams:
-        while heap and heap[0][0] <= lam:
-            _, g, h, vg, vh = heapq.heappop(heap)
-            if version[g] != vg or version[h] != vh:
-                continue
-            k = size[g] + size[h]
-            level[g] = (level[g] * size[g] + level[h] * size[h]) / k
-            size[g] = k
-            right[g] = right[h]
-            version[g] += 1
-            version[h] = -1
-            alive[h] = False
-            if left[g]:
-                push(prev[g], g)
-            if g + k < n:
-                prev[g + k] = g
-                push(g, g + k)
-        g = np.flatnonzero(alive)
-        k = np.array(size)[g]
-        slope = (np.array(left)[g] + np.array(right)[g]) / k
-        yield np.repeat(np.array(level)[g] - lam * slope, k)
+    # a meeting time computed after a merge can undercut the merge's own by
+    # rounding; recording the running maximum keeps the edges fused at any
+    # lambda exactly the merges the pass had made by then
+    top = 0.0
+    pop = heapq.heappop
+    while heap and heap[0][0] <= lam_stop:
+        t, g, h, vg, vh = pop(heap)
+        if t > top:
+            top = t
+        if version[g] != vg or version[h] != vh:
+            continue
+        times[h - 1] = top
+        k = size[g] + size[h]
+        level[g] = (level[g] * size[g] + level[h] * size[h]) / k
+        size[g] = k
+        right[g] = right[h]
+        version[g] += 1
+        version[h] = -1
+        if left[g]:
+            push(prev[g], g)
+        if g + k < n:
+            prev[g + k] = g
+            push(g, g + k)
+    return np.array(times)
+
+
+class FusionPath:
+    """Every exact TV fit on a path lattice for lambda up to lam_stop, from
+    one pass over the fusion path.
+
+    The pass records each edge's fusion time; ``solve`` then writes the fit
+    at any lambda <= lam_stop from those times alone. The edges fusing
+    after lambda split the sites into groups, and a group g takes the value
+    b + (sum_g (y - b) - lambda (s_L + s_R)) / |g|, b its first datum: across
+    an unfused edge the sign of the fit's difference is that of the data's,
+    fixed at lambda = 0. Within a group the fit's differences are exactly 0.
+    """
+
+    def __init__(self, y: Signal, lam_stop: float):
+        if not y.shape.is_path:
+            raise ValueError("FusionPath requires a path lattice")
+        if not 0.0 <= lam_stop < np.inf:
+            raise ValueError("lam_stop must be finite and nonnegative")
+        self.y = y
+        self.lam_stop = float(lam_stop)
+        self.times = _fusion_times(y.values, self.lam_stop)
+
+    def solve(self, lam: float) -> TvSolution:
+        """The certified exact fit at 0 <= lam <= lam_stop."""
+        if not 0.0 <= lam <= self.lam_stop:
+            raise ValueError("lambda must lie in [0, lam_stop]")
+        v = self.y.values
+        cut = np.flatnonzero(self.times > lam)
+        start = np.concatenate(([0], cut + 1))
+        size = np.diff(np.append(start, v.size))
+        base = v[start]
+        excess = np.add.reduceat(v - np.repeat(base, size), start)
+        side = np.sign(v[cut] - v[cut + 1])
+        pull = np.zeros(start.size)     # s_L + s_R per group
+        pull[:-1] += side
+        pull[1:] -= side
+        f = np.repeat(base + (excess - lam * pull) / size, size)
+        return _certified_1d(self.y, lam, f)
 
 
 def tv_path_1d(y: Signal, lambdas) -> list[TvSolution]:
     """Exact TV minimizers on a path lattice over an ascending lambda grid,
-    in one pass.
+    from one pass.
 
-    Follows the fusion path from lambda = 0 upward and writes out the fit at
-    each grid value with the same dual and gap certificate as
-    ``tv_denoise_1d``. Within a fused group the fit's differences are
-    exactly 0.
+    One ``FusionPath`` pass up to the largest grid value records the fusion
+    time of every edge; each grid value's fit is written from those times
+    with the same dual and gap certificate as ``tv_denoise_1d``. Within a
+    fused group the fit's differences are exactly 0.
     """
     if not y.shape.is_path:
         raise ValueError("tv_path_1d requires a path lattice")
@@ -232,9 +289,10 @@ def tv_path_1d(y: Signal, lambdas) -> list[TvSolution]:
         raise ValueError("lambda values must be finite and nonnegative")
     if np.any(np.diff(lams) < 0):
         raise ValueError("lambda grid must be ascending")
-    lams = lams.tolist()
-    return [_certified_1d(y, lam, f)
-            for lam, f in zip(lams, _fusion_path(y.values, lams))]
+    if lams.size == 0:
+        return []
+    path = FusionPath(y, lams[-1])
+    return [path.solve(lam) for lam in lams.tolist()]
 
 
 def tv_denoise(y: Signal, lam: float, cfg: SolverConfig | None = None) -> TvSolution:

@@ -48,14 +48,32 @@ def tv_objective(y, f, lam, sizes):
         + lam * np.abs(oracle_diff(f, sizes)).sum()
 
 
-def tv_oracle_boxqp(y, lam, sizes):
-    """TV minimizer through the dual box-constrained least squares problem."""
+def tv_oracle_boxqp(y, lam, sizes, tol=1e-8):
+    """TV minimizer through the dual box-constrained least squares problem.
+
+    The fit f = y - B^T x is returned only with its own certificate: the
+    dual x, clipped to the box |x| <= lam, has the duality gap
+    lam ||B f||_1 - <B f, x> (which bounds ||f - f*||^2 / 2) of at most
+    tol * (1 + objective). A solve that stops short of it raises instead;
+    bvls at its default iteration cap left fits up to a few percent above
+    the minimum objective.
+    """
     y = np.asarray(y, dtype=float)
     if oracle_edge_count(sizes) == 0 or lam == 0:
         return y.copy()
     bt = oracle_dense_b(sizes).T
-    res = lsq_linear(bt, y, bounds=(-lam, lam), method="bvls", tol=1e-14)
-    return y - bt @ res.x
+    res = lsq_linear(bt, y, bounds=(-lam, lam), method="bvls", tol=1e-14,
+                     max_iter=50 * bt.shape[1])
+    # bvls can step past a bound by an ulp
+    x = np.clip(res.x, -lam, lam)
+    f = y - bt @ x
+    z = oracle_diff(f, sizes)
+    gap = lam * np.abs(z).sum() - z @ x
+    if not (res.success
+            and gap <= tol * (1.0 + tv_objective(y, f, lam, sizes))):
+        raise RuntimeError("box QP oracle did not certify its fit (status %d, "
+                           "gap %.3g)" % (res.status, gap))
+    return f
 
 
 def tv_oracle_patterns(y, lam, sizes):

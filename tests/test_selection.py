@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvdn.coeffs import default_coefficients
-from tvdn.grid import LatticeShape, Signal
+from tvdn.grid import LatticeShape, Signal, adjoint_flat
 from tvdn.lambda_stat import GumbelFitCoefficients
 from tvdn.selection import (ThresholdReport, adaptive_threshold_1d, adaptive_tv,
                             count_jumps, edge_count_alpha, estimate_sigma,
@@ -300,6 +302,43 @@ def test_adaptive_tv_path_lattices_match_1d():
             assert sol.estimate.values.tobytes() == r.estimate.values.tobytes()
     assert count_jumps(Signal(LatticeShape((1, 300)), v), 1.0, "raw") \
         == count_jumps(S(v), 1.0, "raw")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(3, 300), layout=st.sampled_from(["n", "1xn", "nx1"]),
+       seed=st.integers(0, 2 ** 32 - 2), log_amp=st.floats(-6.0, 6.0),
+       data=st.sampled_from(["normal", "integer", "tied"]),
+       known_sigma=st.booleans())
+def test_adaptive_path_pass_matches_direct_pass(n, layout, seed, log_amp,
+                                                data, known_sigma):
+    # both fits of the adaptive rule on a path lattice come from one fusion
+    # pass up to lambda1; they must be the direct pass's at the reported
+    # thresholds, count the same levels and carry their certificates
+    rng = np.random.default_rng(seed)
+    amp = 10.0 ** log_amp
+    blocks = np.repeat(rng.normal(size=8) * 4, -(-n // 8))[:n]
+    v = blocks + rng.normal(size=n)
+    if data == "integer":
+        v = np.round(v)
+    elif data == "tied":
+        v = np.round(v / 3) * 3
+    v = amp * v
+    sizes = {"n": (n,), "1xn": (1, n), "nx1": (n, 1)}[layout]
+    y = Signal(LatticeShape(sizes), v)
+    sol1, sol2, report = adaptive_tv(y, sigma=amp if known_sigma else None)
+    assert report.lambda2 <= report.lambda1
+    tol = 1e-10 * (1.0 + np.abs(v).max())
+    for sol, lam in ((sol1, report.lambda1), (sol2, report.lambda2)):
+        direct = tv_denoise_1d(S(v), lam)
+        assert sol.lam == lam and sol.estimate.shape.sizes == sizes
+        assert np.abs(sol.estimate.values - direct.estimate.values).max() <= tol
+        assert np.abs(sol.dual).max(initial=0.0) <= lam
+        assert np.abs(v - adjoint_flat(sol.dual, sizes)
+                      - sol.estimate.values).max() <= 1e-8 * np.abs(v).max()
+        assert 0.0 <= sol.gap <= 1e-9 * (1.0 + sol.objective(y))
+    direct1 = tv_denoise_1d(S(v), report.lambda1).estimate
+    assert report.count1 == count_jumps(direct1, report.sigma_used,
+                                        "calibrated") + 1
 
 
 def test_adaptive_tv_rejects_high_dims():

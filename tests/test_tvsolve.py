@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import tv_oracle_boxqp
+from oracles import tv_objective, tv_oracle_boxqp
 from tvdn.grid import LatticeShape, Signal, adjoint_flat
 from tvdn.lambda_stat import sample_lambda, sample_lambda_1d
+from tvdn.signals import gen_test_function
 import tvdn.tvsolve
-from tvdn.tvsolve import (SolverConfig, TvSolution, _cut_solve, lambda_max,
-                          tv_denoise, tv_denoise_1d, tv_path_1d)
+from tvdn.tvsolve import (FusionPath, SolverConfig, TvSolution, _cut_solve,
+                          lambda_max, tv_denoise, tv_denoise_1d, tv_path_1d)
 
 S = Signal.from_array
 
@@ -102,7 +103,21 @@ def _path_grid(y, seed, k):
        log_amp=st.floats(-6.0, 6.0), ties=st.booleans(), k=st.integers(0, 12))
 def test_path_matches_direct_pass_with_certificates(n, seed, log_amp, ties, k):
     y = _path_input(n, seed, log_amp, ties)
-    grid = _path_grid(y, seed, k)
+    _assert_path_matches_direct_pass(y, _path_grid(y, seed, k))
+
+
+def test_path_matches_direct_pass_at_benchmark_scale():
+    # a smooth signal at the size of the Monte Carlo risk study, where the
+    # direct pass is slowest and the path has the most merges
+    f = gen_test_function("doppler", 10000, 7.0)
+    y = Signal(f.shape, f.values + np.random.default_rng(7).normal(size=10000))
+    lam_max = sample_lambda_1d(y)
+    _assert_path_matches_direct_pass(
+        y, np.array([0.0, 0.01, 0.1, 0.5, 1.0]) * lam_max)
+
+
+def _assert_path_matches_direct_pass(y, grid):
+    n = y.shape.n_sites
     lam_max = sample_lambda_1d(y)
     amp = float(np.abs(y.values).max())
     sols = tv_path_1d(y, grid)
@@ -130,6 +145,30 @@ def test_path_matches_boxqp_oracle(n, seed, ties, k):
     for lam, sol in zip(grid, tv_path_1d(y, grid)):
         ref = tv_oracle_boxqp(y.values, lam, (n,))
         assert np.abs(sol.estimate.values - ref).max() <= 1e-8
+
+
+def test_fusion_path_times_and_bounds():
+    # runs of equal data fuse at 0, an edge still apart at lam_stop at inf,
+    # and fits are written only up to lam_stop
+    y = S([1.0, 1.0, 4.0, 0.0, 0.0])
+    path = FusionPath(y, 1.0)
+    assert path.times[0] == 0.0 and path.times[3] == 0.0
+    assert np.all(path.times[1:3] == np.inf)
+    full = FusionPath(y, 10.0)
+    assert np.all(np.isfinite(full.times))
+    for lam in (0.0, 0.5, 1.0):
+        a, b = path.solve(lam), full.solve(lam)
+        assert np.array_equal(a.estimate.values, b.estimate.values)
+        assert np.abs(a.estimate.values
+                      - tv_denoise_1d(y, lam).estimate.values).max() <= 1e-15
+    for bad in (-0.1, 1.5):
+        with pytest.raises(ValueError):
+            path.solve(bad)
+    for bad in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            FusionPath(y, bad)
+    with pytest.raises(ValueError):
+        FusionPath(S(np.zeros((2, 3))), 1.0)
 
 
 def test_path_edge_cases_and_bad_grids():
@@ -254,6 +293,38 @@ def test_nd_converged_constant_fit_reports_minimum_sup_dual():
         assert np.abs(y.values - adjoint_flat(sol.dual, (4, 4))
                       - sol.estimate.values).max() <= 1e-12
         assert sol.gap == 0.0
+
+
+def test_1d_infinite_lambda_gives_mean():
+    # a path lattice at lambda = inf gets the constant mean fit with gap 0,
+    # as the 4x4 lattice above does, with no inf - inf or inf * 0 on the way
+    v = np.random.default_rng(2).normal(size=8)
+    for sizes in [(8,), (1, 8)]:
+        y = Signal(LatticeShape(sizes), v)
+        for sol in (tv_denoise_1d(y, np.inf), tv_denoise(y, np.inf)):
+            assert sol.estimate.shape.sizes == sizes
+            assert np.ptp(sol.estimate.values) == 0.0
+            assert sol.estimate.values[0] == pytest.approx(v.mean(), rel=1e-15)
+            assert np.all(np.isfinite(sol.dual))
+            assert np.abs(v - adjoint_flat(sol.dual, sizes)
+                          - sol.estimate.values).max() <= 1e-12
+            assert sol.gap == 0.0
+
+
+def test_boxqp_oracle_is_optimal_on_4x4_lattices():
+    # instances where bvls at its default iteration cap returned fits above
+    # the minimum objective (by 0.54%, 2.8% and 5e-5 relative); the oracle
+    # now certifies its fit, so it agrees with the certified cut fit
+    for seed, frac in ((995, 0.9), (3198, 0.9), (3486, 1.1)):
+        v = np.random.default_rng(seed).standard_normal(16)
+        y = S(v.reshape(4, 4))
+        lam = frac * sample_lambda(y)[0]
+        sol = tv_denoise(y, lam)
+        _cut_certificate(y, lam, sol)
+        ref = tv_oracle_boxqp(v, lam, (4, 4))
+        assert np.abs(sol.estimate.values - ref).max() <= 1e-8
+        assert tv_objective(v, ref, lam, (4, 4)) \
+            <= sol.objective(y) * (1 + 1e-12)
 
 
 def test_nd_certificates_and_reconstruction():
