@@ -22,7 +22,7 @@ from .segmentation import evaluate_outcome
 from .selection import (adaptive_tv, exact_seg_threshold, min_jump_height,
                         universal_threshold_1d)
 from .signals import TEST_FUNCTIONS, gen_piecewise, gen_test_function
-from .tvsolve import tv_denoise, tv_path_1d
+from .tvsolve import FusionPath, tv_denoise
 
 EXPERIMENTS = ("mse_1d", "seg_1d", "lambda_fit", "image")
 
@@ -102,8 +102,16 @@ def _loss(f_hat, f_true):
     return float(d @ d) / d.size
 
 
+def _map_cells(fn, cells):
+    """fn over the arguments of every (key, args) cell in one
+    ``parallel_map`` call; returns each cell's key with its results."""
+    out = iter(parallel_map(fn, [a for _, args in cells for a in args]))
+    return [(key, [next(out) for _ in args]) for key, args in cells]
+
+
 def _mse_rep(args):
-    """One Table-style risk replicate: oracle, SURE and adaptive losses."""
+    """One Table-style risk replicate: oracle, SURE and adaptive losses,
+    every fit from one fusion pass over the replicate's signal."""
     function, n, snr, sigma, entropy = args
     rng = np.random.default_rng(entropy)
     f = gen_test_function(function, n, snr=snr)
@@ -114,32 +122,39 @@ def _mse_rep(args):
     grid = default_lambda_grid(lam_max)
     losses = np.empty(grid.size)
     sures = np.empty(grid.size)
-    for i, sol in enumerate(tv_path_1d(y, grid)):
+    path = FusionPath(y)
+    for i, sol in enumerate(map(path.solve, grid.tolist())):
         losses[i] = _loss(sol.estimate.values, f.values)
         sures[i] = sure(y, sol.estimate, sigma)
-    _, sol2, _ = adaptive_tv(y, sigma=sigma)
+    _, sol2, _ = adaptive_tv(path, sigma=sigma)
     return (float(losses.min()),
             float(losses[int(np.argmin(sures))]),
             _loss(sol2.estimate.values, f.values))
 
 
 def bench_mse(config: ExperimentConfig) -> ResultTable:
-    """Risk (x100) of oracle, SURE and adaptive selection on 1D test signals."""
+    """Risk (x100) of oracle, SURE and adaptive selection on 1D test signals.
+
+    The replicates of every (function, size) cell go through one
+    ``parallel_map`` call.
+    """
     if config.experiment != "mse_1d":
         raise ValueError("config is not an mse_1d experiment")
     functions = config.functions or TEST_FUNCTIONS
     sizes = config.sizes or DEFAULT_MSE_SIZES
-    table = ResultTable()
+    cells = []
     for fi, function in enumerate(functions):
         for si, n in enumerate(sizes):
             reps = config.reps_for(si) if config.reps else DEFAULT_MSE_REPS[
                 si % len(DEFAULT_MSE_REPS)]
-            args = [(function, n, config.snr, config.sigma,
-                     (config.seed, fi, n, r)) for r in range(reps)]
-            out = parallel_map(_mse_rep, args)
-            for mi, method in enumerate(("oracle", "sure", "adaptive")):
-                mean, se = _mean_se([100.0 * o[mi] for o in out])
-                table.add(function, n, method, "risk_x100", mean, se, reps)
+            cells.append(((function, n, reps),
+                          [(function, n, config.snr, config.sigma,
+                            (config.seed, fi, n, r)) for r in range(reps)]))
+    table = ResultTable()
+    for (function, n, reps), out in _map_cells(_mse_rep, cells):
+        for mi, method in enumerate(("oracle", "sure", "adaptive")):
+            mean, se = _mean_se([100.0 * o[mi] for o in out])
+            table.add(function, n, method, "risk_x100", mean, se, reps)
     return table
 
 
@@ -164,7 +179,8 @@ def bench_seg(config: ExperimentConfig) -> ResultTable:
 
     Jump heights sweep {2h*, h*, h*/10} around the recovery boundary h*;
     thresholds compared are the exact-recovery scale (per alpha) and the
-    universal threshold.
+    universal threshold. The replicates of every (size, function, height)
+    cell go through one ``parallel_map`` call.
     """
     if config.experiment != "seg_1d":
         raise ValueError("config is not a seg_1d experiment")
@@ -175,7 +191,7 @@ def bench_seg(config: ExperimentConfig) -> ResultTable:
     sigma = config.sigma
     hstar = min_jump_height(sigma, alpha)
     heights = (("2h*", 2.0 * hstar), ("h*", hstar), ("h*/10", hstar / 10.0))
-    table = ResultTable()
+    cells = []
     for si, n in enumerate(sizes):
         reps = config.reps_for(si) if config.reps else 200
         n_max = n - (n // n_levels) * (n_levels - 1)
@@ -185,22 +201,21 @@ def bench_seg(config: ExperimentConfig) -> ResultTable:
         }
         for fi, kind in enumerate(functions):
             for hi, (tag, height) in enumerate(heights):
-                args = [(kind, n, n_levels, height, sigma, lambdas,
-                         (config.seed, fi, si, hi, r)) for r in range(reps)]
-                out = parallel_map(_seg_rep, args)
-                for method in lambdas:
-                    ex = [o[method][0] for o in out]
-                    sc = [o[method][1] for o in out]
-                    lv = [o[method][2] for o in out]
-                    p_ex = float(np.mean(ex))
-                    p_sc = float(np.mean(sc))
-                    fn = "%s@%s" % (kind, tag)
-                    table.add(fn, n, method, "pi_exact", p_ex,
-                              math.sqrt(p_ex * (1 - p_ex) / reps), reps)
-                    table.add(fn, n, method, "pi_screen", p_sc,
-                              math.sqrt(p_sc * (1 - p_sc) / reps), reps)
-                    mean_lv, se_lv = _mean_se(lv)
-                    table.add(fn, n, method, "mean_levels", mean_lv, se_lv, reps)
+                cells.append((("%s@%s" % (kind, tag), n, reps, lambdas), [
+                    (kind, n, n_levels, height, sigma, lambdas,
+                     (config.seed, fi, si, hi, r)) for r in range(reps)]))
+    table = ResultTable()
+    for (fn, n, reps, lambdas), out in _map_cells(_seg_rep, cells):
+        for method in lambdas:
+            ex, sc, lv = zip(*(o[method] for o in out))
+            p_ex = float(np.mean(ex))
+            p_sc = float(np.mean(sc))
+            table.add(fn, n, method, "pi_exact", p_ex,
+                      math.sqrt(p_ex * (1 - p_ex) / reps), reps)
+            table.add(fn, n, method, "pi_screen", p_sc,
+                      math.sqrt(p_sc * (1 - p_sc) / reps), reps)
+            mean_lv, se_lv = _mean_se(lv)
+            table.add(fn, n, method, "mean_levels", mean_lv, se_lv, reps)
     return table
 
 

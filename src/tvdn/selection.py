@@ -196,7 +196,7 @@ def _lattice_alpha_at(n_bar: float, d: int) -> float:
     return 2.0 / math.sqrt(math.log(p_bar))
 
 
-def adaptive_tv(y: Signal, sigma: float | None = None,
+def adaptive_tv(y: Signal | FusionPath, sigma: float | None = None,
                 coeffs: GumbelFitCoefficients | None = None):
     """Two-step denoising with the adaptive universal threshold.
 
@@ -205,16 +205,18 @@ def adaptive_tv(y: Signal, sigma: float | None = None,
     components on lattices of dimension 2 or 3) sets the average piece size
     N_bar, and step 2 re-solves once at the threshold recomputed for N_bar.
     The dimension d is the number of axes longer than 1. On a path lattice
-    N_bar <= N, so lambda2 <= lambda1 and one ``FusionPath`` pass up to
-    lambda1 gives both fits. Returns both solutions and a report.
+    both fits come from one ``FusionPath``; y may be that path, built for
+    its signal and perhaps already used for other lambda values, so the
+    signal's pass is not repeated. Returns both solutions and a report.
     """
+    path, y = (y, y.y) if isinstance(y, FusionPath) else (None, y)
     d = y.shape.squeezed.ndim
     if not (y.shape.is_path or d in (2, 3)):
         raise ValueError("adaptive rule covers path lattices and d in {2, 3}")
     sigma_used = estimate_sigma(y) if sigma is None else float(sigma)
     lam1 = universal_threshold(y.shape, sigma_used, coeffs)
     if y.shape.is_path:
-        path = FusionPath(y, lam1)
+        path = path or FusionPath(y)
         sol1 = path.solve(lam1)
         count1 = count_jumps(sol1.estimate, sigma_used, "calibrated") + 1
         n_bar = max(y.shape.n_sites / count1, 3.0)

@@ -4,13 +4,14 @@
 longer than 1, so its sites form one chain in flat order) by the direct
 pass ``tv_denoise_1d``, every other lattice by divide-and-conquer minimum
 cuts over the level sets of the fit. On a path lattice groups only merge as
-lambda grows, so ``FusionPath`` makes one heap pass over the fusion path
-that records the lambda at which each edge fuses, and writes the fit at any
-set of lambda values from those times; ``tv_path_1d`` (a lambda grid) and
-the adaptive rule (both of its thresholds) use it. No solver iterates to
-a tolerance: every one writes each piece of the fit as one constant and
-returns a dual edge vector w with ||w||_inf <= lambda whose reconstruction
-y - B^T w equals the estimate up to rounding, so the gap
+lambda grows, so ``FusionPath`` makes one heap pass over the whole fusion
+path that records the lambda at which each edge fuses, and writes the fit
+at any lambda >= 0 from those times; ``tv_path_1d`` (a lambda grid) and the
+adaptive rule (both of its thresholds) use it, and one path can serve both
+for the same signal. No solver iterates to a tolerance: every one writes
+each piece of the fit as one constant and returns a dual edge vector w
+with ||w||_inf <= lambda whose reconstruction y - B^T w equals the
+estimate up to rounding, so the gap
 
     gap = lambda * ||B f||_1 - <B f, w>
 
@@ -158,10 +159,10 @@ def tv_denoise_1d(y: Signal, lam: float) -> TvSolution:
     return _certified_1d(y, lam, _condat_1d(y.values, lam))
 
 
-def _fusion_times(y, lam_stop):
+def _fusion_times(y):
     """The lambda at which each edge of the 1D signal y fuses, by one pass
-    over the fusion path up to lam_stop: 0 inside runs of equal data, inf
-    for an edge still unfused at lam_stop.
+    over the whole fusion path: 0 inside runs of equal data, finite for
+    every edge, since the pass ends with one group.
 
     A group g of neighbouring sites sharing one fitted value has, between
     merges, the value (S_g - lambda (s_L + s_R)) / |g|: S_g is its data sum
@@ -213,7 +214,7 @@ def _fusion_times(y, lam_stop):
     # lambda exactly the merges the pass had made by then
     top = 0.0
     pop = heapq.heappop
-    while heap and heap[0][0] <= lam_stop:
+    while heap:
         t, g, h, vg, vh = pop(heap)
         if t > top:
             top = t
@@ -235,41 +236,43 @@ def _fusion_times(y, lam_stop):
 
 
 class FusionPath:
-    """Every exact TV fit on a path lattice for lambda up to lam_stop, from
-    one pass over the fusion path.
+    """Every exact TV fit on a path lattice, from one pass over the fusion
+    path.
 
-    The pass records each edge's fusion time; ``solve`` then writes the fit
-    at any lambda <= lam_stop from those times alone. The edges fusing
-    after lambda split the sites into groups, and a group g takes the value
-    b + (sum_g (y - b) - lambda (s_L + s_R)) / |g|, b its first datum: across
-    an unfused edge the sign of the fit's difference is that of the data's,
-    fixed at lambda = 0. Within a group the fit's differences are exactly 0.
+    The pass runs until every edge has fused and records each edge's fusion
+    time; ``solve`` then writes the fit at any lambda >= 0 from those times
+    alone. The edges fusing after lambda split the sites into groups, and a
+    group g takes the value b + (sum_g (y - b) - lambda (s_L + s_R)) / |g|,
+    b its first datum: across an unfused edge the sign of the fit's
+    difference is that of the data's, fixed at lambda = 0. Within a group
+    the fit's differences are exactly 0. One path serves every lambda asked
+    of the same signal, such as a grid and both adaptive thresholds.
     """
 
-    def __init__(self, y: Signal, lam_stop: float):
+    def __init__(self, y: Signal):
         if not y.shape.is_path:
             raise ValueError("FusionPath requires a path lattice")
-        if not 0.0 <= lam_stop < np.inf:
-            raise ValueError("lam_stop must be finite and nonnegative")
         self.y = y
-        self.lam_stop = float(lam_stop)
-        self.times = _fusion_times(y.values, self.lam_stop)
+        self.times = _fusion_times(y.values)
 
     def solve(self, lam: float) -> TvSolution:
-        """The certified exact fit at 0 <= lam <= lam_stop."""
-        if not 0.0 <= lam <= self.lam_stop:
-            raise ValueError("lambda must lie in [0, lam_stop]")
+        """The certified exact fit at lam >= 0 (at lam = inf, the mean)."""
+        if not lam >= 0.0:
+            raise ValueError("lambda must be nonnegative")
         v = self.y.values
         cut = np.flatnonzero(self.times > lam)
         start = np.concatenate(([0], cut + 1))
         size = np.diff(np.append(start, v.size))
         base = v[start]
         excess = np.add.reduceat(v - np.repeat(base, size), start)
-        side = np.sign(v[cut] - v[cut + 1])
-        pull = np.zeros(start.size)     # s_L + s_R per group
-        pull[:-1] += side
-        pull[1:] -= side
-        f = np.repeat(base + (excess - lam * pull) / size, size)
+        if cut.size:
+            # with no cut every s_L + s_R is 0, and inf * 0 would be NaN
+            side = np.sign(v[cut] - v[cut + 1])
+            pull = np.zeros(start.size)     # s_L + s_R per group
+            pull[:-1] += side
+            pull[1:] -= side
+            excess -= lam * pull
+        f = np.repeat(base + excess / size, size)
         return _certified_1d(self.y, lam, f)
 
 
@@ -277,22 +280,17 @@ def tv_path_1d(y: Signal, lambdas) -> list[TvSolution]:
     """Exact TV minimizers on a path lattice over an ascending lambda grid,
     from one pass.
 
-    One ``FusionPath`` pass up to the largest grid value records the fusion
-    time of every edge; each grid value's fit is written from those times
-    with the same dual and gap certificate as ``tv_denoise_1d``. Within a
-    fused group the fit's differences are exactly 0.
+    One ``FusionPath`` pass records the fusion time of every edge; each grid
+    value's fit is written from those times with the same dual and gap
+    certificate as ``tv_denoise_1d``. Within a fused group the fit's
+    differences are exactly 0.
     """
-    if not y.shape.is_path:
-        raise ValueError("tv_path_1d requires a path lattice")
     lams = np.asarray(lambdas, dtype=float).ravel()
     if not np.all(np.isfinite(lams)) or np.any(lams < 0):
         raise ValueError("lambda values must be finite and nonnegative")
     if np.any(np.diff(lams) < 0):
         raise ValueError("lambda grid must be ascending")
-    if lams.size == 0:
-        return []
-    path = FusionPath(y, lams[-1])
-    return [path.solve(lam) for lam in lams.tolist()]
+    return list(map(FusionPath(y).solve, lams.tolist()))
 
 
 def tv_denoise(y: Signal, lam: float, cfg: SolverConfig | None = None) -> TvSolution:

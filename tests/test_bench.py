@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
-from tvdn.bench import (ExperimentConfig, ResultTable, bench_mse, bench_seg,
-                        lambda_fit_report, qq_pairs, run_lambda_samples)
+import tvdn.tvsolve
+from tvdn.bench import (ExperimentConfig, ResultTable, _mean_se, _mse_rep,
+                        bench_mse, bench_seg, lambda_fit_report, qq_pairs,
+                        run_lambda_samples)
 from tvdn.grid import Signal
 from tvdn.lambda_stat import GumbelParams, sample_lambda_1d
 
@@ -62,6 +64,46 @@ def test_bench_mse_parallel_matches_serial(monkeypatch):
     assert serial.rows == parallel.rows
 
 
+def test_bench_mse_cells_share_one_flat_run(monkeypatch):
+    # every cell's replicates run in one flat call and are sliced back into
+    # their cells: serial and parallel agree, and each cell summarizes
+    # exactly its own replicates
+    cfg = ExperimentConfig("mse_1d", functions=("blocks", "bumps"),
+                           sizes=(60, 90), reps=(3, 2), seed=8, sigma=1.0)
+    monkeypatch.setenv("TVDN_THREADS", "1")
+    serial = bench_mse(cfg)
+    monkeypatch.setenv("TVDN_THREADS", "2")
+    assert bench_mse(cfg).rows == serial.rows
+    expected = ResultTable()
+    for fi, function in enumerate(cfg.functions):
+        for n, reps in zip(cfg.sizes, cfg.reps):
+            out = [_mse_rep((function, n, cfg.snr, cfg.sigma,
+                             (cfg.seed, fi, n, r))) for r in range(reps)]
+            for mi, method in enumerate(("oracle", "sure", "adaptive")):
+                mean, se = _mean_se([100.0 * o[mi] for o in out])
+                expected.add(function, n, method, "risk_x100", mean, se, reps)
+            if fi == 0:
+                solo = bench_mse(ExperimentConfig(
+                    "mse_1d", functions=(function,), sizes=(n,),
+                    reps=(reps,), seed=cfg.seed, sigma=cfg.sigma))
+                assert solo.rows == expected.rows[-3:]
+    assert serial.rows == expected.rows
+
+
+def test_mse_rep_runs_one_fusion_pass(monkeypatch):
+    # the grid fits and both adaptive fits share one pass over the signal
+    calls = []
+    fusion_times = tvdn.tvsolve._fusion_times
+
+    def counted(y):
+        calls.append(y.size)
+        return fusion_times(y)
+
+    monkeypatch.setattr(tvdn.tvsolve, "_fusion_times", counted)
+    _mse_rep(("bumps", 200, 7.0, 1.0, (3, 0, 200, 0)))
+    assert calls == [200]
+
+
 def test_bench_mse_wrong_experiment():
     with pytest.raises(ValueError):
         bench_mse(ExperimentConfig("seg_1d"))
@@ -88,6 +130,18 @@ def test_bench_seg_small_run():
                      "pi_exact")["value"] >= 0.8
     assert table.get("battlements@h*/10", 100, "exact_seg",
                      "pi_exact")["value"] == 0.0
+
+
+def test_bench_seg_parallel_matches_serial(monkeypatch):
+    cfg = ExperimentConfig("seg_1d", functions=("battlements", "staircase"),
+                           sizes=(40, 60), reps=(4, 3), seed=6,
+                           alphas=(0.05,), sigma=1.0)
+    monkeypatch.setenv("TVDN_THREADS", "1")
+    serial = bench_seg(cfg)
+    monkeypatch.setenv("TVDN_THREADS", "2")
+    parallel = bench_seg(cfg)
+    assert len(serial.rows) == 2 * 2 * 3 * 2 * 3
+    assert serial.rows == parallel.rows
 
 
 def test_run_lambda_samples_matches_closed_form():

@@ -15,7 +15,7 @@ from tvdn.selection import (ThresholdReport, adaptive_threshold_1d, adaptive_tv,
                             universal_threshold, universal_threshold_1d,
                             universal_threshold_lattice)
 from tvdn.signals import gen_piecewise, gen_test_function
-from tvdn.tvsolve import tv_denoise, tv_denoise_1d
+from tvdn.tvsolve import FusionPath, tv_denoise, tv_denoise_1d
 
 S = Signal.from_array
 
@@ -302,6 +302,29 @@ def test_adaptive_tv_path_lattices_match_1d():
             assert sol.estimate.values.tobytes() == r.estimate.values.tobytes()
     assert count_jumps(Signal(LatticeShape((1, 300)), v), 1.0, "raw") \
         == count_jumps(S(v), 1.0, "raw")
+
+
+def test_adaptive_tv_takes_a_shared_path():
+    # a path already used for a lambda grid gives the adaptive rule bit for
+    # bit what the rule's own pass gives, in the signal's layout
+    rng = np.random.default_rng(26)
+    for function in ("blocks", "bumps", "heavisine", "doppler"):
+        f = gen_test_function(function, 1000, 7.0)
+        v = f.values + rng.normal(size=1000)
+        for sizes in [(1000,), (1, 1000), (1000, 1)]:
+            y = Signal(LatticeShape(sizes), v)
+            path = FusionPath(y)
+            for lam in np.geomspace(1e-2, 1e3, 5).tolist():
+                path.solve(lam)
+            shared = adaptive_tv(path, sigma=1.0)
+            own = adaptive_tv(y, sigma=1.0)
+            assert shared[2] == own[2]
+            for a, b in zip(shared[:2], own[:2]):
+                assert a.estimate.shape.sizes == sizes
+                assert a.estimate.values.tobytes() == b.estimate.values.tobytes()
+                assert a.dual.tobytes() == b.dual.tobytes()
+                assert (a.lam, a.gap) == (b.lam, b.gap)
+            assert adaptive_tv(path)[2] == adaptive_tv(y)[2]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -148,27 +148,37 @@ def test_path_matches_boxqp_oracle(n, seed, ties, k):
 
 
 def test_fusion_path_times_and_bounds():
-    # runs of equal data fuse at 0, an edge still apart at lam_stop at inf,
-    # and fits are written only up to lam_stop
+    # runs of equal data fuse at 0 and every other edge at a finite time, so
+    # one path writes the fit at any lambda >= 0: the mean fit, with gap 0,
+    # from Lambda on and at lambda = inf
     y = S([1.0, 1.0, 4.0, 0.0, 0.0])
-    path = FusionPath(y, 1.0)
+    path = FusionPath(y)
     assert path.times[0] == 0.0 and path.times[3] == 0.0
-    assert np.all(path.times[1:3] == np.inf)
-    full = FusionPath(y, 10.0)
-    assert np.all(np.isfinite(full.times))
-    for lam in (0.0, 0.5, 1.0):
-        a, b = path.solve(lam), full.solve(lam)
-        assert np.array_equal(a.estimate.values, b.estimate.values)
-        assert np.abs(a.estimate.values
+    assert np.all(np.isfinite(path.times))
+    for lam in (0.0, 0.5, 1.0, 10.0, np.inf):
+        sol = path.solve(lam)
+        assert np.abs(sol.estimate.values
                       - tv_denoise_1d(y, lam).estimate.values).max() <= 1e-15
-    for bad in (-0.1, 1.5):
+    for lam in (10.0, np.inf):
+        assert np.abs(path.solve(lam).estimate.values - 1.2).max() <= 1e-15
+        assert path.solve(lam).gap == 0.0
+    for bad in (-0.1, -np.inf, np.nan):
         with pytest.raises(ValueError):
             path.solve(bad)
-    for bad in (-1.0, np.inf, np.nan):
-        with pytest.raises(ValueError):
-            FusionPath(y, bad)
     with pytest.raises(ValueError):
-        FusionPath(S(np.zeros((2, 3))), 1.0)
+        FusionPath(S(np.zeros((2, 3))))
+    # the pass ends with one group at any amplitude, with or without ties
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 50, 400):
+        for amp in (1e-6, 1.0, 1e6):
+            for v in (amp * rng.normal(size=n), amp * rng.integers(0, 3, n)):
+                path = FusionPath(S(v))
+                assert path.times.shape == (n - 1,)
+                assert np.all(np.isfinite(path.times))
+                sol = path.solve(np.inf)
+                assert np.ptp(sol.estimate.values) == 0.0 and sol.gap == 0.0
+                assert abs(sol.estimate.values[0] - v.mean()) \
+                    <= 1e-12 * (1.0 + np.abs(v).max())
 
 
 def test_path_edge_cases_and_bad_grids():
