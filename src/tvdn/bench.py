@@ -14,9 +14,8 @@ import numpy as np
 
 from ._pool import parallel_map
 from .grid import LatticeShape, Signal
-from .lambda_stat import (GumbelParams, fit_gev_and_lr_test, fit_gumbel,
-                          fit_loglog_regression, monte_carlo_lambda,
-                          sample_lambda_1d)
+from .lambda_stat import (GumbelParams, _mc_one, _mc_tasks, fit_gev_and_lr_test,
+                          fit_gumbel, fit_loglog_regression, sample_lambda_1d)
 from .risk import default_lambda_grid, sure
 from .segmentation import evaluate_outcome
 from .selection import (adaptive_tv, exact_seg_threshold, min_jump_height,
@@ -221,12 +220,14 @@ def bench_seg(config: ExperimentConfig) -> ResultTable:
 
 def run_lambda_samples(dim: int, sizes, reps: int, seed: int,
                        tol: float = 1e-6) -> dict:
-    """Draw Lambda samples for each side length of an N^dim lattice."""
-    out = {}
-    for i, n in enumerate(sizes):
-        shape = LatticeShape((int(n),) * dim)
-        out[int(n)] = monte_carlo_lambda(shape, reps, seed + i, tol=tol)
-    return out
+    """Draw Lambda samples for each side length of an N^dim lattice.
+
+    The draws at the i-th size are those of ``monte_carlo_lambda`` with seed
+    + i; the draws of every size go through one ``parallel_map`` call.
+    """
+    cells = [(int(n), _mc_tasks(LatticeShape((int(n),) * dim), reps, seed + i, tol))
+             for i, n in enumerate(sizes)]
+    return {n: np.array(draws) for n, draws in _map_cells(_mc_one, cells)}
 
 
 def lambda_fit_report(samples_by_n: dict, dim: int, reps=None, seed=None) -> dict:

@@ -97,7 +97,7 @@ def cmd_denoise(args):
             curve = risk_curve(y, grid, "sure", sigma=sigma)
         else:
             curve = risk_curve(y, grid, "oracle", f_true=truth)
-        sol = tv_denoise(y, curve.argmin_lambda)
+        sol = curve.argmin_fit
         lam1, lam2 = float(grid.max()), curve.argmin_lambda
     else:
         raise ValueError("unknown method %r" % (method,))

@@ -9,13 +9,13 @@ neighbouring pieces from counting as separate components.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._pool import parallel_map
 from .grid import LatticeShape, Signal, edge_components, edge_endpoints
-from .tvsolve import SolverConfig, tv_denoise, tv_path_1d
+from .tvsolve import SolverConfig, TvSolution, tv_denoise, tv_path_1d
 
 
 def default_quantization(f: Signal) -> float:
@@ -61,11 +61,13 @@ def default_lambda_grid(lam_max: float, n_points: int = 30) -> np.ndarray:
 
 @dataclass
 class RiskCurve:
-    """Risk values over a lambda grid, one exact fit per value."""
+    """Risk values over a lambda grid, one exact fit per value; argmin_fit
+    is the fit at argmin_lambda."""
 
     lambdas: np.ndarray
     values: np.ndarray
     argmin_lambda: float
+    argmin_fit: TvSolution | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=float)
@@ -86,7 +88,8 @@ def _risk_of(y, f_hat, criterion, sigma, ftv):
 def _risk_one(args):
     sizes, yv, lam, criterion, sigma, ftv = args
     y = Signal(LatticeShape(sizes), yv)
-    return _risk_of(y, tv_denoise(y, lam).estimate, criterion, sigma, ftv)
+    sol = tv_denoise(y, lam)
+    return _risk_of(y, sol.estimate, criterion, sigma, ftv), sol
 
 
 def risk_curve(y: Signal, lambdas, criterion: str = "sure",
@@ -99,7 +102,8 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
     value (pieces can split as lambda grows, so there is no path to
     follow); solves are distributed across workers (TVDN_THREADS) and
     gathered back in grid order, so the curve does not depend on the worker
-    count. cfg is accepted for compatibility and not read.
+    count. The fit at the argmin is kept on the curve. cfg is accepted for
+    compatibility and not read.
     """
     lams = np.sort(np.asarray(lambdas, dtype=float))
     if lams.size == 0:
@@ -119,11 +123,12 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
     else:
         raise ValueError("criterion must be 'sure' or 'oracle'")
     if y.shape.is_path:
-        values = [_risk_of(y, sol.estimate, criterion, sigma, ftv)
-                  for sol in tv_path_1d(y, lams)]
+        sols = tv_path_1d(y, lams)
+        values = [_risk_of(y, sol.estimate, criterion, sigma, ftv) for sol in sols]
     else:
         args = [(y.shape.sizes, y.values, float(l), criterion, sigma, ftv)
                 for l in lams]
-        values = parallel_map(_risk_one, args)
+        values, sols = zip(*parallel_map(_risk_one, args))
     values = np.array(values)
-    return RiskCurve(lams, values, float(lams[int(np.argmin(values))]))
+    best = int(np.argmin(values))
+    return RiskCurve(lams, values, float(lams[best]), sols[best])

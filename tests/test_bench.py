@@ -2,12 +2,13 @@
 import numpy as np
 import pytest
 
+import tvdn.bench
 import tvdn.tvsolve
 from tvdn.bench import (ExperimentConfig, ResultTable, _mean_se, _mse_rep,
                         bench_mse, bench_seg, lambda_fit_report, qq_pairs,
                         run_lambda_samples)
-from tvdn.grid import Signal
-from tvdn.lambda_stat import GumbelParams, sample_lambda_1d
+from tvdn.grid import LatticeShape, Signal
+from tvdn.lambda_stat import GumbelParams, monte_carlo_lambda, sample_lambda_1d
 
 
 def test_experiment_config_validation():
@@ -158,6 +159,28 @@ def test_run_lambda_samples_shifts_seed_per_size():
     both = run_lambda_samples(1, [30, 40], reps=5, seed=5)
     solo = run_lambda_samples(1, [40], reps=5, seed=6)
     np.testing.assert_array_equal(both[40], solo[40])
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_lambda_samples_one_pool_call(monkeypatch, threads):
+    # every size's draws go through one parallel_map call and equal the
+    # draws of monte_carlo_lambda at seed + size index
+    monkeypatch.setenv("TVDN_THREADS", threads)
+    calls = []
+    pmap = tvdn.bench.parallel_map
+
+    def counted(fn, items):
+        calls.append(1)
+        return pmap(fn, items)
+
+    monkeypatch.setattr(tvdn.bench, "parallel_map", counted)
+    sizes = (4, 6, 5)
+    got = run_lambda_samples(2, sizes, reps=3, seed=9)
+    assert len(calls) == 1
+    assert list(got) == list(sizes)
+    for i, n in enumerate(sizes):
+        want = monte_carlo_lambda(LatticeShape((n, n)), 3, seed=9 + i)
+        np.testing.assert_array_equal(got[n], want)
 
 
 def test_lambda_fit_report_payload():

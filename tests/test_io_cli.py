@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import tvdn.tvsolve
 from tvdn._pool import parallel_map, worker_count
 from tvdn.cli import main
 from tvdn.coeffs import default_coefficients, load_coefficients
@@ -13,7 +14,9 @@ from tvdn.io import (SCHEMA_VERSION, read_csv_column, read_json_report,
                      read_pgm, read_signal_csv, write_csv_column,
                      write_csv_rows, write_json_report, write_pgm,
                      write_signal_csv)
-from tvdn.selection import universal_threshold_1d
+from tvdn.risk import default_lambda_grid, risk_curve
+from tvdn.selection import estimate_sigma, universal_threshold_1d
+from tvdn.tvsolve import lambda_max, tv_denoise
 
 
 def _read_bytes(path):
@@ -358,6 +361,39 @@ def test_cli_denoise_counts_small_steps_as_pieces(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["ncc"] == 2
     assert payload["count1"] == 2
+
+
+def test_cli_sure_denoise_reuses_the_curve_fit(tmp_path, capsys, monkeypatch):
+    # the fit at the SURE argmin comes from the risk curve: 30 cut solves
+    # for the 30-point grid, and the same output as a fresh solve there
+    monkeypatch.setenv("TVDN_THREADS", "1")
+    rng = np.random.default_rng(40)
+    img = np.clip(np.rint(np.kron([[60.0, 160.0], [110.0, 30.0]], np.ones((8, 8)))
+                          + 15.0 * rng.standard_normal((16, 16))), 0, 255)
+    src = str(tmp_path / "i.pgm")
+    out = str(tmp_path / "o.pgm")
+    write_pgm(src, Signal.from_array(img), maxval=255)
+    calls = []
+    cut_solve = tvdn.tvsolve._cut_solve
+
+    def counted(y, lam):
+        calls.append(lam)
+        return cut_solve(y, lam)
+
+    monkeypatch.setattr(tvdn.tvsolve, "_cut_solve", counted)
+    assert main(["denoise", "--in", src, "--method", "sure", "--out", out]) == 0
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert len(calls) == 30
+    y, _, _ = read_pgm(src)
+    lam = risk_curve(y, default_lambda_grid(lambda_max(y)), "sure",
+                     sigma=estimate_sigma(y)).argmin_lambda
+    sol = tv_denoise(y, lam)
+    assert payload["lambda2"] == lam
+    assert payload["gap"] == sol.gap
+    assert payload["iterations"] == sol.iterations
+    ref = str(tmp_path / "ref.pgm")
+    write_pgm(ref, sol.estimate, maxval=255)
+    assert _read_bytes(out) == _read_bytes(ref)
 
 
 def _warnings(err):

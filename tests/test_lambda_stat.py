@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,9 +10,12 @@ from scipy import stats
 
 from invariants import check_lambda_equivariance, check_mle_equivariance
 from oracles import lambda_oracle_gridsearch, lambda_oracle_lp
-from tvdn.grid import LatticeShape, Signal, adjoint_flat
+import tvdn
+from tvdn.cuts import CutNetwork
+from tvdn.grid import (LatticeShape, Signal, SpectralLaplacian, adjoint_flat,
+                       edge_endpoints)
 from tvdn.lambda_stat import (GevParams, GumbelFitCoefficients, GumbelParams,
-                              fit_gev_and_lr_test, fit_gumbel,
+                              _best_level_ratio, fit_gev_and_lr_test, fit_gumbel,
                               fit_loglog_regression, gev_loglik, gumbel_loglik,
                               monte_carlo_lambda, sample_lambda,
                               sample_lambda_1d)
@@ -103,10 +110,69 @@ def test_sample_lambda_constraint_residual():
 
 
 def test_sample_lambda_iteration_cap():
+    # from the level-set start this draw certifies tol=1e-14 in 2 flows
     rng = np.random.default_rng(14)
     y = S(rng.normal(size=(5, 5)))
     with pytest.raises(RuntimeError):
-        sample_lambda(y, tol=1e-14, max_iter=3)
+        sample_lambda(y, tol=1e-14, max_iter=1)
+
+
+def _level_ratio_bruteforce(u, c, shape):
+    near, far = edge_endpoints(shape)
+    best = 0.0
+    for t in np.unique(u)[1:]:
+        inside = u >= t
+        cut = np.count_nonzero(inside[near] != inside[far])
+        best = max(best, abs(c[inside].sum()) / cut)
+    return best
+
+
+@pytest.mark.parametrize("sizes", [(4, 5), (6, 6), (2, 3, 4), (3, 3, 3)])
+def test_best_level_ratio_matches_bruteforce(sizes):
+    rng = np.random.default_rng(30)
+    shape = LatticeShape(sizes)
+    near, far = edge_endpoints(shape)
+    for _ in range(10):
+        y = rng.normal(size=shape.n_sites)
+        c = y - y.mean()
+        ref = lambda_oracle_lp(y, sizes)
+        laplace = SpectralLaplacian(shape).solve(c)
+        # the Laplacian's potential, a rounded copy with ties, and a
+        # potential whose level sets have nothing to do with c
+        for u in (laplace, np.round(laplace, 1), rng.integers(0, 3, shape.n_sites)):
+            got = _best_level_ratio(u.astype(float), c, near, far)
+            assert got == pytest.approx(_level_ratio_bruteforce(u, c, shape),
+                                        rel=1e-12, abs=1e-15)
+            assert got <= ref * (1 + 1e-9)
+    # a constant potential has no level set but all sites
+    assert _best_level_ratio(np.ones(shape.n_sites), c, near, far) == 0.0
+
+
+def test_sample_lambda_flow_count(monkeypatch):
+    # the level-set bound and the clipped minimum-norm dual certify this
+    # draw in 3 flows; from ratio(c > 0) and a zero flow it took 6
+    calls = []
+    route = CutNetwork.route
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return route(self, *args, **kwargs)
+
+    monkeypatch.setattr(CutNetwork, "route", counted)
+    y = S(np.random.default_rng(2024).standard_normal((32, 32)))
+    sample_lambda(y)
+    assert 1 <= len(calls) <= 3
+
+
+def test_sample_lambda_warm_start_keeps_bracket():
+    rng = np.random.default_rng(31)
+    y = rng.standard_normal((24, 24))
+    lam, w = sample_lambda(S(y), tol=1e-9)
+    ref = lambda_oracle_lp(y.ravel(), y.shape)
+    assert abs(lam - ref) <= 1e-9 * (1.0 + lam)
+    assert lam == np.abs(w).max()
+    c = y.ravel() - y.mean()
+    assert np.linalg.norm(adjoint_flat(w, y.shape) - c) <= 1e-8 * np.linalg.norm(c)
 
 
 def test_sample_lambda_is_scale_equivariant():
@@ -255,6 +321,26 @@ def test_gev_nests_gumbel():
         gev, p = fit_gev_and_lr_test(x)
         assert gev_loglik(gev, x) >= gumbel_loglik(g, x) - 1e-7
         assert 0.0 <= p <= 1.0
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # the ratio test's p-value comes from scipy.special; scipy.stats costs
+    # about half a second and 40 MB at import
+    root = os.path.dirname(os.path.dirname(tvdn.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; import tvdn; print('scipy.stats' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=root), capture_output=True, text=True,
+        check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_lr_pvalue_is_chi2_tail():
+    rng = np.random.default_rng(22)
+    for x in (rng.gumbel(loc=5.0, size=200), rng.standard_normal(200)):
+        fit, p = fit_gev_and_lr_test(x)
+        lr = max(0.0, 2.0 * (gev_loglik(fit, x) - gumbel_loglik(fit_gumbel(x), x)))
+        assert p == pytest.approx(stats.chi2.sf(lr, df=1), rel=1e-6, abs=1e-12)
 
 
 def test_gev_requires_enough_samples():

@@ -6,7 +6,7 @@ from tvdn.grid import LatticeShape, Signal
 from tvdn.risk import (RiskCurve, component_labels, default_lambda_grid,
                        default_quantization, ncc, risk_curve, sure)
 from tvdn.signals import gen_piecewise, gen_test_function
-from tvdn.tvsolve import lambda_max, tv_denoise, tv_denoise_1d
+from tvdn.tvsolve import FusionPath, lambda_max, tv_denoise, tv_denoise_1d
 
 S = Signal.from_array
 
@@ -179,6 +179,12 @@ def test_path_lattices_match_1d():
         for curve, ref in zip(curves, refs):
             assert curve.values.tobytes() == ref.values.tobytes()
             assert curve.argmin_lambda == ref.argmin_lambda
+            # the kept fit is the fusion path's at the argmin
+            want = FusionPath(y).solve(curve.argmin_lambda)
+            assert curve.argmin_fit.lam == curve.argmin_lambda
+            assert curve.argmin_fit.estimate.shape.sizes == sizes
+            assert curve.argmin_fit.estimate.values.tobytes() == \
+                want.estimate.values.tobytes()
         for fit in fits:
             for q in (0.0, default_quantization(S(fit))):
                 assert ncc(Signal(shape, fit), q) == ncc(S(fit), q)
@@ -216,6 +222,12 @@ def test_lattice_risk_curve_independent_of_worker_count(monkeypatch):
         fits.append(parallel_map(_fit_values, args))
     assert curves[0].values.tobytes() == curves[1].values.tobytes()
     assert curves[0].argmin_lambda == curves[1].argmin_lambda
+    want = tv_denoise(y, curves[0].argmin_lambda)
+    for curve in curves:
+        assert curve.argmin_fit.estimate.values.tobytes() == \
+            want.estimate.values.tobytes()
+        assert curve.argmin_fit.dual.tobytes() == want.dual.tobytes()
+        assert curve.argmin_fit.gap == want.gap
     for a, b, lam in zip(*fits, grid):
         assert a.tobytes() == b.tobytes()
         assert a.tobytes() == tv_denoise(y, lam).estimate.values.tobytes()
