@@ -6,7 +6,7 @@ differences between neighboring lattice sites. A path lattice (at most one
 axis longer than 1, so its sites form one chain in flat order) is treated
 everywhere as the 1D signal of its flat values, and axes of size 1 never
 count towards a lattice's dimension. The package provides one exact,
-certified solver for every lattice (a direct pass on path lattices,
+certified solver for every lattice (the fusion path on path lattices,
 divide-and-conquer s-t minimum cuts otherwise), exact solving of a path
 lattice along a whole threshold grid in one pass, universal and adaptive
 threshold rules, SURE risk search, exact-segmentation analysis, and the

@@ -21,7 +21,7 @@ from .segmentation import evaluate_outcome
 from .selection import (adaptive_tv, exact_seg_threshold, min_jump_height,
                         universal_threshold_1d)
 from .signals import TEST_FUNCTIONS, gen_piecewise, gen_test_function
-from .tvsolve import FusionPath, tv_denoise
+from .tvsolve import FusionPath
 
 EXPERIMENTS = ("mse_1d", "seg_1d", "lambda_fit", "image")
 
@@ -158,15 +158,17 @@ def bench_mse(config: ExperimentConfig) -> ResultTable:
 
 
 def _seg_rep(args):
-    """One segmentation replicate: exact/screening events and level count."""
+    """One segmentation replicate: exact/screening events and level count,
+    every threshold's fit from one fusion pass over the replicate's signal."""
     kind, n, n_levels, height, sigma, lambdas, entropy = args
     rng = np.random.default_rng(entropy)
     spec = gen_piecewise(kind, n, n_levels, height)
     f = spec.realize()
     y = Signal(f.shape, f.values + sigma * rng.standard_normal(n))
+    path = FusionPath(y)
     res = {}
     for method, lam in lambdas.items():
-        est = tv_denoise(y, lam).estimate
+        est = path.solve(lam).estimate
         outcome = evaluate_outcome(est, spec, sigma)
         res[method] = (outcome.exact, outcome.screening,
                        len(outcome.jumps_estimated) + 1)

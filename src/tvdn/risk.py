@@ -108,7 +108,8 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
     lams = np.sort(np.asarray(lambdas, dtype=float))
     if lams.size == 0:
         raise ValueError("lambda grid is empty")
-    if lams[0] < 0:
+    # sorting puts NaN last, so the smallest value alone would not show it
+    if not np.all(lams >= 0):
         raise ValueError("lambda values must be nonnegative")
     if criterion == "sure":
         if sigma is None:

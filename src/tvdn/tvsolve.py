@@ -1,14 +1,15 @@
 """Exact TV solvers with dual certificates, on lattices of any dimension.
 
 ``tv_denoise`` solves on any lattice: a path lattice (at most one axis
-longer than 1, so its sites form one chain in flat order) by the direct
-pass ``tv_denoise_1d``, every other lattice by divide-and-conquer minimum
-cuts over the level sets of the fit. On a path lattice groups only merge as
-lambda grows, so ``FusionPath`` makes one heap pass over the whole fusion
-path that records the lambda at which each edge fuses, and writes the fit
-at any lambda >= 0 from those times; ``tv_path_1d`` (a lambda grid) and the
-adaptive rule (both of its thresholds) use it, and one path can serve both
-for the same signal. No solver iterates to a tolerance: every one writes
+longer than 1, so its sites form one chain in flat order) from its fusion
+path, every other lattice by divide-and-conquer minimum cuts over the level
+sets of the fit. On a path lattice groups only merge as lambda grows, so
+``FusionPath`` makes one heap pass over the whole fusion path that records
+the lambda at which each edge fuses, and writes the fit at any lambda >= 0
+from those times. It is the only 1D solver: ``tv_denoise_1d`` (one
+lambda), ``tv_path_1d`` (a lambda grid) and the adaptive rule (both of its
+thresholds) use it, and one path can serve every lambda asked of the same
+signal. No solver iterates to a tolerance: every one writes
 each piece of the fit as one constant and returns a dual edge vector w
 with ||w||_inf <= lambda whose reconstruction y - B^T w equals the
 estimate up to rounding, so the gap
@@ -65,64 +66,6 @@ class TvSolution:
             + self.lam * float(np.abs(z).sum())
 
 
-def _condat_1d(y, lam):
-    # Direct non-iterative pass; each flat segment is written as one constant,
-    # so within-segment differences of the output are exactly zero.
-    n = len(y)
-    x = np.empty(n)
-    k = k0 = km = kp = 0
-    vmin = y[0] - lam
-    vmax = y[0] + lam
-    umin = lam
-    umax = -lam
-    while True:
-        if k == n - 1:
-            if umin < 0.0:
-                x[k0:km + 1] = vmin
-                k = k0 = km = km + 1
-                vmin = y[k]
-                umin = lam
-                umax = y[k] + lam - vmax
-            elif umax > 0.0:
-                x[k0:kp + 1] = vmax
-                k = k0 = kp = kp + 1
-                vmax = y[k]
-                umax = -lam
-                umin = y[k] - lam - vmin
-            else:
-                x[k0:n] = vmin + umin / (k - k0 + 1)
-                return x
-            if k == n - 1:
-                x[k] = vmin + umin
-                return x
-        if y[k + 1] + umin < vmin - lam:
-            x[k0:km + 1] = vmin
-            k = k0 = km = kp = km + 1
-            vmin = y[k]
-            vmax = y[k] + 2 * lam
-            umin = lam
-            umax = -lam
-        elif y[k + 1] + umax > vmax + lam:
-            x[k0:kp + 1] = vmax
-            k = k0 = km = kp = kp + 1
-            vmin = y[k] - 2 * lam
-            vmax = y[k]
-            umin = lam
-            umax = -lam
-        else:
-            k += 1
-            umin += y[k] - vmin
-            umax += y[k] - vmax
-            if umin >= lam:
-                vmin += (umin - lam) / (k - k0 + 1)
-                umin = lam
-                km = k
-            if umax <= -lam:
-                vmax += (umax + lam) / (k - k0 + 1)
-                umax = -lam
-                kp = k
-
-
 def _certified_1d(y: Signal, lam: float, f: np.ndarray) -> TvSolution:
     """Wrap the exact 1D fit f at lam with its dual and duality gap.
 
@@ -142,21 +85,6 @@ def _certified_1d(y: Signal, lam: float, f: np.ndarray) -> TvSolution:
     # a constant fit has gap 0 at any lambda, lambda = inf included
     gap = lam * tv - float(z @ w) if tv else 0.0
     return TvSolution(Signal(y.shape, f), lam, w, abs(gap), 0)
-
-
-def tv_denoise_1d(y: Signal, lam: float) -> TvSolution:
-    """Exact TV minimizer on a path lattice at one lambda by a direct pass
-    over the flat values (at lambda = inf, the mean); the estimate keeps the
-    input's shape."""
-    if not y.shape.is_path:
-        raise ValueError("tv_denoise_1d requires a path lattice")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    if lam == 0.0 or y.shape.n_sites == 1 or np.ptp(y.values) == 0.0:
-        return _certified_1d(y, lam, y.values.copy())
-    if lam == np.inf:
-        return _certified_1d(y, lam, np.full(y.shape.n_sites, y.values.mean()))
-    return _certified_1d(y, lam, _condat_1d(y.values, lam))
 
 
 def _fusion_times(y):
@@ -276,14 +204,25 @@ class FusionPath:
         return _certified_1d(self.y, lam, f)
 
 
+def tv_denoise_1d(y: Signal, lam: float) -> TvSolution:
+    """Exact TV minimizer on a path lattice at one lambda >= 0 (at lambda =
+    inf, the mean), written from one ``FusionPath`` pass; the estimate keeps
+    the input's shape."""
+    if not y.shape.is_path:
+        raise ValueError("tv_denoise_1d requires a path lattice")
+    if not lam >= 0.0:
+        raise ValueError("lambda must be nonnegative")
+    return FusionPath(y).solve(lam)
+
+
 def tv_path_1d(y: Signal, lambdas) -> list[TvSolution]:
     """Exact TV minimizers on a path lattice over an ascending lambda grid,
     from one pass.
 
     One ``FusionPath`` pass records the fusion time of every edge; each grid
-    value's fit is written from those times with the same dual and gap
-    certificate as ``tv_denoise_1d``. Within a fused group the fit's
-    differences are exactly 0.
+    value's fit is written from those times, exactly as ``tv_denoise_1d``
+    writes it at that value. Within a fused group the fit's differences are
+    exactly 0.
     """
     lams = np.asarray(lambdas, dtype=float).ravel()
     if not np.all(np.isfinite(lams)) or np.any(lams < 0):
@@ -296,15 +235,16 @@ def tv_path_1d(y: Signal, lambdas) -> list[TvSolution]:
 def tv_denoise(y: Signal, lam: float, cfg: SolverConfig | None = None) -> TvSolution:
     """Exact TV minimizer on a lattice of any dimension.
 
-    A path lattice is solved by the direct pass ``tv_denoise_1d``, every
-    other lattice by divide-and-conquer minimum cuts (``iterations`` counts
-    their batched rounds). cfg is accepted for compatibility and not read.
-    Raises RuntimeError rather than return a fit it cannot certify.
+    A path lattice is solved from its fusion path by ``tv_denoise_1d``,
+    every other lattice by divide-and-conquer minimum cuts (``iterations``
+    counts their batched rounds). lam must be >= 0 (inf gives the mean; NaN
+    is rejected). cfg is accepted for compatibility and not read. Raises
+    RuntimeError rather than return a fit it cannot certify.
     """
+    if not lam >= 0.0:
+        raise ValueError("lambda must be nonnegative")
     if y.shape.is_path:
         return tv_denoise_1d(y, lam)
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
     return _cut_solve(y, lam)
 
 

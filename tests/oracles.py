@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from scratch against the problem
 definitions (dense matrices, exhaustive enumeration, generic LP/QP solvers,
-breadth-first search) rather than reusing package internals, so agreement
-between package and oracle is meaningful evidence.
+breadth-first search, a published direct 1D algorithm) rather than reusing
+package internals, so agreement between package and oracle is meaningful
+evidence.
 """
 import numpy as np
 import scipy.sparse as sp
@@ -74,6 +75,77 @@ def tv_oracle_boxqp(y, lam, sizes, tol=1e-8):
         raise RuntimeError("box QP oracle did not certify its fit (status %d, "
                            "gap %.3g)" % (res.status, gap))
     return f
+
+
+def tv_oracle_direct_1d(y, lam):
+    """1D TV minimizer by the direct taut-string pass of Condat, "A direct
+    algorithm for 1-D total variation denoising", IEEE SPL 20(11), 2013.
+
+    One left-to-right sweep keeps the lower and upper bounds a segment's
+    value can take and the running dual at both bounds, and writes a
+    segment as one constant once the next datum leaves its tube, so
+    within-segment differences are exactly zero. It shares no code or
+    idea with the fusion path (a heap of merge times), which makes it an
+    independent reference at any n.
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    if lam == 0.0 or n == 1 or np.ptp(y) == 0.0:
+        return y.copy()
+    if lam == np.inf:
+        return np.full(n, y.mean())
+    x = np.empty(n)
+    k = k0 = km = kp = 0
+    vmin = y[0] - lam
+    vmax = y[0] + lam
+    umin = lam
+    umax = -lam
+    while True:
+        if k == n - 1:
+            if umin < 0.0:
+                x[k0:km + 1] = vmin
+                k = k0 = km = km + 1
+                vmin = y[k]
+                umin = lam
+                umax = y[k] + lam - vmax
+            elif umax > 0.0:
+                x[k0:kp + 1] = vmax
+                k = k0 = kp = kp + 1
+                vmax = y[k]
+                umax = -lam
+                umin = y[k] - lam - vmin
+            else:
+                x[k0:n] = vmin + umin / (k - k0 + 1)
+                return x
+            if k == n - 1:
+                x[k] = vmin + umin
+                return x
+        if y[k + 1] + umin < vmin - lam:
+            x[k0:km + 1] = vmin
+            k = k0 = km = kp = km + 1
+            vmin = y[k]
+            vmax = y[k] + 2 * lam
+            umin = lam
+            umax = -lam
+        elif y[k + 1] + umax > vmax + lam:
+            x[k0:kp + 1] = vmax
+            k = k0 = km = kp = kp + 1
+            vmin = y[k] - 2 * lam
+            vmax = y[k]
+            umin = lam
+            umax = -lam
+        else:
+            k += 1
+            umin += y[k] - vmin
+            umax += y[k] - vmax
+            if umin >= lam:
+                vmin += (umin - lam) / (k - k0 + 1)
+                umin = lam
+                km = k
+            if umax <= -lam:
+                vmax += (umax + lam) / (k - k0 + 1)
+                umax = -lam
+                kp = k
 
 
 def tv_oracle_patterns(y, lam, sizes):

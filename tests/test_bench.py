@@ -5,8 +5,8 @@ import pytest
 import tvdn.bench
 import tvdn.tvsolve
 from tvdn.bench import (ExperimentConfig, ResultTable, _mean_se, _mse_rep,
-                        bench_mse, bench_seg, lambda_fit_report, qq_pairs,
-                        run_lambda_samples)
+                        _seg_rep, bench_mse, bench_seg, lambda_fit_report,
+                        qq_pairs, run_lambda_samples)
 from tvdn.grid import LatticeShape, Signal
 from tvdn.lambda_stat import GumbelParams, monte_carlo_lambda, sample_lambda_1d
 
@@ -103,6 +103,23 @@ def test_mse_rep_runs_one_fusion_pass(monkeypatch):
     monkeypatch.setattr(tvdn.tvsolve, "_fusion_times", counted)
     _mse_rep(("bumps", 200, 7.0, 1.0, (3, 0, 200, 0)))
     assert calls == [200]
+
+
+def test_seg_rep_runs_one_fusion_pass(monkeypatch):
+    # both thresholds' fits share one pass over each replicate's signal
+    calls = []
+    fusion_times = tvdn.tvsolve._fusion_times
+
+    def counted(y):
+        calls.append(y.size)
+        return fusion_times(y)
+
+    monkeypatch.setattr(tvdn.tvsolve, "_fusion_times", counted)
+    lambdas = {"exact_seg": 3.0, "universal": 3.5}
+    for r in range(3):
+        res = _seg_rep(("staircase", 100, 5, 4.0, 1.0, lambdas, (3, 0, 0, 1, r)))
+        assert sorted(res) == sorted(lambdas)
+        assert calls == [100] * (r + 1)
 
 
 def test_bench_mse_wrong_experiment():

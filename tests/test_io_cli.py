@@ -249,6 +249,25 @@ def test_cli_pgm_denoise(tmp_path, capsys):
         np.std(Signal.from_array(noisy).values.reshape(12, 12)[0:3, :])
 
 
+def test_cli_nan_lambda_exits_2(tmp_path, capsys):
+    # a NaN threshold is bad input on a path and on a lattice: no fit, no
+    # payload, no output file
+    csv = str(tmp_path / "y.csv")
+    main(["gen", "--sizes", "30", "--out", csv])
+    pgm = str(tmp_path / "y.pgm")
+    img = np.random.default_rng(4).integers(0, 256, (6, 6)).astype(float)
+    write_pgm(pgm, Signal.from_array(img), maxval=255)
+    capsys.readouterr()
+    for src in (csv, pgm):
+        out = src + ".out"
+        assert main(["denoise", "--in", src, "--lambda", "nan",
+                     "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "lambda must be nonnegative" in captured.err
+        assert not os.path.exists(out)
+
+
 def test_cli_uncertified_solve_exits_3(tmp_path, capsys, monkeypatch):
     # a lattice fit the solver cannot certify is an error, never an output
     import tvdn.tvsolve

@@ -123,6 +123,16 @@ def test_risk_curve_deterministic_and_validated():
         risk_curve(y, np.array([-1.0]), criterion="sure", sigma=1.0)
 
 
+def test_risk_curve_rejects_nan_grid_values():
+    # sorting puts NaN last; it is refused on a path and on a lattice alike
+    rng = np.random.default_rng(36)
+    for sizes in [(20,), (1, 20), (4, 5)]:
+        y = S(rng.normal(size=sizes))
+        for grid in ([0.1, np.nan], [np.nan, 0.1, 0.5], [np.nan]):
+            with pytest.raises(ValueError, match="nonnegative"):
+                risk_curve(y, grid, criterion="sure", sigma=1.0)
+
+
 def test_risk_curve_sure_close_to_oracle_on_blocks():
     rng = np.random.default_rng(3)
     f = gen_test_function("blocks", 1000, 7.0)

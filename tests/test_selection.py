@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import tv_oracle_direct_1d
 from tvdn.coeffs import default_coefficients
 from tvdn.grid import LatticeShape, Signal, adjoint_flat
 from tvdn.lambda_stat import GumbelFitCoefficients
@@ -335,7 +336,7 @@ def test_adaptive_tv_takes_a_shared_path():
 def test_adaptive_path_pass_matches_direct_pass(n, layout, seed, log_amp,
                                                 data, known_sigma):
     # both fits of the adaptive rule on a path lattice come from one fusion
-    # pass up to lambda1; they must be the direct pass's at the reported
+    # pass; they must be the direct-pass oracle's at the reported
     # thresholds, count the same levels and carry their certificates
     rng = np.random.default_rng(seed)
     amp = 10.0 ** log_amp
@@ -352,14 +353,14 @@ def test_adaptive_path_pass_matches_direct_pass(n, layout, seed, log_amp,
     assert report.lambda2 <= report.lambda1
     tol = 1e-10 * (1.0 + np.abs(v).max())
     for sol, lam in ((sol1, report.lambda1), (sol2, report.lambda2)):
-        direct = tv_denoise_1d(S(v), lam)
+        direct = tv_oracle_direct_1d(v, lam)
         assert sol.lam == lam and sol.estimate.shape.sizes == sizes
-        assert np.abs(sol.estimate.values - direct.estimate.values).max() <= tol
+        assert np.abs(sol.estimate.values - direct).max() <= tol
         assert np.abs(sol.dual).max(initial=0.0) <= lam
         assert np.abs(v - adjoint_flat(sol.dual, sizes)
                       - sol.estimate.values).max() <= 1e-8 * np.abs(v).max()
         assert 0.0 <= sol.gap <= 1e-9 * (1.0 + sol.objective(y))
-    direct1 = tv_denoise_1d(S(v), report.lambda1).estimate
+    direct1 = S(tv_oracle_direct_1d(v, report.lambda1))
     assert report.count1 == count_jumps(direct1, report.sigma_used,
                                         "calibrated") + 1
 

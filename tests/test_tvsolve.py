@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import tv_objective, tv_oracle_boxqp
+from oracles import tv_objective, tv_oracle_boxqp, tv_oracle_direct_1d
 from tvdn.grid import LatticeShape, Signal, adjoint_flat
 from tvdn.lambda_stat import sample_lambda, sample_lambda_1d
 from tvdn.signals import gen_test_function
@@ -108,7 +108,7 @@ def test_path_matches_direct_pass_with_certificates(n, seed, log_amp, ties, k):
 
 def test_path_matches_direct_pass_at_benchmark_scale():
     # a smooth signal at the size of the Monte Carlo risk study, where the
-    # direct pass is slowest and the path has the most merges
+    # direct-pass oracle is slowest and the path has the most merges
     f = gen_test_function("doppler", 10000, 7.0)
     y = Signal(f.shape, f.values + np.random.default_rng(7).normal(size=10000))
     lam_max = sample_lambda_1d(y)
@@ -124,7 +124,7 @@ def _assert_path_matches_direct_pass(y, grid):
     assert [s.lam for s in sols] == grid.tolist()
     for lam, sol in zip(grid, sols):
         f = sol.estimate.values
-        direct = tv_denoise_1d(y, lam).estimate.values
+        direct = tv_oracle_direct_1d(y.values, lam)
         assert np.abs(f - direct).max() <= 1e-10 * (1.0 + amp)
         assert np.abs(sol.dual).max() <= lam
         assert np.abs(y.values - adjoint_flat(sol.dual, (n,)) - f).max() \
@@ -149,8 +149,8 @@ def test_path_matches_boxqp_oracle(n, seed, ties, k):
 
 def test_fusion_path_times_and_bounds():
     # runs of equal data fuse at 0 and every other edge at a finite time, so
-    # one path writes the fit at any lambda >= 0: the mean fit, with gap 0,
-    # from Lambda on and at lambda = inf
+    # one path writes the fit at any lambda >= 0 (the direct-pass oracle's):
+    # the mean fit, with gap 0, from Lambda on and at lambda = inf
     y = S([1.0, 1.0, 4.0, 0.0, 0.0])
     path = FusionPath(y)
     assert path.times[0] == 0.0 and path.times[3] == 0.0
@@ -158,7 +158,7 @@ def test_fusion_path_times_and_bounds():
     for lam in (0.0, 0.5, 1.0, 10.0, np.inf):
         sol = path.solve(lam)
         assert np.abs(sol.estimate.values
-                      - tv_denoise_1d(y, lam).estimate.values).max() <= 1e-15
+                      - tv_oracle_direct_1d(y.values, lam)).max() <= 1e-15
     for lam in (10.0, np.inf):
         assert np.abs(path.solve(lam).estimate.values - 1.2).max() <= 1e-15
         assert path.solve(lam).gap == 0.0
@@ -205,34 +205,35 @@ def test_nd_constant_input():
     assert sol.gap == 0.0
 
 
-def test_tv_denoise_1d_is_the_direct_pass():
-    # a path lattice never enters the cut solver, whatever the config:
-    # every layout of n values on one chain gives the 1D pass on the flat
-    # values bit for bit, in the input's shape
+def test_tv_denoise_1d_is_the_fusion_path():
+    # a path lattice never enters the cut solver, whatever the config: every
+    # layout of n values on one chain gets, at one lambda from tv_denoise or
+    # tv_denoise_1d, the fusion path's fit on the flat values bit for bit,
+    # the same as tv_path_1d's at that lambda, in the input's shape
     rng = np.random.default_rng(13)
     cfg = SolverConfig(max_iter=1)
     for n in (1, 2, 50, 300):
         v = rng.normal(size=n)
-        y = S(v)
-        lams = [0.0, 0.3, 2.0, 1.5 * sample_lambda_1d(y)]
-        path = tv_path_1d(y, sorted(lams))
+        lams = sorted([0.0, 0.3, 2.0, 1.5 * sample_lambda_1d(S(v))])
         for sizes in [(n,), (1, n), (n, 1), (1, 1, n)]:
             ys = Signal(LatticeShape(sizes), v)
-            for lam in lams:
-                a = tv_denoise(ys, lam, cfg)
-                b = tv_denoise_1d(y, lam)
-                assert a.estimate.shape.sizes == sizes
-                assert a.estimate.values.tobytes() == b.estimate.values.tobytes()
-                assert a.dual.tobytes() == b.dual.tobytes()
-                assert (a.gap, a.iterations, a.converged) == (b.gap, 0, True)
-            for a, b in zip(tv_path_1d(ys, sorted(lams)), path):
-                assert a.estimate.shape.sizes == sizes
-                assert a.estimate.values.tobytes() == b.estimate.values.tobytes()
-                assert a.dual.tobytes() == b.dual.tobytes()
-    with pytest.raises(ValueError):
-        tv_denoise(S([1.0, 2.0]), -0.1, cfg)
-    with pytest.raises(ValueError):
-        tv_denoise(S(np.zeros((1, 3))), -0.1, cfg)
+            path = FusionPath(ys)
+            for lam, c in zip(lams, tv_path_1d(ys, lams)):
+                ref = path.solve(lam)
+                for a in (tv_denoise(ys, lam, cfg), tv_denoise_1d(ys, lam), c):
+                    assert a.estimate.shape.sizes == sizes
+                    assert a.estimate.values.tobytes() \
+                        == ref.estimate.values.tobytes()
+                    assert a.dual.tobytes() == ref.dual.tobytes()
+                    assert (a.lam, a.gap, a.iterations, a.converged) \
+                        == (lam, ref.gap, 0, True)
+    # lambda must satisfy lam >= 0, which NaN fails on every lattice
+    for bad in (-0.1, np.nan):
+        for sizes in [(2,), (1, 3), (3, 4)]:
+            with pytest.raises(ValueError, match="nonnegative"):
+                tv_denoise(S(rng.normal(size=sizes)), bad, cfg)
+        with pytest.raises(ValueError, match="nonnegative"):
+            tv_denoise_1d(S([1.0, 2.0]), bad)
     with pytest.raises(ValueError):
         tv_denoise_1d(S(np.zeros((2, 3))), 0.1)
 
