@@ -1,5 +1,5 @@
 """Lattice geometry, the finite-difference operator B, connected components and
-graph-Laplacian solves.
+the exact lattice-Laplacian solve (one cosine-transform solve, no iteration).
 
 The difference operator stacks one block per direction (direction-major). A
 direction is a lattice axis, enumerated from the fastest-varying axis of the
@@ -9,7 +9,7 @@ site. Each edge value is (far neighbor - near neighbor).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -169,86 +169,21 @@ def edge_components(shape: LatticeShape, joined: np.ndarray) -> np.ndarray:
     return labels
 
 
-def laplacian_apply(x: np.ndarray, shape: LatticeShape,
-                    edge_mask: np.ndarray | None = None) -> np.ndarray:
-    """Apply B^T B (optionally restricted to a subset of edges)."""
-    d = diff_flat(np.asarray(x, dtype=float), shape.sizes)
-    if edge_mask is not None:
-        d = np.where(edge_mask, d, 0.0)
-    return adjoint_flat(d, shape.sizes)
-
-
-def _site_degrees(shape, edge_mask):
-    deg = np.zeros(shape.n_sites)
-    near, far = edge_endpoints(shape)
-    if edge_mask is not None:
-        near = near[edge_mask]
-        far = far[edge_mask]
-    np.add.at(deg, near, 1.0)
-    np.add.at(deg, far, 1.0)
-    return deg
-
-
-_CG_ITER_PER_SITE = 10
-
-
-def laplacian_solve(rhs: Signal, tol: float = 1e-10,
-                    edge_mask: np.ndarray | None = None) -> Signal:
-    """Solve B^T B x = rhs by preconditioned conjugate gradients.
+def laplacian_solve(rhs: Signal) -> Signal:
+    """The mean-zero solution of B^T B x = rhs, solved exactly by
+    ``SpectralLaplacian``.
 
     The system is singular with the constants as kernel, so the right-hand
-    side must be mean-zero and the mean-zero (pseudo-inverse) solution is
-    returned. Jacobi scaling by the site degrees preconditions the
-    iteration; the operator itself is applied matrix-free. It solves
-    edge-masked systems, which ``SpectralLaplacian`` cannot. No solver in
-    the package calls it; perfbench's tracer wraps it by name.
-
-    Parameters
-    ----------
-    rhs : Signal
-    tol : relative residual target.
-    edge_mask : optional boolean mask restricting B to a subset of edges.
+    side must be mean-zero; the pseudo-inverse solution is returned.
 
     Raises
     ------
-    ValueError if rhs is not mean-zero within tolerance.
-    RuntimeError after 10 * n_sites iterations without reaching tol.
+    ValueError if |mean(rhs)| exceeds 1e-8 * max|rhs|.
     """
-    shape = rhs.shape
-    b = rhs.values.copy()
-    m = shape.n_sites
-    scale = max(float(np.abs(b).max(initial=0.0)), 1e-300)
-    if abs(b.mean()) > max(tol, 1e-8) * scale:
+    b = rhs.values
+    if abs(b.mean()) > 1e-8 * float(np.abs(b).max(initial=0.0)):
         raise ValueError("rhs must be mean-zero for the singular solve")
-    b -= b.mean()
-    diag = _site_degrees(shape, edge_mask)
-    dinv = np.where(diag > 0, 1.0 / np.maximum(diag, 1e-300), 1.0)
-    x = np.zeros(m)
-    r = b.copy()
-    nb = float(np.linalg.norm(b))
-    if nb == 0.0:
-        return Signal(shape, x)
-    z = dinv * r
-    p = z.copy()
-    rz = float(r @ z)
-    for _ in range(_CG_ITER_PER_SITE * m):
-        if np.linalg.norm(r) <= tol * nb:
-            break
-        ap = laplacian_apply(p, shape, edge_mask)
-        pap = float(p @ ap)
-        if pap <= 0.0:
-            break
-        a = rz / pap
-        x += a * p
-        r -= a * ap
-        z = dinv * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    else:
-        raise RuntimeError("laplacian_solve did not converge within the iteration cap")
-    x -= x.mean()
-    return Signal(shape, x)
+    return Signal(rhs.shape, SpectralLaplacian(rhs.shape).solve(b))
 
 
 class SpectralLaplacian:
@@ -256,8 +191,9 @@ class SpectralLaplacian:
 
     B^T B on a full rectangular lattice is the Kronecker sum of 1D path
     Laplacians, which the orthonormal DCT-II diagonalizes, so the singular
-    system is solved in closed form; the solve agrees with
-    ``laplacian_solve`` without an edge mask.
+    system is solved in closed form (Strang, SIAM Review 1999). It is the
+    package's only Laplacian solve; ``laplacian_solve`` wraps it for a
+    ``Signal``.
     """
 
     def __init__(self, shape: LatticeShape):

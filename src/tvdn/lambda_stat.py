@@ -121,8 +121,8 @@ def sample_lambda(y: Signal, tol: float = 1e-6, max_iter: int = 50000):
     On a path lattice no flow is computed: the only dual is minus the
     partial sums of c in flat order.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     shape = y.shape
     p = shape.n_edges
     c = y.values - y.values.mean()

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._pool import parallel_map
 from .grid import LatticeShape, Signal, edge_components, edge_endpoints
-from .tvsolve import SolverConfig, TvSolution, tv_denoise, tv_path_1d
+from .tvsolve import FusionPath, SolverConfig, TvSolution, tv_denoise
 
 
 def default_quantization(f: Signal) -> float:
@@ -97,13 +97,14 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
                cfg: SolverConfig | None = None) -> RiskCurve:
     """Evaluate SURE or oracle loss over a lambda grid.
 
-    On a path lattice one pass over the exact fusion path gives every fit,
-    in process. On other lattices there is one exact minimum-cut solve per
-    value (pieces can split as lambda grows, so there is no path to
-    follow); solves are distributed across workers (TVDN_THREADS) and
-    gathered back in grid order, so the curve does not depend on the worker
-    count. The fit at the argmin is kept on the curve. cfg is accepted for
-    compatibility and not read.
+    The grid may include inf, whose fit is the mean. On a path lattice one
+    pass over the exact fusion path gives every fit, in process. On other
+    lattices there is one exact minimum-cut solve per value (pieces can
+    split as lambda grows, so there is no path to follow); solves are
+    distributed across workers (TVDN_THREADS) and gathered back in grid
+    order, so the curve does not depend on the worker count. The fit at the
+    argmin is kept on the curve. cfg is accepted for compatibility and not
+    read.
     """
     lams = np.sort(np.asarray(lambdas, dtype=float))
     if lams.size == 0:
@@ -114,6 +115,8 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
     if criterion == "sure":
         if sigma is None:
             raise ValueError("sure criterion needs sigma")
+        if not 0.0 <= sigma < np.inf:
+            raise ValueError("sigma must be finite and nonnegative")
         ftv = None
     elif criterion == "oracle":
         if f_true is None:
@@ -124,7 +127,7 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
     else:
         raise ValueError("criterion must be 'sure' or 'oracle'")
     if y.shape.is_path:
-        sols = tv_path_1d(y, lams)
+        sols = list(map(FusionPath(y).solve, lams.tolist()))
         values = [_risk_of(y, sol.estimate, criterion, sigma, ftv) for sol in sols]
     else:
         args = [(y.shape.sizes, y.values, float(l), criterion, sigma, ftv)

@@ -67,8 +67,8 @@ def universal_threshold_1d(n: int, sigma: float) -> float:
     probability at least 1 - 2/sqrt(log N) under pure noise."""
     if n < 3:
         raise ValueError("N must be at least 3")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and nonnegative")
     return _threshold_1d(float(n), sigma)
 
 
@@ -78,8 +78,8 @@ def adaptive_threshold_1d(n: int, n_levels: int, sigma: float) -> float:
         raise ValueError("L must be at least 1")
     if n / n_levels < 3:
         raise ValueError("N/L must be at least 3")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and nonnegative")
     return _threshold_1d(n / n_levels, sigma)
 
 
@@ -146,8 +146,8 @@ def universal_threshold_lattice(shape: LatticeShape, sigma: float,
     then the (1 - 2/sqrt(log P))-quantile is scaled by sigma.
     """
     d = shape.squeezed.ndim
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and nonnegative")
     alpha = edge_count_alpha(shape.n_edges)
     if alpha >= 1.0:
         raise ValueError("lattice too small: 2/sqrt(log P) is not below 1")

@@ -30,6 +30,13 @@ def oracle_dense_b(sizes):
     return np.array([oracle_diff(eye[:, j], sizes) for j in range(m)]).T
 
 
+def oracle_laplacian_pinv(rhs, sizes):
+    """The minimum-norm solution of B^T B x = rhs: the dense pseudo-inverse
+    of the lattice Laplacian applied to rhs."""
+    b = oracle_dense_b(sizes)
+    return np.linalg.pinv(b.T @ b) @ np.asarray(rhs, dtype=float)
+
+
 def oracle_edge_list(sizes):
     d = len(sizes)
     idx = np.arange(int(np.prod(sizes))).reshape(sizes)

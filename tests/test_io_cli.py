@@ -268,6 +268,42 @@ def test_cli_nan_lambda_exits_2(tmp_path, capsys):
         assert not os.path.exists(out)
 
 
+def test_cli_bad_noise_level_exits_2(tmp_path, capsys):
+    # a NaN, infinite or negative --sigma-known is bad input wherever a
+    # rule reads it: no payload and no output file
+    csv = str(tmp_path / "y.csv")
+    main(["gen", "--sizes", "30", "--out", csv])
+    pgm = str(tmp_path / "y.pgm")
+    img = np.random.default_rng(4).integers(0, 256, (6, 6)).astype(float)
+    write_pgm(pgm, Signal.from_array(img), maxval=255)
+    capsys.readouterr()
+    for src in (csv, pgm):
+        out = src + ".out"
+        for sigma in ("nan", "inf", "-1"):
+            for argv in (["denoise", "--method", "sure"],
+                         ["denoise", "--method", "universal"],
+                         ["denoise", "--method", "adaptive"],
+                         ["risk-curve"]):
+                assert main(argv + ["--in", src, "--sigma-known", sigma,
+                                    "--out", out]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "sigma must be finite and nonnegative" in captured.err
+                assert not os.path.exists(out)
+
+
+def test_cli_bad_lambda_sample_tol_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TVDN_THREADS", "1")
+    for dim in ("1", "2"):
+        for tol in ("nan", "inf", "0"):
+            assert main(["lambda-sample", "--dim", dim, "--sizes", "8",
+                         "--reps", "2", "--tol", tol,
+                         "--out", str(tmp_path / "draws")]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "tol must be positive and finite" in captured.err
+
+
 def test_cli_uncertified_solve_exits_3(tmp_path, capsys, monkeypatch):
     # a lattice fit the solver cannot certify is an error, never an output
     import tvdn.tvsolve

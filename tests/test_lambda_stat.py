@@ -117,6 +117,14 @@ def test_sample_lambda_iteration_cap():
         sample_lambda(y, tol=1e-14, max_iter=1)
 
 
+def test_sample_lambda_rejects_bad_tol():
+    rng = np.random.default_rng(15)
+    for y in (S(rng.normal(size=12)), S(rng.normal(size=(4, 4)))):
+        for tol in (np.nan, np.inf, 0.0, -1e-6):
+            with pytest.raises(ValueError, match="tol"):
+                sample_lambda(y, tol=tol)
+
+
 def _level_ratio_bruteforce(u, c, shape):
     near, far = edge_endpoints(shape)
     best = 0.0

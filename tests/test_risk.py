@@ -133,6 +133,29 @@ def test_risk_curve_rejects_nan_grid_values():
                 risk_curve(y, grid, criterion="sure", sigma=1.0)
 
 
+def test_risk_curve_takes_infinite_lambda_on_every_layout():
+    # inf is the mean fit on a path and on a lattice alike; on pure noise at
+    # the true sigma SURE prefers it to a fit at 0.1
+    rng = np.random.default_rng(39)
+    for sizes in [(20,), (1, 20), (4, 5)]:
+        y = S(rng.normal(size=sizes))
+        curve = risk_curve(y, [0.1, np.inf], criterion="sure", sigma=1.0)
+        assert curve.argmin_lambda == np.inf
+        fit = curve.argmin_fit.estimate
+        assert fit.shape.sizes == sizes
+        assert np.all(fit.values == fit.values[0])
+        assert fit.values[0] == pytest.approx(y.mean(), abs=1e-12)
+
+
+def test_risk_curve_rejects_bad_sigma():
+    rng = np.random.default_rng(40)
+    for sizes in [(20,), (4, 5)]:
+        y = S(rng.normal(size=sizes))
+        for sigma in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="sigma"):
+                risk_curve(y, [0.1, 1.0], criterion="sure", sigma=sigma)
+
+
 def test_risk_curve_sure_close_to_oracle_on_blocks():
     rng = np.random.default_rng(3)
     f = gen_test_function("blocks", 1000, 7.0)

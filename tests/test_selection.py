@@ -61,6 +61,21 @@ def test_adaptive_threshold_1d_values():
         adaptive_threshold_1d(10, 4, 1.0)
 
 
+def test_thresholds_reject_bad_sigma():
+    # a noise level must be finite and nonnegative in every rule
+    path = S(np.random.default_rng(41).normal(size=30))
+    image = S(np.random.default_rng(42).normal(size=(6, 6)))
+    for sigma in (math.nan, math.inf, -1.0):
+        for call in (lambda: universal_threshold_1d(100, sigma),
+                     lambda: adaptive_threshold_1d(100, 4, sigma),
+                     lambda: universal_threshold_lattice(image.shape, sigma),
+                     lambda: universal_threshold(path.shape, sigma),
+                     lambda: adaptive_tv(path, sigma=sigma),
+                     lambda: adaptive_tv(image, sigma=sigma)):
+            with pytest.raises(ValueError, match="sigma"):
+                call()
+
+
 def test_thresholds_homogeneous_and_increasing():
     for n in (16, 100, 4096):
         assert universal_threshold_1d(n, 3.0) \
