@@ -24,11 +24,10 @@ from .lambda_stat import (GevParams, GumbelFitCoefficients, GumbelParams,
                           fit_gev_and_lr_test, fit_gumbel, fit_loglog_regression,
                           monte_carlo_lambda, sample_lambda, sample_lambda_1d)
 from .coeffs import DEFAULT_COEFFICIENTS, default_coefficients, load_coefficients
-from .selection import (ThresholdReport, adaptive_threshold_1d, adaptive_tv,
-                        count_jumps, estimate_sigma, exact_seg_prob_bound,
+from .selection import (ThresholdReport, adaptive_tv, count_jumps,
+                        estimate_sigma, exact_seg_prob_bound,
                         exact_seg_threshold, min_jump_height,
-                        universal_threshold, universal_threshold_1d,
-                        universal_threshold_lattice)
+                        universal_threshold)
 from .risk import RiskCurve, default_lambda_grid, ncc, risk_curve, sure
 from .segmentation import (SegmentationOutcome, evaluate_outcome, extract_jumps,
                            kkt_check)
@@ -46,10 +45,9 @@ __all__ = [
     "fit_gumbel", "fit_loglog_regression", "monte_carlo_lambda",
     "sample_lambda", "sample_lambda_1d", "DEFAULT_COEFFICIENTS",
     "default_coefficients", "load_coefficients", "ThresholdReport",
-    "adaptive_threshold_1d", "adaptive_tv", "count_jumps", "estimate_sigma",
-    "exact_seg_prob_bound", "exact_seg_threshold", "min_jump_height",
-    "universal_threshold", "universal_threshold_1d",
-    "universal_threshold_lattice", "RiskCurve",
+    "adaptive_tv", "count_jumps", "estimate_sigma", "exact_seg_prob_bound",
+    "exact_seg_threshold", "min_jump_height", "universal_threshold",
+    "RiskCurve",
     "default_lambda_grid", "ncc", "risk_curve", "sure",
     "SegmentationOutcome", "evaluate_outcome", "extract_jumps", "kkt_check",
     "ExperimentConfig", "ResultTable", "bench_mse", "bench_seg",

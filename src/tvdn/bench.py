@@ -19,7 +19,7 @@ from .lambda_stat import (GumbelParams, _mc_one, _mc_tasks, fit_gev_and_lr_test,
 from .risk import default_lambda_grid, sure
 from .segmentation import evaluate_outcome
 from .selection import (adaptive_tv, exact_seg_threshold, min_jump_height,
-                        universal_threshold_1d)
+                        universal_threshold)
 from .signals import TEST_FUNCTIONS, gen_piecewise, gen_test_function
 from .tvsolve import FusionPath
 
@@ -198,7 +198,7 @@ def bench_seg(config: ExperimentConfig) -> ResultTable:
         n_max = n - (n // n_levels) * (n_levels - 1)
         lambdas = {
             "exact_seg": exact_seg_threshold(n_max, sigma, alpha),
-            "universal": universal_threshold_1d(n, sigma),
+            "universal": universal_threshold(LatticeShape((n,)), sigma),
         }
         for fi, kind in enumerate(functions):
             for hi, (tag, height) in enumerate(heights):

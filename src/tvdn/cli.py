@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -18,7 +19,7 @@ from . import io as tvio
 from .bench import (ExperimentConfig, bench_mse, bench_seg, lambda_fit_report,
                     qq_pairs, run_lambda_samples)
 from .coeffs import load_coefficients
-from .lambda_stat import GumbelParams, fit_gumbel
+from .lambda_stat import GumbelParams
 from .risk import default_lambda_grid, default_quantization, ncc, risk_curve
 from .selection import adaptive_tv, estimate_sigma, universal_threshold
 from .signals import gen_test_function
@@ -58,7 +59,13 @@ def _warn_zero_sigma():
           "lambda, so the fit stays at or near the input; set --sigma-known")
 
 
+def _check_sigma_known(args):
+    if args.sigma_known is not None and not 0.0 <= args.sigma_known < math.inf:
+        raise ValueError("--sigma-known: sigma must be finite and nonnegative")
+
+
 def cmd_denoise(args):
+    _check_sigma_known(args)
     y, meta = _read_input(args.infile)
     sigma = args.sigma_known if args.sigma_known is not None else estimate_sigma(y)
     coeffs = load_coefficients(args.coeffs) if args.coeffs else None
@@ -92,7 +99,7 @@ def cmd_denoise(args):
         _, sol, report = adaptive_tv(y, sigma=sigma, coeffs=coeffs)
         lam1, lam2, count1 = report.lambda1, report.lambda2, report.count1
     elif method in ("sure", "oracle"):
-        grid = _make_grid(args.grid, lambda_max(y))
+        grid = _make_grid(args.grid, y)
         if method == "sure":
             curve = risk_curve(y, grid, "sure", sigma=sigma)
         else:
@@ -184,9 +191,9 @@ def cmd_lambda_sample(args):
         raise ValueError("--sizes is required")
     if not args.out:
         raise ValueError("lambda-sample needs --out (a directory)")
-    os.makedirs(args.out, exist_ok=True)
     samples = run_lambda_samples(args.dim, args.sizes, args.reps, args.seed,
                                  tol=args.tol)
+    os.makedirs(args.out, exist_ok=True)
     for n, draws in samples.items():
         path = os.path.join(args.out, "lambda_d%d_n%d.csv" % (args.dim, n))
         tvio.write_csv_column(path, draws, "lambda")
@@ -219,9 +226,8 @@ def cmd_lambda_fit(args):
                                 seed=meta.get("seed"))
     tvio.write_json_report(args.out, payload)
     stem = os.path.splitext(args.out)[0]
-    for n in sorted(samples):
-        g = fit_gumbel(samples[n])
-        pairs = qq_pairs(samples[n], GumbelParams(g.mu, g.beta))
+    for n, mu, beta in zip(payload["n_values"], payload["mu"], payload["beta"]):
+        pairs = qq_pairs(samples[n], GumbelParams(mu, beta))
         tvio.write_csv_rows(stem + "_qq_n%d.csv" % n,
                             ("empirical", "fitted"),
                             [tuple(float(x) for x in row) for row in pairs])
@@ -231,24 +237,29 @@ def cmd_lambda_fit(args):
     return 0
 
 
-def _make_grid(spec, lam_max):
-    if not spec:
-        return default_lambda_grid(lam_max if lam_max > 0 else 1.0)
-    parts = spec.split(",")
-    if len(parts) == 1:
-        return default_lambda_grid(lam_max if lam_max > 0 else 1.0,
-                                   n_points=int(parts[0]))
+def _make_grid(spec, y):
+    """The --grid spec's lambda grid for y; Lambda of y (a full solve on a
+    lattice) is computed only when the grid is scaled by it."""
+    parts = spec.split(",") if spec else []
     if len(parts) == 3:
         lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
         if not 0 < lo <= hi:
             raise ValueError("--grid bounds must satisfy 0 < lo <= hi")
         return np.geomspace(lo, hi, num)
-    raise ValueError("--grid expects COUNT or LO,HI,COUNT")
+    if len(parts) > 1:
+        raise ValueError("--grid expects COUNT or LO,HI,COUNT")
+    count = int(parts[0]) if parts else None
+    lam_max = lambda_max(y)
+    top = lam_max if lam_max > 0 else 1.0
+    if count is None:
+        return default_lambda_grid(top)
+    return default_lambda_grid(top, n_points=count)
 
 
 def cmd_risk_curve(args):
+    _check_sigma_known(args)
     y, _ = _read_input(args.infile)
-    grid = _make_grid(args.grid, lambda_max(y))
+    grid = _make_grid(args.grid, y)
     if args.method == "oracle":
         if not args.truth:
             raise ValueError("--method oracle needs --truth")

@@ -4,9 +4,11 @@ The universal threshold is the (1-alpha)-quantile of the dual sup-norm
 statistic under pure noise, with alpha = 2/sqrt(log P) for a lattice with P
 edges. On a path lattice (at most one axis longer than 1) it has the closed
 form (sigma/2)*sqrt(N log log N); on every other lattice it comes from the
-Gumbel law fitted for its dimension; ``universal_threshold`` picks the form
-from the lattice. The adaptive rule reruns the same formula with the
-average piece size found in a first pass.
+Gumbel law fitted for its dimension. ``_threshold`` holds both forms and
+is the only place the rule is written: ``universal_threshold`` applies it
+at the lattice's size, and ``adaptive_tv`` applies it a second time at the
+average piece size N_bar of its first fit, with P_bar = d * N_bar^(d-1) *
+(N_bar - 1) edges.
 """
 from __future__ import annotations
 
@@ -21,8 +23,6 @@ from .grid import LatticeShape, Signal, diff_flat
 from .lambda_stat import GumbelFitCoefficients
 from .risk import default_quantization, ncc
 from .tvsolve import FusionPath, tv_denoise
-
-METHODS = ("universal", "adaptive", "sure", "exact_seg", "fixed")
 
 # cutoff of jump_threshold("nonzero"): the solvers' fits are exactly
 # constant within pieces, so for them any cutoff below their smallest jump
@@ -41,11 +41,8 @@ class ThresholdReport:
     lambda1: float
     count1: int
     lambda2: float
-    method: str
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError("unknown method %r" % (self.method,))
         if self.lambda1 < 0 or self.lambda2 < 0 or self.sigma_used < 0:
             raise ValueError("thresholds and sigma must be nonnegative")
 
@@ -56,31 +53,6 @@ def estimate_sigma(y: Signal) -> float:
         raise ValueError("need at least 2 lattice edges to estimate sigma")
     d = diff_flat(y.values, y.shape.sizes)
     return _MAD_SCALE * float(np.median(np.abs(d - np.median(d))))
-
-
-def _threshold_1d(n_bar: float, sigma: float) -> float:
-    return 0.5 * sigma * math.sqrt(n_bar * math.log(math.log(n_bar)))
-
-
-def universal_threshold_1d(n: int, sigma: float) -> float:
-    """(sigma/2) * sqrt(N log log N); keeps the constant fit with
-    probability at least 1 - 2/sqrt(log N) under pure noise."""
-    if n < 3:
-        raise ValueError("N must be at least 3")
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError("sigma must be finite and nonnegative")
-    return _threshold_1d(float(n), sigma)
-
-
-def adaptive_threshold_1d(n: int, n_levels: int, sigma: float) -> float:
-    """Universal rule with the average observations per level, N/L."""
-    if n_levels < 1:
-        raise ValueError("L must be at least 1")
-    if n / n_levels < 3:
-        raise ValueError("N/L must be at least 3")
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError("sigma must be finite and nonnegative")
-    return _threshold_1d(n / n_levels, sigma)
 
 
 def _bonferroni_z(n: int) -> float:
@@ -116,18 +88,20 @@ def count_jumps(y_or_f: Signal, sigma: float, variant: str = "calibrated") -> in
     return int((d > thr).sum())
 
 
-def edge_count_alpha(n_edges: int) -> float:
-    """Coverage level alpha = 2/sqrt(log P) for a lattice with P edges."""
-    if n_edges < 2:
-        raise ValueError("need at least 2 edges")
-    return 2.0 / math.sqrt(math.log(n_edges))
+def _threshold(d: int, n_side: float, n_edges: float, sigma: float,
+               coeffs: GumbelFitCoefficients | None) -> float | None:
+    """The universal rule on a d-lattice with side n_side and n_edges edges.
 
-
-def _gumbel_threshold(d: int, n_side: float, alpha: float, sigma: float,
-                      coeffs: GumbelFitCoefficients | None) -> float:
-    """sigma times the (1 - alpha)-quantile of the Gumbel law of a d-lattice
-    with side n_side; coeffs (the shipped fit for d when None) must have
-    been fitted in dimension d."""
+    d = 1: the closed form (sigma/2)*sqrt(N log log N) at N = n_side.
+    d >= 2: sigma times the (1 - alpha)-quantile of the Gumbel law at side
+    n_side, alpha = 2/sqrt(log n_edges); coeffs (the shipped fit for d when
+    None) must have been fitted in dimension d. None when alpha >= 1.
+    """
+    if d == 1:
+        return 0.5 * sigma * math.sqrt(n_side * math.log(math.log(n_side)))
+    alpha = 2.0 / math.sqrt(math.log(n_edges))
+    if alpha >= 1.0:
+        return None
     if coeffs is None:
         coeffs = default_coefficients(d)
     elif coeffs.dim != d:
@@ -137,31 +111,23 @@ def _gumbel_threshold(d: int, n_side: float, alpha: float, sigma: float,
     return max(0.0, sigma * coeffs.params_at(n_side).quantile(1.0 - alpha))
 
 
-def universal_threshold_lattice(shape: LatticeShape, sigma: float,
-                                coeffs: GumbelFitCoefficients | None = None) -> float:
-    """Gumbel-calibrated universal threshold for lattices of dimension
-    d >= 2, the number of axes longer than 1.
-
-    Location and scale are extrapolated to the geometric-mean side length,
-    then the (1 - 2/sqrt(log P))-quantile is scaled by sigma.
-    """
-    d = shape.squeezed.ndim
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError("sigma must be finite and nonnegative")
-    alpha = edge_count_alpha(shape.n_edges)
-    if alpha >= 1.0:
-        raise ValueError("lattice too small: 2/sqrt(log P) is not below 1")
-    return _gumbel_threshold(d, shape.n_sites ** (1.0 / d), alpha, sigma,
-                             coeffs)
-
-
 def universal_threshold(shape: LatticeShape, sigma: float,
                         coeffs: GumbelFitCoefficients | None = None) -> float:
-    """Universal threshold on any lattice: the closed form on a path lattice
-    (coeffs not read) or, on every other lattice, the Gumbel quantile."""
-    if shape.is_path:
-        return universal_threshold_1d(shape.n_sites, sigma)
-    return universal_threshold_lattice(shape, sigma, coeffs)
+    """Universal threshold on any lattice of N sites and dimension d, the
+    number of axes longer than 1.
+
+    A path lattice (d = 1, N >= 3) takes the closed form, coeffs not read;
+    any other takes the Gumbel quantile at the geometric-mean side N^(1/d).
+    """
+    d, m = shape.squeezed.ndim, shape.n_sites
+    if d == 1 and m < 3:
+        raise ValueError("N must be at least 3")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and nonnegative")
+    lam = _threshold(d, m ** (1.0 / d), shape.n_edges, sigma, coeffs)
+    if lam is None:
+        raise ValueError("lattice too small: 2/sqrt(log P) is not below 1")
+    return lam
 
 
 def exact_seg_threshold(n_max: int, sigma: float, alpha: float) -> float:
@@ -189,13 +155,6 @@ def exact_seg_prob_bound(n_levels: int, alpha: float) -> float:
     return (1.0 - 2.0 * alpha) ** (n_levels - 2) * (1.0 - alpha) ** 2
 
 
-def _lattice_alpha_at(n_bar: float, d: int) -> float:
-    p_bar = d * n_bar ** (d - 1) * (n_bar - 1.0)
-    if p_bar < 2.0:
-        return 1.0
-    return 2.0 / math.sqrt(math.log(p_bar))
-
-
 def adaptive_tv(y: Signal | FusionPath, sigma: float | None = None,
                 coeffs: GumbelFitCoefficients | None = None):
     """Two-step denoising with the adaptive universal threshold.
@@ -203,38 +162,37 @@ def adaptive_tv(y: Signal | FusionPath, sigma: float | None = None,
     Step 1 denoises at the universal threshold for the full lattice. The
     piece count of that fit (level count on a path lattice, connected
     components on lattices of dimension 2 or 3) sets the average piece size
-    N_bar, and step 2 re-solves once at the threshold recomputed for N_bar.
-    The dimension d is the number of axes longer than 1. On a path lattice
-    both fits come from one ``FusionPath``; y may be that path, built for
-    its signal and perhaps already used for other lambda values, so the
-    signal's pass is not repeated. Returns both solutions and a report.
+    N_bar, and step 2 re-solves once at the same rule evaluated at side
+    N_bar. The dimension d is the number of axes longer than 1. On a path
+    lattice both fits come from one ``FusionPath``; y may be that path,
+    built for its signal and perhaps already used for other lambda values,
+    so the signal's pass is not repeated. Returns both solutions and a
+    report.
     """
     path, y = (y, y.y) if isinstance(y, FusionPath) else (None, y)
     d = y.shape.squeezed.ndim
-    if not (y.shape.is_path or d in (2, 3)):
+    if d > 3:
         raise ValueError("adaptive rule covers path lattices and d in {2, 3}")
     sigma_used = estimate_sigma(y) if sigma is None else float(sigma)
     lam1 = universal_threshold(y.shape, sigma_used, coeffs)
-    if y.shape.is_path:
-        path = path or FusionPath(y)
-        sol1 = path.solve(lam1)
-        count1 = count_jumps(sol1.estimate, sigma_used, "calibrated") + 1
-        n_bar = max(y.shape.n_sites / count1, 3.0)
-        lam2 = _threshold_1d(n_bar, sigma_used)
-        sol2 = path.solve(lam2)
+    if d == 1:
+        solve = (path or FusionPath(y)).solve
     else:
-        sol1 = tv_denoise(y, lam1)
+        solve = lambda lam: tv_denoise(y, lam)
+    sol1 = solve(lam1)
+    if d == 1:
+        count1 = count_jumps(sol1.estimate, sigma_used, "calibrated") + 1
+    else:
         count1 = ncc(sol1.estimate, default_quantization(sol1.estimate))
-        n_bar = max((y.shape.n_sites / count1) ** (1.0 / d), 2.0)
-        alpha2 = _lattice_alpha_at(n_bar, d)
-        if alpha2 >= 1.0:
-            # over-segmented to the point where the step-2 level is
-            # meaningless; keep the step-1 threshold
-            lam2 = lam1
-        else:
-            lam2 = _gumbel_threshold(d, n_bar, alpha2, sigma_used, coeffs)
-        sol2 = tv_denoise(y, lam2)
+    n_bar = max((y.shape.n_sites / count1) ** (1.0 / d),
+                3.0 if d == 1 else 2.0)
+    lam2 = _threshold(d, n_bar, d * n_bar ** (d - 1) * (n_bar - 1.0),
+                      sigma_used, coeffs)
+    if lam2 is None:
+        # over-segmented to the point where the step-2 level is
+        # meaningless; keep the step-1 threshold
+        lam2 = lam1
+    sol2 = solve(lam2)
     report = ThresholdReport(sigma_used=sigma_used, lambda1=lam1,
-                             count1=int(count1), lambda2=lam2,
-                             method="adaptive")
+                             count1=int(count1), lambda2=lam2)
     return sol1, sol2, report

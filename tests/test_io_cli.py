@@ -9,19 +9,37 @@ import tvdn.tvsolve
 from tvdn._pool import parallel_map, worker_count
 from tvdn.cli import main
 from tvdn.coeffs import default_coefficients, load_coefficients
-from tvdn.grid import Signal
+from tvdn.grid import LatticeShape, Signal
 from tvdn.io import (SCHEMA_VERSION, read_csv_column, read_json_report,
                      read_pgm, read_signal_csv, write_csv_column,
                      write_csv_rows, write_json_report, write_pgm,
                      write_signal_csv)
 from tvdn.risk import default_lambda_grid, risk_curve
-from tvdn.selection import estimate_sigma, universal_threshold_1d
+from tvdn.selection import estimate_sigma, universal_threshold
 from tvdn.tvsolve import lambda_max, tv_denoise
 
 
 def _read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity tokens that json.dumps
+    writes for non-finite floats and that strict JSON readers reject."""
+    def refuse(token):
+        raise ValueError("%s is not valid JSON" % token)
+    return json.loads(text, parse_constant=refuse)
+
+
+def _payload(out):
+    """The JSON payload a command prints as its last line of stdout."""
+    return _strict_json(out.strip().splitlines()[-1])
+
+
+def _report(path):
+    with open(path) as fh:
+        return _strict_json(fh.read())
 
 
 # ---------------------------------------------------------------- CSV
@@ -175,12 +193,12 @@ def test_cli_gen_then_adaptive_denoise(tmp_path, capsys):
     out = str(tmp_path / "fhat.csv")
     assert main(["denoise", "--in", noisy, "--method", "adaptive",
                  "--sigma-known", "0.5", "--out", out]) == 0
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    payload = _payload(capsys.readouterr().out)
     assert payload["method"] == "adaptive"
     assert payload["converged"] is True
     assert payload["sizes"] == [200]
     assert 0 < payload["lambda2"] <= payload["lambda1"]
-    report = read_json_report(out + ".json")
+    report = _report(out + ".json")
     assert report["schema_version"] == 1
     assert report["lambda2"] == payload["lambda2"]
     est = read_signal_csv(out)
@@ -196,7 +214,7 @@ def test_cli_denoise_lambda_zero_is_identity(tmp_path, capsys):
     assert main(["gen", "--sizes", "80", "--seed", "4", "--out", noisy]) == 0
     out = str(tmp_path / "same.csv")
     assert main(["denoise", "--in", noisy, "--lambda", "0", "--out", out]) == 0
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    payload = _payload(capsys.readouterr().out)
     assert payload["method"] == "fixed"
     assert _read_bytes(noisy) == _read_bytes(out)
 
@@ -206,7 +224,7 @@ def test_cli_denoise_adaptive_constant_input(tmp_path, capsys):
     write_csv_column(path, np.full(60, 2.0), "value")
     assert main(["denoise", "--in", path, "--method", "adaptive",
                  "--sigma-known", "1.0"]) == 0
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    payload = _payload(capsys.readouterr().out)
     assert payload["count1"] == 1
     assert payload["ncc"] == 1
     assert payload["lambda2"] == payload["lambda1"]
@@ -239,7 +257,7 @@ def test_cli_pgm_denoise(tmp_path, capsys):
     out = str(tmp_path / "img_out.pgm")
     assert main(["denoise", "--in", src, "--method", "universal",
                  "--sigma-known", "8.0", "--out", out]) == 0
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    payload = _payload(capsys.readouterr().out)
     assert payload["sizes"] == [12, 12]
     assert payload["converged"] is True
     y, maxval, binary = read_pgm(out)
@@ -269,8 +287,9 @@ def test_cli_nan_lambda_exits_2(tmp_path, capsys):
 
 
 def test_cli_bad_noise_level_exits_2(tmp_path, capsys):
-    # a NaN, infinite or negative --sigma-known is bad input wherever a
-    # rule reads it: no payload and no output file
+    # a NaN, infinite or negative --sigma-known is bad input in every
+    # method, even one that does not read it (a fixed lambda, the oracle):
+    # no payload and no output file
     csv = str(tmp_path / "y.csv")
     main(["gen", "--sizes", "30", "--out", csv])
     pgm = str(tmp_path / "y.pgm")
@@ -283,13 +302,43 @@ def test_cli_bad_noise_level_exits_2(tmp_path, capsys):
             for argv in (["denoise", "--method", "sure"],
                          ["denoise", "--method", "universal"],
                          ["denoise", "--method", "adaptive"],
-                         ["risk-curve"]):
+                         ["denoise", "--lambda", "1"],
+                         ["denoise", "--method", "oracle", "--truth", src],
+                         ["risk-curve"],
+                         ["risk-curve", "--method", "oracle",
+                          "--truth", src]):
                 assert main(argv + ["--in", src, "--sigma-known", sigma,
                                     "--out", out]) == 2
                 captured = capsys.readouterr()
                 assert captured.out == ""
                 assert "sigma must be finite and nonnegative" in captured.err
                 assert not os.path.exists(out)
+
+
+def test_cli_explicit_grid_computes_no_lambda_max(tmp_path, capsys,
+                                                  monkeypatch):
+    # Lambda (a full solve on a lattice) only scales the default grid and
+    # --grid COUNT; LO,HI,COUNT never needs it
+    import tvdn.cli
+    calls = []
+
+    def counted(y):
+        calls.append(y.shape.sizes)
+        return lambda_max(y)
+
+    monkeypatch.setattr(tvdn.cli, "lambda_max", counted)
+    pgm = str(tmp_path / "y.pgm")
+    img = np.random.default_rng(5).integers(0, 256, (8, 8)).astype(float)
+    write_pgm(pgm, Signal.from_array(img), maxval=255)
+    for argv in (["denoise", "--method", "sure"],
+                 ["denoise", "--method", "oracle", "--truth", pgm],
+                 ["risk-curve"]):
+        assert main(argv + ["--in", pgm, "--grid", "0.5,6,6"]) == 0
+        assert calls == []
+        assert main(argv + ["--in", pgm, "--grid", "6"]) == 0
+        assert calls == [(8, 8)]
+        calls.clear()
+    capsys.readouterr()
 
 
 def test_cli_bad_lambda_sample_tol_exits_2(tmp_path, capsys, monkeypatch):
@@ -302,6 +351,7 @@ def test_cli_bad_lambda_sample_tol_exits_2(tmp_path, capsys, monkeypatch):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "tol must be positive and finite" in captured.err
+            assert not os.path.exists(tmp_path / "draws")
 
 
 def test_cli_uncertified_solve_exits_3(tmp_path, capsys, monkeypatch):
@@ -313,7 +363,7 @@ def test_cli_uncertified_solve_exits_3(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "out.pgm")
     write_pgm(src, Signal.from_array(noisy), maxval=255)
     assert main(["denoise", "--in", src, "--lambda", "5"]) == 0
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    payload = _payload(capsys.readouterr().out)
     assert payload["converged"] is True and payload["iterations"] > 0
     monkeypatch.setattr(tvdn.tvsolve, "_CERTIFIED_TOL", -1.0)
     assert main(["denoise", "--in", src, "--lambda", "5", "--out", out]) == 3
@@ -334,8 +384,8 @@ def test_cli_rerun_byte_identical(tmp_path, capsys):
         outs.append(out)
     capsys.readouterr()
     assert _read_bytes(outs[0]) == _read_bytes(outs[1])
-    j0 = read_json_report(outs[0] + ".json")
-    j1 = read_json_report(outs[1] + ".json")
+    j0 = _report(outs[0] + ".json")
+    j1 = _report(outs[1] + ".json")
     assert j0 == j1
 
 
@@ -351,7 +401,7 @@ def test_cli_lambda_sample_and_fit(tmp_path, capsys):
     fit = str(tmp_path / "fit.json")
     assert main(["lambda-fit", "--in", samp, "--out", fit]) == 0
     capsys.readouterr()
-    payload = read_json_report(fit)
+    payload = _report(fit)
     for key in ("dim", "n_values", "mu", "beta", "a_mu", "b_mu",
                 "a_beta", "b_beta", "reps", "seed", "gev"):
         assert key in payload
@@ -392,7 +442,7 @@ def test_cli_risk_curve(tmp_path, capsys):
     assert main(["risk-curve", "--in", noisy, "--method", "sure",
                  "--sigma-known", "0.8", "--grid", "0.5,6,6",
                  "--out", curve]) == 0
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    payload = _payload(capsys.readouterr().out)
     assert payload["n_grid"] == 6
     grid = np.geomspace(0.5, 6, 6)
     assert any(abs(payload["argmin_lambda"] - g) < 1e-12 for g in grid)
@@ -413,7 +463,7 @@ def test_cli_denoise_counts_small_steps_as_pieces(tmp_path, capsys):
     path = str(tmp_path / "step.csv")
     write_csv_column(path, np.repeat([0.0, 1e-4], 30), "value")
     assert main(["denoise", "--in", path, "--lambda", "1e-7"]) == 0
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    payload = _payload(capsys.readouterr().out)
     assert payload["ncc"] == 2
     assert payload["count1"] == 2
 
@@ -437,7 +487,7 @@ def test_cli_sure_denoise_reuses_the_curve_fit(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(tvdn.tvsolve, "_cut_solve", counted)
     assert main(["denoise", "--in", src, "--method", "sure", "--out", out]) == 0
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    payload = _payload(capsys.readouterr().out)
     assert len(calls) == 30
     y, _, _ = read_pgm(src)
     lam = risk_curve(y, default_lambda_grid(lambda_max(y)), "sure",
@@ -465,7 +515,7 @@ def test_cli_reports_zero_sigma_estimate(tmp_path, capsys):
         captured = capsys.readouterr()
         (line,) = _warnings(captured.err)
         assert "noise level is 0" in line
-    payload = json.loads(captured.out.strip().splitlines()[-1])
+    payload = _payload(captured.out)
     assert payload["n_grid"] == 30
     # a known sigma, or a method that does not use sigma, raises no warning
     for argv in (["denoise", "--in", path, "--method", "adaptive",
@@ -490,8 +540,7 @@ def test_cli_coeffs_override(tmp_path, capsys):
     for extra in ([], ["--coeffs", fit]):
         assert main(["denoise", "--in", src, "--method", "universal",
                      "--sigma-known", "10.0"] + extra) == 0
-        lam.append(json.loads(
-            capsys.readouterr().out.strip().splitlines()[-1])["lambda1"])
+        lam.append(_payload(capsys.readouterr().out)["lambda1"])
     assert lam[0] == pytest.approx(lam[1], rel=1e-12)
     # a fit for another dimension is refused on an image (exit 2); a 1D
     # signal takes the closed form and reads no fit
@@ -529,16 +578,16 @@ def test_cli_path_images_take_the_1d_rules(tmp_path, capsys):
     series, images = _path_images(tmp_path)
     for method in ("universal", "adaptive", "sure"):
         assert main(["denoise", "--in", series, "--method", method]) == 0
-        ref = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        ref = _payload(capsys.readouterr().out)
         for path in images:
             assert main(["denoise", "--in", path, "--method", method]) == 0
-            payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            payload = _payload(capsys.readouterr().out)
             assert payload.pop("sizes") in ([1, 60], [60, 1])
             assert payload == {k: x for k, x in ref.items() if k != "sizes"}
             assert payload["iterations"] == 0
             if method == "universal":
-                assert payload["lambda1"] == \
-                    universal_threshold_1d(60, payload["sigma_used"])
+                assert payload["lambda1"] == universal_threshold(
+                    LatticeShape((60,)), payload["sigma_used"])
 
 
 def test_cli_risk_curve_on_path_images(tmp_path, capsys):

@@ -7,7 +7,7 @@ from tvdn.lambda_stat import sample_lambda_1d
 from tvdn.segmentation import (SegmentationOutcome, evaluate_outcome,
                                extract_jumps, kkt_check)
 from tvdn.selection import (exact_seg_threshold, min_jump_height,
-                            universal_threshold_1d)
+                            universal_threshold)
 from tvdn.signals import PiecewiseConstantSpec, gen_piecewise, gen_test_function
 from tvdn.tvsolve import tv_denoise_1d
 
@@ -190,7 +190,7 @@ def test_screening_at_universal_threshold():
     yb = gen_test_function("blocks", 1000)
     spec = PiecewiseConstantSpec.from_values(yb.values)
     sigma = 0.1
-    lam = universal_threshold_1d(1000, sigma)
+    lam = universal_threshold(LatticeShape((1000,)), sigma)
     reps = 30
     count = 0
     for child in np.random.SeedSequence(14).spawn(reps):

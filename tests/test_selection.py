@@ -9,16 +9,18 @@ from oracles import tv_oracle_direct_1d
 from tvdn.coeffs import default_coefficients
 from tvdn.grid import LatticeShape, Signal, adjoint_flat
 from tvdn.lambda_stat import GumbelFitCoefficients
-from tvdn.selection import (ThresholdReport, adaptive_threshold_1d, adaptive_tv,
-                            count_jumps, edge_count_alpha, estimate_sigma,
-                            exact_seg_prob_bound, exact_seg_threshold,
-                            jump_threshold, min_jump_height,
-                            universal_threshold, universal_threshold_1d,
-                            universal_threshold_lattice)
+from tvdn.selection import (ThresholdReport, _threshold, adaptive_tv,
+                            count_jumps, estimate_sigma, exact_seg_prob_bound,
+                            exact_seg_threshold, jump_threshold,
+                            min_jump_height, universal_threshold)
 from tvdn.signals import gen_piecewise, gen_test_function
 from tvdn.tvsolve import FusionPath, tv_denoise, tv_denoise_1d
 
 S = Signal.from_array
+
+
+def _path_threshold(n, sigma):
+    return universal_threshold(LatticeShape((n,)), sigma)
 
 
 def test_estimate_sigma_constant():
@@ -45,20 +47,22 @@ def test_estimate_sigma_needs_edges():
 
 
 def test_universal_threshold_1d_values():
-    assert universal_threshold_1d(100, 0.0) == 0.0
-    assert universal_threshold_1d(100, 1.0) == pytest.approx(6.179, abs=5e-4)
-    assert universal_threshold_1d(10000, 1.0) == pytest.approx(74.51, abs=1e-2)
+    assert _path_threshold(100, 0.0) == 0.0
+    assert _path_threshold(100, 1.0) == pytest.approx(6.179, abs=5e-4)
+    assert _path_threshold(10000, 1.0) == pytest.approx(74.51, abs=1e-2)
     with pytest.raises(ValueError):
-        universal_threshold_1d(2, 1.0)
+        _path_threshold(2, 1.0)
 
 
 def test_adaptive_threshold_1d_values():
-    assert adaptive_threshold_1d(500, 1, 1.3) == universal_threshold_1d(500, 1.3)
-    assert adaptive_threshold_1d(1000, 12, 1.0) == pytest.approx(5.566, abs=1e-3)
-    assert adaptive_threshold_1d(1000, 12, 2.0) \
-        == 2.0 * adaptive_threshold_1d(1000, 12, 1.0)
-    with pytest.raises(ValueError):
-        adaptive_threshold_1d(10, 4, 1.0)
+    # step 2 on a path lattice: the closed form at the average piece size
+    # N/L, which need not be an integer
+    n_bar = 1000 / 12
+    assert _threshold(1, 500.0, 499.0, 1.3, None) == _path_threshold(500, 1.3)
+    assert _threshold(1, n_bar, n_bar - 1, 1.0, None) \
+        == pytest.approx(5.566, abs=1e-3)
+    assert _threshold(1, n_bar, n_bar - 1, 2.0, None) \
+        == 2.0 * _threshold(1, n_bar, n_bar - 1, 1.0, None)
 
 
 def test_thresholds_reject_bad_sigma():
@@ -66,9 +70,8 @@ def test_thresholds_reject_bad_sigma():
     path = S(np.random.default_rng(41).normal(size=30))
     image = S(np.random.default_rng(42).normal(size=(6, 6)))
     for sigma in (math.nan, math.inf, -1.0):
-        for call in (lambda: universal_threshold_1d(100, sigma),
-                     lambda: adaptive_threshold_1d(100, 4, sigma),
-                     lambda: universal_threshold_lattice(image.shape, sigma),
+        for call in (lambda: _path_threshold(100, sigma),
+                     lambda: universal_threshold(image.shape, sigma),
                      lambda: universal_threshold(path.shape, sigma),
                      lambda: adaptive_tv(path, sigma=sigma),
                      lambda: adaptive_tv(image, sigma=sigma)):
@@ -78,9 +81,9 @@ def test_thresholds_reject_bad_sigma():
 
 def test_thresholds_homogeneous_and_increasing():
     for n in (16, 100, 4096):
-        assert universal_threshold_1d(n, 3.0) \
-            == pytest.approx(3.0 * universal_threshold_1d(n, 1.0), rel=1e-15)
-    vals = [universal_threshold_1d(n, 1.0) for n in (16, 32, 128, 1024, 65536)]
+        assert _path_threshold(n, 3.0) \
+            == pytest.approx(3.0 * _path_threshold(n, 1.0), rel=1e-15)
+    vals = [_path_threshold(n, 1.0) for n in (16, 32, 128, 1024, 65536)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
@@ -120,7 +123,7 @@ def test_count_jumps_ordering_frequency():
     n, reps = 1000, 40
     f = gen_test_function("blocks", n, 7.0)
     true_jumps = int(np.count_nonzero(np.diff(f.values)))
-    lam = universal_threshold_1d(n, 1.0)
+    lam = _path_threshold(n, 1.0)
     ok = 0
     for _ in range(reps):
         y = Signal(f.shape, f.values + rng.normal(size=n))
@@ -131,13 +134,6 @@ def test_count_jumps_ordering_frequency():
     assert ok / reps >= 0.9
 
 
-def test_edge_count_alpha():
-    assert edge_count_alpha(8064) == pytest.approx(2.0 / math.sqrt(math.log(8064)),
-                                                   rel=1e-15)
-    with pytest.raises(ValueError):
-        edge_count_alpha(1)
-
-
 def test_universal_threshold_lattice_pipeline_value():
     shape = LatticeShape((64, 64))
     assert shape.n_edges == 8064
@@ -145,20 +141,19 @@ def test_universal_threshold_lattice_pipeline_value():
     p = co.params_at(64.0)
     assert p.mu == pytest.approx(1.4796, abs=5e-4)
     assert p.beta == pytest.approx(0.1551, abs=5e-4)
-    alpha = edge_count_alpha(8064)
+    alpha = 2.0 / math.sqrt(math.log(8064))
     assert alpha == pytest.approx(0.6669, abs=5e-4)
-    thr = universal_threshold_lattice(shape, 1.0)
+    thr = universal_threshold(shape, 1.0)
     assert thr == pytest.approx(1.465, abs=2e-3)
-    assert universal_threshold_lattice(shape, 2.0) == pytest.approx(2 * thr,
-                                                                    rel=1e-12)
+    assert universal_threshold(shape, 2.0) == pytest.approx(2 * thr, rel=1e-12)
 
 
 def test_universal_threshold_lattice_geometric_mean_sides():
     co = default_coefficients(2)
-    thr_rect = universal_threshold_lattice(LatticeShape((32, 128)), 1.0, co)
+    thr_rect = universal_threshold(LatticeShape((32, 128)), 1.0, co)
     n_geo = (32 * 128) ** 0.5
     p = co.params_at(n_geo)
-    alpha = edge_count_alpha(LatticeShape((32, 128)).n_edges)
+    alpha = 2.0 / math.sqrt(math.log(LatticeShape((32, 128)).n_edges))
     assert thr_rect == pytest.approx(max(0.0, p.quantile(1 - alpha)), rel=1e-12)
 
 
@@ -167,22 +162,28 @@ def test_universal_threshold_dispatch():
     # path lattices: the closed form, coefficients are not read
     for sizes in [(500,), (1, 500), (500, 1), (1, 1, 500)]:
         shape = LatticeShape(sizes)
-        assert universal_threshold(shape, 1.3) == universal_threshold_1d(500, 1.3)
+        assert universal_threshold(shape, 1.3) == _path_threshold(500, 1.3)
         assert universal_threshold(shape, 1.3, co2) \
-            == universal_threshold_1d(500, 1.3)
+            == _path_threshold(500, 1.3)
+        assert _path_threshold(500, 1.3) == pytest.approx(
+            0.5 * 1.3 * math.sqrt(500 * math.log(math.log(500))), rel=1e-15)
     with pytest.raises(ValueError):
         universal_threshold(LatticeShape((2,)), 1.0)
     # any other lattice, a 1 x N x M one included: the Gumbel quantile of
-    # its dimension
-    for sizes in [(32, 128), (1, 8, 64), (8, 8, 8)]:
+    # its dimension at the geometric-mean side
+    for sizes, d in [((32, 128), 2), ((1, 8, 64), 2), ((8, 8, 8), 3)]:
         shape = LatticeShape(sizes)
+        alpha = 2.0 / math.sqrt(math.log(shape.n_edges))
+        p = default_coefficients(d).params_at(shape.n_sites ** (1.0 / d))
         assert universal_threshold(shape, 2.0) \
-            == universal_threshold_lattice(shape, 2.0)
+            == pytest.approx(2.0 * p.quantile(1 - alpha), rel=1e-12)
     custom = GumbelFitCoefficients(-0.3, 0.5, -1.4, -0.2, dim=2)
     shape = LatticeShape((64, 64))
     thr = universal_threshold(shape, 1.0, custom)
-    assert thr == universal_threshold_lattice(shape, 1.0, custom)
-    assert thr != universal_threshold_lattice(shape, 1.0)
+    alpha = 2.0 / math.sqrt(math.log(8064))
+    assert thr == pytest.approx(custom.params_at(64.0).quantile(1 - alpha),
+                                rel=1e-12)
+    assert thr != universal_threshold(shape, 1.0)
 
 
 def test_trivial_axes_do_not_count_towards_the_dimension():
@@ -196,8 +197,7 @@ def test_trivial_axes_do_not_count_towards_the_dimension():
     assert LatticeShape((1, 64, 64)).squeezed == LatticeShape((64, 64))
     assert LatticeShape((1, 1)).squeezed == LatticeShape((1,))
     assert universal_threshold(deep.shape, 1.0) \
-        == universal_threshold(flat.shape, 1.0) \
-        == universal_threshold_lattice(flat.shape, 1.0)
+        == universal_threshold(flat.shape, 1.0)
     assert abs(universal_threshold(deep.shape, 1.0) - 1.465) < 1e-3
     lam = universal_threshold(flat.shape, 1.0)
     a, b = tv_denoise(deep, lam), tv_denoise(flat, lam)
@@ -214,8 +214,6 @@ def test_coefficients_must_fit_the_lattice_dimension():
     c = default_coefficients(3)
     for shape, dim in [((64, 64), 3), ((64, 64), 1), ((8, 8, 8), 2)]:
         wrong = GumbelFitCoefficients(c.a_mu, c.b_mu, c.a_beta, c.b_beta, dim)
-        with pytest.raises(ValueError, match="dimension"):
-            universal_threshold_lattice(LatticeShape(shape), 1.0, wrong)
         with pytest.raises(ValueError, match="dimension"):
             universal_threshold(LatticeShape(shape), 1.0, wrong)
         with pytest.raises(ValueError, match="dimension"):
@@ -256,9 +254,7 @@ def test_exact_seg_threshold_values():
 
 def test_threshold_report_validation():
     with pytest.raises(ValueError):
-        ThresholdReport(1.0, 1.0, 2, 0.5, "bogus")
-    with pytest.raises(ValueError):
-        ThresholdReport(-1.0, 1.0, 2, 0.5, "adaptive")
+        ThresholdReport(-1.0, 1.0, 2, 0.5)
 
 
 def test_adaptive_tv_constant_1d():
@@ -268,7 +264,6 @@ def test_adaptive_tv_constant_1d():
     assert report.lambda2 == report.lambda1
     assert np.array_equal(sol2.estimate.values, np.full(64, 2.0))
     assert np.array_equal(sol1.estimate.values, sol2.estimate.values)
-    assert report.method == "adaptive"
 
 
 def test_adaptive_tv_blocks_shrinks_threshold():
@@ -301,6 +296,36 @@ def test_adaptive_tv_2d_runs_and_orders_thresholds():
     if report.count1 > 1:
         assert report.lambda2 <= report.lambda1
     assert sol2.converged
+
+
+def _step_image(sizes, seed):
+    # a raised centre block plus unit noise
+    base = np.zeros(sizes)
+    base[tuple(slice(n // 4, 3 * n // 4) for n in sizes)] = 6.0
+    return S(base + np.random.default_rng(seed).normal(size=sizes))
+
+
+@pytest.mark.parametrize("sizes, fallback", [((24, 24), False),
+                                             ((10, 10, 10), False),
+                                             ((9, 9), True)])
+def test_adaptive_lattice_lambda2_is_the_rule_at_n_bar(sizes, fallback):
+    # step 2 on a d-lattice: sigma times the (1 - 2/sqrt(log P_bar))-quantile
+    # of the Gumbel law at side n_bar = (N/count1)^(1/d), where P_bar =
+    # d * n_bar^(d-1) * (n_bar - 1); step 1's threshold when that level is
+    # not below 1
+    d = len(sizes)
+    y = _step_image(sizes, seed=30 + d)
+    _, _, report = adaptive_tv(y, sigma=1.0)
+    n_bar = max((y.shape.n_sites / report.count1) ** (1.0 / d), 2.0)
+    p_bar = d * n_bar ** (d - 1) * (n_bar - 1.0)
+    alpha = 2.0 / math.sqrt(math.log(p_bar))
+    if fallback:
+        assert alpha >= 1.0
+        assert report.lambda2 == report.lambda1
+    else:
+        expected = default_coefficients(d).params_at(n_bar).quantile(1 - alpha)
+        assert report.lambda2 == pytest.approx(expected, rel=1e-12)
+        assert report.lambda2 < report.lambda1
 
 
 def test_adaptive_tv_path_lattices_match_1d():
@@ -391,7 +416,7 @@ def test_property1_constant_fit_frequency():
     # frequency is recorded by the assertion threshold)
     rng = np.random.default_rng(8)
     n, reps = 100, 200
-    lam = universal_threshold_1d(n, 1.0)
+    lam = _path_threshold(n, 1.0)
     hits = 0
     for _ in range(reps):
         fh = tv_denoise_1d(S(rng.normal(size=n)), lam).estimate.values
