@@ -52,6 +52,8 @@ class ExperimentConfig:
             raise ValueError("replicate counts must be at least 1")
         if self.sizes and len(self.reps) not in (0, 1, len(self.sizes)):
             raise ValueError("reps must be scalar or one count per size")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and nonnegative")
 
     def reps_for(self, idx: int) -> int:
         if len(self.reps) == 1:

@@ -59,9 +59,13 @@ def _warn_zero_sigma():
           "lambda, so the fit stays at or near the input; set --sigma-known")
 
 
+def _check_sigma(value, flag):
+    if value is not None and not 0.0 <= value < math.inf:
+        raise ValueError("%s: sigma must be finite and nonnegative" % flag)
+
+
 def _check_sigma_known(args):
-    if args.sigma_known is not None and not 0.0 <= args.sigma_known < math.inf:
-        raise ValueError("--sigma-known: sigma must be finite and nonnegative")
+    _check_sigma(args.sigma_known, "--sigma-known")
 
 
 def cmd_denoise(args):
@@ -137,6 +141,7 @@ def cmd_gen(args):
         raise ValueError("gen needs --out")
     if len(args.sizes) != 1:
         raise ValueError("gen expects a single size")
+    _check_sigma(args.sigma, "--sigma")
     n = args.sizes[0]
     f = gen_test_function(args.function, n, snr=args.snr)
     rng = np.random.default_rng(args.seed)

@@ -50,7 +50,6 @@ class CutNetwork:
         self._edge_slots = np.argsort(self._arc_of_slot)[:near.size]
         self._indices = tagged.indices
         self._indptr = tagged.indptr
-        self._tails = np.repeat(np.arange(m + 2), np.diff(tagged.indptr))
 
     def boundary(self, inside: np.ndarray) -> int:
         """Number of lattice edges leaving a site set."""
@@ -127,10 +126,12 @@ class CutNetwork:
         w[edges] = fdata[self._edge_slots[edges]] / s_edge
         if result.flow_value >= int(supply.sum()):
             return w, None
-        open_ = caps > fdata
-        residual = sp.csr_matrix((np.ones(np.count_nonzero(open_), dtype=np.int8),
-                                  (self._tails[open_], self._indices[open_])),
-                                 shape=(m + 2, m + 2))
+        # the residual arcs on the network's own layout; copy=True because
+        # eliminate_zeros rewrites indices and indptr in place, and the
+        # zeros must go because breadth_first_order follows explicit zeros
+        residual = sp.csr_matrix(((caps > fdata).astype(np.int8), self._indices,
+                                  self._indptr), shape=(m + 2, m + 2), copy=True)
+        residual.eliminate_zeros()
         reached = breadth_first_order(residual, m, directed=True,
                                       return_predecessors=False)
         sink_side = sites.copy()

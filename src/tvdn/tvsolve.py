@@ -221,13 +221,14 @@ def tv_path_1d(y: Signal, lambdas) -> list[TvSolution]:
 
     One ``FusionPath`` pass records the fusion time of every edge; each grid
     value's fit is written from those times, exactly as ``tv_denoise_1d``
-    writes it at that value. Within a fused group the fit's differences are
-    exactly 0.
+    writes it at that value (at inf, the mean). Within a fused group the
+    fit's differences are exactly 0.
     """
     lams = np.asarray(lambdas, dtype=float).ravel()
-    if not np.all(np.isfinite(lams)) or np.any(lams < 0):
-        raise ValueError("lambda values must be finite and nonnegative")
-    if np.any(np.diff(lams) < 0):
+    if not np.all(lams >= 0):
+        raise ValueError("lambda values must be nonnegative")
+    # np.diff would compute inf - inf on a grid ending in repeated infs
+    if np.any(lams[1:] < lams[:-1]):
         raise ValueError("lambda grid must be ascending")
     return list(map(FusionPath(y).solve, lams.tolist()))
 
@@ -248,7 +249,7 @@ def tv_denoise(y: Signal, lam: float, cfg: SolverConfig | None = None) -> TvSolu
     return _cut_solve(y, lam)
 
 
-def _cut_solve(y: Signal, lam: float) -> TvSolution:
+def _cut_solve(y: Signal, lam: float, start=None) -> TvSolution:
     """The exact TV fit at lam >= 0 on any lattice, by minimum cuts.
 
     The level set {f > t} of the fit is the minimal minimizer of
@@ -269,6 +270,14 @@ def _cut_solve(y: Signal, lam: float) -> TvSolution:
     _RESIDUAL_TOL or stops halving; the flows inside the regions are the
     dual there, so every piece is written as one constant and certified by
     w with ||w||_inf <= lam and y - B^T w = f up to _CERTIFIED_TOL.
+
+    ``start`` is an optional edge dual, such as the dual of another lambda's
+    fit of the same y. Clipped to +-lam, it is the first flow of the single
+    starting region, so the first round routes only what it leaves over.
+    Regions, the rules of the rounds and the certificate are those of a
+    cold start. The minimum cuts, and so the fit, do not depend on the flow
+    they start from, up to the rounding of the integer capacities; the
+    dual, the number of rounds and the rounding-level gap can differ.
     """
     shape = y.shape
     sizes = shape.sizes
@@ -281,7 +290,8 @@ def _cut_solve(y: Signal, lam: float) -> TvSolution:
     scale = float(np.abs(yv).max())
     label = np.zeros(shape.n_sites, dtype=np.intp)
     jump = np.zeros(p, dtype=bool)   # edges between regions
-    w = np.zeros(p)                  # +-lam across regions, flow inside
+    # +-lam across regions, flow inside
+    w = np.zeros(p) if start is None else np.clip(start, -lam, lam)
     last = np.array([np.inf])        # leftover demand when last routed
     done = np.array([False])
     rounds = 0

@@ -18,6 +18,10 @@ def test_experiment_config_validation():
         ExperimentConfig("mse_1d", sizes=(10, 20), reps=(1, 2, 3))
     with pytest.raises(ValueError):
         ExperimentConfig("mse_1d", sizes=(10,), reps=(0,))
+    for sigma in (np.nan, np.inf, -np.inf, -1.0):
+        with pytest.raises(ValueError, match="sigma"):
+            ExperimentConfig("seg_1d", sigma=sigma)
+    assert ExperimentConfig("mse_1d", sigma=0.0).sigma == 0.0
     cfg = ExperimentConfig("mse_1d", sizes=(10, 20, 30), reps=(7,))
     assert [cfg.reps_for(i) for i in range(3)] == [7, 7, 7]
     cfg = ExperimentConfig("mse_1d", sizes=(10, 20), reps=(5, 9))

@@ -1,4 +1,6 @@
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from tvdn.cuts import CutNetwork
 from tvdn.grid import LatticeShape, adjoint_flat
@@ -54,3 +56,47 @@ def test_route_reports_the_blocking_cut_of_each_group():
     # the sink side is where the unroutable demand is absorbed
     assert demand[(groups == 1) & sink_side].sum() > 0
     assert np.abs(w).max() <= 1e3
+
+
+def test_route_leaves_its_network_intact(monkeypatch):
+    # blocked and routed calls, with and without groups, leave the arc
+    # layout bitwise unchanged, and a blocked call's sink side is the set of
+    # sites a breadth-first search from the source cannot reach over the
+    # open arcs, with the residual graph built from its arc list
+    import tvdn.cuts
+    flows = []
+
+    def recorded(graph, s, t, method):
+        result = maximum_flow(graph, s, t, method=method)
+        flows.append((graph.data.copy(), result.flow.data.copy()))
+        return result
+
+    monkeypatch.setattr(tvdn.cuts, "maximum_flow", recorded)
+    shape, groups, demand = _two_groups(5, (1.0, 1.0))
+    net = CutNetwork(shape)
+    indices, indptr = net._indices.copy(), net._indptr.copy()
+    n = net.m + 2
+    tails = np.repeat(np.arange(n), np.diff(indptr))
+    wide = np.full(shape.n_edges, 1e3)
+    narrow = np.where(groups[net.near] == 1, 1e-12, 1e3)
+    seen = set()
+    for _ in range(3):
+        for cap, g in ((narrow, groups), (wide, groups), (narrow, None),
+                       (wide, None)):
+            _, sink_side = net.route(demand, cap, cap, g)
+            caps, flow = flows[-1]
+            assert net._indices.tobytes() == indices.tobytes()
+            assert net._indptr.tobytes() == indptr.tobytes()
+            seen.add(sink_side is None)
+            if sink_side is None:
+                continue
+            open_ = caps > flow
+            residual = sp.coo_matrix((np.ones(np.count_nonzero(open_)),
+                                      (tails[open_], indices[open_])),
+                                     shape=(n, n)).tocsr()
+            reached = breadth_first_order(residual, net.m, directed=True,
+                                          return_predecessors=False)
+            want = np.ones(net.m, dtype=bool)
+            want[reached[reached < net.m]] = False
+            assert np.array_equal(sink_side, want)
+    assert seen == {True, False}

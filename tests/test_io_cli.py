@@ -315,6 +315,30 @@ def test_cli_bad_noise_level_exits_2(tmp_path, capsys):
                 assert not os.path.exists(out)
 
 
+def test_cli_bad_noise_level_exits_2_before_any_work(tmp_path, capsys,
+                                                     monkeypatch):
+    # gen --sigma and the benchmarks' --sigma-known refuse a NaN, infinite
+    # or negative noise level before a signal is drawn or the pool starts
+    import tvdn.bench
+    pooled = []
+    monkeypatch.setattr(tvdn.bench, "parallel_map",
+                        lambda fn, items: pooled.append(fn) or [])
+    out = str(tmp_path / "out")
+    for sigma in ("nan", "inf", "-inf", "-1"):
+        # "--flag=value", as a value starting with "-" would read as a flag
+        for argv in (["gen", "--sizes", "30", "--sigma=" + sigma],
+                     ["bench-mse", "--functions", "blocks", "--sizes", "50",
+                      "--reps", "2", "--sigma-known=" + sigma],
+                     ["bench-seg", "--sizes", "50", "--reps", "2",
+                      "--sigma-known=" + sigma]):
+            assert main(argv + ["--out", out]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "sigma must be finite and nonnegative" in captured.err
+            assert not os.path.exists(out)
+    assert pooled == []
+
+
 def test_cli_explicit_grid_computes_no_lambda_max(tmp_path, capsys,
                                                   monkeypatch):
     # Lambda (a full solve on a lattice) only scales the default grid and
@@ -470,7 +494,8 @@ def test_cli_denoise_counts_small_steps_as_pieces(tmp_path, capsys):
 
 def test_cli_sure_denoise_reuses_the_curve_fit(tmp_path, capsys, monkeypatch):
     # the fit at the SURE argmin comes from the risk curve: 30 cut solves
-    # for the 30-point grid, and the same output as a fresh solve there
+    # for the 30-point grid, the same output as a fresh solve there, and the
+    # rounds and gap of the warm-started solve kept on the curve
     monkeypatch.setenv("TVDN_THREADS", "1")
     rng = np.random.default_rng(40)
     img = np.clip(np.rint(np.kron([[60.0, 160.0], [110.0, 30.0]], np.ones((8, 8)))
@@ -481,21 +506,22 @@ def test_cli_sure_denoise_reuses_the_curve_fit(tmp_path, capsys, monkeypatch):
     calls = []
     cut_solve = tvdn.tvsolve._cut_solve
 
-    def counted(y, lam):
+    def counted(y, lam, start=None):
         calls.append(lam)
-        return cut_solve(y, lam)
+        return cut_solve(y, lam, start)
 
     monkeypatch.setattr(tvdn.tvsolve, "_cut_solve", counted)
     assert main(["denoise", "--in", src, "--method", "sure", "--out", out]) == 0
     payload = _payload(capsys.readouterr().out)
     assert len(calls) == 30
     y, _, _ = read_pgm(src)
-    lam = risk_curve(y, default_lambda_grid(lambda_max(y)), "sure",
-                     sigma=estimate_sigma(y)).argmin_lambda
+    curve = risk_curve(y, default_lambda_grid(lambda_max(y)), "sure",
+                       sigma=estimate_sigma(y))
+    lam = curve.argmin_lambda
     sol = tv_denoise(y, lam)
     assert payload["lambda2"] == lam
-    assert payload["gap"] == sol.gap
-    assert payload["iterations"] == sol.iterations
+    assert payload["gap"] == curve.argmin_fit.gap
+    assert payload["iterations"] == curve.argmin_fit.iterations
     ref = str(tmp_path / "ref.pgm")
     write_pgm(ref, sol.estimate, maxval=255)
     assert _read_bytes(out) == _read_bytes(ref)

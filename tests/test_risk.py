@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from invariants import check_ncc_floodfill
-from tvdn.grid import LatticeShape, Signal
+from tvdn.grid import LatticeShape, Signal, adjoint_flat
 from tvdn.risk import (RiskCurve, component_labels, default_lambda_grid,
                        default_quantization, ncc, risk_curve, sure)
 from tvdn.signals import gen_piecewise, gen_test_function
@@ -240,8 +240,10 @@ def _fit_values(args):
 
 
 def test_lattice_risk_curve_independent_of_worker_count(monkeypatch):
-    # the fits behind a lattice risk curve, its values and its argmin are
-    # bitwise the same with one worker and with two
+    # the fits behind a lattice risk curve, its values, its argmin and the
+    # argmin's dual are bitwise the same with one worker and with two; the
+    # fits are those of cold solves, while the dual of a warm-started solve
+    # is certified but need not be the cold solve's
     from tvdn._pool import parallel_map
     rng = np.random.default_rng(36)
     y = S(np.kron(np.array([[0.0, 4.0], [2.0, -1.0]]), np.ones((6, 6)))
@@ -255,12 +257,18 @@ def test_lattice_risk_curve_independent_of_worker_count(monkeypatch):
         fits.append(parallel_map(_fit_values, args))
     assert curves[0].values.tobytes() == curves[1].values.tobytes()
     assert curves[0].argmin_lambda == curves[1].argmin_lambda
-    want = tv_denoise(y, curves[0].argmin_lambda)
+    lam = curves[0].argmin_lambda
+    want = tv_denoise(y, lam)
     for curve in curves:
-        assert curve.argmin_fit.estimate.values.tobytes() == \
-            want.estimate.values.tobytes()
-        assert curve.argmin_fit.dual.tobytes() == want.dual.tobytes()
-        assert curve.argmin_fit.gap == want.gap
+        sol = curve.argmin_fit
+        assert sol.estimate.values.tobytes() == want.estimate.values.tobytes()
+        assert np.abs(sol.dual).max() <= lam
+        assert np.abs(y.values - adjoint_flat(sol.dual, y.shape.sizes)
+                      - sol.estimate.values).max() <= 1e-8 * np.abs(y.values).max()
+        assert 0.0 <= sol.gap <= 1e-12 * (1.0 + sol.objective(y))
+    a, b = (curve.argmin_fit for curve in curves)
+    assert a.dual.tobytes() == b.dual.tobytes()
+    assert (a.gap, a.iterations) == (b.gap, b.iterations)
     for a, b, lam in zip(*fits, grid):
         assert a.tobytes() == b.tobytes()
         assert a.tobytes() == tv_denoise(y, lam).estimate.values.tobytes()

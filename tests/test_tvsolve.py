@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from oracles import tv_objective, tv_oracle_boxqp, tv_oracle_direct_1d
 from tvdn.grid import LatticeShape, Signal, adjoint_flat
 from tvdn.lambda_stat import sample_lambda, sample_lambda_1d
+from tvdn._pool import parallel_map
+from tvdn.risk import _lattice_grid, default_lambda_grid, sure
 from tvdn.signals import gen_test_function
 import tvdn.tvsolve
 from tvdn.tvsolve import (FusionPath, SolverConfig, TvSolution, _cut_solve,
@@ -190,11 +192,30 @@ def test_path_edge_cases_and_bad_grids():
         assert np.array_equal(sol.estimate.values, const.values)
         assert sol.gap == 0.0
     y = S([0.0, 3.0, 1.0])
-    for bad in ([1.0, 0.5], [-0.1, 1.0], [0.0, np.nan], [0.0, np.inf]):
+    for bad in ([1.0, 0.5], [-0.1, 1.0], [0.0, np.nan], [np.inf, 1.0],
+                [-np.inf, 1.0]):
         with pytest.raises(ValueError):
             tv_path_1d(y, bad)
     with pytest.raises(ValueError):
         tv_path_1d(S(np.zeros((2, 3))), [1.0])
+
+
+def test_path_grid_takes_infinite_lambda():
+    # a grid may end in inf, as tv_denoise_1d and FusionPath.solve accept
+    # it: the fit there is the mean with gap 0, and the finite values keep
+    # their fits
+    v = np.random.default_rng(3).normal(size=12)
+    y = S(v)
+    grid = [0.0, 0.4, np.inf, np.inf]
+    sols = tv_path_1d(y, grid)
+    assert [s.lam for s in sols] == grid
+    for lam, sol in zip(grid, sols):
+        ref = tv_denoise_1d(y, lam)
+        assert sol.estimate.values.tobytes() == ref.estimate.values.tobytes()
+        assert sol.gap == ref.gap
+    for sol in sols[2:]:
+        assert np.ptp(sol.estimate.values) == 0.0 and sol.gap == 0.0
+        assert sol.estimate.values[0] == pytest.approx(v.mean(), rel=1e-15)
 
 
 def test_nd_constant_input():
@@ -374,6 +395,35 @@ def test_solver_config_is_not_read():
         assert sol.iterations == ref.iterations
 
 
+_WARM_SHAPES = st.one_of(
+    st.tuples(st.integers(2, 12), st.integers(2, 12)),
+    st.tuples(st.integers(2, 5), st.integers(2, 5), st.integers(2, 5)),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sizes=_WARM_SHAPES, seed=st.integers(0, 2 ** 32 - 2),
+       log_amp=st.floats(-3.0, 3.0), fracs=st.tuples(st.floats(0.01, 1.2),
+                                                      st.floats(0.01, 1.2)))
+def test_cut_solve_warm_start_keeps_the_fit(sizes, seed, log_amp, fracs):
+    # a solve started from the dual of another lambda's fit of the same data,
+    # from above or from below, is certified and has the cold solve's fit
+    shape = LatticeShape(sizes)
+    v = 10.0 ** log_amp * np.random.default_rng(seed).normal(size=shape.n_sites)
+    y = Signal(shape, v)
+    amp = np.abs(v).max()
+    top = sample_lambda(y)[0]
+    lams = [frac * top for frac in fracs]
+    cold = [_cut_solve(y, lam) for lam in lams]
+    for lam, ref, start in zip(lams, cold, cold[::-1]):
+        sol = _cut_solve(y, lam, start.dual)
+        f = sol.estimate.values
+        assert np.abs(sol.dual).max() <= lam
+        assert np.abs(v - adjoint_flat(sol.dual, sizes) - f).max() <= 1e-8 * amp
+        assert 0.0 <= sol.gap <= 1e-12 * (1.0 + sol.objective(y))
+        assert np.abs(f - ref.estimate.values).max() <= 1e-12 * amp
+
+
 def _cut_certificate(y, lam, sol):
     v = y.values
     assert sol.converged
@@ -404,11 +454,10 @@ def test_cut_fit_is_scale_equivariant():
                               - ref.estimate.values).max() <= 1e-9 * np.abs(v).max()
 
 
-def _phantom_256():
-    # perfbench's noisy_phantom(2, 0, 256): three rectangles and two discs
-    # at levels +-[2, 4], plus unit noise
-    n = 256
-    rng = np.random.default_rng([160501438, 2, 0])
+def _bench_phantom(k, n):
+    # perfbench's noisy_phantom(2, k, n): three rectangles and two discs at
+    # levels +-[2, 4], plus unit noise
+    rng = np.random.default_rng([160501438, 2, k])
     yy, xx = (np.mgrid[0:n, 0:n] + 0.5) / n
     f = np.zeros((n, n))
     for _ in range(3):
@@ -429,13 +478,35 @@ def test_cut_solve_converges_on_the_256_phantom():
     # former splitting solver stopped at its 5000-iteration cap with gap
     # 1.6e-2
     from tvdn.selection import estimate_sigma, universal_threshold
-    v, f = _phantom_256()
+    v, f = _bench_phantom(0, 256)
     y = S(v)
     lam = universal_threshold(y.shape, estimate_sigma(y))
     sol = tv_denoise(y, lam)
     _cut_certificate(y, lam, sol)
     assert sol.gap <= 1e-8 * (1.0 + sol.objective(y))
     assert np.mean((sol.estimate.values - f.ravel()) ** 2) < 0.1
+
+
+def _cold_fit(args):
+    values, lam = args
+    return _cut_solve(S(values), lam).estimate.values
+
+
+def test_warm_grid_fits_are_the_cold_fits_on_the_bench_phantoms():
+    # the 30-point SURE grid on the three 64^2 benchmark phantoms, solved in
+    # risk_curve's warm-started chains: every fit and risk value is bitwise
+    # that of a cold solve
+    for k in range(3):
+        v, _ = _bench_phantom(k, 64)
+        y = S(v)
+        grid = default_lambda_grid(lambda_max(y))
+        warm = _lattice_grid(y, grid, "sure", 1.0, None)
+        cold = parallel_map(_cold_fit, [(v, float(lam)) for lam in grid])
+        assert len(warm) == len(cold) == 30
+        for lam, (value, sol), f in zip(grid, warm, cold):
+            assert sol.lam == lam
+            assert sol.estimate.values.tobytes() == f.tobytes()
+            assert value == sure(y, Signal(y.shape, f), 1.0)
 
 
 def test_tvsolution_objective():
