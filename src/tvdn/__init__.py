@@ -7,8 +7,8 @@ axis longer than 1, so its sites form one chain in flat order) is treated
 everywhere as the 1D signal of its flat values, and axes of size 1 never
 count towards a lattice's dimension. The package provides one exact,
 certified solver for every lattice (the fusion path on path lattices,
-divide-and-conquer s-t minimum cuts otherwise), exact solving of a path
-lattice along a whole threshold grid in one pass, universal and adaptive
+divide-and-conquer s-t minimum cuts otherwise), exact solving of any
+lattice along a whole threshold grid, universal and adaptive
 threshold rules, SURE risk search, exact-segmentation analysis, and the
 Monte Carlo machinery calibrating the threshold on lattices. The
 calibrating statistic is computed exactly on lattices by s-t minimum cuts,
@@ -19,7 +19,7 @@ from .grid import LatticeShape, Signal, apply_diff, apply_diff_adjoint, laplacia
 from .signals import (NoiseSpec, PiecewiseConstantSpec, TEST_FUNCTIONS,
                       add_noise, gen_piecewise, gen_test_function)
 from .tvsolve import (SolverConfig, TvSolution, lambda_max, tv_denoise,
-                      tv_denoise_1d, tv_path_1d)
+                      tv_denoise_1d, tv_denoise_grid)
 from .lambda_stat import (GevParams, GumbelFitCoefficients, GumbelParams,
                           fit_gev_and_lr_test, fit_gumbel, fit_loglog_regression,
                           monte_carlo_lambda, sample_lambda, sample_lambda_1d)
@@ -39,8 +39,8 @@ __all__ = [
     "LatticeShape", "Signal", "apply_diff", "apply_diff_adjoint",
     "laplacian_solve", "NoiseSpec", "PiecewiseConstantSpec", "TEST_FUNCTIONS",
     "add_noise", "gen_piecewise", "gen_test_function", "SolverConfig",
-    "TvSolution", "lambda_max", "tv_denoise", "tv_denoise_1d", "tv_path_1d",
-    "GevParams",
+    "TvSolution", "lambda_max", "tv_denoise", "tv_denoise_1d",
+    "tv_denoise_grid", "GevParams",
     "GumbelFitCoefficients", "GumbelParams", "fit_gev_and_lr_test",
     "fit_gumbel", "fit_loglog_regression", "monte_carlo_lambda",
     "sample_lambda", "sample_lambda_1d", "DEFAULT_COEFFICIENTS",

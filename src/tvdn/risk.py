@@ -13,14 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tvsolve
-from ._pool import parallel_map
-from .grid import LatticeShape, Signal, edge_components, edge_endpoints
-from .tvsolve import FusionPath, SolverConfig, TvSolution
-
-# grid values per warm-started chain of lattice solves; a constant, so the
-# chains, and with them every fit and dual, depend only on the grid
-_CHAIN = 5
+from .grid import Signal, edge_components, edge_endpoints
+from .tvsolve import SolverConfig, TvSolution, tv_denoise_grid
 
 
 def default_quantization(f: Signal) -> float:
@@ -90,57 +84,20 @@ def _risk_of(y, f_hat, criterion, sigma, ftv):
     return float(diff @ diff) / y.shape.n_sites
 
 
-def _risk_chain(args):
-    """(risk, fit) at each lambda of a descending chain, every cut solve
-    started from the dual of the one before."""
-    sizes, yv, lams, criterion, sigma, ftv = args
-    y = Signal(LatticeShape(sizes), yv)
-    out, dual = [], None
-    for lam in lams:
-        sol = tvsolve._cut_solve(y, lam, dual)
-        dual = sol.dual
-        out.append((_risk_of(y, sol.estimate, criterion, sigma, ftv), sol))
-    return out
-
-
-def _lattice_grid(y, lams, criterion, sigma, ftv):
-    """(risk, fit) at each value of the ascending grid lams on a lattice
-    that is not a path, from warm-started chains of _CHAIN values."""
-    # the chains from the top, each descending, so the results read the
-    # whole grid backwards
-    args = [(y.shape.sizes, y.values, lams[i:i + _CHAIN][::-1].tolist(),
-             criterion, sigma, ftv)
-            for i in range(0, lams.size, _CHAIN)][::-1]
-    out = [pair for chain in parallel_map(_risk_chain, args) for pair in chain]
-    return out[::-1]
-
-
 def risk_curve(y: Signal, lambdas, criterion: str = "sure",
                sigma: float | None = None, f_true: Signal | None = None,
                cfg: SolverConfig | None = None) -> RiskCurve:
     """Evaluate SURE or oracle loss over a lambda grid.
 
-    The grid may include inf, whose fit is the mean. On a path lattice one
-    pass over the exact fusion path gives every fit, in process. On other
-    lattices there is one exact minimum-cut solve per value (pieces can
-    split as lambda grows, so there is no path to follow). The sorted grid
-    is cut into contiguous chains of _CHAIN values; each chain is solved
-    from its largest value down, every solve started from the dual of the
-    one before (see ``tvsolve._cut_solve``): that saves routing, and the
-    fits are those of cold solves up to the rounding of the flows. The
-    chains are distributed across workers (TVDN_THREADS), highest values
-    first, as solves grow costlier with lambda over most of a default
-    grid, and gathered back in grid order; their layout depends only on
-    the grid, so the curve, its fits and their duals do not depend on the
-    worker count. The fit at the argmin is kept
-    on the curve. cfg is accepted for compatibility and not read.
+    The grid may include inf, whose fit is the mean. ``tv_denoise_grid``
+    solves the sorted grid, on any lattice (workers: TVDN_THREADS), and each
+    fit is scored here; the curve does not depend on the worker count. The
+    fit at the argmin is kept on the curve. cfg is accepted for
+    compatibility and not read.
     """
     lams = np.sort(np.asarray(lambdas, dtype=float))
     if lams.size == 0:
         raise ValueError("lambda grid is empty")
-    # sorting puts NaN last, so the smallest value alone would not show it
-    if not np.all(lams >= 0):
-        raise ValueError("lambda values must be nonnegative")
     if criterion == "sure":
         if sigma is None:
             raise ValueError("sure criterion needs sigma")
@@ -155,11 +112,8 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
         ftv = f_true.values
     else:
         raise ValueError("criterion must be 'sure' or 'oracle'")
-    if y.shape.is_path:
-        sols = list(map(FusionPath(y).solve, lams.tolist()))
-        values = [_risk_of(y, sol.estimate, criterion, sigma, ftv) for sol in sols]
-    else:
-        values, sols = zip(*_lattice_grid(y, lams, criterion, sigma, ftv))
-    values = np.array(values)
+    sols = tv_denoise_grid(y, lams)
+    values = np.array([_risk_of(y, sol.estimate, criterion, sigma, ftv)
+                       for sol in sols])
     best = int(np.argmin(values))
     return RiskCurve(lams, values, float(lams[best]), sols[best])

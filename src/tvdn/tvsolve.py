@@ -1,18 +1,19 @@
 """Exact TV solvers with dual certificates, on lattices of any dimension.
 
-``tv_denoise`` solves on any lattice: a path lattice (at most one axis
-longer than 1, so its sites form one chain in flat order) from its fusion
-path, every other lattice by divide-and-conquer minimum cuts over the level
-sets of the fit. On a path lattice groups only merge as lambda grows, so
-``FusionPath`` makes one heap pass over the whole fusion path that records
-the lambda at which each edge fuses, and writes the fit at any lambda >= 0
-from those times. It is the only 1D solver: ``tv_denoise_1d`` (one
-lambda), ``tv_path_1d`` (a lambda grid) and the adaptive rule (both of its
-thresholds) use it, and one path can serve every lambda asked of the same
-signal. No solver iterates to a tolerance: every one writes
-each piece of the fit as one constant and returns a dual edge vector w
-with ||w||_inf <= lambda whose reconstruction y - B^T w equals the
-estimate up to rounding, so the gap
+Every fit is decided here. ``tv_denoise`` solves at one lambda and
+``tv_denoise_grid`` along an ascending lambda grid, on any lattice: a path
+lattice (at most one axis longer than 1, so its sites form one chain in
+flat order) from its fusion path, every other lattice by divide-and-conquer
+minimum cuts over the level sets of the fit. On a path lattice groups only
+merge as lambda grows, so ``FusionPath`` makes one heap pass over the whole
+fusion path that records the lambda at which each edge fuses, and writes
+the fit at any lambda >= 0 from those times; one path serves every lambda
+asked of the same signal, such as a grid and both adaptive thresholds. On
+other lattices a grid is solved in warm-started chains of minimum-cut
+solves. No solver iterates to a tolerance: every one writes each piece of
+the fit as one constant and returns through ``_certified``, which keeps a
+dual edge vector w with ||w||_inf <= lambda whose reconstruction y - B^T w
+equals the estimate up to rounding, so the gap
 
     gap = lambda * ||B f||_1 - <B f, w>
 
@@ -26,14 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import parallel_map
 from .cuts import CutNetwork
-from .grid import Signal, adjoint_flat, diff_flat
+from .grid import LatticeShape, Signal, adjoint_flat, diff_flat
 from .lambda_stat import sample_lambda
 
 # a region's rounds stop once its leftover demand is below this times max|y|
 _RESIDUAL_TOL = 1e-12
-# a lattice fit is returned only if ||y - B^T w - f||_inf <= this * max|y|
+# a fit is returned only if ||y - B^T w - f||_inf <= this * max|y|
 _CERTIFIED_TOL = 1e-8
+# grid values per warm-started chain of lattice solves; a constant, so the
+# chains, and with them every fit and dual, depend only on the grid
+_CHAIN = 5
 
 
 @dataclass
@@ -58,7 +63,8 @@ class TvSolution:
     dual: np.ndarray
     gap: float
     iterations: int
-    converged: bool = True
+    # every fit is certified before it is returned
+    converged = True
 
     def objective(self, y: Signal) -> float:
         z = diff_flat(self.estimate.values, y.shape.sizes)
@@ -66,25 +72,20 @@ class TvSolution:
             + self.lam * float(np.abs(z).sum())
 
 
-def _certified_1d(y: Signal, lam: float, f: np.ndarray) -> TvSolution:
-    """Wrap the exact 1D fit f at lam with its dual and duality gap.
-
-    The dual entry at edge i is the clipped running sum -sum_{k<=i}(y_k - f_k);
-    at edges carrying a jump it is snapped to +-lambda, which the running sum
-    already equals up to rounding.
-    """
-    w = -np.cumsum(y.values - f)[:-1]
-    z = np.diff(f)
-    scale = max(float(np.abs(y.values).max()), 1e-300)
-    active = np.abs(z) > 1e-12 * scale
-    snap = lam * np.sign(z[active])
-    close = np.abs(w[active] - snap) <= 1e-8 * (1.0 + lam)
-    w[active] = np.where(close, snap, w[active])
+def _certified(y: Signal, lam: float, f: np.ndarray, w: np.ndarray,
+               rounds: int = 0) -> TvSolution:
+    """The fit f of y at lam with its dual w clipped to +-lam, after
+    checking that y - B^T w reconstructs f; raises RuntimeError if not."""
+    sizes = y.shape.sizes
     w = np.clip(w, -lam, lam)
-    tv = float(np.abs(z).sum())
-    # a constant fit has gap 0 at any lambda, lambda = inf included
-    gap = lam * tv - float(z @ w) if tv else 0.0
-    return TvSolution(Signal(y.shape, f), lam, w, abs(gap), 0)
+    scale = float(np.abs(y.values).max())
+    if np.abs(y.values - f - adjoint_flat(w, sizes)).max() > _CERTIFIED_TOL * scale:
+        raise RuntimeError("the TV fit could not be certified")
+    z = diff_flat(f, sizes)
+    jumps = z != 0.0
+    # each term is >= 0 in floating point since |w| <= lam
+    gap = float(np.sum(lam * np.abs(z[jumps]) - z[jumps] * w[jumps]))
+    return TvSolution(Signal(y.shape, f), lam, w, gap, rounds)
 
 
 def _fusion_times(y):
@@ -173,8 +174,9 @@ class FusionPath:
     group g takes the value b + (sum_g (y - b) - lambda (s_L + s_R)) / |g|,
     b its first datum: across an unfused edge the sign of the fit's
     difference is that of the data's, fixed at lambda = 0. Within a group
-    the fit's differences are exactly 0. One path serves every lambda asked
-    of the same signal, such as a grid and both adaptive thresholds.
+    the fit's differences are exactly 0, and the dual at an edge is the
+    running sum of f - y up to it. One path serves every lambda asked of
+    the same signal, such as a grid and both adaptive thresholds.
     """
 
     def __init__(self, y: Signal):
@@ -201,7 +203,7 @@ class FusionPath:
             pull[1:] -= side
             excess -= lam * pull
         f = np.repeat(base + excess / size, size)
-        return _certified_1d(self.y, lam, f)
+        return _certified(self.y, lam, f, np.cumsum(f - v)[:-1])
 
 
 def tv_denoise_1d(y: Signal, lam: float) -> TvSolution:
@@ -215,14 +217,21 @@ def tv_denoise_1d(y: Signal, lam: float) -> TvSolution:
     return FusionPath(y).solve(lam)
 
 
-def tv_path_1d(y: Signal, lambdas) -> list[TvSolution]:
-    """Exact TV minimizers on a path lattice over an ascending lambda grid,
-    from one pass.
+def tv_denoise_grid(y: Signal, lambdas) -> list[TvSolution]:
+    """Exact TV minimizers on any lattice over an ascending grid of
+    lambda >= 0 (at inf, the mean), in grid order.
 
-    One ``FusionPath`` pass records the fusion time of every edge; each grid
-    value's fit is written from those times, exactly as ``tv_denoise_1d``
-    writes it at that value (at inf, the mean). Within a fused group the
-    fit's differences are exactly 0.
+    A path lattice takes every fit from one ``FusionPath``, exactly as
+    ``tv_denoise`` writes it at that value. On other lattices pieces can
+    split as lambda grows, so there is no path to follow: the grid is cut
+    into contiguous chains of _CHAIN values; each chain is solved from
+    its largest value down, every ``_cut_solve`` started from the dual of
+    the one before: that saves routing, and the fits are those of cold
+    solves up to the rounding of the flows. The chains are distributed
+    across workers (TVDN_THREADS), highest values first, as solves grow
+    costlier with lambda over most of a default grid; their layout depends
+    only on the grid, so the fits and their duals do not depend on the
+    worker count.
     """
     lams = np.asarray(lambdas, dtype=float).ravel()
     if not np.all(lams >= 0):
@@ -230,17 +239,38 @@ def tv_path_1d(y: Signal, lambdas) -> list[TvSolution]:
     # np.diff would compute inf - inf on a grid ending in repeated infs
     if np.any(lams[1:] < lams[:-1]):
         raise ValueError("lambda grid must be ascending")
-    return list(map(FusionPath(y).solve, lams.tolist()))
+    if y.shape.is_path:
+        return list(map(FusionPath(y).solve, lams.tolist()))
+    # the chains from the top, each descending, so the results read the
+    # whole grid backwards
+    args = [(y.shape.sizes, y.values, lams[i:i + _CHAIN][::-1].tolist())
+            for i in range(0, lams.size, _CHAIN)][::-1]
+    return [sol for chain in parallel_map(_solve_chain, args)
+            for sol in chain][::-1]
+
+
+def _solve_chain(args):
+    """The fits at each lambda of a descending chain, every cut solve
+    started from the dual of the one before."""
+    sizes, yv, lams = args
+    y = Signal(LatticeShape(sizes), yv)
+    out, dual = [], None
+    for lam in lams:
+        out.append(_cut_solve(y, lam, dual))
+        dual = out[-1].dual
+    return out
 
 
 def tv_denoise(y: Signal, lam: float, cfg: SolverConfig | None = None) -> TvSolution:
-    """Exact TV minimizer on a lattice of any dimension.
+    """Exact TV minimizer on a lattice of any dimension at one lambda
+    (``tv_denoise_grid`` solves a whole grid).
 
     A path lattice is solved from its fusion path by ``tv_denoise_1d``,
     every other lattice by divide-and-conquer minimum cuts (``iterations``
     counts their batched rounds). lam must be >= 0 (inf gives the mean; NaN
-    is rejected). cfg is accepted for compatibility and not read. Raises
-    RuntimeError rather than return a fit it cannot certify.
+    is rejected). cfg is accepted for compatibility and not read. Every fit
+    returns through ``_certified``, which raises RuntimeError rather than
+    return a fit it cannot certify.
     """
     if not lam >= 0.0:
         raise ValueError("lambda must be nonnegative")
@@ -284,7 +314,7 @@ def _cut_solve(y: Signal, lam: float, start=None) -> TvSolution:
     yv = y.values
     p = shape.n_edges
     if lam == 0.0 or np.ptp(yv) == 0.0:
-        return TvSolution(Signal(shape, yv.copy()), lam, np.zeros(p), 0.0, 0)
+        return _certified(y, lam, yv.copy(), np.zeros(p))
     net = CutNetwork(shape)
     near, far = net.near, net.far
     scale = float(np.abs(yv).max())
@@ -334,14 +364,7 @@ def _cut_solve(y: Signal, lam: float, start=None) -> TvSolution:
         last[split] = np.inf
         last = np.concatenate([last, np.full(k, np.inf)])
         done = np.concatenate([done, np.zeros(k, dtype=bool)])
-    w = np.clip(w, -lam, lam)
-    if np.abs(yv - f - adjoint_flat(w, sizes)).max() > _CERTIFIED_TOL * scale:
-        raise RuntimeError("minimum cuts did not certify the TV fit")
-    z = diff_flat(f, sizes)
-    jumps = z != 0.0
-    # each term is >= 0 in floating point since |w| <= lam
-    gap = float(np.sum(lam * np.abs(z[jumps]) - z[jumps] * w[jumps]))
-    return TvSolution(Signal(shape, f), lam, w, gap, rounds)
+    return _certified(y, lam, f, w, rounds)
 
 
 def lambda_max(y: Signal) -> float:

@@ -634,6 +634,10 @@ def _square(x):
     return x * x
 
 
+def test_every_exported_name_resolves():
+    assert [name for name in tvdn.__all__ if not hasattr(tvdn, name)] == []
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("TVDN_THREADS", "3")
     assert worker_count(10) == 3

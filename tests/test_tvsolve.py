@@ -7,11 +7,12 @@ from oracles import tv_objective, tv_oracle_boxqp, tv_oracle_direct_1d
 from tvdn.grid import LatticeShape, Signal, adjoint_flat
 from tvdn.lambda_stat import sample_lambda, sample_lambda_1d
 from tvdn._pool import parallel_map
-from tvdn.risk import _lattice_grid, default_lambda_grid, sure
+from tvdn.risk import default_lambda_grid, sure
 from tvdn.signals import gen_test_function
 import tvdn.tvsolve
 from tvdn.tvsolve import (FusionPath, SolverConfig, TvSolution, _cut_solve,
-                          lambda_max, tv_denoise, tv_denoise_1d, tv_path_1d)
+                          lambda_max, tv_denoise, tv_denoise_1d,
+                          tv_denoise_grid)
 
 S = Signal.from_array
 
@@ -122,7 +123,7 @@ def _assert_path_matches_direct_pass(y, grid):
     n = y.shape.n_sites
     lam_max = sample_lambda_1d(y)
     amp = float(np.abs(y.values).max())
-    sols = tv_path_1d(y, grid)
+    sols = tv_denoise_grid(y, grid)
     assert [s.lam for s in sols] == grid.tolist()
     for lam, sol in zip(grid, sols):
         f = sol.estimate.values
@@ -144,7 +145,7 @@ def _assert_path_matches_direct_pass(y, grid):
 def test_path_matches_boxqp_oracle(n, seed, ties, k):
     y = _path_input(n, seed, 0.0, ties)
     grid = _path_grid(y, seed, k)
-    for lam, sol in zip(grid, tv_path_1d(y, grid)):
+    for lam, sol in zip(grid, tv_denoise_grid(y, grid)):
         ref = tv_oracle_boxqp(y.values, lam, (n,))
         assert np.abs(sol.estimate.values - ref).max() <= 1e-8
 
@@ -184,20 +185,29 @@ def test_fusion_path_times_and_bounds():
 
 
 def test_path_edge_cases_and_bad_grids():
-    assert tv_path_1d(S([1.0, 2.0]), []) == []
-    sols = tv_path_1d(S([2.5]), [0.0, 1.0])
+    sols = tv_denoise_grid(S([2.5]), [0.0, 1.0])
     assert [s.estimate.values.tolist() for s in sols] == [[2.5], [2.5]]
     const = S(np.full(7, 0.1))
-    for sol in tv_path_1d(const, [0.0, 0.3, 9.0]):
+    for sol in tv_denoise_grid(const, [0.0, 0.3, 9.0]):
         assert np.array_equal(sol.estimate.values, const.values)
         assert sol.gap == 0.0
-    y = S([0.0, 3.0, 1.0])
-    for bad in ([1.0, 0.5], [-0.1, 1.0], [0.0, np.nan], [np.inf, 1.0],
-                [-np.inf, 1.0]):
-        with pytest.raises(ValueError):
-            tv_path_1d(y, bad)
-    with pytest.raises(ValueError):
-        tv_path_1d(S(np.zeros((2, 3))), [1.0])
+    # a path and a 2D lattice take the same grid checks
+    for y in (S([0.0, 3.0, 1.0]), S([[0.0, 3.0, 1.0], [2.0, -1.0, 0.5]])):
+        assert tv_denoise_grid(y, []) == []
+        for bad in ([1.0, 0.5], [-0.1, 1.0], [0.0, np.nan], [np.inf, 1.0],
+                    [-np.inf, 1.0]):
+            with pytest.raises(ValueError):
+                tv_denoise_grid(y, bad)
+
+
+def test_path_fit_that_cannot_be_certified_raises():
+    # fusion times that do not belong to the data give a fit its running-sum
+    # dual does not reconstruct: the true fit at lambda = 1 is [1, 9]
+    path = FusionPath(S([0.0, 10.0]))
+    assert path.solve(1.0).estimate.values.tolist() == [1.0, 9.0]
+    path.times = np.array([0.5])
+    with pytest.raises(RuntimeError):
+        path.solve(1.0)
 
 
 def test_path_grid_takes_infinite_lambda():
@@ -207,7 +217,7 @@ def test_path_grid_takes_infinite_lambda():
     v = np.random.default_rng(3).normal(size=12)
     y = S(v)
     grid = [0.0, 0.4, np.inf, np.inf]
-    sols = tv_path_1d(y, grid)
+    sols = tv_denoise_grid(y, grid)
     assert [s.lam for s in sols] == grid
     for lam, sol in zip(grid, sols):
         ref = tv_denoise_1d(y, lam)
@@ -230,7 +240,7 @@ def test_tv_denoise_1d_is_the_fusion_path():
     # a path lattice never enters the cut solver, whatever the config: every
     # layout of n values on one chain gets, at one lambda from tv_denoise or
     # tv_denoise_1d, the fusion path's fit on the flat values bit for bit,
-    # the same as tv_path_1d's at that lambda, in the input's shape
+    # the same as tv_denoise_grid's at that lambda, in the input's shape
     rng = np.random.default_rng(13)
     cfg = SolverConfig(max_iter=1)
     for n in (1, 2, 50, 300):
@@ -239,7 +249,7 @@ def test_tv_denoise_1d_is_the_fusion_path():
         for sizes in [(n,), (1, n), (n, 1), (1, 1, n)]:
             ys = Signal(LatticeShape(sizes), v)
             path = FusionPath(ys)
-            for lam, c in zip(lams, tv_path_1d(ys, lams)):
+            for lam, c in zip(lams, tv_denoise_grid(ys, lams)):
                 ref = path.solve(lam)
                 for a in (tv_denoise(ys, lam, cfg), tv_denoise_1d(ys, lam), c):
                     assert a.estimate.shape.sizes == sizes
@@ -494,19 +504,20 @@ def _cold_fit(args):
 
 def test_warm_grid_fits_are_the_cold_fits_on_the_bench_phantoms():
     # the 30-point SURE grid on the three 64^2 benchmark phantoms, solved in
-    # risk_curve's warm-started chains: every fit and risk value is bitwise
-    # that of a cold solve
+    # tv_denoise_grid's warm-started chains: every fit and risk value is
+    # bitwise that of a cold solve
     for k in range(3):
         v, _ = _bench_phantom(k, 64)
         y = S(v)
         grid = default_lambda_grid(lambda_max(y))
-        warm = _lattice_grid(y, grid, "sure", 1.0, None)
+        warm = tv_denoise_grid(y, grid)
         cold = parallel_map(_cold_fit, [(v, float(lam)) for lam in grid])
         assert len(warm) == len(cold) == 30
-        for lam, (value, sol), f in zip(grid, warm, cold):
+        for lam, sol, f in zip(grid, warm, cold):
             assert sol.lam == lam
             assert sol.estimate.values.tobytes() == f.tobytes()
-            assert value == sure(y, Signal(y.shape, f), 1.0)
+            assert sure(y, sol.estimate, 1.0) \
+                == sure(y, Signal(y.shape, f), 1.0)
 
 
 def test_tvsolution_objective():
@@ -515,6 +526,10 @@ def test_tvsolution_objective():
     expect = 0.5 * np.sum((y.values - sol.estimate.values) ** 2) \
         + 0.5 * np.abs(np.diff(sol.estimate.values)).sum()
     assert sol.objective(y) == pytest.approx(expect, abs=1e-12)
+    # converged is a constant of the class, not a field a caller can set
+    assert sol.converged is True
+    with pytest.raises(TypeError):
+        TvSolution(sol.estimate, 0.5, sol.dual, 0.0, 0, False)
 
 
 def test_lambda_max_constant_and_hand_value():
