@@ -48,6 +48,8 @@ class ExperimentConfig:
         self.functions = tuple(self.functions)
         self.sizes = tuple(int(s) for s in self.sizes)
         self.reps = tuple(int(r) for r in self.reps)
+        if len(self.alphas) != 1:
+            raise ValueError("alphas must hold exactly one level")
         if any(r < 1 for r in self.reps):
             raise ValueError("replicate counts must be at least 1")
         if self.sizes and len(self.reps) not in (0, 1, len(self.sizes)):
@@ -181,9 +183,9 @@ def bench_seg(config: ExperimentConfig) -> ResultTable:
     """Exact-segmentation and screening frequencies on piecewise signals.
 
     Jump heights sweep {2h*, h*, h*/10} around the recovery boundary h*;
-    thresholds compared are the exact-recovery scale (per alpha) and the
-    universal threshold. The replicates of every (size, function, height)
-    cell go through one ``parallel_map`` call.
+    thresholds compared are the exact-recovery scale at alpha (the config's
+    one level) and the universal threshold. The replicates of every (size,
+    function, height) cell go through one ``parallel_map`` call.
     """
     if config.experiment != "seg_1d":
         raise ValueError("config is not a seg_1d experiment")

@@ -49,14 +49,11 @@ def _write_output(path, est, meta):
         tvio.write_signal_csv(path, est)
 
 
-def _warn(message):
-    print("warning: " + message, file=sys.stderr)
-
-
 def _warn_zero_sigma():
-    _warn("the estimated noise level is 0 (flat or quantized input): "
-          "thresholds scaled by it are 0 and SURE favours the smallest "
-          "lambda, so the fit stays at or near the input; set --sigma-known")
+    print("warning: the estimated noise level is 0 (flat or quantized "
+          "input): thresholds scaled by it are 0 and SURE favours the "
+          "smallest lambda, so the fit stays at or near the input; set "
+          "--sigma-known", file=sys.stderr)
 
 
 def _check_sigma(value, flag):
@@ -64,12 +61,8 @@ def _check_sigma(value, flag):
         raise ValueError("%s: sigma must be finite and nonnegative" % flag)
 
 
-def _check_sigma_known(args):
-    _check_sigma(args.sigma_known, "--sigma-known")
-
-
 def cmd_denoise(args):
-    _check_sigma_known(args)
+    _check_sigma(args.sigma_known, "--sigma-known")
     y, meta = _read_input(args.infile)
     sigma = args.sigma_known if args.sigma_known is not None else estimate_sigma(y)
     coeffs = load_coefficients(args.coeffs) if args.coeffs else None
@@ -102,16 +95,10 @@ def cmd_denoise(args):
     elif method == "adaptive":
         _, sol, report = adaptive_tv(y, sigma=sigma, coeffs=coeffs)
         lam1, lam2, count1 = report.lambda1, report.lambda2, report.count1
-    elif method in ("sure", "oracle"):
-        grid = _make_grid(args.grid, y)
-        if method == "sure":
-            curve = risk_curve(y, grid, "sure", sigma=sigma)
-        else:
-            curve = risk_curve(y, grid, "oracle", f_true=truth)
+    else:  # sure or oracle; risk_curve refuses any other criterion
+        curve = _grid_risk_curve(y, args.grid, method, sigma, truth)
         sol = curve.argmin_fit
-        lam1, lam2 = float(grid.max()), curve.argmin_lambda
-    else:
-        raise ValueError("unknown method %r" % (method,))
+        lam1, lam2 = float(curve.lambdas[-1]), curve.argmin_lambda
 
     final_pieces = ncc(sol.estimate, default_quantization(sol.estimate))
     payload = {
@@ -242,42 +229,46 @@ def cmd_lambda_fit(args):
     return 0
 
 
-def _make_grid(spec, y):
-    """The --grid spec's lambda grid for y; Lambda of y (a full solve on a
-    lattice) is computed only when the grid is scaled by it."""
+def _grid_risk_curve(y, spec, criterion, sigma, truth):
+    """risk_curve of y over the --grid spec's lambda grid; SURE reads sigma,
+    the oracle truth. Lambda of y (a full solve on a lattice) is computed
+    only when the grid is scaled by it."""
     parts = spec.split(",") if spec else []
     if len(parts) == 3:
         lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
         if not 0 < lo <= hi:
             raise ValueError("--grid bounds must satisfy 0 < lo <= hi")
-        return np.geomspace(lo, hi, num)
-    if len(parts) > 1:
+        if hi == math.inf:
+            raise ValueError("--grid bounds must be finite")
+        grid = np.geomspace(lo, hi, num)
+    elif len(parts) > 1:
         raise ValueError("--grid expects COUNT or LO,HI,COUNT")
-    count = int(parts[0]) if parts else None
-    lam_max = lambda_max(y)
-    top = lam_max if lam_max > 0 else 1.0
-    if count is None:
-        return default_lambda_grid(top)
-    return default_lambda_grid(top, n_points=count)
+    else:
+        count = int(parts[0]) if parts else None
+        lam_max = lambda_max(y)
+        top = lam_max if lam_max > 0 else 1.0
+        if count is None:
+            grid = default_lambda_grid(top)
+        else:
+            grid = default_lambda_grid(top, n_points=count)
+    return risk_curve(y, grid, criterion, sigma=sigma, f_true=truth)
 
 
 def cmd_risk_curve(args):
-    _check_sigma_known(args)
+    _check_sigma(args.sigma_known, "--sigma-known")
     y, _ = _read_input(args.infile)
-    grid = _make_grid(args.grid, y)
+    sigma = truth = None
     if args.method == "oracle":
         if not args.truth:
             raise ValueError("--method oracle needs --truth")
         truth, _ = _read_input(args.truth)
-        curve = risk_curve(y, grid, "oracle", f_true=truth)
+    elif args.sigma_known is not None:
+        sigma = args.sigma_known
     else:
-        if args.sigma_known is not None:
-            sigma = args.sigma_known
-        else:
-            sigma = estimate_sigma(y)
-            if sigma == 0.0:
-                _warn_zero_sigma()
-        curve = risk_curve(y, grid, "sure", sigma=sigma)
+        sigma = estimate_sigma(y)
+        if sigma == 0.0:
+            _warn_zero_sigma()
+    curve = _grid_risk_curve(y, args.grid, args.method, sigma, truth)
     if args.out:
         tvio.write_csv_rows(args.out, ("lambda", "value"),
                             list(zip(curve.lambdas.tolist(),
@@ -293,17 +284,19 @@ def build_parser():
                                             "threshold selection")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, infile=False):
+    def common(sp, infile=False, seed=False, sigma_known=False):
         if infile:
             sp.add_argument("--in", dest="infile", required=True,
                             help="input CSV (1D) or PGM (2D)")
         sp.add_argument("--out", help="output path")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--sigma-known", dest="sigma_known", type=float,
-                        help="known noise standard deviation")
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
+        if sigma_known:
+            sp.add_argument("--sigma-known", dest="sigma_known", type=float,
+                            help="known noise standard deviation")
 
     d = sub.add_parser("denoise", help="denoise a signal or image")
-    common(d, infile=True)
+    common(d, infile=True, sigma_known=True)
     d.add_argument("--method",
                    choices=("fixed", "universal", "adaptive", "sure", "oracle"))
     d.add_argument("--lambda", dest="lam", type=float,
@@ -315,7 +308,7 @@ def build_parser():
     d.set_defaults(func=cmd_denoise)
 
     g = sub.add_parser("gen", help="generate a noisy 1D test signal")
-    common(g)
+    common(g, seed=True)
     g.add_argument("--function", default="blocks")
     g.add_argument("--sizes", type=_parse_sizes, default=(1000,))
     g.add_argument("--snr", type=float, default=7.0)
@@ -326,7 +319,7 @@ def build_parser():
     g.set_defaults(func=cmd_gen)
 
     bm = sub.add_parser("bench-mse", help="risk benchmark on 1D test signals")
-    common(bm)
+    common(bm, seed=True, sigma_known=True)
     bm.add_argument("--functions", help="comma-separated test function names")
     bm.add_argument("--sizes", type=_parse_sizes)
     bm.add_argument("--reps", type=_parse_sizes,
@@ -335,7 +328,7 @@ def build_parser():
     bm.set_defaults(func=cmd_bench_mse)
 
     bs = sub.add_parser("bench-seg", help="segmentation event benchmark")
-    common(bs)
+    common(bs, seed=True, sigma_known=True)
     bs.add_argument("--functions", help="battlements,staircase by default")
     bs.add_argument("--sizes", type=_parse_sizes)
     bs.add_argument("--reps", type=_parse_sizes)
@@ -344,7 +337,7 @@ def build_parser():
 
     ls = sub.add_parser("lambda-sample", help="Monte Carlo draws of the dual "
                                               "sup-norm statistic")
-    common(ls)
+    common(ls, seed=True)
     ls.add_argument("--dim", type=int, required=True)
     ls.add_argument("--sizes", type=_parse_sizes, required=True)
     ls.add_argument("--reps", type=int, default=200)
@@ -362,7 +355,7 @@ def build_parser():
     lf.set_defaults(func=cmd_lambda_fit)
 
     rc = sub.add_parser("risk-curve", help="SURE or oracle loss over a grid")
-    common(rc, infile=True)
+    common(rc, infile=True, sigma_known=True)
     rc.add_argument("--method", choices=("sure", "oracle"), default="sure")
     rc.add_argument("--truth")
     rc.add_argument("--grid", help="COUNT or LO,HI,COUNT")

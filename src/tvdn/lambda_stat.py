@@ -30,6 +30,9 @@ from ._pool import parallel_map
 from .cuts import CutNetwork
 from .grid import LatticeShape, Signal, SpectralLaplacian, adjoint_flat, diff_flat
 
+# sample_lambda gives up after this many flows; noise draws certify in 4-6
+_MAX_FLOWS = 50000
+
 
 @dataclass(frozen=True)
 class GumbelParams:
@@ -88,7 +91,7 @@ def sample_lambda_1d(y: Signal) -> float:
     return sample_lambda(y)[0]
 
 
-def sample_lambda(y: Signal, tol: float = 1e-6, max_iter: int = 50000):
+def sample_lambda(y: Signal, tol: float = 1e-6):
     """Minimum sup-norm dual vector for y, with the optimal value.
 
     By the coarea formula Lambda(y) = max over site sets S of c(S) / |dS|,
@@ -115,8 +118,8 @@ def sample_lambda(y: Signal, tol: float = 1e-6, max_iter: int = 50000):
     rounding. The cut set gives the exact lower bound c(S)/|dS| and the
     returned value is ||w||_inf, an upper bound; it is returned once
     value - lb <= tol * value, a relative bracket at every scale (lb > 0
-    whenever c is not 0). Raises RuntimeError if max_iter flow computations
-    do not close that bracket.
+    whenever c is not 0). Raises RuntimeError if ``_MAX_FLOWS`` flow
+    computations do not close that bracket.
 
     On a path lattice no flow is computed: the only dual is minus the
     partial sums of c in flat order.
@@ -143,7 +146,7 @@ def sample_lambda(y: Signal, tol: float = 1e-6, max_iter: int = 50000):
     lb = max(ratio(c > 0), _best_level_ratio(u, c, net.near, net.far))
     w = np.clip(diff_flat(u, shape.sizes), -lb, lb)
     flows = 0
-    while flows < max_iter:
+    while flows < _MAX_FLOWS:
         flows += 1
         mu = lb * (1.0 + 0.5 * tol)
         dw, blocked = net.route(c - adjoint_flat(w, shape.sizes), mu - w, mu + w)

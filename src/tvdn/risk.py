@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Signal, edge_components, edge_endpoints
+from .grid import Signal, diff_flat, edge_components
 from .tvsolve import SolverConfig, TvSolution, tv_denoise_grid
 
 
@@ -26,9 +26,8 @@ def component_labels(f: Signal, quantization: float) -> np.ndarray:
     """Component labels, numbered by smallest member site."""
     if quantization < 0:
         raise ValueError("quantization must be nonnegative")
-    near, far = edge_endpoints(f.shape)
-    v = f.values
-    return edge_components(f.shape, np.abs(v[far] - v[near]) <= quantization)
+    joined = np.abs(diff_flat(f.values, f.shape.sizes)) <= quantization
+    return edge_components(f.shape, joined)
 
 
 def ncc(f: Signal, quantization: float) -> int:
@@ -41,14 +40,15 @@ def ncc(f: Signal, quantization: float) -> int:
     return int(component_labels(f, quantization).max()) + 1
 
 
-def sure(y: Signal, f_hat: Signal, sigma: float, quantization: float | None = None) -> float:
+def sure(y: Signal, f_hat: Signal, sigma: float) -> float:
+    """Stein's unbiased estimate of the per-site risk of f_hat: RSS/m +
+    2 sigma^2 df/m - sigma^2, df = its components at default_quantization."""
     if y.shape.sizes != f_hat.shape.sizes:
         raise ValueError("signal shapes do not match")
-    if quantization is None:
-        quantization = default_quantization(f_hat)
     m = y.shape.n_sites
     rss = float(np.sum((y.values - f_hat.values) ** 2))
-    return rss / m + 2.0 * sigma ** 2 * ncc(f_hat, quantization) / m - sigma ** 2
+    df = ncc(f_hat, default_quantization(f_hat))
+    return rss / m + 2.0 * sigma ** 2 * df / m - sigma ** 2
 
 
 def default_lambda_grid(lam_max: float, n_points: int = 30) -> np.ndarray:

@@ -22,6 +22,9 @@ def test_experiment_config_validation():
         with pytest.raises(ValueError, match="sigma"):
             ExperimentConfig("seg_1d", sigma=sigma)
     assert ExperimentConfig("mse_1d", sigma=0.0).sigma == 0.0
+    for alphas in ((), (0.01, 0.2)):
+        with pytest.raises(ValueError, match="alphas"):
+            ExperimentConfig("seg_1d", alphas=alphas)
     cfg = ExperimentConfig("mse_1d", sizes=(10, 20, 30), reps=(7,))
     assert [cfg.reps_for(i) for i in range(3)] == [7, 7, 7]
     cfg = ExperimentConfig("mse_1d", sizes=(10, 20), reps=(5, 9))

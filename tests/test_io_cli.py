@@ -476,9 +476,47 @@ def test_cli_risk_curve(tmp_path, capsys):
     assert main(["risk-curve", "--in", noisy, "--method", "oracle",
                  "--truth", clean, "--grid", "0.5,6,6"]) == 0
     assert main(["risk-curve", "--in", noisy, "--method", "oracle"]) == 2
-    assert main(["risk-curve", "--in", noisy, "--sigma-known", "0.8",
-                 "--grid", "9,1,5"]) == 2  # lo > hi
+    # denoise --method sure|oracle takes lambda2 from the same curve
+    for method in ("sure", "oracle"):
+        argv = ["--in", noisy, "--method", method, "--sigma-known", "0.8",
+                "--truth", clean, "--grid", "0.5,6,6"]
+        assert main(["risk-curve"] + argv) == 0
+        lam = _payload(capsys.readouterr().out)["argmin_lambda"]
+        assert main(["denoise"] + argv) == 0
+        assert _payload(capsys.readouterr().out)["lambda2"] == lam
     capsys.readouterr()
+    # lo > hi, and bounds that are not finite
+    for grid in ("9,1,5", "1,inf,5", "inf,inf,3"):
+        for argv in (["risk-curve", "--out", curve + ".bad"],
+                     ["denoise", "--method", "sure", "--out", noisy + ".bad"]):
+            assert main(argv + ["--in", noisy, "--sigma-known", "0.8",
+                                "--grid", grid]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--grid bounds must" in captured.err
+    assert not os.path.exists(curve + ".bad")
+    assert not os.path.exists(noisy + ".bad")
+
+
+def test_cli_rejects_options_its_command_does_not_read(tmp_path, capsys):
+    # the draws of lambda-sample are at sigma 1 and gen's noise level is
+    # --sigma, and neither denoise nor risk-curve draws anything
+    noisy = str(tmp_path / "y.csv")
+    main(["gen", "--sizes", "40", "--seed", "2", "--out", noisy])
+    capsys.readouterr()
+    for argv in (["denoise", "--in", noisy, "--seed", "3"],
+                 ["risk-curve", "--in", noisy, "--seed", "3"],
+                 ["gen", "--sigma-known", "2", "--out", noisy + ".gen"],
+                 ["lambda-sample", "--dim", "1", "--sizes", "20",
+                  "--reps", "2", "--sigma-known", "2",
+                  "--out", str(tmp_path / "draws")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+    assert sorted(os.listdir(tmp_path)) == ["y.csv"]
 
 
 def test_cli_denoise_counts_small_steps_as_pieces(tmp_path, capsys):

@@ -109,12 +109,13 @@ def test_sample_lambda_constraint_residual():
     assert np.abs(w).max() <= lam * (1 + 1e-9)
 
 
-def test_sample_lambda_iteration_cap():
+def test_sample_lambda_iteration_cap(monkeypatch):
     # from the level-set start this draw certifies tol=1e-14 in 2 flows
+    monkeypatch.setattr(tvdn.lambda_stat, "_MAX_FLOWS", 1)
     rng = np.random.default_rng(14)
     y = S(rng.normal(size=(5, 5)))
     with pytest.raises(RuntimeError):
-        sample_lambda(y, tol=1e-14, max_iter=1)
+        sample_lambda(y, tol=1e-14)
 
 
 def test_sample_lambda_rejects_bad_tol():
