@@ -20,7 +20,7 @@ from .bench import (ExperimentConfig, bench_mse, bench_seg, lambda_fit_report,
                     qq_pairs, run_lambda_samples)
 from .coeffs import load_coefficients
 from .lambda_stat import GumbelParams
-from .risk import default_lambda_grid, default_quantization, ncc, risk_curve
+from .risk import default_lambda_grid, ncc, risk_curve
 from .selection import adaptive_tv, estimate_sigma, universal_threshold
 from .signals import gen_test_function
 from .tvsolve import lambda_max, tv_denoise
@@ -63,16 +63,18 @@ def _check_sigma(value, flag):
 
 def cmd_denoise(args):
     _check_sigma(args.sigma_known, "--sigma-known")
+    method = args.method or ("adaptive" if args.lam is None else "fixed")
+    if method == "fixed" and args.lam is None:
+        raise ValueError("--method fixed needs --lambda")
+    if method != "fixed" and args.lam is not None:
+        raise ValueError("--lambda is read only by --method fixed")
+    if args.grid is not None and method not in ("sure", "oracle"):
+        raise ValueError("--grid is read only by --method sure and oracle")
+    if method == "oracle" and not args.truth:
+        raise ValueError("--method oracle needs --truth")
     y, meta = _read_input(args.infile)
     sigma = args.sigma_known if args.sigma_known is not None else estimate_sigma(y)
     coeffs = load_coefficients(args.coeffs) if args.coeffs else None
-    method = args.method
-    if method == "fixed" and args.lam is None:
-        raise ValueError("--method fixed needs --lambda")
-    if args.lam is not None and method is None:
-        method = "fixed"
-    if method is None:
-        method = "adaptive"
     if args.sigma_known is None and sigma == 0.0 and \
             method in ("universal", "adaptive", "sure"):
         _warn_zero_sigma()
@@ -82,8 +84,6 @@ def cmd_denoise(args):
         truth, _ = _read_input(args.truth)
         if truth.shape.sizes != y.shape.sizes:
             raise ValueError("truth shape does not match input")
-    if method == "oracle" and truth is None:
-        raise ValueError("--method oracle needs --truth")
 
     count1 = None
     if method == "fixed":
@@ -100,7 +100,7 @@ def cmd_denoise(args):
         sol = curve.argmin_fit
         lam1, lam2 = float(curve.lambdas[-1]), curve.argmin_lambda
 
-    final_pieces = ncc(sol.estimate, default_quantization(sol.estimate))
+    final_pieces = ncc(sol.estimate)
     payload = {
         "method": method,
         "sigma_used": sigma,
@@ -231,20 +231,22 @@ def cmd_lambda_fit(args):
 
 def _grid_risk_curve(y, spec, criterion, sigma, truth):
     """risk_curve of y over the --grid spec's lambda grid; SURE reads sigma,
-    the oracle truth. Lambda of y (a full solve on a lattice) is computed
-    only when the grid is scaled by it."""
+    the oracle truth. The spec is checked first, and Lambda of y (a full
+    solve on a lattice) is computed only when the grid is scaled by it."""
     parts = spec.split(",") if spec else []
+    if len(parts) not in (0, 1, 3):
+        raise ValueError("--grid expects COUNT or LO,HI,COUNT")
+    count = int(parts[-1]) if parts else None
+    if count is not None and count < 1:
+        raise ValueError("--grid COUNT must be at least 1")
     if len(parts) == 3:
-        lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi = float(parts[0]), float(parts[1])
         if not 0 < lo <= hi:
             raise ValueError("--grid bounds must satisfy 0 < lo <= hi")
         if hi == math.inf:
             raise ValueError("--grid bounds must be finite")
-        grid = np.geomspace(lo, hi, num)
-    elif len(parts) > 1:
-        raise ValueError("--grid expects COUNT or LO,HI,COUNT")
+        grid = np.geomspace(lo, hi, count)
     else:
-        count = int(parts[0]) if parts else None
         lam_max = lambda_max(y)
         top = lam_max if lam_max > 0 else 1.0
         if count is None:
@@ -256,6 +258,8 @@ def _grid_risk_curve(y, spec, criterion, sigma, truth):
 
 def cmd_risk_curve(args):
     _check_sigma(args.sigma_known, "--sigma-known")
+    if args.method == "sure" and args.truth:
+        raise ValueError("--truth is read only by --method oracle")
     y, _ = _read_input(args.infile)
     sigma = truth = None
     if args.method == "oracle":
@@ -304,7 +308,8 @@ def build_parser():
     d.add_argument("--truth", help="noise-free reference (CSV/PGM)")
     d.add_argument("--coeffs", help="JSON fit file overriding the shipped "
                                     "Gumbel coefficients")
-    d.add_argument("--grid", help="lambda grid: COUNT or LO,HI,COUNT")
+    d.add_argument("--grid", help="lambda grid of --method sure|oracle: "
+                                  "COUNT or LO,HI,COUNT")
     d.set_defaults(func=cmd_denoise)
 
     g = sub.add_parser("gen", help="generate a noisy 1D test signal")
@@ -357,7 +362,7 @@ def build_parser():
     rc = sub.add_parser("risk-curve", help="SURE or oracle loss over a grid")
     common(rc, infile=True, sigma_known=True)
     rc.add_argument("--method", choices=("sure", "oracle"), default="sure")
-    rc.add_argument("--truth")
+    rc.add_argument("--truth", help="noise-free reference (--method oracle)")
     rc.add_argument("--grid", help="COUNT or LO,HI,COUNT")
     rc.set_defaults(func=cmd_risk_curve)
 

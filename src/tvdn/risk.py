@@ -1,11 +1,10 @@
 """Risk functionals for threshold selection: SURE and oracle loss curves.
 
 The unbiased risk estimate charges one degree of freedom per connected
-component of the fit, so component counting is the workhorse here. The
-solvers write every piece of a fit as one constant, so its within-piece
-differences are exactly 0; the quantization tolerance of the count serves
-fits supplied from elsewhere and keeps rounding-level steps between
-neighbouring pieces from counting as separate components.
+component of the fit, its fused groups (Tibshirani & Taylor 2011), so
+component counting is the workhorse here. The solvers write every piece of
+a fit as one constant, so two neighbouring sites lie in one piece exactly
+when their difference is 0; the count takes no tolerance.
 """
 from __future__ import annotations
 
@@ -17,38 +16,29 @@ from .grid import Signal, diff_flat, edge_components
 from .tvsolve import SolverConfig, TvSolution, tv_denoise_grid
 
 
-def default_quantization(f: Signal) -> float:
-    v = f.values
-    return max(1e-8, 1e-5 * float(v.max() - v.min()))
+def component_labels(f: Signal) -> np.ndarray:
+    """Component labels, numbered by smallest member site; neighbours are
+    joined exactly when their difference is 0."""
+    return edge_components(f.shape, diff_flat(f.values, f.shape.sizes) == 0.0)
 
 
-def component_labels(f: Signal, quantization: float) -> np.ndarray:
-    """Component labels, numbered by smallest member site."""
-    if quantization < 0:
-        raise ValueError("quantization must be nonnegative")
-    joined = np.abs(diff_flat(f.values, f.shape.sizes)) <= quantization
-    return edge_components(f.shape, joined)
-
-
-def ncc(f: Signal, quantization: float) -> int:
-    """Connected components of the fit, adjacency = difference within tolerance."""
-    if quantization < 0:
-        raise ValueError("quantization must be nonnegative")
+def ncc(f: Signal) -> int:
+    """Connected components of the fit: neighbours are joined exactly when
+    their difference is 0."""
     if f.shape.is_path:
-        # on a path every difference beyond the tolerance starts a component
-        return 1 + int(np.count_nonzero(~(np.abs(np.diff(f.values)) <= quantization)))
-    return int(component_labels(f, quantization).max()) + 1
+        # on a path every nonzero difference starts a component
+        return 1 + int(np.count_nonzero(np.diff(f.values)))
+    return int(component_labels(f).max()) + 1
 
 
 def sure(y: Signal, f_hat: Signal, sigma: float) -> float:
     """Stein's unbiased estimate of the per-site risk of f_hat: RSS/m +
-    2 sigma^2 df/m - sigma^2, df = its components at default_quantization."""
+    2 sigma^2 df/m - sigma^2, df = ncc(f_hat), its number of pieces."""
     if y.shape.sizes != f_hat.shape.sizes:
         raise ValueError("signal shapes do not match")
     m = y.shape.n_sites
     rss = float(np.sum((y.values - f_hat.values) ** 2))
-    df = ncc(f_hat, default_quantization(f_hat))
-    return rss / m + 2.0 * sigma ** 2 * df / m - sigma ** 2
+    return rss / m + 2.0 * sigma ** 2 * ncc(f_hat) / m - sigma ** 2
 
 
 def default_lambda_grid(lam_max: float, n_points: int = 30) -> np.ndarray:

@@ -37,27 +37,26 @@ class SegmentationOutcome:
             raise ValueError("exact recovery implies screening")
 
 
-def extract_jumps(f_hat: Signal, sigma: float = 0.0, rule: str = "nonzero",
-                  tolerance: float | None = None) -> np.ndarray:
+def extract_jumps(f_hat: Signal, sigma: float = 0.0,
+                  rule: str = "nonzero") -> np.ndarray:
     """Sorted jump locations of a fit on a path lattice.
 
-    rule 'nonzero' keeps any difference above an absolute tolerance (default
-    1e-3, see ``jump_threshold``); rule 'calibrated' keeps differences
-    above sigma*sqrt(2/N)*z_{1-0.025/(N-1)}.
+    rule 'nonzero' keeps exactly the differences that are not 0: the
+    solvers write every piece as one constant, so these are the fit's
+    jumps, at any scale of the data. rule 'calibrated' keeps differences
+    above sigma*sqrt(2/N)*z_{1-0.025/(N-1)} (see ``jump_threshold``).
     """
     if not f_hat.shape.is_path:
         raise ValueError("extract_jumps is defined on path lattices")
+    if rule not in ("nonzero", "calibrated"):
+        raise ValueError("rule must be 'nonzero' or 'calibrated'")
     n = f_hat.shape.n_sites
     if n < 2:
         return np.empty(0, dtype=int)
-    if rule == "nonzero":
-        thr = jump_threshold(n, sigma, "nonzero") if tolerance is None else tolerance
-    elif rule == "calibrated":
-        thr = jump_threshold(n, sigma, "calibrated")
-    else:
-        raise ValueError("rule must be 'nonzero' or 'calibrated'")
     d = diff_flat(f_hat.values, f_hat.shape.sizes)
-    return np.flatnonzero(np.abs(d) > thr) + 1
+    if rule == "calibrated":
+        d = np.abs(d) > jump_threshold(n, sigma, "calibrated")
+    return np.flatnonzero(d) + 1
 
 
 def kkt_check(y: Signal, jump_locations, lam: float):

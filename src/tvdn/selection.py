@@ -21,14 +21,8 @@ from scipy.special import ndtri
 from .coeffs import default_coefficients
 from .grid import LatticeShape, Signal, diff_flat
 from .lambda_stat import GumbelFitCoefficients
-from .risk import default_quantization, ncc
+from .risk import ncc
 from .tvsolve import FusionPath, tv_denoise
-
-# cutoff of jump_threshold("nonzero"): the solvers' fits are exactly
-# constant within pieces, so for them any cutoff below their smallest jump
-# counts the same jumps; the fixed absolute cutoff also ignores near-zero
-# differences in fits supplied from elsewhere, and follows no solver setting
-_NONZERO_JUMP_CUTOFF = 1e-3
 
 # MAD-to-sigma factor for Gaussian data; the extra 1/sqrt(2) accounts for
 # differencing doubling the variance
@@ -65,18 +59,17 @@ def jump_threshold(n: int, sigma: float, variant: str) -> float:
         return sigma * math.sqrt(2.0) * _bonferroni_z(n)
     if variant == "calibrated":
         return sigma * math.sqrt(2.0 / n) * _bonferroni_z(n)
-    if variant == "nonzero":
-        return _NONZERO_JUMP_CUTOFF
-    raise ValueError("variant must be raw, nonzero or calibrated")
+    raise ValueError("variant must be raw or calibrated")
 
 
 def count_jumps(y_or_f: Signal, sigma: float, variant: str = "calibrated") -> int:
     """Number of significant differences of a signal on a path lattice.
 
     raw: on the data, cutoff sigma*sqrt(2)*z (Bonferroni level 0.05);
-    nonzero: on a fit, any nonvanishing difference;
     calibrated: on a fit, cutoff sigma*sqrt(2/N)*z, matching the variance
-    of a within-piece average rather than that of a single observation.
+    of a within-piece average rather than that of a single observation;
+    the paper's count of adaptive step 1 on a path. A fit's exact jumps,
+    its nonzero differences, are ``segmentation.extract_jumps``'s default.
     """
     if not y_or_f.shape.is_path:
         raise ValueError("count_jumps is defined on path lattices")
@@ -183,7 +176,7 @@ def adaptive_tv(y: Signal | FusionPath, sigma: float | None = None,
     if d == 1:
         count1 = count_jumps(sol1.estimate, sigma_used, "calibrated") + 1
     else:
-        count1 = ncc(sol1.estimate, default_quantization(sol1.estimate))
+        count1 = ncc(sol1.estimate)
     n_bar = max((y.shape.n_sites / count1) ** (1.0 / d),
                 3.0 if d == 1 else 2.0)
     lam2 = _threshold(d, n_bar, d * n_bar ** (d - 1) * (n_bar - 1.0),

@@ -169,8 +169,11 @@ class FusionPath:
     path.
 
     The pass runs until every edge has fused and records each edge's fusion
-    time; ``solve`` then writes the fit at any lambda >= 0 from those times
-    alone. The edges fusing after lambda split the sites into groups, and a
+    time, clipped at Lambda, the closed form of ``sample_lambda``: the last
+    merge is at Lambda exactly, but the pass's running maximum can pass it
+    by a few ulps, and the fit at Lambda is the mean. ``solve`` then writes
+    the fit at any lambda >= 0 from those times alone. The edges fusing
+    after lambda split the sites into groups, and a
     group g takes the value b + (sum_g (y - b) - lambda (s_L + s_R)) / |g|,
     b its first datum: across an unfused edge the sign of the fit's
     difference is that of the data's, fixed at lambda = 0. Within a group
@@ -183,7 +186,7 @@ class FusionPath:
         if not y.shape.is_path:
             raise ValueError("FusionPath requires a path lattice")
         self.y = y
-        self.times = _fusion_times(y.values)
+        self.times = np.minimum(_fusion_times(y.values), sample_lambda(y)[0])
 
     def solve(self, lam: float) -> TvSolution:
         """The certified exact fit at lam >= 0 (at lam = inf, the mean)."""

@@ -8,6 +8,7 @@ evidence.
 """
 import numpy as np
 import scipy.sparse as sp
+from functools import lru_cache
 from itertools import product
 from scipy.linalg import null_space
 from scipy.optimize import linprog, lsq_linear
@@ -155,16 +156,18 @@ def tv_oracle_direct_1d(y, lam):
                 kp = k
 
 
-def tv_oracle_patterns(y, lam, sizes):
-    """Exhaustive minimizer over all active-edge sign patterns (tiny inputs)."""
-    y = np.asarray(y, dtype=float)
-    m = len(y)
+@lru_cache(maxsize=None)
+def _sign_patterns(sizes):
+    """Every active-edge sign pattern of a lattice with its components,
+    which depend on neither y nor lambda: the patterns (P, edges), the
+    membership (P, m, m), 1 where site i lies in component c, and the jump
+    flow per unit lambda into each component (P, m)."""
+    m = int(np.prod(sizes))
     edges = oracle_edge_list(sizes)
-    n_edges = len(edges)
-    best = None
-    best_obj = np.inf
-    for pat in product((-1, 0, 1), repeat=n_edges):
-        pat = np.array(pat)
+    pats = np.array(list(product((-1, 0, 1), repeat=len(edges))))
+    member = np.zeros((len(pats), m, m))
+    flow = np.zeros((len(pats), m))
+    for p, pat in enumerate(pats):
         parent = list(range(m))
 
         def find(a):
@@ -176,25 +179,40 @@ def tv_oracle_patterns(y, lam, sizes):
         for e, (i, j) in enumerate(edges):
             if pat[e] == 0:
                 parent[find(i)] = find(j)
-        comp = np.array([find(i) for i in range(m)])
-        labels = {c: k for k, c in enumerate(dict.fromkeys(comp))}
-        comp = np.array([labels[c] for c in comp])
-        k = comp.max() + 1
-        csize = np.bincount(comp, minlength=k).astype(float)
-        means = np.bincount(comp, weights=y, minlength=k) / csize
-        flow = np.zeros(k)
+        roots = [find(i) for i in range(m)]
+        labels = {c: k for k, c in enumerate(dict.fromkeys(roots))}
+        comp = np.array([labels[c] for c in roots])
+        member[p, np.arange(m), comp] = 1.0
         for e, (i, j) in enumerate(edges):
-            if pat[e] != 0:
-                flow[comp[i]] += -lam * pat[e]
-                flow[comp[j]] += lam * pat[e]
-        f = (means - flow / csize)[comp]
-        z = oracle_diff(f, sizes)
-        if any(pat[e] != 0 and z[e] * pat[e] < -1e-12 for e in range(n_edges)):
-            continue
-        obj = tv_objective(y, f, lam, sizes)
-        if obj < best_obj - 1e-15:
-            best_obj = obj
-            best = f
+            flow[p, comp[i]] -= pat[e]
+            flow[p, comp[j]] += pat[e]
+    return pats, member, flow
+
+
+def tv_oracle_patterns(y, lam, sizes):
+    """Exhaustive minimizer over all active-edge sign patterns (tiny inputs).
+
+    Each pattern fuses the sites across its inactive edges and fixes the
+    dual at lam times its sign on the active ones, which gives one
+    candidate fit; a candidate whose differences contradict its signs is
+    dropped, and the first candidate of least objective (ties within 1e-15
+    keep the earlier pattern) is returned. All patterns are evaluated at
+    once.
+    """
+    y = np.asarray(y, dtype=float)
+    pats, member, flow = _sign_patterns(tuple(sizes))
+    size = np.maximum(member.sum(axis=1), 1.0)
+    level = np.einsum("i,pic->pc", y, member) / size - lam * flow / size
+    f = np.einsum("pic,pc->pi", member, level)
+    z = f @ oracle_dense_b(sizes).T
+    feasible = ~np.any((pats != 0) & (z * pats < -1e-12), axis=1)
+    obj = 0.5 * np.sum((y - f) ** 2, axis=1) + lam * np.abs(z).sum(axis=1)
+    best = None
+    best_obj = np.inf
+    for p in np.flatnonzero(feasible):
+        if obj[p] < best_obj - 1e-15:
+            best_obj = obj[p]
+            best = f[p]
     return best
 
 

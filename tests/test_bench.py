@@ -9,6 +9,8 @@ from tvdn.bench import (ExperimentConfig, ResultTable, _mean_se, _mse_rep,
                         qq_pairs, run_lambda_samples)
 from tvdn.grid import LatticeShape, Signal
 from tvdn.lambda_stat import GumbelParams, monte_carlo_lambda, sample_lambda_1d
+from tvdn.risk import default_lambda_grid, risk_curve
+from tvdn.signals import TEST_FUNCTIONS, gen_test_function
 
 
 def test_experiment_config_validation():
@@ -167,6 +169,31 @@ def test_bench_seg_parallel_matches_serial(monkeypatch):
     parallel = bench_seg(cfg)
     assert len(serial.rows) == 2 * 2 * 3 * 2 * 3
     assert serial.rows == parallel.rows
+
+
+def test_events_and_sure_argmin_are_scale_equivariant():
+    # scaling y and sigma by c scales every fit and threshold by c; pieces
+    # and jumps are decided at zero tolerance, so no segmentation event and
+    # no SURE argmin moves, far below or above unit scale
+    def events(sigma):
+        cfg = ExperimentConfig("seg_1d", functions=("battlements", "staircase"),
+                               sizes=(100,), reps=(20,), seed=0, sigma=sigma)
+        return [(r["function"], r["method"], r["metric"], r["value"])
+                for r in bench_seg(cfg).rows]
+
+    def sure_argmin(f, noise, c):
+        y = Signal(f.shape, c * (f.values + noise))
+        grid = default_lambda_grid(sample_lambda_1d(y))
+        return int(np.argmin(risk_curve(y, grid, "sure", sigma=c).values))
+
+    ref = events(1.0)
+    rng = np.random.default_rng(3)
+    draws = [(gen_test_function(name, n, 7.0), rng.standard_normal(n))
+             for name in TEST_FUNCTIONS for n in (100, 1000)]
+    argmins = [sure_argmin(f, noise, 1.0) for f, noise in draws]
+    for c in (1e-4, 1e4):
+        assert events(c) == ref, c
+        assert [sure_argmin(f, noise, c) for f, noise in draws] == argmins, c
 
 
 def test_run_lambda_samples_matches_closed_form():

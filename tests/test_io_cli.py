@@ -365,6 +365,71 @@ def test_cli_explicit_grid_computes_no_lambda_max(tmp_path, capsys,
     capsys.readouterr()
 
 
+def test_cli_empty_grid_exits_2_before_lambda_max(tmp_path, capsys,
+                                                 monkeypatch):
+    # a grid COUNT below 1 is refused before Lambda (a full solve on a
+    # lattice) is computed, in either --grid form
+    import tvdn.cli
+    calls = []
+    monkeypatch.setattr(tvdn.cli, "lambda_max",
+                        lambda y: calls.append(y.shape.sizes))
+    pgm = str(tmp_path / "y.pgm")
+    img = np.random.default_rng(5).integers(0, 256, (8, 8)).astype(float)
+    write_pgm(pgm, Signal.from_array(img), maxval=255)
+    for argv in (["denoise", "--method", "sure"],
+                 ["denoise", "--method", "oracle", "--truth", pgm],
+                 ["risk-curve"]):
+        for grid in ("0", "-2", "0.5,6,0", "0.5,6,-2"):
+            assert main(argv + ["--in", pgm, "--grid", grid]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--grid COUNT must be at least 1" in captured.err
+    assert calls == []
+
+
+def _refused_before_reading(capsys, argv, message):
+    # the input does not exist, so the option's own message shows that it
+    # was refused before any input was read or any solve ran
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_cli_denoise_refuses_lambda_without_fixed(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    for method in ("universal", "adaptive", "sure", "oracle"):
+        _refused_before_reading(
+            capsys, ["denoise", "--in", missing, "--method", method,
+                     "--lambda", "2", "--truth", missing],
+            "--lambda is read only by --method fixed")
+    # --lambda alone still implies --method fixed, and --truth feeds loss
+    noisy, clean = str(tmp_path / "y.csv"), str(tmp_path / "f.csv")
+    main(["gen", "--sizes", "60", "--out", noisy, "--truth-out", clean])
+    capsys.readouterr()
+    assert main(["denoise", "--in", noisy, "--lambda", "2",
+                 "--truth", clean]) == 0
+    payload = _payload(capsys.readouterr().out)
+    assert payload["method"] == "fixed" and "loss" in payload
+
+
+def test_cli_denoise_refuses_grid_without_a_curve(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    for argv in (["--method", "fixed", "--lambda", "1"], ["--lambda", "1"],
+                 ["--method", "universal"], ["--method", "adaptive"], []):
+        _refused_before_reading(
+            capsys, ["denoise", "--in", missing, "--grid", "5"] + argv,
+            "--grid is read only by --method sure and oracle")
+
+
+def test_cli_risk_curve_refuses_truth_with_sure(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    for argv in (["--method", "sure"], []):
+        _refused_before_reading(
+            capsys, ["risk-curve", "--in", missing, "--truth", missing] + argv,
+            "--truth is read only by --method oracle")
+
+
 def test_cli_bad_lambda_sample_tol_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TVDN_THREADS", "1")
     for dim in ("1", "2"):
@@ -477,9 +542,9 @@ def test_cli_risk_curve(tmp_path, capsys):
                  "--truth", clean, "--grid", "0.5,6,6"]) == 0
     assert main(["risk-curve", "--in", noisy, "--method", "oracle"]) == 2
     # denoise --method sure|oracle takes lambda2 from the same curve
-    for method in ("sure", "oracle"):
-        argv = ["--in", noisy, "--method", method, "--sigma-known", "0.8",
-                "--truth", clean, "--grid", "0.5,6,6"]
+    for method, extra in (("sure", ["--sigma-known", "0.8"]),
+                          ("oracle", ["--truth", clean])):
+        argv = ["--in", noisy, "--method", method, "--grid", "0.5,6,6"] + extra
         assert main(["risk-curve"] + argv) == 0
         lam = _payload(capsys.readouterr().out)["argmin_lambda"]
         assert main(["denoise"] + argv) == 0
@@ -520,8 +585,8 @@ def test_cli_rejects_options_its_command_does_not_read(tmp_path, capsys):
 
 
 def test_cli_denoise_counts_small_steps_as_pieces(tmp_path, capsys):
-    # the piece count is relative to the fit's range, so a step far below
-    # any absolute cutoff still counts
+    # the piece count takes no tolerance, so a step far below unit scale
+    # still counts
     path = str(tmp_path / "step.csv")
     write_csv_column(path, np.repeat([0.0, 1e-4], 30), "value")
     assert main(["denoise", "--in", path, "--lambda", "1e-7"]) == 0

@@ -3,8 +3,8 @@ import pytest
 
 from invariants import check_ncc_floodfill
 from tvdn.grid import LatticeShape, Signal, adjoint_flat
-from tvdn.risk import (RiskCurve, component_labels, default_lambda_grid,
-                       default_quantization, ncc, risk_curve, sure)
+from tvdn.risk import (RiskCurve, component_labels, default_lambda_grid, ncc,
+                       risk_curve, sure)
 from tvdn.signals import gen_piecewise, gen_test_function
 from tvdn.tvsolve import FusionPath, lambda_max, tv_denoise, tv_denoise_1d
 
@@ -12,18 +12,17 @@ S = Signal.from_array
 
 
 def test_ncc_basic():
-    assert ncc(S(np.full((5, 5), 1.0)), 0.0) == 1
-    assert ncc(S([[0.0, 1.0], [1.0, 0.0]]), 0.0) == 4
+    assert ncc(S(np.full((5, 5), 1.0))) == 1
+    assert ncc(S([[0.0, 1.0], [1.0, 0.0]])) == 4
     f = gen_piecewise("battlements", 100, 5, 3.0).realize()
-    assert ncc(f, 0.0) == 5
-
-
-def test_ncc_monotone_in_quantization():
-    rng = np.random.default_rng(30)
-    v = S(rng.integers(0, 4, size=(8, 8)).astype(float))
-    counts = [ncc(v, t) for t in (0.0, 0.5, 1.0, 2.0, 4.0)]
-    assert all(a >= b for a, b in zip(counts, counts[1:]))
-    assert counts[-1] == 1
+    assert ncc(f) == 5
+    # pieces are decided at zero tolerance, so a step far below the fit's
+    # range, on a path or on a lattice, is a piece of its own at any scale
+    for c in (1e-8, 1.0, 1e8):
+        v = c * np.array([0.0, 0.0, 1e-12, 1e-12, 1.0])
+        assert ncc(S(v)) == 3
+        assert ncc(S(np.vstack([v, v]))) == 3
+        assert ncc(S(np.vstack([v, v + c * 1e-13]))) == 6
 
 
 def test_ncc_floodfill_suite():
@@ -32,19 +31,13 @@ def test_ncc_floodfill_suite():
 
 def test_component_labels_smallest_site_first():
     v = S([[0.0, 1.0], [1.0, 0.0]])
-    labels = component_labels(v, 0.0)
+    labels = component_labels(v)
     assert np.array_equal(labels, [0, 1, 2, 3])
     v = S([[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0, 0.0, 0.0]])
-    assert np.array_equal(component_labels(v, 0.0), [0, 1, 1, 0, 2, 1, 0, 0, 0])
+    assert np.array_equal(component_labels(v), [0, 1, 1, 0, 2, 1, 0, 0, 0])
     f = gen_piecewise("staircase", 12, 3, 1.0).realize()
-    labels = component_labels(f, 0.0)
+    labels = component_labels(f)
     assert np.array_equal(labels, np.repeat([0, 1, 2], 4))
-
-
-def test_default_quantization_rule():
-    f = S([0.0, 10.0])
-    assert default_quantization(f) == pytest.approx(1e-4, rel=1e-12)
-    assert default_quantization(S(np.zeros(4))) == pytest.approx(1e-8)
 
 
 def test_sure_identity_fit():
@@ -219,10 +212,7 @@ def test_path_lattices_match_1d():
             assert curve.argmin_fit.estimate.values.tobytes() == \
                 want.estimate.values.tobytes()
         for fit in fits:
-            for q in (0.0, default_quantization(S(fit))):
-                assert ncc(Signal(shape, fit), q) == ncc(S(fit), q)
-        with pytest.raises(ValueError):
-            ncc(ys, -1.0)
+            assert ncc(Signal(shape, fit)) == ncc(S(fit))
 
 
 def test_risk_curve_class_validation():

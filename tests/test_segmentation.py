@@ -35,12 +35,13 @@ def test_extract_jumps_calibrated_removes_small_steps():
     assert extract_jumps(f, sigma=1.0, rule="calibrated").size == 0
 
 
-def test_extract_jumps_explicit_tolerance():
-    v = np.zeros(10)
-    v[5:] = 0.5
-    f = Signal.from_array(v)
-    np.testing.assert_array_equal(extract_jumps(f, tolerance=0.4), [5])
-    assert extract_jumps(f, tolerance=0.6).size == 0
+def test_extract_jumps_keeps_every_nonzero_difference():
+    # the default rule has no cutoff: a step is a jump at any scale, and
+    # only an exactly 0 difference is not
+    for c in (1e-8, 1.0, 1e8):
+        v = c * np.repeat([0.0, 1e-12, 1e-12, 5.0], [5, 2, 3, 4])
+        f = Signal.from_array(v)
+        np.testing.assert_array_equal(extract_jumps(f), [5, 10])
 
 
 def test_extract_jumps_errors():

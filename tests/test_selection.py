@@ -9,6 +9,7 @@ from oracles import tv_oracle_direct_1d
 from tvdn.coeffs import default_coefficients
 from tvdn.grid import LatticeShape, Signal, adjoint_flat
 from tvdn.lambda_stat import GumbelFitCoefficients
+from tvdn.segmentation import extract_jumps
 from tvdn.selection import (ThresholdReport, _threshold, adaptive_tv,
                             count_jumps, estimate_sigma, exact_seg_prob_bound,
                             exact_seg_threshold, jump_threshold,
@@ -89,12 +90,13 @@ def test_thresholds_homogeneous_and_increasing():
 
 def test_count_jumps_constant_and_errors():
     c = S(np.zeros(50))
-    for variant in ("raw", "nonzero", "calibrated"):
+    for variant in ("raw", "calibrated"):
         assert count_jumps(c, 1.0, variant) == 0
     with pytest.raises(ValueError):
         count_jumps(S(np.zeros((3, 3))), 1.0, "raw")
-    with pytest.raises(ValueError):
-        count_jumps(c, 1.0, "weird")
+    for variant in ("weird", "nonzero"):
+        with pytest.raises(ValueError):
+            count_jumps(c, 1.0, variant)
 
 
 def test_count_jumps_battlements_calibrated():
@@ -106,19 +108,11 @@ def test_jump_threshold_ordering():
     # raw cutoff targets single observations, calibrated targets means
     assert jump_threshold(100, 1.0, "raw") \
         == pytest.approx(10.0 * jump_threshold(100, 1.0, "calibrated"), rel=1e-12)
-    assert jump_threshold(100, 1.0, "nonzero") == pytest.approx(1e-3, rel=1e-9)
-
-
-def test_nonzero_cutoff_ignores_solver_defaults(monkeypatch):
-    import tvdn.tvsolve
-    from tvdn.tvsolve import SolverConfig
-    monkeypatch.setattr(tvdn.tvsolve, "SolverConfig",
-                        lambda: SolverConfig(gap_tol=1e-4))
-    assert jump_threshold(100, 1.0, "nonzero") == 1e-3
 
 
 def test_count_jumps_ordering_frequency():
-    # raw on data <= true <= calibrated on fit <= nonzero on fit, typically
+    # raw on data <= true <= calibrated on fit <= every jump of the fit,
+    # typically
     rng = np.random.default_rng(5)
     n, reps = 1000, 40
     f = gen_test_function("blocks", n, 7.0)
@@ -130,7 +124,7 @@ def test_count_jumps_ordering_frequency():
         fh = tv_denoise_1d(y, lam).estimate
         ok += (count_jumps(y, 1.0, "raw") <= true_jumps
                <= count_jumps(fh, 1.0, "calibrated")
-               <= count_jumps(fh, 1.0, "nonzero"))
+               <= extract_jumps(fh).size)
     assert ok / reps >= 0.9
 
 

@@ -32,7 +32,7 @@ def test_spec_realize_roundtrip_and_ncc():
     spec = PiecewiseConstantSpec([0.0, 3.0, -1.0, 3.0], [5, 2, 6, 7])
     f = spec.realize()
     assert f.shape.n_sites == 20
-    assert ncc(f, 0.0) == 4
+    assert ncc(f) == 4
     back = PiecewiseConstantSpec.from_values(f.values)
     assert np.array_equal(back.levels, spec.levels)
     assert np.array_equal(back.lengths, spec.lengths)
@@ -46,7 +46,7 @@ def test_gen_zero():
 def test_gen_blocks_is_twelve_pieces():
     for n in (100, 1000):
         f = gen_test_function("blocks", n, 7.0)
-        assert ncc(f, 0.0) == 12
+        assert ncc(f) == 12
 
 
 def test_gen_blocks_sd_scaling():

@@ -184,6 +184,22 @@ def test_fusion_path_times_and_bounds():
                     <= 1e-12 * (1.0 + np.abs(v).max())
 
 
+def test_path_fit_at_lambda_max_is_constant():
+    # every default grid ends at Lambda, the closed form of
+    # sample_lambda_1d; the pass's last fusion time can exceed it by a few
+    # ulps, but the fit there is the mean, with no step left at any scale
+    rng = np.random.default_rng(1)
+    for function in ("blocks", "bumps", "heavisine", "doppler", "zero"):
+        for n in (100, 1000, 10000):
+            f = gen_test_function(function, n, 7.0)
+            y = Signal(f.shape, f.values + rng.standard_normal(n))
+            lam = sample_lambda_1d(y)
+            path = FusionPath(y)
+            assert path.times.max() <= lam
+            fit = path.solve(lam).estimate.values
+            assert np.ptp(fit) == 0.0, (function, n)
+
+
 def test_path_edge_cases_and_bad_grids():
     sols = tv_denoise_grid(S([2.5]), [0.0, 1.0])
     assert [s.estimate.values.tolist() for s in sols] == [[2.5], [2.5]]
