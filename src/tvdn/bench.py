@@ -21,7 +21,7 @@ from .segmentation import evaluate_outcome
 from .selection import (adaptive_tv, exact_seg_threshold, min_jump_height,
                         universal_threshold)
 from .signals import TEST_FUNCTIONS, gen_piecewise, gen_test_function
-from .tvsolve import FusionPath
+from .tvsolve import tv_solver
 
 EXPERIMENTS = ("mse_1d", "seg_1d", "lambda_fit", "image")
 
@@ -114,22 +114,19 @@ def _map_cells(fn, cells):
 
 def _mse_rep(args):
     """One Table-style risk replicate: oracle, SURE and adaptive losses,
-    every fit from one fusion pass over the replicate's signal."""
+    every fit from one solver object for the replicate's signal."""
     function, n, snr, sigma, entropy = args
     rng = np.random.default_rng(entropy)
     f = gen_test_function(function, n, snr=snr)
     y = Signal(f.shape, f.values + sigma * rng.standard_normal(n))
-    lam_max = sample_lambda_1d(y)
-    if lam_max <= 0:
-        lam_max = 1.0
-    grid = default_lambda_grid(lam_max)
+    grid = default_lambda_grid(sample_lambda_1d(y) or 1.0)
     losses = np.empty(grid.size)
     sures = np.empty(grid.size)
-    path = FusionPath(y)
-    for i, sol in enumerate(map(path.solve, grid.tolist())):
+    solver = tv_solver(y)
+    for i, sol in enumerate(map(solver.solve, grid.tolist())):
         losses[i] = _loss(sol.estimate.values, f.values)
         sures[i] = sure(y, sol.estimate, sigma)
-    _, sol2, _ = adaptive_tv(path, sigma=sigma)
+    _, sol2, _ = adaptive_tv(solver, sigma=sigma)
     return (float(losses.min()),
             float(losses[int(np.argmin(sures))]),
             _loss(sol2.estimate.values, f.values))
@@ -163,16 +160,16 @@ def bench_mse(config: ExperimentConfig) -> ResultTable:
 
 def _seg_rep(args):
     """One segmentation replicate: exact/screening events and level count,
-    every threshold's fit from one fusion pass over the replicate's signal."""
+    every threshold's fit from one solver object for the signal."""
     kind, n, n_levels, height, sigma, lambdas, entropy = args
     rng = np.random.default_rng(entropy)
     spec = gen_piecewise(kind, n, n_levels, height)
     f = spec.realize()
     y = Signal(f.shape, f.values + sigma * rng.standard_normal(n))
-    path = FusionPath(y)
+    solver = tv_solver(y)
     res = {}
     for method, lam in lambdas.items():
-        est = path.solve(lam).estimate
+        est = solver.solve(lam).estimate
         outcome = evaluate_outcome(est, spec, sigma)
         res[method] = (outcome.exact, outcome.screening,
                        len(outcome.jumps_estimated) + 1)

@@ -70,6 +70,9 @@ def cmd_denoise(args):
         raise ValueError("--lambda is read only by --method fixed")
     if args.grid is not None and method not in ("sure", "oracle"):
         raise ValueError("--grid is read only by --method sure and oracle")
+    if args.coeffs and method not in ("universal", "adaptive"):
+        raise ValueError("--coeffs is read only by --method universal and "
+                         "adaptive")
     if method == "oracle" and not args.truth:
         raise ValueError("--method oracle needs --truth")
     y, meta = _read_input(args.infile)
@@ -260,6 +263,8 @@ def cmd_risk_curve(args):
     _check_sigma(args.sigma_known, "--sigma-known")
     if args.method == "sure" and args.truth:
         raise ValueError("--truth is read only by --method oracle")
+    if args.method == "oracle" and args.sigma_known is not None:
+        raise ValueError("--sigma-known is read only by --method sure")
     y, _ = _read_input(args.infile)
     sigma = truth = None
     if args.method == "oracle":

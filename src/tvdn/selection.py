@@ -22,7 +22,7 @@ from .coeffs import default_coefficients
 from .grid import LatticeShape, Signal, diff_flat
 from .lambda_stat import GumbelFitCoefficients
 from .risk import ncc
-from .tvsolve import FusionPath, tv_denoise
+from .tvsolve import CutSolver, FusionPath, tv_solver
 
 # MAD-to-sigma factor for Gaussian data; the extra 1/sqrt(2) accounts for
 # differencing doubling the variance
@@ -148,7 +148,7 @@ def exact_seg_prob_bound(n_levels: int, alpha: float) -> float:
     return (1.0 - 2.0 * alpha) ** (n_levels - 2) * (1.0 - alpha) ** 2
 
 
-def adaptive_tv(y: Signal | FusionPath, sigma: float | None = None,
+def adaptive_tv(y: Signal | FusionPath | CutSolver, sigma: float | None = None,
                 coeffs: GumbelFitCoefficients | None = None):
     """Two-step denoising with the adaptive universal threshold.
 
@@ -156,22 +156,18 @@ def adaptive_tv(y: Signal | FusionPath, sigma: float | None = None,
     piece count of that fit (level count on a path lattice, connected
     components on lattices of dimension 2 or 3) sets the average piece size
     N_bar, and step 2 re-solves once at the same rule evaluated at side
-    N_bar. The dimension d is the number of axes longer than 1. On a path
-    lattice both fits come from one ``FusionPath``; y may be that path,
+    N_bar. The dimension d is the number of axes longer than 1. Both fits
+    come from one solver object, ``tv_solver(y)``; y may be that solver,
     built for its signal and perhaps already used for other lambda values,
-    so the signal's pass is not repeated. Returns both solutions and a
-    report.
+    so its work is not repeated. Returns both solutions and a report.
     """
-    path, y = (y, y.y) if isinstance(y, FusionPath) else (None, y)
+    solver, y = (None, y) if isinstance(y, Signal) else (y, y.y)
     d = y.shape.squeezed.ndim
     if d > 3:
         raise ValueError("adaptive rule covers path lattices and d in {2, 3}")
     sigma_used = estimate_sigma(y) if sigma is None else float(sigma)
     lam1 = universal_threshold(y.shape, sigma_used, coeffs)
-    if d == 1:
-        solve = (path or FusionPath(y)).solve
-    else:
-        solve = lambda lam: tv_denoise(y, lam)
+    solve = (solver or tv_solver(y)).solve
     sol1 = solve(lam1)
     if d == 1:
         count1 = count_jumps(sol1.estimate, sigma_used, "calibrated") + 1

@@ -1,16 +1,16 @@
 """Exact TV solvers with dual certificates, on lattices of any dimension.
 
-Every fit is decided here. ``tv_denoise`` solves at one lambda and
-``tv_denoise_grid`` along an ascending lambda grid, on any lattice: a path
-lattice (at most one axis longer than 1, so its sites form one chain in
-flat order) from its fusion path, every other lattice by divide-and-conquer
-minimum cuts over the level sets of the fit. On a path lattice groups only
-merge as lambda grows, so ``FusionPath`` makes one heap pass over the whole
-fusion path that records the lambda at which each edge fuses, and writes
-the fit at any lambda >= 0 from those times; one path serves every lambda
-asked of the same signal, such as a grid and both adaptive thresholds. On
-other lattices a grid is solved in warm-started chains of minimum-cut
-solves. No solver iterates to a tolerance: every one writes each piece of
+Every fit is decided here. One solver object serves every lambda asked of
+one signal, such as a grid and both adaptive thresholds; ``tv_solver(y)``
+picks it. On a path lattice (at most one axis longer than 1, so its sites
+form one chain in flat order) groups only merge as lambda grows, so
+``FusionPath`` makes one heap pass over the whole fusion path, recording
+the lambda at which each edge fuses, and writes the fit at any lambda >= 0
+from those times. On every other lattice ``CutSolver`` builds one
+``CutNetwork`` and solves each lambda by divide-and-conquer minimum cuts
+over the level sets of the fit. ``tv_denoise`` solves one lambda and
+``tv_denoise_grid`` an ascending grid, on other lattices in warm-started
+chains. No solver iterates to a tolerance: every one writes each piece of
 the fit as one constant and returns through ``_certified``, which keeps a
 dual edge vector w with ||w||_inf <= lambda whose reconstruction y - B^T w
 equals the estimate up to rounding, so the gap
@@ -173,13 +173,12 @@ class FusionPath:
     merge is at Lambda exactly, but the pass's running maximum can pass it
     by a few ulps, and the fit at Lambda is the mean. ``solve`` then writes
     the fit at any lambda >= 0 from those times alone. The edges fusing
-    after lambda split the sites into groups, and a
-    group g takes the value b + (sum_g (y - b) - lambda (s_L + s_R)) / |g|,
+    after lambda split the sites into groups, and a group g takes the value
+    b + (sum_g (y - b) - lambda (s_L + s_R)) / |g|,
     b its first datum: across an unfused edge the sign of the fit's
     difference is that of the data's, fixed at lambda = 0. Within a group
     the fit's differences are exactly 0, and the dual at an edge is the
-    running sum of f - y up to it. One path serves every lambda asked of
-    the same signal, such as a grid and both adaptive thresholds.
+    running sum of f - y up to it.
     """
 
     def __init__(self, y: Signal):
@@ -215,9 +214,7 @@ def tv_denoise_1d(y: Signal, lam: float) -> TvSolution:
     the input's shape."""
     if not y.shape.is_path:
         raise ValueError("tv_denoise_1d requires a path lattice")
-    if not lam >= 0.0:
-        raise ValueError("lambda must be nonnegative")
-    return FusionPath(y).solve(lam)
+    return tv_denoise(y, lam)
 
 
 def tv_denoise_grid(y: Signal, lambdas) -> list[TvSolution]:
@@ -227,10 +224,10 @@ def tv_denoise_grid(y: Signal, lambdas) -> list[TvSolution]:
     A path lattice takes every fit from one ``FusionPath``, exactly as
     ``tv_denoise`` writes it at that value. On other lattices pieces can
     split as lambda grows, so there is no path to follow: the grid is cut
-    into contiguous chains of _CHAIN values; each chain is solved from
-    its largest value down, every ``_cut_solve`` started from the dual of
-    the one before: that saves routing, and the fits are those of cold
-    solves up to the rounding of the flows. The chains are distributed
+    into contiguous chains of _CHAIN values; each chain is solved by one
+    ``CutSolver`` from its largest value down, every solve started from the
+    dual of the one before: that saves routing, and the fits are those of
+    cold solves up to the rounding of the flows. The chains are distributed
     across workers (TVDN_THREADS), highest values first, as solves grow
     costlier with lambda over most of a default grid; their layout depends
     only on the grid, so the fits and their duals do not depend on the
@@ -253,37 +250,39 @@ def tv_denoise_grid(y: Signal, lambdas) -> list[TvSolution]:
 
 
 def _solve_chain(args):
-    """The fits at each lambda of a descending chain, every cut solve
-    started from the dual of the one before."""
+    """The fits at each lambda of a descending chain from one
+    ``CutSolver``, every solve started from the dual of the one before."""
     sizes, yv, lams = args
-    y = Signal(LatticeShape(sizes), yv)
+    solve = CutSolver(Signal(LatticeShape(sizes), yv)).solve
     out, dual = [], None
     for lam in lams:
-        out.append(_cut_solve(y, lam, dual))
+        out.append(solve(lam, dual))
         dual = out[-1].dual
     return out
 
 
-def tv_denoise(y: Signal, lam: float, cfg: SolverConfig | None = None) -> TvSolution:
-    """Exact TV minimizer on a lattice of any dimension at one lambda
-    (``tv_denoise_grid`` solves a whole grid).
+def tv_solver(y: Signal) -> FusionPath | CutSolver:
+    """``FusionPath(y)`` on a path lattice, ``CutSolver(y)`` on any other."""
+    return FusionPath(y) if y.shape.is_path else CutSolver(y)
 
-    A path lattice is solved from its fusion path by ``tv_denoise_1d``,
-    every other lattice by divide-and-conquer minimum cuts (``iterations``
-    counts their batched rounds). lam must be >= 0 (inf gives the mean; NaN
-    is rejected). cfg is accepted for compatibility and not read. Every fit
-    returns through ``_certified``, which raises RuntimeError rather than
-    return a fit it cannot certify.
+
+def tv_denoise(y: Signal, lam: float, cfg: SolverConfig | None = None) -> TvSolution:
+    """Exact TV minimizer on a lattice of any dimension at one lambda >= 0
+    (inf gives the mean; NaN is refused), from ``tv_solver(y)``;
+    ``tv_denoise_grid`` solves a whole grid. ``iterations`` counts a cut
+    solve's batched rounds. cfg is accepted for compatibility and not read.
+    Every fit returns through ``_certified``, which raises RuntimeError
+    rather than return a fit it cannot certify.
     """
     if not lam >= 0.0:
         raise ValueError("lambda must be nonnegative")
-    if y.shape.is_path:
-        return tv_denoise_1d(y, lam)
-    return _cut_solve(y, lam)
+    return tv_solver(y).solve(lam)
 
 
-def _cut_solve(y: Signal, lam: float, start=None) -> TvSolution:
-    """The exact TV fit at lam >= 0 on any lattice, by minimum cuts.
+class CutSolver:
+    """Every exact TV fit on any lattice, path lattices included, by minimum
+    cuts over one ``CutNetwork``: ``FusionPath``'s counterpart for lattices
+    where pieces can split as lambda grows.
 
     The level set {f > t} of the fit is the minimal minimizer of
     lam |dS| + sum_{i in S} (t - y_i) (Hochbaum 2001; Chambolle & Darbon
@@ -304,70 +303,78 @@ def _cut_solve(y: Signal, lam: float, start=None) -> TvSolution:
     dual there, so every piece is written as one constant and certified by
     w with ||w||_inf <= lam and y - B^T w = f up to _CERTIFIED_TOL.
 
-    ``start`` is an optional edge dual, such as the dual of another lambda's
-    fit of the same y. Clipped to +-lam, it is the first flow of the single
-    starting region, so the first round routes only what it leaves over.
-    Regions, the rules of the rounds and the certificate are those of a
-    cold start. The minimum cuts, and so the fit, do not depend on the flow
-    they start from, up to the rounding of the integer capacities; the
-    dual, the number of rounds and the rounding-level gap can differ.
+    ``solve`` may start from an edge dual, such as another lambda's dual
+    for y: clipped to +-lam, it is the first flow of the starting region,
+    and all else is a cold start's. The fit does not depend on the start up
+    to the rounding of the integer capacities; the dual, the rounds and the
+    rounding-level gap can. The network is built once; ``solve`` keeps no
+    state between calls.
     """
-    shape = y.shape
-    sizes = shape.sizes
-    yv = y.values
-    p = shape.n_edges
-    if lam == 0.0 or np.ptp(yv) == 0.0:
-        return _certified(y, lam, yv.copy(), np.zeros(p))
-    net = CutNetwork(shape)
-    near, far = net.near, net.far
-    scale = float(np.abs(yv).max())
-    label = np.zeros(shape.n_sites, dtype=np.intp)
-    jump = np.zeros(p, dtype=bool)   # edges between regions
-    # +-lam across regions, flow inside
-    w = np.zeros(p) if start is None else np.clip(start, -lam, lam)
-    last = np.array([np.inf])        # leftover demand when last routed
-    done = np.array([False])
-    rounds = 0
-    while True:
-        n = last.size
-        count = np.bincount(label, minlength=n)
-        shifted = yv - adjoint_flat(np.where(jump, w, 0.0), sizes)
-        f = (np.bincount(label, shifted, n) / count)[label]
-        rest = yv - f - adjoint_flat(w, sizes)
-        left = np.zeros(n)
-        np.maximum.at(left, label, np.abs(rest))
-        done |= (left <= _RESIDUAL_TOL * scale) | (left > 0.5 * last)
-        if done.all():
-            break
-        last = np.where(done, last, left)
-        groups = np.where(done[label], -1, label)
-        dw, sink_side = net.route(rest, lam - w, lam + w, groups)
-        w += dw
-        rounds += 1
-        if sink_side is None:
-            continue
-        blocked = np.zeros(n, dtype=bool)
-        blocked[label[(groups >= 0) & ~sink_side]] = True
-        high = sink_side & blocked[label]
-        cut = ~jump & blocked[label[near]] & (high[near] != high[far])
-        excess = np.bincount(label[high], (shifted - f)[high], n) \
-            - lam * np.bincount(label[near[cut]], minlength=n)
-        n_high = np.bincount(label[high], minlength=n)
-        split = blocked & (excess > 0) & (n_high < count)
-        k = np.count_nonzero(split)
-        if k == 0:
-            continue
-        cut &= split[label[near]]
-        move = high & split[label]
-        fresh = np.full(n, -1)
-        fresh[split] = n + np.arange(k)
-        label[move] = fresh[label[move]]
-        jump |= cut
-        w[cut] = np.where(high[far[cut]], lam, -lam)
-        last[split] = np.inf
-        last = np.concatenate([last, np.full(k, np.inf)])
-        done = np.concatenate([done, np.zeros(k, dtype=bool)])
-    return _certified(y, lam, f, w, rounds)
+
+    def __init__(self, y: Signal):
+        self.y = y
+        self.net = CutNetwork(y.shape)
+
+    def solve(self, lam: float, start=None) -> TvSolution:
+        """The certified exact fit at lam >= 0 (at lam = inf, the mean)."""
+        if not lam >= 0.0:
+            raise ValueError("lambda must be nonnegative")
+        y, net = self.y, self.net
+        shape = y.shape
+        sizes = shape.sizes
+        yv = y.values
+        p = shape.n_edges
+        if lam == 0.0 or np.ptp(yv) == 0.0:
+            return _certified(y, lam, yv.copy(), np.zeros(p))
+        near, far = net.near, net.far
+        scale = float(np.abs(yv).max())
+        label = np.zeros(shape.n_sites, dtype=np.intp)
+        jump = np.zeros(p, dtype=bool)   # edges between regions
+        # +-lam across regions, flow inside
+        w = np.zeros(p) if start is None else np.clip(start, -lam, lam)
+        last = np.array([np.inf])        # leftover demand when last routed
+        done = np.array([False])
+        rounds = 0
+        while True:
+            n = last.size
+            count = np.bincount(label, minlength=n)
+            shifted = yv - adjoint_flat(np.where(jump, w, 0.0), sizes)
+            f = (np.bincount(label, shifted, n) / count)[label]
+            rest = yv - f - adjoint_flat(w, sizes)
+            left = np.zeros(n)
+            np.maximum.at(left, label, np.abs(rest))
+            done |= (left <= _RESIDUAL_TOL * scale) | (left > 0.5 * last)
+            if done.all():
+                break
+            last = np.where(done, last, left)
+            groups = np.where(done[label], -1, label)
+            dw, sink_side = net.route(rest, lam - w, lam + w, groups)
+            w += dw
+            rounds += 1
+            if sink_side is None:
+                continue
+            blocked = np.zeros(n, dtype=bool)
+            blocked[label[(groups >= 0) & ~sink_side]] = True
+            high = sink_side & blocked[label]
+            cut = ~jump & blocked[label[near]] & (high[near] != high[far])
+            excess = np.bincount(label[high], (shifted - f)[high], n) \
+                - lam * np.bincount(label[near[cut]], minlength=n)
+            n_high = np.bincount(label[high], minlength=n)
+            split = blocked & (excess > 0) & (n_high < count)
+            k = np.count_nonzero(split)
+            if k == 0:
+                continue
+            cut &= split[label[near]]
+            move = high & split[label]
+            fresh = np.full(n, -1)
+            fresh[split] = n + np.arange(k)
+            label[move] = fresh[label[move]]
+            jump |= cut
+            w[cut] = np.where(high[far[cut]], lam, -lam)
+            last[split] = np.inf
+            last = np.concatenate([last, np.full(k, np.inf)])
+            done = np.concatenate([done, np.zeros(k, dtype=bool)])
+        return _certified(y, lam, f, w, rounds)
 
 
 def lambda_max(y: Signal) -> float:

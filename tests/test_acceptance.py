@@ -8,6 +8,7 @@ sampling, full image sweeps) stay out of the default suite and remain
 reachable through the CLI as long-running jobs.
 """
 import time
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -24,7 +25,7 @@ from tvdn.lambda_stat import (fit_gev_and_lr_test, fit_gumbel,
                               sample_lambda_1d)
 from tvdn.risk import sure
 from tvdn.selection import exact_seg_prob_bound
-from tvdn.tvsolve import _cut_solve, tv_denoise, tv_denoise_1d
+from tvdn.tvsolve import CutSolver, tv_denoise, tv_denoise_1d
 
 
 def _finish(num, name, ok, detail, t0, budget):
@@ -42,8 +43,8 @@ def test_criterion_1_solver_matches_bruteforce():
     # a bounded-dual least-squares oracle, and every 2x2 instance against
     # exhaustive sign-pattern enumeration; within 1e-8, gap 1e-8. Paths are
     # solved by tv_denoise (the exact 1D pass) and, laid out as a 1xn or nx1
-    # lattice (in turn), by the cut solver called directly, since
-    # tv_denoise sends every path lattice to the 1D pass
+    # lattice (in turn), by one CutSolver per input serving all its lambdas,
+    # since tv_denoise sends every path lattice to the 1D pass
     t0 = time.time()
     lams = np.arange(0, 2.01, 0.25)
     entries = (-1.0, 0.0, 1.0, 2.0)
@@ -53,12 +54,12 @@ def test_criterion_1_solver_matches_bruteforce():
         for i, vals in enumerate(product(entries, repeat=npts)):
             y = np.array(vals)
             sizes = [(1, npts), (npts, 1)][i % 2]
-            solves = [(tv_denoise, Signal.from_array(y)),
-                      (_cut_solve, Signal(LatticeShape(sizes), y))]
+            solves = [partial(tv_denoise, Signal.from_array(y)),
+                      CutSolver(Signal(LatticeShape(sizes), y)).solve]
             for lam in lams:
                 ref = tv_oracle_boxqp(y, float(lam), (npts,))
-                for solve, ys in solves:
-                    sol = solve(ys, float(lam))
+                for solve in solves:
+                    sol = solve(float(lam))
                     worst_err = max(
                         worst_err, float(np.abs(sol.estimate.values - ref).max()))
                     worst_gap = max(worst_gap, sol.gap)
@@ -118,22 +119,23 @@ def test_criterion_3_statistic_is_constancy_boundary():
     for k in range(100):
         if k % 2 == 0:
             # a path, solved by the exact 1D pass and, laid out as a 1xn or
-            # nx1 lattice, by the cut solver called directly
+            # nx1 lattice, by a CutSolver
             n = int(rng.integers(8, 257))
             v = rng.normal(size=n)
-            solves = [(tv_denoise, Signal.from_array(v)),
-                      (_cut_solve,
-                       Signal(LatticeShape([(1, n), (n, 1)][k % 4 // 2]), v))]
-            lam = sample_lambda_1d(solves[0][1])
+            y1 = Signal.from_array(v)
+            yc = Signal(LatticeShape([(1, n), (n, 1)][k % 4 // 2]), v)
+            solves = [(partial(tv_denoise, y1), y1), (CutSolver(yc).solve, yc)]
+            lam = sample_lambda_1d(y1)
         else:
             n1 = int(rng.integers(3, 13))
             n2 = int(rng.integers(3, 13))
-            solves = [(tv_denoise, Signal.from_array(rng.normal(size=(n1, n2))))]
-            lam, _ = sample_lambda(solves[0][1], tol=1e-9)
+            y2 = Signal.from_array(rng.normal(size=(n1, n2)))
+            solves = [(partial(tv_denoise, y2), y2)]
+            lam, _ = sample_lambda(y2, tol=1e-9)
         for solve, y in solves:
-            hi = solve(y, lam * (1 + 1e-6))
+            hi = solve(lam * (1 + 1e-6))
             dev_hi = np.abs(hi.estimate.values - y.values.mean()).max()
-            lo = solve(y, lam * (1 - 1e-3))
+            lo = solve(lam * (1 - 1e-3))
             dev_lo = np.abs(lo.estimate.values - lo.estimate.values.mean()).max()
             if not (dev_hi <= 1e-6 and dev_lo > 1e-6):
                 bad.append((k, y.shape.sizes, dev_hi, dev_lo))

@@ -422,6 +422,28 @@ def test_cli_denoise_refuses_grid_without_a_curve(tmp_path, capsys):
             "--grid is read only by --method sure and oracle")
 
 
+def test_cli_denoise_refuses_coeffs_without_a_universal_rule(tmp_path,
+                                                             capsys):
+    # the fit file is missing too, so its own message would show that it
+    # was loaded
+    missing = str(tmp_path / "missing.csv")
+    coeffs = str(tmp_path / "missing.json")
+    for argv in (["--method", "fixed", "--lambda", "1"], ["--lambda", "1"],
+                 ["--method", "sure", "--grid", "1,10,3"],
+                 ["--method", "oracle", "--truth", missing]):
+        _refused_before_reading(
+            capsys, ["denoise", "--in", missing, "--coeffs", coeffs] + argv,
+            "--coeffs is read only by --method universal and adaptive")
+
+
+def test_cli_risk_curve_refuses_sigma_with_oracle(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    _refused_before_reading(
+        capsys, ["risk-curve", "--in", missing, "--method", "oracle",
+                 "--truth", missing, "--sigma-known", "5"],
+        "--sigma-known is read only by --method sure")
+
+
 def test_cli_risk_curve_refuses_truth_with_sure(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     for argv in (["--method", "sure"], []):
@@ -597,8 +619,9 @@ def test_cli_denoise_counts_small_steps_as_pieces(tmp_path, capsys):
 
 def test_cli_sure_denoise_reuses_the_curve_fit(tmp_path, capsys, monkeypatch):
     # the fit at the SURE argmin comes from the risk curve: 30 cut solves
-    # for the 30-point grid, the same output as a fresh solve there, and the
-    # rounds and gap of the warm-started solve kept on the curve
+    # for the 30-point grid on 6 networks, one per chain, the same output as
+    # a fresh solve there, and the rounds and gap of the warm-started solve
+    # kept on the curve
     monkeypatch.setenv("TVDN_THREADS", "1")
     rng = np.random.default_rng(40)
     img = np.clip(np.rint(np.kron([[60.0, 160.0], [110.0, 30.0]], np.ones((8, 8)))
@@ -606,17 +629,24 @@ def test_cli_sure_denoise_reuses_the_curve_fit(tmp_path, capsys, monkeypatch):
     src = str(tmp_path / "i.pgm")
     out = str(tmp_path / "o.pgm")
     write_pgm(src, Signal.from_array(img), maxval=255)
-    calls = []
-    cut_solve = tvdn.tvsolve._cut_solve
+    calls, networks = [], []
+    solve = tvdn.tvsolve.CutSolver.solve
+    network = tvdn.tvsolve.CutNetwork
 
-    def counted(y, lam, start=None):
+    def counted(self, lam, start=None):
         calls.append(lam)
-        return cut_solve(y, lam, start)
+        return solve(self, lam, start)
 
-    monkeypatch.setattr(tvdn.tvsolve, "_cut_solve", counted)
+    def built(shape):
+        networks.append(shape)
+        return network(shape)
+
+    monkeypatch.setattr(tvdn.tvsolve.CutSolver, "solve", counted)
+    monkeypatch.setattr(tvdn.tvsolve, "CutNetwork", built)
     assert main(["denoise", "--in", src, "--method", "sure", "--out", out]) == 0
     payload = _payload(capsys.readouterr().out)
     assert len(calls) == 30
+    assert len(networks) == 6
     y, _, _ = read_pgm(src)
     curve = risk_curve(y, default_lambda_grid(lambda_max(y)), "sure",
                        sigma=estimate_sigma(y))

@@ -15,7 +15,8 @@ from tvdn.selection import (ThresholdReport, _threshold, adaptive_tv,
                             exact_seg_threshold, jump_threshold,
                             min_jump_height, universal_threshold)
 from tvdn.signals import gen_piecewise, gen_test_function
-from tvdn.tvsolve import FusionPath, tv_denoise, tv_denoise_1d
+from tvdn.tvsolve import (CutSolver, FusionPath, tv_denoise, tv_denoise_1d,
+                          tv_solver)
 
 S = Signal.from_array
 
@@ -360,6 +361,23 @@ def test_adaptive_tv_takes_a_shared_path():
                 assert a.dual.tobytes() == b.dual.tobytes()
                 assert (a.lam, a.gap) == (b.lam, b.gap)
             assert adaptive_tv(path)[2] == adaptive_tv(y)[2]
+    # likewise a CutSolver on an image: one network for every lambda, and no
+    # state carried from one solve to the next
+    img = np.kron([[0.0, 3.0], [3.0, 0.0]], np.ones((8, 8)))
+    y = S(img + rng.normal(size=(16, 16)))
+    solver = tv_solver(y)
+    assert isinstance(solver, CutSolver)
+    for lam in np.geomspace(1e-2, 1e3, 5).tolist():
+        solver.solve(lam)
+    shared = adaptive_tv(solver, sigma=1.0)
+    own = adaptive_tv(y, sigma=1.0)
+    assert shared[2] == own[2]
+    for a, b in zip(shared[:2], own[:2]):
+        assert a.estimate.shape.sizes == (16, 16)
+        assert a.estimate.values.tobytes() == b.estimate.values.tobytes()
+        assert a.dual.tobytes() == b.dual.tobytes()
+        assert (a.lam, a.gap, a.iterations) == (b.lam, b.gap, b.iterations)
+    assert adaptive_tv(solver)[2] == adaptive_tv(y)[2]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -10,9 +10,9 @@ from tvdn._pool import parallel_map
 from tvdn.risk import default_lambda_grid, sure
 from tvdn.signals import gen_test_function
 import tvdn.tvsolve
-from tvdn.tvsolve import (FusionPath, SolverConfig, TvSolution, _cut_solve,
+from tvdn.tvsolve import (CutSolver, FusionPath, SolverConfig, TvSolution,
                           lambda_max, tv_denoise, tv_denoise_1d,
-                          tv_denoise_grid)
+                          tv_denoise_grid, tv_solver)
 
 S = Signal.from_array
 
@@ -288,7 +288,7 @@ def test_tv_denoise_1d_is_the_fusion_path():
 def test_nd_matches_1d_direct():
     # the cut solver on lattices with one nontrivial axis, against the exact
     # 1D pass on the same values; tv_denoise sends these lattices to the 1D
-    # pass, so the cut solver is called directly
+    # pass, so a CutSolver is called directly
     rng = np.random.default_rng(4)
     for _ in range(8):
         n = int(rng.integers(8, 65))
@@ -296,9 +296,37 @@ def test_nd_matches_1d_direct():
         lam = float(rng.uniform(0.2, 3.0))
         b = tv_denoise_1d(S(v), lam).estimate.values
         for sizes in [(1, n), (n, 1)]:
-            a = _cut_solve(Signal(LatticeShape(sizes), v), lam)
+            a = CutSolver(Signal(LatticeShape(sizes), v)).solve(lam)
             assert a.iterations > 0
             assert np.abs(a.estimate.values - b).max() <= 1e-6
+
+
+def test_tv_solver_is_tv_denoise_bit_for_bit():
+    # tv_denoise solves through tv_solver: a FusionPath on every path
+    # lattice, a CutSolver on any other; one solver serving several lambdas
+    # gives each the fit, dual, gap and rounds of tv_denoise
+    rng = np.random.default_rng(27)
+    v = np.repeat(rng.normal(scale=3.0, size=6), 20) + rng.normal(size=120)
+    img = np.kron(rng.normal(scale=3.0, size=(3, 3)), np.ones((5, 5)))
+    for y, kind in [(S(v), FusionPath), (S(v.reshape(1, 120)), FusionPath),
+                    (S(img + rng.normal(size=(15, 15))), CutSolver),
+                    (S(rng.normal(size=(3, 4, 5))), CutSolver)]:
+        solver = tv_solver(y)
+        assert type(solver) is kind
+        top = sample_lambda(y)[0]
+        for lam in [0.0, 0.05 * top, 0.4 * top, 0.1 * top, top, np.inf]:
+            a, b = solver.solve(lam), tv_denoise(y, lam)
+            assert a.estimate.shape.sizes == y.shape.sizes
+            assert a.estimate.values.tobytes() == b.estimate.values.tobytes()
+            assert a.dual.tobytes() == b.dual.tobytes()
+            assert (a.gap, a.iterations) == (b.gap, b.iterations)
+
+
+def test_cut_solver_refuses_a_bad_lambda():
+    solver = CutSolver(S(np.arange(12.0).reshape(3, 4)))
+    for lam in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            solver.solve(lam)
 
 
 _CERTIFICATE_SHAPES = st.one_of(
@@ -440,9 +468,10 @@ def test_cut_solve_warm_start_keeps_the_fit(sizes, seed, log_amp, fracs):
     amp = np.abs(v).max()
     top = sample_lambda(y)[0]
     lams = [frac * top for frac in fracs]
-    cold = [_cut_solve(y, lam) for lam in lams]
+    solver = CutSolver(y)
+    cold = [solver.solve(lam) for lam in lams]
     for lam, ref, start in zip(lams, cold, cold[::-1]):
-        sol = _cut_solve(y, lam, start.dual)
+        sol = solver.solve(lam, start.dual)
         f = sol.estimate.values
         assert np.abs(sol.dual).max() <= lam
         assert np.abs(v - adjoint_flat(sol.dual, sizes) - f).max() <= 1e-8 * amp
@@ -515,7 +544,7 @@ def test_cut_solve_converges_on_the_256_phantom():
 
 def _cold_fit(args):
     values, lam = args
-    return _cut_solve(S(values), lam).estimate.values
+    return CutSolver(S(values)).solve(lam).estimate.values
 
 
 def test_warm_grid_fits_are_the_cold_fits_on_the_bench_phantoms():
