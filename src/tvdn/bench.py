@@ -170,7 +170,7 @@ def _seg_rep(args):
     res = {}
     for method, lam in lambdas.items():
         est = solver.solve(lam).estimate
-        outcome = evaluate_outcome(est, spec, sigma)
+        outcome = evaluate_outcome(est, spec)
         res[method] = (outcome.exact, outcome.screening,
                        len(outcome.jumps_estimated) + 1)
     return res

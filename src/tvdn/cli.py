@@ -75,6 +75,9 @@ def cmd_denoise(args):
                          "adaptive")
     if method == "oracle" and not args.truth:
         raise ValueError("--method oracle needs --truth")
+    if method in ("fixed", "oracle") and args.sigma_known is not None:
+        raise ValueError("--sigma-known is read only by --method universal, "
+                         "adaptive and sure")
     y, meta = _read_input(args.infile)
     sigma = args.sigma_known if args.sigma_known is not None else estimate_sigma(y)
     coeffs = load_coefficients(args.coeffs) if args.coeffs else None

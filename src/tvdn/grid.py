@@ -1,5 +1,5 @@
-"""Lattice geometry, the finite-difference operator B, connected components and
-the exact lattice-Laplacian solve (one cosine-transform solve, no iteration).
+"""Lattice geometry, the finite-difference operator B and the exact
+lattice-Laplacian solve (one cosine-transform solve, no iteration).
 
 The difference operator stacks one block per direction (direction-major). A
 direction is a lattice axis, enumerated from the fastest-varying axis of the
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 
 @dataclass(frozen=True)
@@ -153,20 +151,6 @@ def edge_endpoints(shape: LatticeShape) -> tuple[np.ndarray, np.ndarray]:
         z = np.zeros(0, dtype=int)
         return z, z
     return np.concatenate(near), np.concatenate(far)
-
-
-def edge_components(shape: LatticeShape, joined: np.ndarray) -> np.ndarray:
-    """Connected-component label of every site, joining sites across the
-    edges where ``joined`` is True; components are numbered in the order of
-    their smallest member site."""
-    near, far = edge_endpoints(shape)
-    m = shape.n_sites
-    links = sp.csr_matrix((np.ones(int(np.count_nonzero(joined))),
-                           (near[joined], far[joined])), shape=(m, m))
-    # the traversal starts a new label at the first unlabeled site in index
-    # order, which is the smallest member of its component
-    _, labels = connected_components(links, directed=False)
-    return labels
 
 
 def laplacian_solve(rhs: Signal) -> Signal:

@@ -2,24 +2,33 @@
 
 The unbiased risk estimate charges one degree of freedom per connected
 component of the fit, its fused groups (Tibshirani & Taylor 2011), so
-component counting is the workhorse here. The solvers write every piece of
-a fit as one constant, so two neighbouring sites lie in one piece exactly
-when their difference is 0; the count takes no tolerance.
+component counting, written once here, is the workhorse. The solvers write
+every piece of a fit as one constant, so two neighbouring sites lie in one
+piece exactly when their difference is 0; the count takes no tolerance.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
-from .grid import Signal, diff_flat, edge_components
+from .grid import Signal, diff_flat, edge_endpoints
 from .tvsolve import SolverConfig, TvSolution, tv_denoise_grid
 
 
 def component_labels(f: Signal) -> np.ndarray:
     """Component labels, numbered by smallest member site; neighbours are
     joined exactly when their difference is 0."""
-    return edge_components(f.shape, diff_flat(f.values, f.shape.sizes) == 0.0)
+    joined = diff_flat(f.values, f.shape.sizes) == 0.0
+    near, far = edge_endpoints(f.shape)
+    m = f.shape.n_sites
+    links = sp.csr_matrix((np.ones(int(np.count_nonzero(joined))),
+                           (near[joined], far[joined])), shape=(m, m))
+    # the traversal starts a new label at the first unlabeled site in index
+    # order, which is the smallest member of its component
+    return connected_components(links, directed=False)[1]
 
 
 def ncc(f: Signal) -> int:

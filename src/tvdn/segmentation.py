@@ -1,6 +1,9 @@
 """Jump recovery on path lattices: extraction, the optimality checker, and
 event scoring.
 
+A fit's jumps are exactly its nonzero differences, as the solvers write each
+piece as one constant; they bound the pieces SURE counts, at any scale.
+
 A candidate segmentation (set of jump locations) is certified by building
 the explicit dual vector from partial sums: the fitted level on each piece
 is the piece mean shifted by lambda times the difference of boundary jump
@@ -19,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Signal, diff_flat
-from .selection import jump_threshold
+from .grid import Signal
 from .signals import PiecewiseConstantSpec
 
 
@@ -30,33 +32,18 @@ class SegmentationOutcome:
     jumps_true: tuple
     exact: bool
     screening: bool
-    kkt_max_dual: float
 
     def __post_init__(self):
         if self.exact and not self.screening:
             raise ValueError("exact recovery implies screening")
 
 
-def extract_jumps(f_hat: Signal, sigma: float = 0.0,
-                  rule: str = "nonzero") -> np.ndarray:
-    """Sorted jump locations of a fit on a path lattice.
-
-    rule 'nonzero' keeps exactly the differences that are not 0: the
-    solvers write every piece as one constant, so these are the fit's
-    jumps, at any scale of the data. rule 'calibrated' keeps differences
-    above sigma*sqrt(2/N)*z_{1-0.025/(N-1)} (see ``jump_threshold``).
-    """
+def extract_jumps(f_hat: Signal) -> np.ndarray:
+    """Sorted jump locations of a fit on a path lattice: its nonzero
+    differences."""
     if not f_hat.shape.is_path:
         raise ValueError("extract_jumps is defined on path lattices")
-    if rule not in ("nonzero", "calibrated"):
-        raise ValueError("rule must be 'nonzero' or 'calibrated'")
-    n = f_hat.shape.n_sites
-    if n < 2:
-        return np.empty(0, dtype=int)
-    d = diff_flat(f_hat.values, f_hat.shape.sizes)
-    if rule == "calibrated":
-        d = np.abs(d) > jump_threshold(n, sigma, "calibrated")
-    return np.flatnonzero(d) + 1
+    return np.flatnonzero(np.diff(f_hat.values)) + 1
 
 
 def kkt_check(y: Signal, jump_locations, lam: float):
@@ -69,8 +56,8 @@ def kkt_check(y: Signal, jump_locations, lam: float):
     """
     if not y.shape.is_path:
         raise ValueError("kkt_check is defined on path lattices")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError("lambda must be finite and nonnegative")
     n = y.shape.n_sites
     locs = np.asarray(sorted(int(j) for j in jump_locations), dtype=int)
     if locs.size and (locs[0] < 1 or locs[-1] > n - 1
@@ -97,24 +84,20 @@ def kkt_check(y: Signal, jump_locations, lam: float):
     return holds, h_hat, w, max_abs_w
 
 
-def evaluate_outcome(f_hat: Signal, true_spec: PiecewiseConstantSpec,
-                     sigma: float = 0.0, rule: str = "nonzero",
-                     kkt_max_dual: float = math.nan) -> SegmentationOutcome:
+def evaluate_outcome(f_hat: Signal,
+                     true_spec: PiecewiseConstantSpec) -> SegmentationOutcome:
     """Score a fit against the true segmentation.
 
     exact means the estimated and true jump sets coincide as index sets;
     screening means every true jump is detected (possibly among extras).
     """
-    if not f_hat.shape.is_path:
-        raise ValueError("evaluate_outcome is defined on path lattices")
     if f_hat.shape.n_sites != true_spec.n:
         raise ValueError("fit length does not match the true segmentation")
-    est = set(int(j) for j in extract_jumps(f_hat, sigma, rule))
+    est = set(int(j) for j in extract_jumps(f_hat))
     true = set(int(j) for j in true_spec.jump_locations)
     return SegmentationOutcome(
         jumps_estimated=tuple(sorted(est)),
         jumps_true=tuple(sorted(true)),
         exact=est == true,
         screening=true.issubset(est),
-        kkt_max_dual=kkt_max_dual,
     )

@@ -8,7 +8,9 @@ Gumbel law fitted for its dimension. ``_threshold`` holds both forms and
 is the only place the rule is written: ``universal_threshold`` applies it
 at the lattice's size, and ``adaptive_tv`` applies it a second time at the
 average piece size N_bar of its first fit, with P_bar = d * N_bar^(d-1) *
-(N_bar - 1) edges.
+(N_bar - 1) edges. On a path lattice step 1 counts the pieces of its fit by
+``count_jumps``, the differences above the calibrated cutoff; the exact
+jumps of a fit are ``segmentation.extract_jumps``.
 """
 from __future__ import annotations
 
@@ -49,36 +51,27 @@ def estimate_sigma(y: Signal) -> float:
     return _MAD_SCALE * float(np.median(np.abs(d - np.median(d))))
 
 
-def _bonferroni_z(n: int) -> float:
-    return float(ndtri(1.0 - 0.025 / (n - 1)))
+def _check_sigma(sigma: float):
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and nonnegative")
 
 
-def jump_threshold(n: int, sigma: float, variant: str) -> float:
-    """Per-variant cutoff on |difference| for declaring a jump."""
-    if variant == "raw":
-        return sigma * math.sqrt(2.0) * _bonferroni_z(n)
-    if variant == "calibrated":
-        return sigma * math.sqrt(2.0 / n) * _bonferroni_z(n)
-    raise ValueError("variant must be raw or calibrated")
-
-
-def count_jumps(y_or_f: Signal, sigma: float, variant: str = "calibrated") -> int:
-    """Number of significant differences of a signal on a path lattice.
-
-    raw: on the data, cutoff sigma*sqrt(2)*z (Bonferroni level 0.05);
-    calibrated: on a fit, cutoff sigma*sqrt(2/N)*z, matching the variance
-    of a within-piece average rather than that of a single observation;
-    the paper's count of adaptive step 1 on a path. A fit's exact jumps,
-    its nonzero differences, are ``segmentation.extract_jumps``'s default.
-    """
-    if not y_or_f.shape.is_path:
-        raise ValueError("count_jumps is defined on path lattices")
-    n = y_or_f.shape.n_sites
+def jump_threshold(n: int, sigma: float) -> float:
+    """Cutoff sigma*sqrt(2/N)*z_{1-0.025/(N-1)} on a fit's |difference|:
+    Bonferroni level 0.05 over the N-1 differences, at the variance of a
+    within-piece average rather than that of a single observation."""
     if n < 2:
-        return 0
-    thr = jump_threshold(n, sigma, variant)
-    d = np.abs(diff_flat(y_or_f.values, y_or_f.shape.sizes))
-    return int((d > thr).sum())
+        raise ValueError("N must be at least 2")
+    _check_sigma(sigma)
+    return sigma * math.sqrt(2.0 / n) * float(ndtri(1.0 - 0.025 / (n - 1)))
+
+
+def count_jumps(f: Signal, sigma: float) -> int:
+    """Differences of a fit on a path lattice above ``jump_threshold``."""
+    if not f.shape.is_path:
+        raise ValueError("count_jumps is defined on path lattices")
+    thr = jump_threshold(f.shape.n_sites, sigma)
+    return int((np.abs(diff_flat(f.values, f.shape.sizes)) > thr).sum())
 
 
 def _threshold(d: int, n_side: float, n_edges: float, sigma: float,
@@ -115,8 +108,7 @@ def universal_threshold(shape: LatticeShape, sigma: float,
     d, m = shape.squeezed.ndim, shape.n_sites
     if d == 1 and m < 3:
         raise ValueError("N must be at least 3")
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError("sigma must be finite and nonnegative")
+    _check_sigma(sigma)
     lam = _threshold(d, m ** (1.0 / d), shape.n_edges, sigma, coeffs)
     if lam is None:
         raise ValueError("lattice too small: 2/sqrt(log P) is not below 1")
@@ -129,6 +121,7 @@ def exact_seg_threshold(n_max: int, sigma: float, alpha: float) -> float:
         raise ValueError("alpha must lie in (0, 1/2)")
     if n_max < 1:
         raise ValueError("N_max must be at least 1")
+    _check_sigma(sigma)
     return sigma * n_max * float(ndtri(1.0 - alpha / 2.0))
 
 
@@ -136,6 +129,7 @@ def min_jump_height(sigma: float, alpha: float) -> float:
     """Smallest jump size 4*sigma*z_{1-alpha/2} the guarantee asks for."""
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 1/2)")
+    _check_sigma(sigma)
     return 4.0 * sigma * float(ndtri(1.0 - alpha / 2.0))
 
 
@@ -170,7 +164,7 @@ def adaptive_tv(y: Signal | FusionPath | CutSolver, sigma: float | None = None,
     solve = (solver or tv_solver(y)).solve
     sol1 = solve(lam1)
     if d == 1:
-        count1 = count_jumps(sol1.estimate, sigma_used, "calibrated") + 1
+        count1 = count_jumps(sol1.estimate, sigma_used) + 1
     else:
         count1 = ncc(sol1.estimate)
     n_bar = max((y.shape.n_sites / count1) ** (1.0 / d),

@@ -436,6 +436,16 @@ def test_cli_denoise_refuses_coeffs_without_a_universal_rule(tmp_path,
             "--coeffs is read only by --method universal and adaptive")
 
 
+def test_cli_denoise_refuses_sigma_without_a_sigma_rule(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    for argv in (["--method", "fixed", "--lambda", "2"], ["--lambda", "2"],
+                 ["--method", "oracle", "--truth", missing]):
+        _refused_before_reading(
+            capsys, ["denoise", "--in", missing, "--sigma-known", "5"] + argv,
+            "--sigma-known is read only by --method universal, adaptive "
+            "and sure")
+
+
 def test_cli_risk_curve_refuses_sigma_with_oracle(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     _refused_before_reading(

@@ -6,8 +6,8 @@ from tvdn.grid import LatticeShape, Signal
 from tvdn.lambda_stat import sample_lambda_1d
 from tvdn.segmentation import (SegmentationOutcome, evaluate_outcome,
                                extract_jumps, kkt_check)
-from tvdn.selection import (exact_seg_threshold, min_jump_height,
-                            universal_threshold)
+from tvdn.selection import (count_jumps, exact_seg_threshold,
+                            min_jump_height, universal_threshold)
 from tvdn.signals import PiecewiseConstantSpec, gen_piecewise, gen_test_function
 from tvdn.tvsolve import tv_denoise_1d
 
@@ -15,7 +15,7 @@ from tvdn.tvsolve import tv_denoise_1d
 def test_extract_jumps_constant_empty():
     f = Signal.from_array(np.full(50, 3.25))
     assert extract_jumps(f).size == 0
-    assert extract_jumps(f, sigma=1.0, rule="calibrated").size == 0
+    assert extract_jumps(Signal.from_array([3.25])).size == 0
 
 
 def test_extract_jumps_battlements_locations():
@@ -26,17 +26,17 @@ def test_extract_jumps_battlements_locations():
 
 
 def test_extract_jumps_calibrated_removes_small_steps():
-    # one step of height 0.1: kept by the nonzero rule, dropped by the
-    # calibrated rule at sigma=1 (threshold ~0.49 for N=100)
+    # one step of height 0.1: an exact jump of the fit, but below the
+    # calibrated cutoff of adaptive step 1 at sigma=1 (~0.49 for N=100)
     v = np.zeros(100)
     v[50:] = 0.1
     f = Signal.from_array(v)
-    np.testing.assert_array_equal(extract_jumps(f, sigma=1.0, rule="nonzero"), [50])
-    assert extract_jumps(f, sigma=1.0, rule="calibrated").size == 0
+    np.testing.assert_array_equal(extract_jumps(f), [50])
+    assert count_jumps(f, 1.0) == 0
 
 
 def test_extract_jumps_keeps_every_nonzero_difference():
-    # the default rule has no cutoff: a step is a jump at any scale, and
+    # there is no cutoff: a step is a jump at any scale, and
     # only an exactly 0 difference is not
     for c in (1e-8, 1.0, 1e8):
         v = c * np.repeat([0.0, 1e-12, 1e-12, 5.0], [5, 2, 3, 4])
@@ -48,9 +48,6 @@ def test_extract_jumps_errors():
     f2 = Signal.from_array(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         extract_jumps(f2)
-    f = Signal.from_array(np.arange(4.0))
-    with pytest.raises(ValueError):
-        extract_jumps(f, rule="bogus")
 
 
 def test_kkt_no_jump_iff_lambda_stat():
@@ -128,6 +125,9 @@ def test_kkt_invalid_inputs():
         kkt_check(y, [3], -1.0)
     with pytest.raises(ValueError):
         kkt_check(Signal.from_array(np.zeros((2, 5))), [1], 1.0)
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            kkt_check(y, [5], lam)
 
 
 def test_evaluate_outcome_noiseless_exact():
@@ -176,8 +176,7 @@ def test_path_lattices_match_1d():
 
 def test_outcome_validation():
     with pytest.raises(ValueError):
-        SegmentationOutcome((1,), (2,), exact=True, screening=False,
-                            kkt_max_dual=0.0)
+        SegmentationOutcome((1,), (2,), exact=True, screening=False)
     spec = gen_piecewise("battlements", 60, 3, 5.0)
     with pytest.raises(ValueError):
         evaluate_outcome(Signal.from_array(np.zeros(59)), spec)
@@ -187,7 +186,7 @@ def test_outcome_validation():
 
 def test_screening_at_universal_threshold():
     # with mild noise the universal threshold keeps every true jump of the
-    # blocks signal detectable by the calibrated rule
+    # blocks signal among the fit's jumps
     yb = gen_test_function("blocks", 1000)
     spec = PiecewiseConstantSpec.from_values(yb.values)
     sigma = 0.1
@@ -198,6 +197,6 @@ def test_screening_at_universal_threshold():
         rng = np.random.default_rng(child)
         y = Signal(yb.shape, yb.values + sigma * rng.standard_normal(1000))
         sol = tv_denoise_1d(y, lam)
-        out = evaluate_outcome(sol.estimate, spec, sigma, rule="calibrated")
+        out = evaluate_outcome(sol.estimate, spec)
         count += out.screening
     assert count == reps

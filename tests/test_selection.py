@@ -76,7 +76,11 @@ def test_thresholds_reject_bad_sigma():
                      lambda: universal_threshold(image.shape, sigma),
                      lambda: universal_threshold(path.shape, sigma),
                      lambda: adaptive_tv(path, sigma=sigma),
-                     lambda: adaptive_tv(image, sigma=sigma)):
+                     lambda: adaptive_tv(image, sigma=sigma),
+                     lambda: jump_threshold(100, sigma),
+                     lambda: count_jumps(path, sigma),
+                     lambda: exact_seg_threshold(10, sigma, 0.05),
+                     lambda: min_jump_height(sigma, 0.05)):
             with pytest.raises(ValueError, match="sigma"):
                 call()
 
@@ -90,30 +94,31 @@ def test_thresholds_homogeneous_and_increasing():
 
 
 def test_count_jumps_constant_and_errors():
-    c = S(np.zeros(50))
-    for variant in ("raw", "calibrated"):
-        assert count_jumps(c, 1.0, variant) == 0
+    assert count_jumps(S(np.zeros(50)), 1.0) == 0
     with pytest.raises(ValueError):
-        count_jumps(S(np.zeros((3, 3))), 1.0, "raw")
-    for variant in ("weird", "nonzero"):
-        with pytest.raises(ValueError):
-            count_jumps(c, 1.0, variant)
+        count_jumps(S(np.zeros((3, 3))), 1.0)
+    with pytest.raises(ValueError, match="at least 2"):
+        count_jumps(S(np.zeros(1)), 1.0)
 
 
 def test_count_jumps_battlements_calibrated():
     f = gen_piecewise("battlements", 100, 5, 5.0).realize()
-    assert count_jumps(f, 1.0, "calibrated") == 4
+    assert count_jumps(f, 1.0) == 4
 
 
-def test_jump_threshold_ordering():
-    # raw cutoff targets single observations, calibrated targets means
-    assert jump_threshold(100, 1.0, "raw") \
-        == pytest.approx(10.0 * jump_threshold(100, 1.0, "calibrated"), rel=1e-12)
+def test_jump_threshold_closed_form():
+    # sigma*sqrt(2/N)*z_{1-0.025/(N-1)}: the z quantile of a Bonferroni
+    # level 0.05 over N-1 differences, scaled to a within-piece average
+    z = 3.478063372734981  # z_{1-0.025/99}
+    assert jump_threshold(100, 1.0) == pytest.approx(0.1 * math.sqrt(2.0) * z,
+                                                     rel=1e-12)
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="at least 2"):
+            jump_threshold(n, 1.0)
 
 
 def test_count_jumps_ordering_frequency():
-    # raw on data <= true <= calibrated on fit <= every jump of the fit,
-    # typically
+    # true <= calibrated on fit <= every jump of the fit, typically
     rng = np.random.default_rng(5)
     n, reps = 1000, 40
     f = gen_test_function("blocks", n, 7.0)
@@ -123,9 +128,7 @@ def test_count_jumps_ordering_frequency():
     for _ in range(reps):
         y = Signal(f.shape, f.values + rng.normal(size=n))
         fh = tv_denoise_1d(y, lam).estimate
-        ok += (count_jumps(y, 1.0, "raw") <= true_jumps
-               <= count_jumps(fh, 1.0, "calibrated")
-               <= extract_jumps(fh).size)
+        ok += true_jumps <= count_jumps(fh, 1.0) <= extract_jumps(fh).size
     assert ok / reps >= 0.9
 
 
@@ -336,8 +339,9 @@ def test_adaptive_tv_path_lattices_match_1d():
         for sol, r in ((sol1, ref1), (sol2, ref2)):
             assert sol.estimate.shape.sizes == sizes and sol.iterations == 0
             assert sol.estimate.values.tobytes() == r.estimate.values.tobytes()
-    assert count_jumps(Signal(LatticeShape((1, 300)), v), 1.0, "raw") \
-        == count_jumps(S(v), 1.0, "raw")
+    fit = ref1.estimate.values
+    assert count_jumps(Signal(LatticeShape((1, 300)), fit), 1.0) \
+        == count_jumps(S(fit), 1.0)
 
 
 def test_adaptive_tv_takes_a_shared_path():
@@ -413,8 +417,7 @@ def test_adaptive_path_pass_matches_direct_pass(n, layout, seed, log_amp,
                       - sol.estimate.values).max() <= 1e-8 * np.abs(v).max()
         assert 0.0 <= sol.gap <= 1e-9 * (1.0 + sol.objective(y))
     direct1 = S(tv_oracle_direct_1d(v, report.lambda1))
-    assert report.count1 == count_jumps(direct1, report.sigma_used,
-                                        "calibrated") + 1
+    assert report.count1 == count_jumps(direct1, report.sigma_used) + 1
 
 
 def test_adaptive_tv_rejects_high_dims():
