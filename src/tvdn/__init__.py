@@ -16,8 +16,8 @@ with a certified lower/upper bracket.
 """
 
 from .grid import LatticeShape, Signal, apply_diff, apply_diff_adjoint, laplacian_solve
-from .signals import (NoiseSpec, PiecewiseConstantSpec, TEST_FUNCTIONS,
-                      add_noise, gen_piecewise, gen_test_function)
+from .signals import (PiecewiseConstantSpec, TEST_FUNCTIONS, gen_piecewise,
+                      gen_test_function)
 from .tvsolve import (SolverConfig, TvSolution, lambda_max, tv_denoise,
                       tv_denoise_1d, tv_denoise_grid)
 from .lambda_stat import (GevParams, GumbelFitCoefficients, GumbelParams,
@@ -37,8 +37,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LatticeShape", "Signal", "apply_diff", "apply_diff_adjoint",
-    "laplacian_solve", "NoiseSpec", "PiecewiseConstantSpec", "TEST_FUNCTIONS",
-    "add_noise", "gen_piecewise", "gen_test_function", "SolverConfig",
+    "laplacian_solve", "PiecewiseConstantSpec", "TEST_FUNCTIONS",
+    "gen_piecewise", "gen_test_function", "SolverConfig",
     "TvSolution", "lambda_max", "tv_denoise", "tv_denoise_1d",
     "tv_denoise_grid", "GevParams",
     "GumbelFitCoefficients", "GumbelParams", "fit_gev_and_lr_test",

@@ -15,20 +15,17 @@ import numpy as np
 from ._pool import parallel_map
 from .grid import LatticeShape, Signal
 from .lambda_stat import (GumbelParams, _mc_one, _mc_tasks, fit_gev_and_lr_test,
-                          fit_gumbel, fit_loglog_regression, sample_lambda_1d)
-from .risk import default_lambda_grid, sure
+                          fit_gumbel, fit_loglog_regression, sample_lambda)
+from .risk import default_lambda_grid, loss, sure
 from .segmentation import evaluate_outcome
 from .selection import (adaptive_tv, exact_seg_threshold, min_jump_height,
                         universal_threshold)
-from .signals import TEST_FUNCTIONS, gen_piecewise, gen_test_function
+from .signals import TEST_FUNCTIONS, check_sigma, gen_piecewise, gen_test_function
 from .tvsolve import tv_solver
 
 EXPERIMENTS = ("mse_1d", "seg_1d", "lambda_fit", "image")
 
-# replicate counts paired with the default problem sizes: more replicates
-# where solves are cheap
 DEFAULT_MSE_SIZES = (100, 1000, 10000)
-DEFAULT_MSE_REPS = (500, 50, 5)
 
 
 @dataclass
@@ -54,8 +51,7 @@ class ExperimentConfig:
             raise ValueError("replicate counts must be at least 1")
         if self.sizes and len(self.reps) not in (0, 1, len(self.sizes)):
             raise ValueError("reps must be scalar or one count per size")
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError("sigma must be finite and nonnegative")
+        check_sigma(self.sigma)
 
     def reps_for(self, idx: int) -> int:
         if len(self.reps) == 1:
@@ -100,11 +96,6 @@ def _mean_se(values):
     return float(v.mean()), se
 
 
-def _loss(f_hat, f_true):
-    d = f_hat - f_true
-    return float(d @ d) / d.size
-
-
 def _map_cells(fn, cells):
     """fn over the arguments of every (key, args) cell in one
     ``parallel_map`` call; returns each cell's key with its results."""
@@ -113,30 +104,33 @@ def _map_cells(fn, cells):
 
 
 def _mse_rep(args):
-    """One Table-style risk replicate: oracle, SURE and adaptive losses,
-    every fit from one solver object for the replicate's signal."""
-    function, n, snr, sigma, entropy = args
+    """One Table-style risk replicate of the clean signal f: oracle, SURE
+    and adaptive losses, every fit from one solver object for the noisy
+    signal."""
+    f, sigma, entropy = args
     rng = np.random.default_rng(entropy)
-    f = gen_test_function(function, n, snr=snr)
-    y = Signal(f.shape, f.values + sigma * rng.standard_normal(n))
-    grid = default_lambda_grid(sample_lambda_1d(y) or 1.0)
+    y = Signal(f.shape, f.values + sigma * rng.standard_normal(f.shape.n_sites))
+    grid = default_lambda_grid(sample_lambda(y)[0])
     losses = np.empty(grid.size)
     sures = np.empty(grid.size)
     solver = tv_solver(y)
     for i, sol in enumerate(map(solver.solve, grid.tolist())):
-        losses[i] = _loss(sol.estimate.values, f.values)
+        losses[i] = loss(sol.estimate, f)
         sures[i] = sure(y, sol.estimate, sigma)
     _, sol2, _ = adaptive_tv(solver, sigma=sigma)
     return (float(losses.min()),
             float(losses[int(np.argmin(sures))]),
-            _loss(sol2.estimate.values, f.values))
+            loss(sol2.estimate, f))
 
 
 def bench_mse(config: ExperimentConfig) -> ResultTable:
     """Risk (x100) of oracle, SURE and adaptive selection on 1D test signals.
 
-    The replicates of every (function, size) cell go through one
-    ``parallel_map`` call.
+    Each cell's clean signal is built once, before any replicate runs, and
+    the replicates of every (function, size) cell go through one
+    ``parallel_map`` call. A size n takes 50000 // n replicates by default
+    (at least 1): more where solves are cheap, 500/50/5 at the default
+    sizes.
     """
     if config.experiment != "mse_1d":
         raise ValueError("config is not an mse_1d experiment")
@@ -145,11 +139,11 @@ def bench_mse(config: ExperimentConfig) -> ResultTable:
     cells = []
     for fi, function in enumerate(functions):
         for si, n in enumerate(sizes):
-            reps = config.reps_for(si) if config.reps else DEFAULT_MSE_REPS[
-                si % len(DEFAULT_MSE_REPS)]
+            f = gen_test_function(function, n, snr=config.snr)
+            reps = config.reps_for(si) if config.reps else max(1, 50_000 // n)
             cells.append(((function, n, reps),
-                          [(function, n, config.snr, config.sigma,
-                            (config.seed, fi, n, r)) for r in range(reps)]))
+                          [(f, config.sigma, (config.seed, fi, n, r))
+                           for r in range(reps)]))
     table = ResultTable()
     for (function, n, reps), out in _map_cells(_mse_rep, cells):
         for mi, method in enumerate(("oracle", "sure", "adaptive")):
@@ -159,13 +153,13 @@ def bench_mse(config: ExperimentConfig) -> ResultTable:
 
 
 def _seg_rep(args):
-    """One segmentation replicate: exact/screening events and level count,
-    every threshold's fit from one solver object for the signal."""
-    kind, n, n_levels, height, sigma, lambdas, entropy = args
+    """One segmentation replicate of the piecewise signal spec:
+    exact/screening events and level count, every threshold's fit from one
+    solver object for the noisy signal."""
+    spec, sigma, lambdas, entropy = args
     rng = np.random.default_rng(entropy)
-    spec = gen_piecewise(kind, n, n_levels, height)
     f = spec.realize()
-    y = Signal(f.shape, f.values + sigma * rng.standard_normal(n))
+    y = Signal(f.shape, f.values + sigma * rng.standard_normal(spec.n))
     solver = tv_solver(y)
     res = {}
     for method, lam in lambdas.items():
@@ -181,7 +175,8 @@ def bench_seg(config: ExperimentConfig) -> ResultTable:
 
     Jump heights sweep {2h*, h*, h*/10} around the recovery boundary h*;
     thresholds compared are the exact-recovery scale at alpha (the config's
-    one level) and the universal threshold. The replicates of every (size,
+    one level) and the universal threshold. Each cell's signal is built
+    once, before any replicate runs, and the replicates of every (size,
     function, height) cell go through one ``parallel_map`` call.
     """
     if config.experiment != "seg_1d":
@@ -203,9 +198,10 @@ def bench_seg(config: ExperimentConfig) -> ResultTable:
         }
         for fi, kind in enumerate(functions):
             for hi, (tag, height) in enumerate(heights):
+                spec = gen_piecewise(kind, n, n_levels, height)
                 cells.append((("%s@%s" % (kind, tag), n, reps, lambdas), [
-                    (kind, n, n_levels, height, sigma, lambdas,
-                     (config.seed, fi, si, hi, r)) for r in range(reps)]))
+                    (spec, sigma, lambdas, (config.seed, fi, si, hi, r))
+                    for r in range(reps)]))
     table = ResultTable()
     for (fn, n, reps, lambdas), out in _map_cells(_seg_rep, cells):
         for method in lambdas:

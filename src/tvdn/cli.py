@@ -4,6 +4,8 @@ Subcommands: denoise, gen, bench-mse, bench-seg, lambda-sample, lambda-fit,
 risk-curve. 1D signals travel as single-column CSV (header `value`), images
 as PGM (P2/P5), results as JSON with a schema_version field. Exit codes:
 0 success, 2 bad input, 3 a solver could not certify its result.
+Bad option values are refused, by the library's own checks, before any
+input is read.
 """
 from __future__ import annotations
 
@@ -19,11 +21,11 @@ from . import io as tvio
 from .bench import (ExperimentConfig, bench_mse, bench_seg, lambda_fit_report,
                     qq_pairs, run_lambda_samples)
 from .coeffs import load_coefficients
-from .lambda_stat import GumbelParams
-from .risk import default_lambda_grid, ncc, risk_curve
+from .lambda_stat import GumbelParams, sample_lambda
+from .risk import default_lambda_grid, loss, ncc, risk_curve
 from .selection import adaptive_tv, estimate_sigma, universal_threshold
-from .signals import gen_test_function
-from .tvsolve import lambda_max, tv_denoise
+from .signals import check_sigma, gen_test_function
+from .tvsolve import check_lambda, tv_denoise
 
 
 def _parse_sizes(text):
@@ -49,27 +51,33 @@ def _write_output(path, est, meta):
         tvio.write_signal_csv(path, est)
 
 
-def _warn_zero_sigma():
-    print("warning: the estimated noise level is 0 (flat or quantized "
-          "input): thresholds scaled by it are 0 and SURE favours the "
-          "smallest lambda, so the fit stays at or near the input; set "
-          "--sigma-known", file=sys.stderr)
-
-
-def _check_sigma(value, flag):
-    if value is not None and not 0.0 <= value < math.inf:
-        raise ValueError("%s: sigma must be finite and nonnegative" % flag)
+def _sigma(args, y):
+    """--sigma-known, or else the MAD estimate of y, with a warning when
+    that estimate is 0."""
+    if args.sigma_known is not None:
+        return args.sigma_known
+    sigma = estimate_sigma(y)
+    if sigma == 0.0:
+        print("warning: the estimated noise level is 0 (flat or quantized "
+              "input): thresholds scaled by it are 0 and SURE favours the "
+              "smallest lambda, so the fit stays at or near the input; set "
+              "--sigma-known", file=sys.stderr)
+    return sigma
 
 
 def cmd_denoise(args):
-    _check_sigma(args.sigma_known, "--sigma-known")
+    if args.sigma_known is not None:
+        check_sigma(args.sigma_known)
     method = args.method or ("adaptive" if args.lam is None else "fixed")
     if method == "fixed" and args.lam is None:
         raise ValueError("--method fixed needs --lambda")
     if method != "fixed" and args.lam is not None:
         raise ValueError("--lambda is read only by --method fixed")
+    if method == "fixed":
+        check_lambda(args.lam)
     if args.grid is not None and method not in ("sure", "oracle"):
         raise ValueError("--grid is read only by --method sure and oracle")
+    grid = _parse_grid(args.grid)
     if args.coeffs and method not in ("universal", "adaptive"):
         raise ValueError("--coeffs is read only by --method universal and "
                          "adaptive")
@@ -79,11 +87,10 @@ def cmd_denoise(args):
         raise ValueError("--sigma-known is read only by --method universal, "
                          "adaptive and sure")
     y, meta = _read_input(args.infile)
-    sigma = args.sigma_known if args.sigma_known is not None else estimate_sigma(y)
     coeffs = load_coefficients(args.coeffs) if args.coeffs else None
-    if args.sigma_known is None and sigma == 0.0 and \
-            method in ("universal", "adaptive", "sure"):
-        _warn_zero_sigma()
+    # fixed and oracle read no sigma and only echo the estimate
+    sigma = estimate_sigma(y) if method in ("fixed", "oracle") \
+        else _sigma(args, y)
 
     truth = None
     if args.truth:
@@ -102,7 +109,7 @@ def cmd_denoise(args):
         _, sol, report = adaptive_tv(y, sigma=sigma, coeffs=coeffs)
         lam1, lam2, count1 = report.lambda1, report.lambda2, report.count1
     else:  # sure or oracle; risk_curve refuses any other criterion
-        curve = _grid_risk_curve(y, args.grid, method, sigma, truth)
+        curve = _grid_risk_curve(y, grid, method, sigma, truth)
         sol = curve.argmin_fit
         lam1, lam2 = float(curve.lambdas[-1]), curve.argmin_lambda
 
@@ -120,8 +127,7 @@ def cmd_denoise(args):
         "sizes": list(y.shape.sizes),
     }
     if truth is not None:
-        d = sol.estimate.values - truth.values
-        payload["loss"] = float(d @ d) / y.shape.n_sites
+        payload["loss"] = loss(sol.estimate, truth)
     if args.out:
         _write_output(args.out, sol.estimate, meta)
         tvio.write_json_report(args.out + ".json", payload)
@@ -134,7 +140,7 @@ def cmd_gen(args):
         raise ValueError("gen needs --out")
     if len(args.sizes) != 1:
         raise ValueError("gen expects a single size")
-    _check_sigma(args.sigma, "--sigma")
+    check_sigma(args.sigma)
     n = args.sizes[0]
     f = gen_test_function(args.function, n, snr=args.snr)
     rng = np.random.default_rng(args.seed)
@@ -160,24 +166,24 @@ def _table_out(table, args, payload_extra):
     return 0
 
 
-def cmd_bench_mse(args):
-    cfg = ExperimentConfig(
-        "mse_1d",
+def _experiment(args, name, **extra):
+    """The ExperimentConfig of a bench-* command; noise at sigma = 1 unless
+    --sigma-known is given."""
+    return ExperimentConfig(
+        name,
         functions=tuple(args.functions.split(",")) if args.functions else (),
         sizes=args.sizes or (), reps=args.reps or (), seed=args.seed,
-        snr=args.snr, sigma=args.sigma_known if args.sigma_known is not None else 1.0)
-    table = bench_mse(cfg)
+        sigma=args.sigma_known if args.sigma_known is not None else 1.0,
+        **extra)
+
+
+def cmd_bench_mse(args):
+    table = bench_mse(_experiment(args, "mse_1d", snr=args.snr))
     return _table_out(table, args, {"experiment": "mse_1d", "seed": args.seed})
 
 
 def cmd_bench_seg(args):
-    cfg = ExperimentConfig(
-        "seg_1d",
-        functions=tuple(args.functions.split(",")) if args.functions else (),
-        sizes=args.sizes or (), reps=args.reps or (), seed=args.seed,
-        alphas=(args.alpha,),
-        sigma=args.sigma_known if args.sigma_known is not None else 1.0)
-    table = bench_seg(cfg)
+    table = bench_seg(_experiment(args, "seg_1d", alphas=(args.alpha,)))
     return _table_out(table, args, {"experiment": "seg_1d", "seed": args.seed,
                                     "alpha": args.alpha})
 
@@ -235,52 +241,56 @@ def cmd_lambda_fit(args):
     return 0
 
 
-def _grid_risk_curve(y, spec, criterion, sigma, truth):
-    """risk_curve of y over the --grid spec's lambda grid; SURE reads sigma,
-    the oracle truth. The spec is checked first, and Lambda of y (a full
-    solve on a lattice) is computed only when the grid is scaled by it."""
+def _parse_grid(spec):
+    """The --grid spec as (bounds, count): ((LO, HI), COUNT), (None, COUNT)
+    or, with no spec, (None, None)."""
     parts = spec.split(",") if spec else []
     if len(parts) not in (0, 1, 3):
         raise ValueError("--grid expects COUNT or LO,HI,COUNT")
     count = int(parts[-1]) if parts else None
     if count is not None and count < 1:
         raise ValueError("--grid COUNT must be at least 1")
-    if len(parts) == 3:
-        lo, hi = float(parts[0]), float(parts[1])
-        if not 0 < lo <= hi:
-            raise ValueError("--grid bounds must satisfy 0 < lo <= hi")
-        if hi == math.inf:
-            raise ValueError("--grid bounds must be finite")
-        grid = np.geomspace(lo, hi, count)
+    if len(parts) < 3:
+        return None, count
+    lo, hi = float(parts[0]), float(parts[1])
+    if not 0 < lo <= hi:
+        raise ValueError("--grid bounds must satisfy 0 < lo <= hi")
+    if hi == math.inf:
+        raise ValueError("--grid bounds must be finite")
+    return (lo, hi), count
+
+
+def _grid_risk_curve(y, grid, criterion, sigma, truth):
+    """risk_curve of y over the grid from ``_parse_grid``; SURE reads sigma,
+    the oracle truth. Lambda of y (a full solve on a lattice) is computed
+    only when the grid has no bounds."""
+    bounds, count = grid
+    if bounds:
+        lams = np.geomspace(*bounds, count)
+    elif count is None:
+        lams = default_lambda_grid(sample_lambda(y)[0])
     else:
-        lam_max = lambda_max(y)
-        top = lam_max if lam_max > 0 else 1.0
-        if count is None:
-            grid = default_lambda_grid(top)
-        else:
-            grid = default_lambda_grid(top, n_points=count)
-    return risk_curve(y, grid, criterion, sigma=sigma, f_true=truth)
+        lams = default_lambda_grid(sample_lambda(y)[0], n_points=count)
+    return risk_curve(y, lams, criterion, sigma=sigma, f_true=truth)
 
 
 def cmd_risk_curve(args):
-    _check_sigma(args.sigma_known, "--sigma-known")
+    if args.sigma_known is not None:
+        check_sigma(args.sigma_known)
     if args.method == "sure" and args.truth:
         raise ValueError("--truth is read only by --method oracle")
     if args.method == "oracle" and args.sigma_known is not None:
         raise ValueError("--sigma-known is read only by --method sure")
+    if args.method == "oracle" and not args.truth:
+        raise ValueError("--method oracle needs --truth")
+    grid = _parse_grid(args.grid)
     y, _ = _read_input(args.infile)
     sigma = truth = None
     if args.method == "oracle":
-        if not args.truth:
-            raise ValueError("--method oracle needs --truth")
         truth, _ = _read_input(args.truth)
-    elif args.sigma_known is not None:
-        sigma = args.sigma_known
     else:
-        sigma = estimate_sigma(y)
-        if sigma == 0.0:
-            _warn_zero_sigma()
-    curve = _grid_risk_curve(y, args.grid, args.method, sigma, truth)
+        sigma = _sigma(args, y)
+    curve = _grid_risk_curve(y, grid, args.method, sigma, truth)
     if args.out:
         tvio.write_csv_rows(args.out, ("lambda", "value"),
                             list(zip(curve.lambdas.tolist(),

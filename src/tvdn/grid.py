@@ -74,9 +74,6 @@ class Signal:
         arr = np.asarray(arr, dtype=float)
         return cls(LatticeShape(arr.shape), arr.ravel())
 
-    def as_array(self) -> np.ndarray:
-        return self.values.reshape(self.shape.sizes)
-
     def mean(self) -> float:
         return float(self.values.mean())
 

@@ -16,10 +16,8 @@ SCHEMA_VERSION = 1
 
 
 def write_csv_column(path, values, header: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for v in np.asarray(values, dtype=float).ravel():
-            fh.write(repr(float(v)) + "\n")
+    write_csv_rows(path, (header,),
+                   [(float(v),) for v in np.asarray(values, dtype=float).ravel()])
 
 
 def read_csv_column(path, header: str | None = None) -> np.ndarray:

@@ -91,6 +91,11 @@ def sample_lambda_1d(y: Signal) -> float:
     return sample_lambda(y)[0]
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+
+
 def sample_lambda(y: Signal, tol: float = 1e-6):
     """Minimum sup-norm dual vector for y, with the optimal value.
 
@@ -124,8 +129,7 @@ def sample_lambda(y: Signal, tol: float = 1e-6):
     On a path lattice no flow is computed: the only dual is minus the
     partial sums of c in flat order.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError("tol must be positive and finite")
+    _check_tol(tol)
     shape = y.shape
     p = shape.n_edges
     c = y.values - y.values.mean()
@@ -216,6 +220,7 @@ def _mc_tasks(shape: LatticeShape, reps: int, seed: int, tol: float) -> list:
     or the call that runs it."""
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    _check_tol(tol)
     children = np.random.SeedSequence(seed).spawn(reps)
     return [(shape.sizes, ss, tol) for ss in children]
 

@@ -1,10 +1,12 @@
 """Risk functionals for threshold selection: SURE and oracle loss curves.
 
-The unbiased risk estimate charges one degree of freedom per connected
-component of the fit, its fused groups (Tibshirani & Taylor 2011), so
-component counting, written once here, is the workhorse. The solvers write
-every piece of a fit as one constant, so two neighbouring sites lie in one
-piece exactly when their difference is 0; the count takes no tolerance.
+The oracle risk is ``loss``, the per-site squared error. The unbiased risk
+estimate charges one degree of freedom per connected component of the fit,
+its fused groups (Tibshirani & Taylor 2011), so component counting, written
+once here, is the workhorse. The solvers write every piece of a fit as one
+constant, so two neighbouring sites lie in one piece exactly when their
+difference is 0; the count takes no tolerance. The default lambda grid
+tops out at Lambda, or at 1 on flat data.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .grid import Signal, diff_flat, edge_endpoints
+from .signals import check_sigma
 from .tvsolve import SolverConfig, TvSolution, tv_denoise_grid
 
 
@@ -50,11 +53,20 @@ def sure(y: Signal, f_hat: Signal, sigma: float) -> float:
     return rss / m + 2.0 * sigma ** 2 * ncc(f_hat) / m - sigma ** 2
 
 
+def loss(f_hat: Signal, f_true: Signal) -> float:
+    """The oracle risk of f_hat: its per-site squared error against f_true."""
+    d = f_hat.values - f_true.values
+    return float(d @ d) / d.size
+
+
 def default_lambda_grid(lam_max: float, n_points: int = 30) -> np.ndarray:
-    """Geometric grid from lam_max/1000 up to lam_max."""
-    if lam_max <= 0:
-        raise ValueError("lam_max must be positive")
-    return np.geomspace(lam_max / 1e3, lam_max, n_points)
+    """Geometric grid of n_points from top/1000 up to top, where top is
+    lam_max, or 1 when lam_max = 0 (flat data, whose every fit is the
+    mean)."""
+    if not 0.0 <= lam_max < np.inf:
+        raise ValueError("lam_max must be finite and nonnegative")
+    top = lam_max or 1.0
+    return np.geomspace(top / 1e3, top, n_points)
 
 
 @dataclass
@@ -76,13 +88,6 @@ class RiskCurve:
             raise ValueError("lambdas must be sorted ascending")
 
 
-def _risk_of(y, f_hat, criterion, sigma, ftv):
-    if criterion == "sure":
-        return sure(y, f_hat, sigma)
-    diff = f_hat.values - ftv
-    return float(diff @ diff) / y.shape.n_sites
-
-
 def risk_curve(y: Signal, lambdas, criterion: str = "sure",
                sigma: float | None = None, f_true: Signal | None = None,
                cfg: SolverConfig | None = None) -> RiskCurve:
@@ -100,19 +105,16 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
     if criterion == "sure":
         if sigma is None:
             raise ValueError("sure criterion needs sigma")
-        if not 0.0 <= sigma < np.inf:
-            raise ValueError("sigma must be finite and nonnegative")
-        ftv = None
+        check_sigma(sigma)
     elif criterion == "oracle":
         if f_true is None:
             raise ValueError("oracle criterion needs f_true")
         if f_true.shape.sizes != y.shape.sizes:
             raise ValueError("f_true shape does not match y")
-        ftv = f_true.values
     else:
         raise ValueError("criterion must be 'sure' or 'oracle'")
     sols = tv_denoise_grid(y, lams)
-    values = np.array([_risk_of(y, sol.estimate, criterion, sigma, ftv)
-                       for sol in sols])
+    values = np.array([sure(y, sol.estimate, sigma) if criterion == "sure"
+                       else loss(sol.estimate, f_true) for sol in sols])
     best = int(np.argmin(values))
     return RiskCurve(lams, values, float(lams[best]), sols[best])

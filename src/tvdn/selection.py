@@ -24,6 +24,7 @@ from .coeffs import default_coefficients
 from .grid import LatticeShape, Signal, diff_flat
 from .lambda_stat import GumbelFitCoefficients
 from .risk import ncc
+from .signals import check_sigma
 from .tvsolve import CutSolver, FusionPath, tv_solver
 
 # MAD-to-sigma factor for Gaussian data; the extra 1/sqrt(2) accounts for
@@ -51,18 +52,13 @@ def estimate_sigma(y: Signal) -> float:
     return _MAD_SCALE * float(np.median(np.abs(d - np.median(d))))
 
 
-def _check_sigma(sigma: float):
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError("sigma must be finite and nonnegative")
-
-
 def jump_threshold(n: int, sigma: float) -> float:
     """Cutoff sigma*sqrt(2/N)*z_{1-0.025/(N-1)} on a fit's |difference|:
     Bonferroni level 0.05 over the N-1 differences, at the variance of a
     within-piece average rather than that of a single observation."""
     if n < 2:
         raise ValueError("N must be at least 2")
-    _check_sigma(sigma)
+    check_sigma(sigma)
     return sigma * math.sqrt(2.0 / n) * float(ndtri(1.0 - 0.025 / (n - 1)))
 
 
@@ -108,7 +104,7 @@ def universal_threshold(shape: LatticeShape, sigma: float,
     d, m = shape.squeezed.ndim, shape.n_sites
     if d == 1 and m < 3:
         raise ValueError("N must be at least 3")
-    _check_sigma(sigma)
+    check_sigma(sigma)
     lam = _threshold(d, m ** (1.0 / d), shape.n_edges, sigma, coeffs)
     if lam is None:
         raise ValueError("lattice too small: 2/sqrt(log P) is not below 1")
@@ -121,7 +117,7 @@ def exact_seg_threshold(n_max: int, sigma: float, alpha: float) -> float:
         raise ValueError("alpha must lie in (0, 1/2)")
     if n_max < 1:
         raise ValueError("N_max must be at least 1")
-    _check_sigma(sigma)
+    check_sigma(sigma)
     return sigma * n_max * float(ndtri(1.0 - alpha / 2.0))
 
 
@@ -129,7 +125,7 @@ def min_jump_height(sigma: float, alpha: float) -> float:
     """Smallest jump size 4*sigma*z_{1-alpha/2} the guarantee asks for."""
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 1/2)")
-    _check_sigma(sigma)
+    check_sigma(sigma)
     return 4.0 * sigma * float(ndtri(1.0 - alpha / 2.0))
 
 

@@ -1,6 +1,9 @@
-"""Test-signal generators, piecewise-constant constructions and noise."""
+"""Test-signal generators, piecewise-constant constructions and the noise
+level rule: y = f + sigma * eps needs sigma finite and nonnegative
+(``check_sigma``). The benchmarks and ``tvdn gen`` draw eps inline."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,24 +80,11 @@ class PiecewiseConstantSpec:
         bounds = np.concatenate([[0], cuts, [len(values)]])
         return cls(values[bounds[:-1]], np.diff(bounds))
 
-    def scaled_to_min_jump(self, h: float) -> "PiecewiseConstantSpec":
-        """Rescale levels so the smallest jump magnitude equals h."""
-        jumps = np.abs(np.diff(self.levels))
-        if jumps.size == 0:
-            raise ValueError("spec has no jumps to scale")
-        return PiecewiseConstantSpec(self.levels * (h / jumps.min()), self.lengths)
 
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Additive i.i.d. Gaussian noise, reproducible from the seed."""
-
-    sigma: float
-    seed: int
-
-    def __post_init__(self):
-        if not np.isfinite(self.sigma) or self.sigma < 0:
-            raise ValueError("sigma must be finite and nonnegative")
+def check_sigma(sigma: float) -> None:
+    """Refuse a noise level that is NaN, negative or infinite."""
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and nonnegative")
 
 
 def _dj_values(name, t):
@@ -116,15 +106,15 @@ def gen_test_function(name: str, n: int, snr: float = 7.0) -> Signal:
     """Sample a named test function on n equispaced points.
 
     The clean signal is rescaled so its sample standard deviation equals
-    ``snr``; benchmark noise is then added at sigma = 1. The zero function
-    ignores snr and returns all zeros.
+    ``snr``, which must be positive and finite; benchmark noise is then
+    added at sigma = 1. The zero function returns all zeros.
     """
     if n < 8:
         raise ValueError("n must be at least 8")
+    if not 0.0 < snr < math.inf:
+        raise ValueError("snr must be positive and finite")
     if name == "zero":
         return Signal(LatticeShape((n,)), np.zeros(n))
-    if snr <= 0:
-        raise ValueError("snr must be positive")
     t = np.arange(1, n + 1) / n
     f = _dj_values(name, t)
     sd = f.std(ddof=1)
@@ -150,9 +140,3 @@ def gen_piecewise(kind: str, n: int, n_levels: int, h: float) -> PiecewiseConsta
     else:
         raise ValueError(f"unknown piecewise kind {kind!r}")
     return PiecewiseConstantSpec(levels.astype(float), lengths)
-
-
-def add_noise(f: Signal, noise: NoiseSpec) -> Signal:
-    rng = np.random.default_rng(noise.seed)
-    eps = rng.standard_normal(f.shape.n_sites)
-    return Signal(f.shape, f.values + noise.sigma * eps)

@@ -56,6 +56,13 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
 
 
+def check_lambda(lam: float) -> None:
+    """Refuse a threshold that is negative or NaN; inf, whose fit is the
+    mean, is allowed."""
+    if not lam >= 0.0:
+        raise ValueError("lambda must be nonnegative")
+
+
 @dataclass
 class TvSolution:
     estimate: Signal
@@ -189,8 +196,7 @@ class FusionPath:
 
     def solve(self, lam: float) -> TvSolution:
         """The certified exact fit at lam >= 0 (at lam = inf, the mean)."""
-        if not lam >= 0.0:
-            raise ValueError("lambda must be nonnegative")
+        check_lambda(lam)
         v = self.y.values
         cut = np.flatnonzero(self.times > lam)
         start = np.concatenate(([0], cut + 1))
@@ -274,8 +280,7 @@ def tv_denoise(y: Signal, lam: float, cfg: SolverConfig | None = None) -> TvSolu
     Every fit returns through ``_certified``, which raises RuntimeError
     rather than return a fit it cannot certify.
     """
-    if not lam >= 0.0:
-        raise ValueError("lambda must be nonnegative")
+    check_lambda(lam)
     return tv_solver(y).solve(lam)
 
 
@@ -317,8 +322,7 @@ class CutSolver:
 
     def solve(self, lam: float, start=None) -> TvSolution:
         """The certified exact fit at lam >= 0 (at lam = inf, the mean)."""
-        if not lam >= 0.0:
-            raise ValueError("lambda must be nonnegative")
+        check_lambda(lam)
         y, net = self.y, self.net
         shape = y.shape
         sizes = shape.sizes

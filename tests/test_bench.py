@@ -10,7 +10,7 @@ from tvdn.bench import (ExperimentConfig, ResultTable, _mean_se, _mse_rep,
 from tvdn.grid import LatticeShape, Signal
 from tvdn.lambda_stat import GumbelParams, monte_carlo_lambda, sample_lambda_1d
 from tvdn.risk import default_lambda_grid, risk_curve
-from tvdn.signals import TEST_FUNCTIONS, gen_test_function
+from tvdn.signals import TEST_FUNCTIONS, gen_piecewise, gen_test_function
 
 
 def test_experiment_config_validation():
@@ -87,8 +87,9 @@ def test_bench_mse_cells_share_one_flat_run(monkeypatch):
     expected = ResultTable()
     for fi, function in enumerate(cfg.functions):
         for n, reps in zip(cfg.sizes, cfg.reps):
-            out = [_mse_rep((function, n, cfg.snr, cfg.sigma,
-                             (cfg.seed, fi, n, r))) for r in range(reps)]
+            f = gen_test_function(function, n, snr=cfg.snr)
+            out = [_mse_rep((f, cfg.sigma, (cfg.seed, fi, n, r)))
+                   for r in range(reps)]
             for mi, method in enumerate(("oracle", "sure", "adaptive")):
                 mean, se = _mean_se([100.0 * o[mi] for o in out])
                 expected.add(function, n, method, "risk_x100", mean, se, reps)
@@ -110,7 +111,7 @@ def test_mse_rep_runs_one_fusion_pass(monkeypatch):
         return fusion_times(y)
 
     monkeypatch.setattr(tvdn.tvsolve, "_fusion_times", counted)
-    _mse_rep(("bumps", 200, 7.0, 1.0, (3, 0, 200, 0)))
+    _mse_rep((gen_test_function("bumps", 200, 7.0), 1.0, (3, 0, 200, 0)))
     assert calls == [200]
 
 
@@ -126,9 +127,29 @@ def test_seg_rep_runs_one_fusion_pass(monkeypatch):
     monkeypatch.setattr(tvdn.tvsolve, "_fusion_times", counted)
     lambdas = {"exact_seg": 3.0, "universal": 3.5}
     for r in range(3):
-        res = _seg_rep(("staircase", 100, 5, 4.0, 1.0, lambdas, (3, 0, 0, 1, r)))
+        res = _seg_rep((gen_piecewise("staircase", 100, 5, 4.0), 1.0, lambdas,
+                        (3, 0, 0, 1, r)))
         assert sorted(res) == sorted(lambdas)
         assert calls == [100] * (r + 1)
+
+
+def test_bench_mse_default_reps_follow_the_size(monkeypatch):
+    # without --reps a size n runs 50000 // n replicates (at least 1),
+    # whatever its position among the sizes; counted with no solves
+    counts = []
+
+    def counted(fn, items):
+        counts.append(len(items))
+        return [(0.0, 0.0, 0.0)] * len(items)
+
+    monkeypatch.setattr(tvdn.bench, "parallel_map", counted)
+    for sizes, reps in (((10000,), [5]), ((100, 10000), [500, 5]),
+                        ((), [500, 50, 5]), ((60000,), [1])):
+        table = bench_mse(ExperimentConfig("mse_1d", functions=("blocks",),
+                                           sizes=sizes))
+        assert counts.pop() == sum(reps)
+        assert [row["reps"] for row in table.rows] == [r for r in reps
+                                                       for _ in range(3)]
 
 
 def test_bench_mse_wrong_experiment():

@@ -14,6 +14,7 @@ from tvdn.io import (SCHEMA_VERSION, read_csv_column, read_json_report,
                      read_pgm, read_signal_csv, write_csv_column,
                      write_csv_rows, write_json_report, write_pgm,
                      write_signal_csv)
+from tvdn.lambda_stat import sample_lambda
 from tvdn.risk import default_lambda_grid, risk_curve
 from tvdn.selection import estimate_sigma, universal_threshold
 from tvdn.tvsolve import lambda_max, tv_denoise
@@ -348,9 +349,9 @@ def test_cli_explicit_grid_computes_no_lambda_max(tmp_path, capsys,
 
     def counted(y):
         calls.append(y.shape.sizes)
-        return lambda_max(y)
+        return sample_lambda(y)
 
-    monkeypatch.setattr(tvdn.cli, "lambda_max", counted)
+    monkeypatch.setattr(tvdn.cli, "sample_lambda", counted)
     pgm = str(tmp_path / "y.pgm")
     img = np.random.default_rng(5).integers(0, 256, (8, 8)).astype(float)
     write_pgm(pgm, Signal.from_array(img), maxval=255)
@@ -371,7 +372,7 @@ def test_cli_empty_grid_exits_2_before_lambda_max(tmp_path, capsys,
     # lattice) is computed, in either --grid form
     import tvdn.cli
     calls = []
-    monkeypatch.setattr(tvdn.cli, "lambda_max",
+    monkeypatch.setattr(tvdn.cli, "sample_lambda",
                         lambda y: calls.append(y.shape.sizes))
     pgm = str(tmp_path / "y.pgm")
     img = np.random.default_rng(5).integers(0, 256, (8, 8)).astype(float)
@@ -460,6 +461,50 @@ def test_cli_risk_curve_refuses_truth_with_sure(tmp_path, capsys):
         _refused_before_reading(
             capsys, ["risk-curve", "--in", missing, "--truth", missing] + argv,
             "--truth is read only by --method oracle")
+
+
+def test_cli_refuses_bad_values_before_reading(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    for lam in ("nan", "-1"):
+        _refused_before_reading(
+            capsys, ["denoise", "--in", missing, "--lambda", lam],
+            "lambda must be nonnegative")
+    for grid, message in (("1,2", "--grid expects COUNT or LO,HI,COUNT"),
+                          ("0.5,inf,4", "--grid bounds must be finite"),
+                          ("4,2,3", "--grid bounds must satisfy")):
+        for argv in (["denoise", "--method", "sure"],
+                     ["denoise", "--method", "oracle", "--truth", missing],
+                     ["risk-curve"]):
+            _refused_before_reading(
+                capsys, argv + ["--in", missing, "--grid", grid], message)
+    _refused_before_reading(
+        capsys, ["risk-curve", "--in", missing, "--method", "oracle"],
+        "--method oracle needs --truth")
+
+
+def test_cli_drivers_refuse_bad_values_before_the_pool(tmp_path, capsys,
+                                                       monkeypatch):
+    # a bad tolerance, signal ratio or size is refused before the pool
+    # starts, in the words of the value at fault
+    import tvdn.bench
+    pooled = []
+    monkeypatch.setattr(tvdn.bench, "parallel_map",
+                        lambda fn, items: pooled.append(fn) or [])
+    out = str(tmp_path / "out")
+    for argv, message in (
+            (["lambda-sample", "--dim", "2", "--sizes", "8", "--reps", "2",
+              "--tol", "nan"], "tol must be positive and finite"),
+            (["bench-mse", "--snr", "nan"], "snr must be positive and finite"),
+            (["bench-mse", "--functions", "blocks", "--sizes", "5"],
+             "n must be at least 8"),
+            (["bench-seg", "--sizes", "3"], "more levels than samples"),
+            (["gen", "--snr", "inf"], "snr must be positive and finite")):
+        assert main(argv + ["--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not os.path.exists(out)
+    assert pooled == []
 
 
 def test_cli_bad_lambda_sample_tol_exits_2(tmp_path, capsys, monkeypatch):

@@ -3,8 +3,7 @@ import pytest
 
 from tvdn.grid import Signal
 from tvdn.risk import ncc
-from tvdn.signals import (NoiseSpec, PiecewiseConstantSpec, add_noise,
-                          gen_piecewise, gen_test_function)
+from tvdn.signals import PiecewiseConstantSpec, gen_piecewise, gen_test_function
 
 
 def test_spec_merges_equal_adjacent_levels():
@@ -105,28 +104,3 @@ def test_gen_piecewise_errors():
         gen_piecewise("battlements", 100, 1, 1.0)
     with pytest.raises(ValueError):
         gen_piecewise("towers", 100, 5, 1.0)
-
-
-def test_scaled_to_min_jump():
-    spec = gen_piecewise("staircase", 60, 3, 2.0).scaled_to_min_jump(5.0)
-    assert np.min(np.abs(np.diff(spec.levels))) == pytest.approx(5.0)
-
-
-def test_add_noise_zero_sigma_and_determinism():
-    f = gen_test_function("blocks", 64, 7.0)
-    assert np.array_equal(add_noise(f, NoiseSpec(0.0, 1)).values, f.values)
-    a = add_noise(f, NoiseSpec(1.0, 99)).values
-    b = add_noise(f, NoiseSpec(1.0, 99)).values
-    assert np.array_equal(a, b)
-
-
-def test_add_noise_sd():
-    f = gen_test_function("zero", 100000)
-    y = add_noise(f, NoiseSpec(1.0, 7))
-    sd = (y.values - f.values).std(ddof=1)
-    assert 0.99 <= sd <= 1.01
-
-
-def test_noise_spec_validation():
-    with pytest.raises(ValueError):
-        NoiseSpec(-1.0, 0)
