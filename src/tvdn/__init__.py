@@ -15,14 +15,14 @@ calibrating statistic is computed exactly on lattices by s-t minimum cuts,
 with a certified lower/upper bracket.
 """
 
-from .grid import LatticeShape, Signal, apply_diff, apply_diff_adjoint, laplacian_solve
+from .grid import LatticeShape, Signal, laplacian_solve
 from .signals import (PiecewiseConstantSpec, TEST_FUNCTIONS, gen_piecewise,
                       gen_test_function)
 from .tvsolve import (SolverConfig, TvSolution, lambda_max, tv_denoise,
                       tv_denoise_1d, tv_denoise_grid)
 from .lambda_stat import (GevParams, GumbelFitCoefficients, GumbelParams,
                           fit_gev_and_lr_test, fit_gumbel, fit_loglog_regression,
-                          monte_carlo_lambda, sample_lambda, sample_lambda_1d)
+                          sample_lambda, sample_lambda_1d)
 from .coeffs import DEFAULT_COEFFICIENTS, default_coefficients, load_coefficients
 from .selection import (ThresholdReport, adaptive_tv, count_jumps,
                         estimate_sigma, exact_seg_prob_bound,
@@ -36,14 +36,13 @@ from .bench import ExperimentConfig, ResultTable, bench_mse, bench_seg
 __version__ = "0.1.0"
 
 __all__ = [
-    "LatticeShape", "Signal", "apply_diff", "apply_diff_adjoint",
-    "laplacian_solve", "PiecewiseConstantSpec", "TEST_FUNCTIONS",
-    "gen_piecewise", "gen_test_function", "SolverConfig",
+    "LatticeShape", "Signal", "laplacian_solve", "PiecewiseConstantSpec",
+    "TEST_FUNCTIONS", "gen_piecewise", "gen_test_function", "SolverConfig",
     "TvSolution", "lambda_max", "tv_denoise", "tv_denoise_1d",
     "tv_denoise_grid", "GevParams",
     "GumbelFitCoefficients", "GumbelParams", "fit_gev_and_lr_test",
-    "fit_gumbel", "fit_loglog_regression", "monte_carlo_lambda",
-    "sample_lambda", "sample_lambda_1d", "DEFAULT_COEFFICIENTS",
+    "fit_gumbel", "fit_loglog_regression", "sample_lambda",
+    "sample_lambda_1d", "DEFAULT_COEFFICIENTS",
     "default_coefficients", "load_coefficients", "ThresholdReport",
     "adaptive_tv", "count_jumps", "estimate_sigma", "exact_seg_prob_bound",
     "exact_seg_threshold", "min_jump_height", "universal_threshold",

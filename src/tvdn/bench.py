@@ -14,7 +14,7 @@ import numpy as np
 
 from ._pool import parallel_map
 from .grid import LatticeShape, Signal
-from .lambda_stat import (GumbelParams, _mc_one, _mc_tasks, fit_gev_and_lr_test,
+from .lambda_stat import (GumbelParams, check_tol, fit_gev_and_lr_test,
                           fit_gumbel, fit_loglog_regression, sample_lambda)
 from .risk import default_lambda_grid, loss, sure
 from .segmentation import evaluate_outcome
@@ -34,7 +34,7 @@ class ExperimentConfig:
     functions: tuple = ()
     sizes: tuple = ()
     reps: tuple = ()
-    alphas: tuple = (0.05,)
+    alpha: float = 0.05
     seed: int = 0
     snr: float = 7.0
     sigma: float = 1.0
@@ -45,8 +45,6 @@ class ExperimentConfig:
         self.functions = tuple(self.functions)
         self.sizes = tuple(int(s) for s in self.sizes)
         self.reps = tuple(int(r) for r in self.reps)
-        if len(self.alphas) != 1:
-            raise ValueError("alphas must hold exactly one level")
         if any(r < 1 for r in self.reps):
             raise ValueError("replicate counts must be at least 1")
         if self.sizes and len(self.reps) not in (0, 1, len(self.sizes)):
@@ -174,24 +172,25 @@ def bench_seg(config: ExperimentConfig) -> ResultTable:
     """Exact-segmentation and screening frequencies on piecewise signals.
 
     Jump heights sweep {2h*, h*, h*/10} around the recovery boundary h*;
-    thresholds compared are the exact-recovery scale at alpha (the config's
-    one level) and the universal threshold. Each cell's signal is built
-    once, before any replicate runs, and the replicates of every (size,
-    function, height) cell go through one ``parallel_map`` call.
+    thresholds compared are the exact-recovery scale at the config's alpha
+    and the universal threshold. Each cell's signal is built once, before
+    any replicate runs, and the replicates of every (size, function,
+    height) cell go through one ``parallel_map`` call.
     """
     if config.experiment != "seg_1d":
         raise ValueError("config is not a seg_1d experiment")
     functions = config.functions or ("battlements", "staircase")
     sizes = config.sizes or (100,)
     n_levels = 5
-    alpha = config.alphas[0]
+    alpha = config.alpha
     sigma = config.sigma
     hstar = min_jump_height(sigma, alpha)
     heights = (("2h*", 2.0 * hstar), ("h*", hstar), ("h*/10", hstar / 10.0))
     cells = []
     for si, n in enumerate(sizes):
         reps = config.reps_for(si) if config.reps else 200
-        n_max = n - (n // n_levels) * (n_levels - 1)
+        # the longest piece of the layout every cell of size n draws
+        n_max = int(gen_piecewise("staircase", n, n_levels, 1.0).lengths.max())
         lambdas = {
             "exact_seg": exact_seg_threshold(n_max, sigma, alpha),
             "universal": universal_threshold(LatticeShape((n,)), sigma),
@@ -217,12 +216,33 @@ def bench_seg(config: ExperimentConfig) -> ResultTable:
     return table
 
 
+def _mc_one(args):
+    sizes, seed_entropy, tol = args
+    rng = np.random.default_rng(seed_entropy)
+    shape = LatticeShape(sizes)
+    y = Signal(shape, rng.standard_normal(shape.n_sites))
+    lam, _ = sample_lambda(y, tol=tol)
+    return lam
+
+
+def _mc_tasks(shape: LatticeShape, reps: int, seed: int, tol: float) -> list:
+    """The ``_mc_one`` arguments of reps draws: one child of
+    SeedSequence(seed) per draw, so a draw does not depend on the worker
+    or the call that runs it."""
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
+    check_tol(tol)
+    children = np.random.SeedSequence(seed).spawn(reps)
+    return [(shape.sizes, ss, tol) for ss in children]
+
+
 def run_lambda_samples(dim: int, sizes, reps: int, seed: int,
                        tol: float = 1e-6) -> dict:
-    """Draw Lambda samples for each side length of an N^dim lattice.
+    """Draws of Lambda under standard normal noise (sigma = 1) for each
+    side length of an N^dim lattice.
 
-    The draws at the i-th size are those of ``monte_carlo_lambda`` with seed
-    + i; the draws of every size go through one ``parallel_map`` call.
+    The i-th size draws from the children of SeedSequence(seed + i); the
+    draws of every size go through one ``parallel_map`` call.
     """
     cells = [(int(n), _mc_tasks(LatticeShape((int(n),) * dim), reps, seed + i, tol))
              for i, n in enumerate(sizes)]

@@ -88,9 +88,8 @@ def cmd_denoise(args):
                          "adaptive and sure")
     y, meta = _read_input(args.infile)
     coeffs = load_coefficients(args.coeffs) if args.coeffs else None
-    # fixed and oracle read no sigma and only echo the estimate
-    sigma = estimate_sigma(y) if method in ("fixed", "oracle") \
-        else _sigma(args, y)
+    # fixed and oracle read no sigma
+    sigma = None if method in ("fixed", "oracle") else _sigma(args, y)
 
     truth = None
     if args.truth:
@@ -183,7 +182,7 @@ def cmd_bench_mse(args):
 
 
 def cmd_bench_seg(args):
-    table = bench_seg(_experiment(args, "seg_1d", alphas=(args.alpha,)))
+    table = bench_seg(_experiment(args, "seg_1d", alpha=args.alpha))
     return _table_out(table, args, {"experiment": "seg_1d", "seed": args.seed,
                                     "alpha": args.alpha})
 

@@ -112,24 +112,6 @@ def adjoint_flat(w: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
     return out.ravel()
 
 
-def apply_diff(signal: Signal) -> np.ndarray:
-    """Apply B: one finite difference per lattice edge.
-
-    Returns
-    -------
-    ndarray of length ``signal.shape.n_edges`` in the fixed edge ordering.
-    """
-    return diff_flat(signal.values, signal.shape.sizes)
-
-
-def apply_diff_adjoint(w: np.ndarray, shape: LatticeShape) -> Signal:
-    """Apply B^T to a vector of edge values."""
-    w = np.asarray(w, dtype=float).ravel()
-    if w.size != shape.n_edges:
-        raise ValueError("edge vector length does not match lattice")
-    return Signal(shape, adjoint_flat(w, shape.sizes))
-
-
 def edge_endpoints(shape: LatticeShape) -> tuple[np.ndarray, np.ndarray]:
     """(near, far) site indices for every edge, in the fixed edge ordering."""
     sizes = shape.sizes

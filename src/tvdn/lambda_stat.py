@@ -13,9 +13,9 @@ dual B L^+ c, whose potential L^+ c has level sets that come close to the
 maximizing set: the best of them is the first lower bound, and the dual
 clipped to it the first flow.
 
-Monte Carlo draws of Lambda under white noise feed a Gumbel fit, and the
-fitted location/scale follow a log-log-linear law in the side length, which
-is what the regression here captures.
+Monte Carlo draws of Lambda under white noise (``bench.run_lambda_samples``)
+feed a Gumbel fit, and the fitted location/scale follow a log-log-linear law
+in the side length, which is what the regression here captures.
 """
 from __future__ import annotations
 
@@ -26,9 +26,8 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 from scipy.special import chdtrc
 
-from ._pool import parallel_map
 from .cuts import CutNetwork
-from .grid import LatticeShape, Signal, SpectralLaplacian, adjoint_flat, diff_flat
+from .grid import Signal, SpectralLaplacian, adjoint_flat, diff_flat
 
 # sample_lambda gives up after this many flows; noise draws certify in 4-6
 _MAX_FLOWS = 50000
@@ -91,7 +90,8 @@ def sample_lambda_1d(y: Signal) -> float:
     return sample_lambda(y)[0]
 
 
-def _check_tol(tol: float) -> None:
+def check_tol(tol: float) -> None:
+    """Refuse a bracket tolerance that is not positive and finite."""
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
 
@@ -129,7 +129,7 @@ def sample_lambda(y: Signal, tol: float = 1e-6):
     On a path lattice no flow is computed: the only dual is minus the
     partial sums of c in flat order.
     """
-    _check_tol(tol)
+    check_tol(tol)
     shape = y.shape
     p = shape.n_edges
     c = y.values - y.values.mean()
@@ -197,32 +197,6 @@ def _best_level_ratio(u, c, near, far) -> float:
     if not level.any():
         return 0.0
     return float((np.abs(inside[level]) / cut[level]).max())
-
-
-def _mc_one(args):
-    sizes, seed_entropy, tol = args
-    rng = np.random.default_rng(seed_entropy)
-    shape = LatticeShape(sizes)
-    y = Signal(shape, rng.standard_normal(shape.n_sites))
-    lam, _ = sample_lambda(y, tol=tol)
-    return lam
-
-
-def monte_carlo_lambda(shape: LatticeShape, reps: int, seed: int,
-                       tol: float = 1e-6) -> np.ndarray:
-    """Independent draws of Lambda under standard normal noise (sigma = 1)."""
-    return np.array(parallel_map(_mc_one, _mc_tasks(shape, reps, seed, tol)))
-
-
-def _mc_tasks(shape: LatticeShape, reps: int, seed: int, tol: float) -> list:
-    """The ``_mc_one`` arguments of reps draws: one child of
-    SeedSequence(seed) per draw, so a draw does not depend on the worker
-    or the call that runs it."""
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    _check_tol(tol)
-    children = np.random.SeedSequence(seed).spawn(reps)
-    return [(shape.sizes, ss, tol) for ss in children]
 
 
 def gumbel_loglik(params: GumbelParams, x) -> float:

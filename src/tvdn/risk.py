@@ -43,11 +43,15 @@ def ncc(f: Signal) -> int:
     return int(component_labels(f).max()) + 1
 
 
+def _check_shapes(a: Signal, b: Signal) -> None:
+    if a.shape.sizes != b.shape.sizes:
+        raise ValueError("signal shapes do not match")
+
+
 def sure(y: Signal, f_hat: Signal, sigma: float) -> float:
     """Stein's unbiased estimate of the per-site risk of f_hat: RSS/m +
     2 sigma^2 df/m - sigma^2, df = ncc(f_hat), its number of pieces."""
-    if y.shape.sizes != f_hat.shape.sizes:
-        raise ValueError("signal shapes do not match")
+    _check_shapes(y, f_hat)
     m = y.shape.n_sites
     rss = float(np.sum((y.values - f_hat.values) ** 2))
     return rss / m + 2.0 * sigma ** 2 * ncc(f_hat) / m - sigma ** 2
@@ -55,6 +59,7 @@ def sure(y: Signal, f_hat: Signal, sigma: float) -> float:
 
 def loss(f_hat: Signal, f_true: Signal) -> float:
     """The oracle risk of f_hat: its per-site squared error against f_true."""
+    _check_shapes(f_hat, f_true)
     d = f_hat.values - f_true.values
     return float(d @ d) / d.size
 
@@ -109,8 +114,7 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
     elif criterion == "oracle":
         if f_true is None:
             raise ValueError("oracle criterion needs f_true")
-        if f_true.shape.sizes != y.shape.sizes:
-            raise ValueError("f_true shape does not match y")
+        _check_shapes(f_true, y)
     else:
         raise ValueError("criterion must be 'sure' or 'oracle'")
     sols = tv_denoise_grid(y, lams)

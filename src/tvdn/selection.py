@@ -111,10 +111,14 @@ def universal_threshold(shape: LatticeShape, sigma: float,
     return lam
 
 
-def exact_seg_threshold(n_max: int, sigma: float, alpha: float) -> float:
-    """sigma * N_max * z_{1-alpha/2}, the exact-recovery threshold scale."""
+def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 1/2)")
+
+
+def exact_seg_threshold(n_max: int, sigma: float, alpha: float) -> float:
+    """sigma * N_max * z_{1-alpha/2}, the exact-recovery threshold scale."""
+    _check_alpha(alpha)
     if n_max < 1:
         raise ValueError("N_max must be at least 1")
     check_sigma(sigma)
@@ -123,8 +127,7 @@ def exact_seg_threshold(n_max: int, sigma: float, alpha: float) -> float:
 
 def min_jump_height(sigma: float, alpha: float) -> float:
     """Smallest jump size 4*sigma*z_{1-alpha/2} the guarantee asks for."""
-    if not 0.0 < alpha < 0.5:
-        raise ValueError("alpha must lie in (0, 1/2)")
+    _check_alpha(alpha)
     check_sigma(sigma)
     return 4.0 * sigma * float(ndtri(1.0 - alpha / 2.0))
 
@@ -133,8 +136,7 @@ def exact_seg_prob_bound(n_levels: int, alpha: float) -> float:
     """Lower bound (1-2a)^(L-2) * (1-a)^2 on exact segmentation probability."""
     if n_levels < 2:
         raise ValueError("need at least 2 levels")
-    if not 0.0 < alpha < 0.5:
-        raise ValueError("alpha must lie in (0, 1/2)")
+    _check_alpha(alpha)
     return (1.0 - 2.0 * alpha) ** (n_levels - 2) * (1.0 - alpha) ** 2
 
 

@@ -240,8 +240,8 @@ def tv_denoise_grid(y: Signal, lambdas) -> list[TvSolution]:
     worker count.
     """
     lams = np.asarray(lambdas, dtype=float).ravel()
-    if not np.all(lams >= 0):
-        raise ValueError("lambda values must be nonnegative")
+    for lam in lams.tolist():
+        check_lambda(lam)
     # np.diff would compute inf - inf on a grid ending in repeated infs
     if np.any(lams[1:] < lams[:-1]):
         raise ValueError("lambda grid must be ascending")

@@ -15,13 +15,13 @@ import numpy as np
 
 from invariants import ALL_CHECKS
 from oracles import lambda_oracle_gridsearch, tv_oracle_boxqp, tv_oracle_patterns
-from tvdn.bench import EXPERIMENTS, ExperimentConfig, bench_mse, bench_seg
+from tvdn.bench import (EXPERIMENTS, ExperimentConfig, bench_mse, bench_seg,
+                        run_lambda_samples)
 from tvdn.cli import build_parser
 from tvdn.coeffs import default_coefficients
 from tvdn.grid import (LatticeShape, Signal, SpectralLaplacian, adjoint_flat,
                        diff_flat)
-from tvdn.lambda_stat import (fit_gev_and_lr_test, fit_gumbel,
-                              monte_carlo_lambda, sample_lambda,
+from tvdn.lambda_stat import (fit_gev_and_lr_test, fit_gumbel, sample_lambda,
                               sample_lambda_1d)
 from tvdn.risk import sure
 from tvdn.selection import exact_seg_prob_bound
@@ -177,7 +177,7 @@ def test_criterion_5_segmentation_events():
     t0 = time.time()
     table = bench_seg(ExperimentConfig(
         "seg_1d", functions=("battlements", "staircase"), sizes=(100,),
-        reps=(200,), alphas=(0.05,), seed=0))
+        reps=(200,), alpha=0.05, seed=0))
     p_ex = table.get("battlements@2h*", 100, "exact_seg", "pi_exact")["value"]
     p_sc = table.get("battlements@2h*", 100, "exact_seg", "pi_screen")["value"]
     st_ex = table.get("staircase@2h*", 100, "exact_seg", "pi_exact")["value"]
@@ -202,7 +202,7 @@ def test_criterion_6_extreme_value_calibration():
     rows = []
     ok = True
     for n in (8, 16, 32):
-        draws = monte_carlo_lambda(LatticeShape((n, n)), 200, seed=1234)
+        draws = run_lambda_samples(2, [n], 200, seed=1234)[n]
         g = fit_gumbel(draws)
         _, p = fit_gev_and_lr_test(draws)
         ref = co.params_at(n)

@@ -8,7 +8,7 @@ from tvdn.bench import (ExperimentConfig, ResultTable, _mean_se, _mse_rep,
                         _seg_rep, bench_mse, bench_seg, lambda_fit_report,
                         qq_pairs, run_lambda_samples)
 from tvdn.grid import LatticeShape, Signal
-from tvdn.lambda_stat import GumbelParams, monte_carlo_lambda, sample_lambda_1d
+from tvdn.lambda_stat import GumbelParams, sample_lambda, sample_lambda_1d
 from tvdn.risk import default_lambda_grid, risk_curve
 from tvdn.signals import TEST_FUNCTIONS, gen_piecewise, gen_test_function
 
@@ -24,9 +24,6 @@ def test_experiment_config_validation():
         with pytest.raises(ValueError, match="sigma"):
             ExperimentConfig("seg_1d", sigma=sigma)
     assert ExperimentConfig("mse_1d", sigma=0.0).sigma == 0.0
-    for alphas in ((), (0.01, 0.2)):
-        with pytest.raises(ValueError, match="alphas"):
-            ExperimentConfig("seg_1d", alphas=alphas)
     cfg = ExperimentConfig("mse_1d", sizes=(10, 20, 30), reps=(7,))
     assert [cfg.reps_for(i) for i in range(3)] == [7, 7, 7]
     cfg = ExperimentConfig("mse_1d", sizes=(10, 20), reps=(5, 9))
@@ -161,7 +158,7 @@ def test_bench_mse_wrong_experiment():
 
 def test_bench_seg_small_run():
     cfg = ExperimentConfig("seg_1d", functions=("battlements",), sizes=(100,),
-                           reps=(20,), seed=3, alphas=(0.05,), sigma=1.0)
+                           reps=(20,), seed=3, alpha=0.05, sigma=1.0)
     table = bench_seg(cfg)
     functions = ["battlements@%s" % tag for tag in ("2h*", "h*", "h*/10")]
     assert not table.missing(functions, (100,), ("exact_seg", "universal"),
@@ -180,10 +177,29 @@ def test_bench_seg_small_run():
                      "pi_exact")["value"] == 0.0
 
 
+def test_bench_seg_n_max_is_the_longest_drawn_piece(monkeypatch):
+    # 103 samples in 5 pieces are drawn as 21, 21, 21, 20, 20, so the
+    # exact-recovery threshold takes N_max = 21
+    seen = []
+    threshold = tvdn.bench.exact_seg_threshold
+
+    def recorded(n_max, sigma, alpha):
+        seen.append(n_max)
+        return threshold(n_max, sigma, alpha)
+
+    monkeypatch.setattr(tvdn.bench, "exact_seg_threshold", recorded)
+    assert gen_piecewise("battlements", 103, 5, 1.0).lengths.tolist() == \
+        [21, 21, 21, 20, 20]
+    cfg = ExperimentConfig("seg_1d", functions=("staircase",),
+                           sizes=(100, 103), reps=(1,))
+    bench_seg(cfg)
+    assert seen == [20, 21]
+
+
 def test_bench_seg_parallel_matches_serial(monkeypatch):
     cfg = ExperimentConfig("seg_1d", functions=("battlements", "staircase"),
                            sizes=(40, 60), reps=(4, 3), seed=6,
-                           alphas=(0.05,), sigma=1.0)
+                           alpha=0.05, sigma=1.0)
     monkeypatch.setenv("TVDN_THREADS", "1")
     serial = bench_seg(cfg)
     monkeypatch.setenv("TVDN_THREADS", "2")
@@ -235,8 +251,8 @@ def test_run_lambda_samples_shifts_seed_per_size():
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_run_lambda_samples_one_pool_call(monkeypatch, threads):
-    # every size's draws go through one parallel_map call and equal the
-    # draws of monte_carlo_lambda at seed + size index
+    # every size's draws go through one parallel_map call and equal direct
+    # draws from the children of SeedSequence(seed + size index)
     monkeypatch.setenv("TVDN_THREADS", threads)
     calls = []
     pmap = tvdn.bench.parallel_map
@@ -251,7 +267,10 @@ def test_run_lambda_samples_one_pool_call(monkeypatch, threads):
     assert len(calls) == 1
     assert list(got) == list(sizes)
     for i, n in enumerate(sizes):
-        want = monte_carlo_lambda(LatticeShape((n, n)), 3, seed=9 + i)
+        noise = [np.random.default_rng(ss).standard_normal(n * n)
+                 for ss in np.random.SeedSequence(9 + i).spawn(3)]
+        want = [sample_lambda(Signal(LatticeShape((n, n)), v))[0]
+                for v in noise]
         np.testing.assert_array_equal(got[n], want)
 
 

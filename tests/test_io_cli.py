@@ -220,6 +220,18 @@ def test_cli_denoise_lambda_zero_is_identity(tmp_path, capsys):
     assert _read_bytes(noisy) == _read_bytes(out)
 
 
+def test_cli_denoise_fixed_and_oracle_read_no_sigma(tmp_path, capsys):
+    # two samples have one edge, too few to estimate a noise level, but a
+    # fixed-lambda or oracle fit reads none and reports sigma_used null
+    path = str(tmp_path / "two.csv")
+    write_csv_column(path, np.array([0.0, 3.0]), "value")
+    for argv in (["--lambda", "0.5"], ["--method", "oracle", "--truth", path]):
+        assert main(["denoise", "--in", path] + argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert _payload(captured.out)["sigma_used"] is None
+
+
 def test_cli_denoise_adaptive_constant_input(tmp_path, capsys):
     path = str(tmp_path / "const.csv")
     write_csv_column(path, np.full(60, 2.0), "value")

@@ -11,14 +11,14 @@ from scipy import stats
 from invariants import check_lambda_equivariance, check_mle_equivariance
 from oracles import lambda_oracle_gridsearch, lambda_oracle_lp
 import tvdn
+from tvdn.bench import run_lambda_samples
 from tvdn.cuts import CutNetwork
 from tvdn.grid import (LatticeShape, Signal, SpectralLaplacian, adjoint_flat,
                        edge_endpoints)
 from tvdn.lambda_stat import (GevParams, GumbelFitCoefficients, GumbelParams,
                               _best_level_ratio, fit_gev_and_lr_test, fit_gumbel,
                               fit_loglog_regression, gev_loglik, gumbel_loglik,
-                              monte_carlo_lambda, sample_lambda,
-                              sample_lambda_1d)
+                              sample_lambda, sample_lambda_1d)
 
 S = Signal.from_array
 
@@ -255,19 +255,18 @@ def test_lambda_equivariance_suite():
 
 
 def test_monte_carlo_validation_and_determinism():
-    shape = LatticeShape((4, 4))
     with pytest.raises(ValueError):
-        monte_carlo_lambda(shape, 0, seed=1)
-    a = monte_carlo_lambda(shape, 5, seed=3)
-    b = monte_carlo_lambda(shape, 5, seed=3)
+        run_lambda_samples(2, [4], 0, seed=1)
+    a = run_lambda_samples(2, [4], 5, seed=3)[4]
+    b = run_lambda_samples(2, [4], 5, seed=3)[4]
     assert np.array_equal(a, b)
-    c = monte_carlo_lambda(shape, 5, seed=4)
+    c = run_lambda_samples(2, [4], 5, seed=4)[4]
     assert not np.array_equal(a, c)
 
 
 def test_monte_carlo_1d_quantile_below_closed_form_bound():
     n = 1000
-    draws = monte_carlo_lambda(LatticeShape((n,)), 500, seed=42)
+    draws = run_lambda_samples(1, [n], 500, seed=42)[n]
     alpha = 2.0 / np.sqrt(np.log(n))
     q = float(np.quantile(draws, 1 - alpha))
     bound = 0.5 * np.sqrt(n * np.log(np.log(n)))

@@ -3,8 +3,8 @@ import pytest
 
 from invariants import check_ncc_floodfill
 from tvdn.grid import LatticeShape, Signal, adjoint_flat
-from tvdn.risk import (RiskCurve, component_labels, default_lambda_grid, ncc,
-                       risk_curve, sure)
+from tvdn.risk import (RiskCurve, component_labels, default_lambda_grid, loss,
+                       ncc, risk_curve, sure)
 from tvdn.signals import gen_piecewise, gen_test_function
 from tvdn.tvsolve import FusionPath, lambda_max, tv_denoise, tv_denoise_1d
 
@@ -45,6 +45,16 @@ def test_sure_identity_fit():
     y = S(rng.normal(size=50))
     # adjacent values are a.s. distinct, so NCC = M and SURE = sigma^2
     assert sure(y, y, 1.3) == pytest.approx(1.3 ** 2, rel=1e-12)
+
+
+def test_loss_and_sure_refuse_mismatched_shapes():
+    # neither broadcasts a fit against a truth of another shape
+    for fit, truth in ((S([1.0]), S(np.zeros(5))),
+                       (S(np.ones((2, 3))), S(np.zeros((3, 2))))):
+        for score in (loss, lambda a, b: sure(b, a, 1.0)):
+            with pytest.raises(ValueError, match="shapes do not match"):
+                score(fit, truth)
+    assert loss(S(np.ones((2, 3))), S(np.zeros((2, 3)))) == 1.0
 
 
 def test_sure_mean_fit():

@@ -94,3 +94,15 @@ def test_every_definition_is_named():
     # a function, class or method that no code in the package (outside its
     # own definition), the benchmark or the tests names is dead code
     assert list(_unnamed_definitions()) == []
+
+
+def test_no_private_name_crosses_modules():
+    # a module that imports another module's underscore name shares a
+    # helper that belongs where it is used; importing a private module
+    # (``from ._pool import parallel_map``) is fine
+    found = [(path.name, node.module, alias.name)
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom)
+             for alias in node.names if alias.name.startswith("_")]
+    assert found == []
