@@ -1,9 +1,11 @@
 """Seeded Monte Carlo benchmarks: denoising risk, segmentation events, and
 the lambda calibration pipeline.
 
-Each replicate draws its generator from entropy (base_seed, tags..., rep),
-so results do not depend on how replicates are spread over workers, and the
-same configuration always reproduces the same table.
+A risk or segmentation replicate draws its generator from the entropy
+(seed, tags..., rep); the draws of Lambda at the i-th size are the children
+of SeedSequence(seed + i).spawn(reps). So results do not depend on how
+replicates are spread over workers, and the same configuration always
+reproduces the same table.
 """
 from __future__ import annotations
 
@@ -14,8 +16,9 @@ import numpy as np
 
 from ._pool import parallel_map
 from .grid import LatticeShape, Signal
-from .lambda_stat import (GumbelParams, check_tol, fit_gev_and_lr_test,
-                          fit_gumbel, fit_loglog_regression, sample_lambda)
+from .lambda_stat import (DEFAULT_TOL, GumbelParams, check_tol,
+                          fit_gev_and_lr_test, fit_gumbel,
+                          fit_loglog_regression, sample_lambda)
 from .risk import default_lambda_grid, loss, sure
 from .segmentation import evaluate_outcome
 from .selection import (adaptive_tv, exact_seg_threshold, min_jump_height,
@@ -23,9 +26,13 @@ from .selection import (adaptive_tv, exact_seg_threshold, min_jump_height,
 from .signals import TEST_FUNCTIONS, check_sigma, gen_piecewise, gen_test_function
 from .tvsolve import tv_solver
 
-EXPERIMENTS = ("mse_1d", "seg_1d", "lambda_fit", "image")
-
-DEFAULT_MSE_SIZES = (100, 1000, 10000)
+# the functions, sizes and replicate count at size n of each experiment,
+# for whatever a config leaves empty; its reps then hold one count per size
+_DEFAULTS = {
+    "mse_1d": (TEST_FUNCTIONS, (100, 1000, 10000),
+               lambda n: max(1, 50_000 // n)),
+    "seg_1d": (("battlements", "staircase"), (100,), lambda n: 200),
+}
 
 
 @dataclass
@@ -40,21 +47,22 @@ class ExperimentConfig:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _DEFAULTS:
             raise ValueError("unknown experiment %r" % (self.experiment,))
-        self.functions = tuple(self.functions)
-        self.sizes = tuple(int(s) for s in self.sizes)
-        self.reps = tuple(int(r) for r in self.reps)
+        functions, sizes, reps_at = _DEFAULTS[self.experiment]
+        self.functions = tuple(self.functions) or functions
+        self.sizes = tuple(int(s) for s in self.sizes) or sizes
+        if len(set(self.sizes)) != len(self.sizes):
+            raise ValueError("sizes must be distinct")
+        reps = (tuple(int(r) for r in self.reps)
+                or tuple(reps_at(n) for n in self.sizes))
+        self.reps = reps * len(self.sizes) if len(reps) == 1 else reps
+        if len(self.reps) != len(self.sizes):
+            raise ValueError("reps must be one count or one count per size; "
+                             "got %d for sizes %s" % (len(reps), self.sizes))
         if any(r < 1 for r in self.reps):
             raise ValueError("replicate counts must be at least 1")
-        if self.sizes and len(self.reps) not in (0, 1, len(self.sizes)):
-            raise ValueError("reps must be scalar or one count per size")
         check_sigma(self.sigma)
-
-    def reps_for(self, idx: int) -> int:
-        if len(self.reps) == 1:
-            return self.reps[0]
-        return self.reps[idx]
 
 
 @dataclass
@@ -132,13 +140,10 @@ def bench_mse(config: ExperimentConfig) -> ResultTable:
     """
     if config.experiment != "mse_1d":
         raise ValueError("config is not an mse_1d experiment")
-    functions = config.functions or TEST_FUNCTIONS
-    sizes = config.sizes or DEFAULT_MSE_SIZES
     cells = []
-    for fi, function in enumerate(functions):
-        for si, n in enumerate(sizes):
+    for fi, function in enumerate(config.functions):
+        for n, reps in zip(config.sizes, config.reps):
             f = gen_test_function(function, n, snr=config.snr)
-            reps = config.reps_for(si) if config.reps else max(1, 50_000 // n)
             cells.append(((function, n, reps),
                           [(f, config.sigma, (config.seed, fi, n, r))
                            for r in range(reps)]))
@@ -179,23 +184,20 @@ def bench_seg(config: ExperimentConfig) -> ResultTable:
     """
     if config.experiment != "seg_1d":
         raise ValueError("config is not a seg_1d experiment")
-    functions = config.functions or ("battlements", "staircase")
-    sizes = config.sizes or (100,)
     n_levels = 5
     alpha = config.alpha
     sigma = config.sigma
     hstar = min_jump_height(sigma, alpha)
     heights = (("2h*", 2.0 * hstar), ("h*", hstar), ("h*/10", hstar / 10.0))
     cells = []
-    for si, n in enumerate(sizes):
-        reps = config.reps_for(si) if config.reps else 200
+    for si, (n, reps) in enumerate(zip(config.sizes, config.reps)):
         # the longest piece of the layout every cell of size n draws
         n_max = int(gen_piecewise("staircase", n, n_levels, 1.0).lengths.max())
         lambdas = {
             "exact_seg": exact_seg_threshold(n_max, sigma, alpha),
             "universal": universal_threshold(LatticeShape((n,)), sigma),
         }
-        for fi, kind in enumerate(functions):
+        for fi, kind in enumerate(config.functions):
             for hi, (tag, height) in enumerate(heights):
                 spec = gen_piecewise(kind, n, n_levels, height)
                 cells.append((("%s@%s" % (kind, tag), n, reps, lambdas), [
@@ -237,14 +239,17 @@ def _mc_tasks(shape: LatticeShape, reps: int, seed: int, tol: float) -> list:
 
 
 def run_lambda_samples(dim: int, sizes, reps: int, seed: int,
-                       tol: float = 1e-6) -> dict:
+                       tol: float = DEFAULT_TOL) -> dict:
     """Draws of Lambda under standard normal noise (sigma = 1) for each
-    side length of an N^dim lattice.
+    side length of an N^dim lattice; the sizes must be distinct.
 
     The i-th size draws from the children of SeedSequence(seed + i); the
     draws of every size go through one ``parallel_map`` call.
     """
-    cells = [(int(n), _mc_tasks(LatticeShape((int(n),) * dim), reps, seed + i, tol))
+    sizes = [int(n) for n in sizes]
+    if len(set(sizes)) != len(sizes):
+        raise ValueError("sizes must be distinct")
+    cells = [(n, _mc_tasks(LatticeShape((n,) * dim), reps, seed + i, tol))
              for i, n in enumerate(sizes)]
     return {n: np.array(draws) for n, draws in _map_cells(_mc_one, cells)}
 

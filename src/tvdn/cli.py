@@ -21,7 +21,7 @@ from . import io as tvio
 from .bench import (ExperimentConfig, bench_mse, bench_seg, lambda_fit_report,
                     qq_pairs, run_lambda_samples)
 from .coeffs import load_coefficients
-from .lambda_stat import GumbelParams, sample_lambda
+from .lambda_stat import DEFAULT_TOL, GumbelParams, sample_lambda
 from .risk import default_lambda_grid, loss, ncc, risk_curve
 from .selection import adaptive_tv, estimate_sigma, universal_threshold
 from .signals import check_sigma, gen_test_function
@@ -363,7 +363,7 @@ def build_parser():
     ls.add_argument("--dim", type=int, required=True)
     ls.add_argument("--sizes", type=_parse_sizes, required=True)
     ls.add_argument("--reps", type=int, default=200)
-    ls.add_argument("--tol", type=float, default=1e-6,
+    ls.add_argument("--tol", type=float, default=DEFAULT_TOL,
                     help="relative certified bracket per draw: value minus "
                          "the best cut ratio is at most tol*value")
     ls.set_defaults(func=cmd_lambda_sample)

@@ -78,57 +78,40 @@ class Signal:
         return float(self.values.mean())
 
 
-def _axes_in_direction_order(ndim):
-    # direction 1 runs along the fastest-varying (last) axis
-    return tuple(reversed(range(ndim)))
+def _edge_slices(sizes):
+    """The (near, far) slice pair of each direction's edges, in the fixed
+    edge order: direction 1 runs along the fastest-varying (last) axis."""
+    for ax in reversed(range(len(sizes))):
+        near = [slice(None)] * len(sizes)
+        far = list(near)
+        near[ax] = slice(0, sizes[ax] - 1)
+        far[ax] = slice(1, sizes[ax])
+        yield tuple(near), tuple(far)
 
 
 def diff_flat(values: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
     arr = values.reshape(sizes)
-    parts = [np.diff(arr, axis=ax).ravel() for ax in _axes_in_direction_order(len(sizes))]
-    if not parts:
-        return np.zeros(0)
-    return np.concatenate(parts)
+    return np.concatenate([(arr[far] - arr[near]).ravel()
+                           for near, far in _edge_slices(sizes)])
 
 
 def adjoint_flat(w: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
-    ndim = len(sizes)
     out = np.zeros(sizes, dtype=float)
-    m = int(np.prod(sizes))
     pos = 0
-    for ax in _axes_in_direction_order(ndim):
-        n = sizes[ax]
-        cnt = (n - 1) * (m // n)
-        blk_shape = list(sizes)
-        blk_shape[ax] = n - 1
-        blk = w[pos:pos + cnt].reshape(blk_shape)
-        pos += cnt
-        lo = [slice(None)] * ndim
-        hi = [slice(None)] * ndim
-        lo[ax] = slice(0, n - 1)
-        hi[ax] = slice(1, n)
-        out[tuple(lo)] -= blk
-        out[tuple(hi)] += blk
+    for near, far in _edge_slices(sizes):
+        low = out[near]
+        blk = w[pos:pos + low.size].reshape(low.shape)
+        pos += low.size
+        low -= blk
+        out[far] += blk
     return out.ravel()
 
 
 def edge_endpoints(shape: LatticeShape) -> tuple[np.ndarray, np.ndarray]:
     """(near, far) site indices for every edge, in the fixed edge ordering."""
-    sizes = shape.sizes
-    ndim = len(sizes)
-    idx = np.arange(shape.n_sites).reshape(sizes)
-    near = []
-    far = []
-    for ax in _axes_in_direction_order(ndim):
-        lo = [slice(None)] * ndim
-        hi = [slice(None)] * ndim
-        lo[ax] = slice(0, sizes[ax] - 1)
-        hi[ax] = slice(1, sizes[ax])
-        near.append(idx[tuple(lo)].ravel())
-        far.append(idx[tuple(hi)].ravel())
-    if not near:
-        z = np.zeros(0, dtype=int)
-        return z, z
+    idx = np.arange(shape.n_sites).reshape(shape.sizes)
+    near, far = zip(*((idx[n].ravel(), idx[f].ravel())
+                      for n, f in _edge_slices(shape.sizes)))
     return np.concatenate(near), np.concatenate(far)
 
 

@@ -31,6 +31,8 @@ from .grid import Signal, SpectralLaplacian, adjoint_flat, diff_flat
 
 # sample_lambda gives up after this many flows; noise draws certify in 4-6
 _MAX_FLOWS = 50000
+# the relative certified bracket of Lambda unless told otherwise
+DEFAULT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ def check_tol(tol: float) -> None:
         raise ValueError("tol must be positive and finite")
 
 
-def sample_lambda(y: Signal, tol: float = 1e-6):
+def sample_lambda(y: Signal, tol: float = DEFAULT_TOL):
     """Minimum sup-norm dual vector for y, with the optimal value.
 
     By the coarea formula Lambda(y) = max over site sets S of c(S) / |dS|,

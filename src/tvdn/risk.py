@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .grid import Signal, diff_flat, edge_endpoints
 from .signals import check_sigma
-from .tvsolve import SolverConfig, TvSolution, tv_denoise_grid
+from .tvsolve import SolverConfig, TvSolution, check_grid, tv_denoise_grid
 
 
 def component_labels(f: Signal) -> np.ndarray:
@@ -89,8 +89,7 @@ class RiskCurve:
         self.values = np.asarray(self.values, dtype=float)
         if self.lambdas.shape != self.values.shape:
             raise ValueError("lambdas and values must have equal length")
-        if self.lambdas.size and np.any(np.diff(self.lambdas) < 0):
-            raise ValueError("lambdas must be sorted ascending")
+        check_grid(self.lambdas)
 
 
 def risk_curve(y: Signal, lambdas, criterion: str = "sure",

@@ -146,17 +146,15 @@ def adaptive_tv(y: Signal | FusionPath | CutSolver, sigma: float | None = None,
 
     Step 1 denoises at the universal threshold for the full lattice. The
     piece count of that fit (level count on a path lattice, connected
-    components on lattices of dimension 2 or 3) sets the average piece size
-    N_bar, and step 2 re-solves once at the same rule evaluated at side
-    N_bar. The dimension d is the number of axes longer than 1. Both fits
+    components on other lattices) sets the average piece size N_bar, and
+    step 2 re-solves once at the same rule evaluated at side N_bar. The
+    dimension d is the number of axes longer than 1. Both fits
     come from one solver object, ``tv_solver(y)``; y may be that solver,
     built for its signal and perhaps already used for other lambda values,
     so its work is not repeated. Returns both solutions and a report.
     """
     solver, y = (None, y) if isinstance(y, Signal) else (y, y.y)
     d = y.shape.squeezed.ndim
-    if d > 3:
-        raise ValueError("adaptive rule covers path lattices and d in {2, 3}")
     sigma_used = estimate_sigma(y) if sigma is None else float(sigma)
     lam1 = universal_threshold(y.shape, sigma_used, coeffs)
     solve = (solver or tv_solver(y)).solve

@@ -63,6 +63,15 @@ def check_lambda(lam: float) -> None:
         raise ValueError("lambda must be nonnegative")
 
 
+def check_grid(lams: np.ndarray) -> None:
+    """``check_lambda`` on every value of a grid, which must ascend; it
+    compares neighbours, as a grid may end in repeated infs."""
+    for lam in lams.tolist():
+        check_lambda(lam)
+    if np.any(lams[1:] < lams[:-1]):
+        raise ValueError("lambda grid must be ascending")
+
+
 @dataclass
 class TvSolution:
     estimate: Signal
@@ -240,11 +249,7 @@ def tv_denoise_grid(y: Signal, lambdas) -> list[TvSolution]:
     worker count.
     """
     lams = np.asarray(lambdas, dtype=float).ravel()
-    for lam in lams.tolist():
-        check_lambda(lam)
-    # np.diff would compute inf - inf on a grid ending in repeated infs
-    if np.any(lams[1:] < lams[:-1]):
-        raise ValueError("lambda grid must be ascending")
+    check_grid(lams)
     if y.shape.is_path:
         return list(map(FusionPath(y).solve, lams.tolist()))
     # the chains from the top, each descending, so the results read the

@@ -25,9 +25,25 @@ def test_experiment_config_validation():
             ExperimentConfig("seg_1d", sigma=sigma)
     assert ExperimentConfig("mse_1d", sigma=0.0).sigma == 0.0
     cfg = ExperimentConfig("mse_1d", sizes=(10, 20, 30), reps=(7,))
-    assert [cfg.reps_for(i) for i in range(3)] == [7, 7, 7]
+    assert cfg.reps == (7, 7, 7)
     cfg = ExperimentConfig("mse_1d", sizes=(10, 20), reps=(5, 9))
-    assert [cfg.reps_for(i) for i in range(2)] == [5, 9]
+    assert cfg.reps == (5, 9)
+    # empty fields take the experiment's defaults, and the counts are then
+    # checked against the resolved sizes
+    cfg = ExperimentConfig("mse_1d")
+    assert cfg.functions == TEST_FUNCTIONS
+    assert cfg.sizes == (100, 1000, 10000) and cfg.reps == (500, 50, 5)
+    assert ExperimentConfig("mse_1d", reps=(4,)).reps == (4, 4, 4)
+    assert ExperimentConfig("mse_1d", sizes=(60000,)).reps == (1,)
+    cfg = ExperimentConfig("seg_1d")
+    assert cfg.functions == ("battlements", "staircase")
+    assert cfg.sizes == (100,) and cfg.reps == (200,)
+    assert ExperimentConfig("seg_1d", sizes=(40, 60)).reps == (200, 200)
+    for experiment, reps in (("mse_1d", (1, 2)), ("seg_1d", (1, 2))):
+        with pytest.raises(ValueError, match="one count per size"):
+            ExperimentConfig(experiment, reps=reps)
+    with pytest.raises(ValueError, match="sizes must be distinct"):
+        ExperimentConfig("mse_1d", sizes=(100, 100))
 
 
 def test_result_table():

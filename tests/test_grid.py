@@ -4,7 +4,7 @@ import pytest
 from invariants import ALL_SHAPES, check_adjointness
 from oracles import oracle_edge_count, oracle_edge_list, oracle_laplacian_pinv
 from tvdn.grid import (LatticeShape, Signal, SpectralLaplacian, adjoint_flat,
-                       diff_flat, laplacian_solve)
+                       diff_flat, edge_endpoints, laplacian_solve)
 
 
 def test_lattice_shape_counts():
@@ -76,6 +76,24 @@ def test_adjoint_zero_and_single_edge():
 
 def test_adjointness_suite():
     check_adjointness()
+
+
+def test_operators_follow_the_edge_endpoints():
+    # diff_flat, adjoint_flat and edge_endpoints list the edges in one
+    # order: edge e is v[far[e]] - v[near[e]], and B^T w gathers +w at far
+    # ends and -w at near ends
+    rng = np.random.default_rng(7)
+    for sizes in ALL_SHAPES + [(1, 64, 64), (3, 1, 4)]:
+        shape = LatticeShape(sizes)
+        near, far = edge_endpoints(shape)
+        v = rng.normal(size=shape.n_sites)
+        w = rng.normal(size=shape.n_edges)
+        assert diff_flat(v, sizes).tobytes() == (v[far] - v[near]).tobytes()
+        m = shape.n_sites
+        want = (np.bincount(far, w, minlength=m)
+                - np.bincount(near, w, minlength=m))
+        np.testing.assert_allclose(adjoint_flat(w, sizes), want,
+                                   rtol=0, atol=1e-12)
 
 
 def test_laplacian_solve_zero():

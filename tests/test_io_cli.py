@@ -496,8 +496,10 @@ def test_cli_refuses_bad_values_before_reading(tmp_path, capsys):
 
 def test_cli_drivers_refuse_bad_values_before_the_pool(tmp_path, capsys,
                                                        monkeypatch):
-    # a bad tolerance, signal ratio or size is refused before the pool
-    # starts, in the words of the value at fault
+    # a bad tolerance, signal ratio or size, a repeated size and replicate
+    # counts that fit neither one count nor one per size of the sizes
+    # given or defaulted are refused before the pool starts, in the words
+    # of the value at fault
     import tvdn.bench
     pooled = []
     monkeypatch.setattr(tvdn.bench, "parallel_map",
@@ -510,7 +512,14 @@ def test_cli_drivers_refuse_bad_values_before_the_pool(tmp_path, capsys,
             (["bench-mse", "--functions", "blocks", "--sizes", "5"],
              "n must be at least 8"),
             (["bench-seg", "--sizes", "3"], "more levels than samples"),
-            (["gen", "--snr", "inf"], "snr must be positive and finite")):
+            (["gen", "--snr", "inf"], "snr must be positive and finite"),
+            (["bench-mse", "--functions", "blocks", "--reps", "1,2"],
+             "one count per size; got 2 for sizes (100, 1000, 10000)"),
+            (["bench-seg", "--reps", "1,2"], "got 2 for sizes (100,)"),
+            (["bench-mse", "--functions", "blocks", "--sizes", "100,100"],
+             "sizes must be distinct"),
+            (["lambda-sample", "--dim", "2", "--sizes", "8,8", "--reps", "3",
+              "--seed", "1"], "sizes must be distinct")):
         assert main(argv + ["--out", out]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

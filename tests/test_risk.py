@@ -136,6 +136,17 @@ def test_risk_curve_rejects_nan_grid_values():
                 risk_curve(y, grid, criterion="sure", sigma=1.0)
 
 
+def test_risk_curve_takes_repeated_infinite_lambdas():
+    # a grid may end in repeated infs; its order is checked by comparing
+    # neighbours, never by subtracting inf from inf
+    rng = np.random.default_rng(40)
+    for sizes in [(20,), (4, 4)]:
+        y = S(rng.normal(size=sizes))
+        curve = risk_curve(y, [1.0, np.inf, np.inf], "sure", sigma=1.0)
+        assert curve.lambdas.tolist() == [1.0, np.inf, np.inf]
+        assert curve.values[1] == curve.values[2]
+
+
 def test_risk_curve_takes_infinite_lambda_on_every_layout():
     # inf is the mean fit on a path and on a lattice alike; on pure noise at
     # the true sigma SURE prefers it to a fit at 0.1
@@ -228,8 +239,12 @@ def test_path_lattices_match_1d():
 def test_risk_curve_class_validation():
     with pytest.raises(ValueError):
         RiskCurve(np.array([1.0, 2.0]), np.array([1.0]), 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ascending"):
         RiskCurve(np.array([2.0, 1.0]), np.array([1.0, 2.0]), 2.0)
+    for lams in ([-1.0, 2.0], [np.nan, 2.0]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            RiskCurve(lams, [1.0, 2.0], 2.0)
+    RiskCurve([1.0, np.inf, np.inf], [3.0, 2.0, 2.0], np.inf)
     curve = RiskCurve([1.0, 2.0], [3.0, 4.0], 1.0)
     assert curve.lambdas.dtype == curve.values.dtype == float
 

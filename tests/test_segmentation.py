@@ -64,6 +64,21 @@ def test_kkt_no_jump_iff_lambda_stat():
         assert h_hi[0] == pytest.approx(float(np.mean(y.values)))
 
 
+def test_kkt_check_is_scale_equivariant():
+    # scaling y and lambda by a power of two scales the levels and the dual
+    # exactly, so the verdict cannot move, far below or above unit scale;
+    # just under Lambda the constant fit fails and the solver's fit jumps
+    y = np.random.default_rng(0).standard_normal(50)
+    lam0 = sample_lambda_1d(Signal.from_array(y))
+    for k in (-60, -40, 0, 40):
+        c = 2.0 ** k
+        ys = Signal.from_array(c * y)
+        assert not kkt_check(ys, [], c * 0.999 * lam0)[0], k
+        assert kkt_check(ys, [], c * 1.001 * lam0)[0], k
+        assert extract_jumps(tv_denoise_1d(ys, c * 0.999 * lam0)
+                             .estimate).size == 1
+
+
 def test_kkt_noiseless_battlements_holds():
     sigma = 1.0
     hstar = min_jump_height(sigma, 0.05)

@@ -421,8 +421,26 @@ def test_adaptive_path_pass_matches_direct_pass(n, layout, seed, log_amp,
 
 
 def test_adaptive_tv_rejects_high_dims():
-    with pytest.raises(ValueError):
-        adaptive_tv(S(np.zeros((2, 2, 2, 2))), sigma=1.0)
+    # the coefficient lookup is the one dimension rule: no law is shipped
+    # for d = 4, and one supplied for it serves both steps
+    rng = np.random.default_rng(12)
+    f = np.zeros((6, 6, 6, 6))
+    f[:3] = 4.0
+    y = S(f + rng.normal(size=f.shape))
+    with pytest.raises(ValueError,
+                       match="no shipped calibration for dimension 4"):
+        adaptive_tv(y, sigma=1.0)
+    d3 = default_coefficients(3)
+    coeffs = GumbelFitCoefficients(d3.a_mu, d3.b_mu, d3.a_beta, d3.b_beta,
+                                   dim=4)
+    sol1, sol2, report = adaptive_tv(y, sigma=1.0, coeffs=coeffs)
+    assert report.lambda1 == universal_threshold(y.shape, 1.0, coeffs)
+    for sol in (sol1, sol2):
+        assert sol.gap >= 0.0
+        assert np.abs(sol.dual).max() <= sol.lam
+        resid = y.values - adjoint_flat(sol.dual, y.shape.sizes) \
+            - sol.estimate.values
+        assert np.abs(resid).max() <= 1e-9 * np.abs(y.values).max()
 
 
 def test_property1_constant_fit_frequency():
