@@ -52,6 +52,8 @@ class ExperimentConfig:
         functions, sizes, reps_at = _DEFAULTS[self.experiment]
         self.functions = tuple(self.functions) or functions
         self.sizes = tuple(int(s) for s in self.sizes) or sizes
+        if len(set(self.functions)) != len(self.functions):
+            raise ValueError("functions must be distinct")
         if len(set(self.sizes)) != len(self.sizes):
             raise ValueError("sizes must be distinct")
         reps = (tuple(int(r) for r in self.reps)

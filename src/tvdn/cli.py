@@ -32,7 +32,7 @@ def _parse_sizes(text):
     try:
         return tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError:
-        raise ValueError("--sizes expects comma-separated integers")
+        raise argparse.ArgumentTypeError("expects comma-separated integers")
 
 
 def _read_input(path):
@@ -51,56 +51,74 @@ def _write_output(path, est, meta):
         tvio.write_signal_csv(path, est)
 
 
-def _sigma(args, y):
-    """--sigma-known, or else the MAD estimate of y, with a warning when
-    that estimate is 0."""
+# the options each threshold method reads besides --in and --out: a given
+# option its method does not read is refused, and so is a method in _NEEDS
+# without its option
+_READS = {
+    "denoise": {"fixed": ("--lambda", "--truth"),
+                "universal": ("--sigma-known", "--coeffs", "--truth"),
+                "adaptive": ("--sigma-known", "--coeffs", "--truth"),
+                "sure": ("--sigma-known", "--grid", "--truth"),
+                "oracle": ("--grid", "--truth")},
+    "risk-curve": {"sure": ("--sigma-known", "--grid"),
+                   "oracle": ("--grid", "--truth")},
+}
+_NEEDS = {"fixed": "--lambda", "oracle": "--truth"}
+
+
+def _option(args, flag):
+    """The value of a flag; None when it is not given or empty."""
+    value = vars(args).get(flag[2:].replace("-", "_"))
+    return None if value == "" else value
+
+
+def _method_inputs(args, command, method):
+    """Check every option of a threshold method before any input is read,
+    then read the input and the truth. A method that reads --sigma-known
+    takes its value or else the MAD estimate of the input, with a warning
+    when that is 0, and one that reads --grid its lambda grid. Returns
+    (y, format, sigma, truth, lambda grid, coeffs)."""
     if args.sigma_known is not None:
-        return args.sigma_known
-    sigma = estimate_sigma(y)
-    if sigma == 0.0:
-        print("warning: the estimated noise level is 0 (flat or quantized "
-              "input): thresholds scaled by it are 0 and SURE favours the "
-              "smallest lambda, so the fit stays at or near the input; set "
-              "--sigma-known", file=sys.stderr)
-    return sigma
+        check_sigma(args.sigma_known)
+    reads = _READS[command]
+    for flag in dict.fromkeys(f for fs in reads.values() for f in fs):
+        users = [m for m in reads if flag in reads[m]]
+        if _option(args, flag) is not None and method not in users:
+            listed = filter(None, [", ".join(users[:-1]), users[-1]])
+            raise ValueError("%s is read only by --method %s"
+                             % (flag, " and ".join(listed)))
+    if method in _NEEDS and _option(args, _NEEDS[method]) is None:
+        raise ValueError("--method %s needs %s" % (method, _NEEDS[method]))
+    if "--lambda" in reads[method]:
+        check_lambda(_option(args, "--lambda"))
+    grid = _parse_grid(args.grid)
+    coeffs = _option(args, "--coeffs")
+    coeffs = load_coefficients(coeffs) if coeffs else None
+    y, meta = _read_input(args.infile)
+    truth = _read_input(args.truth)[0] if args.truth else None
+    if truth is not None and truth.shape.sizes != y.shape.sizes:
+        raise ValueError("truth shape does not match input")
+    sigma = args.sigma_known
+    if sigma is None and "--sigma-known" in reads[method]:
+        sigma = estimate_sigma(y)
+        if sigma == 0.0:
+            print("warning: the estimated noise level is 0 (flat or "
+                  "quantized input): thresholds scaled by it are 0 and SURE "
+                  "favours the smallest lambda, so the fit stays at or near "
+                  "the input; set --sigma-known", file=sys.stderr)
+    lams = grid(y) if "--grid" in reads[method] else None
+    return y, meta, sigma, truth, lams, coeffs
 
 
 def cmd_denoise(args):
-    if args.sigma_known is not None:
-        check_sigma(args.sigma_known)
-    method = args.method or ("adaptive" if args.lam is None else "fixed")
-    if method == "fixed" and args.lam is None:
-        raise ValueError("--method fixed needs --lambda")
-    if method != "fixed" and args.lam is not None:
-        raise ValueError("--lambda is read only by --method fixed")
-    if method == "fixed":
-        check_lambda(args.lam)
-    if args.grid is not None and method not in ("sure", "oracle"):
-        raise ValueError("--grid is read only by --method sure and oracle")
-    grid = _parse_grid(args.grid)
-    if args.coeffs and method not in ("universal", "adaptive"):
-        raise ValueError("--coeffs is read only by --method universal and "
-                         "adaptive")
-    if method == "oracle" and not args.truth:
-        raise ValueError("--method oracle needs --truth")
-    if method in ("fixed", "oracle") and args.sigma_known is not None:
-        raise ValueError("--sigma-known is read only by --method universal, "
-                         "adaptive and sure")
-    y, meta = _read_input(args.infile)
-    coeffs = load_coefficients(args.coeffs) if args.coeffs else None
-    # fixed and oracle read no sigma
-    sigma = None if method in ("fixed", "oracle") else _sigma(args, y)
-
-    truth = None
-    if args.truth:
-        truth, _ = _read_input(args.truth)
-        if truth.shape.sizes != y.shape.sizes:
-            raise ValueError("truth shape does not match input")
-
+    lam = _option(args, "--lambda")
+    method = args.method or ("adaptive" if lam is None else "fixed")
+    y, meta, sigma, truth, lams, coeffs = _method_inputs(args, "denoise",
+                                                         method)
     count1 = None
     if method == "fixed":
-        sol = tv_denoise(y, args.lam)
-        lam1 = lam2 = args.lam
+        sol = tv_denoise(y, lam)
+        lam1 = lam2 = lam
     elif method == "universal":
         lam1 = lam2 = universal_threshold(y.shape, sigma, coeffs)
         sol = tv_denoise(y, lam1)
@@ -108,7 +126,7 @@ def cmd_denoise(args):
         _, sol, report = adaptive_tv(y, sigma=sigma, coeffs=coeffs)
         lam1, lam2, count1 = report.lambda1, report.lambda2, report.count1
     else:  # sure or oracle; risk_curve refuses any other criterion
-        curve = _grid_risk_curve(y, grid, method, sigma, truth)
+        curve = risk_curve(y, lams, method, sigma=sigma, f_true=truth)
         sol = curve.argmin_fit
         lam1, lam2 = float(curve.lambdas[-1]), curve.argmin_lambda
 
@@ -241,55 +259,29 @@ def cmd_lambda_fit(args):
 
 
 def _parse_grid(spec):
-    """The --grid spec as (bounds, count): ((LO, HI), COUNT), (None, COUNT)
-    or, with no spec, (None, None)."""
+    """Check a --grid spec and return the lambda grid as a function of y:
+    LO,HI,COUNT a geometric grid, and COUNT or no spec the default grid
+    below Lambda of y (a full solve on a lattice), computed only then."""
     parts = spec.split(",") if spec else []
     if len(parts) not in (0, 1, 3):
         raise ValueError("--grid expects COUNT or LO,HI,COUNT")
-    count = int(parts[-1]) if parts else None
-    if count is not None and count < 1:
+    size = {"n_points": int(parts[-1])} if parts else {}
+    if parts and size["n_points"] < 1:
         raise ValueError("--grid COUNT must be at least 1")
     if len(parts) < 3:
-        return None, count
+        return lambda y: default_lambda_grid(sample_lambda(y)[0], **size)
     lo, hi = float(parts[0]), float(parts[1])
     if not 0 < lo <= hi:
         raise ValueError("--grid bounds must satisfy 0 < lo <= hi")
     if hi == math.inf:
         raise ValueError("--grid bounds must be finite")
-    return (lo, hi), count
-
-
-def _grid_risk_curve(y, grid, criterion, sigma, truth):
-    """risk_curve of y over the grid from ``_parse_grid``; SURE reads sigma,
-    the oracle truth. Lambda of y (a full solve on a lattice) is computed
-    only when the grid has no bounds."""
-    bounds, count = grid
-    if bounds:
-        lams = np.geomspace(*bounds, count)
-    elif count is None:
-        lams = default_lambda_grid(sample_lambda(y)[0])
-    else:
-        lams = default_lambda_grid(sample_lambda(y)[0], n_points=count)
-    return risk_curve(y, lams, criterion, sigma=sigma, f_true=truth)
+    return lambda y: np.geomspace(lo, hi, size["n_points"])
 
 
 def cmd_risk_curve(args):
-    if args.sigma_known is not None:
-        check_sigma(args.sigma_known)
-    if args.method == "sure" and args.truth:
-        raise ValueError("--truth is read only by --method oracle")
-    if args.method == "oracle" and args.sigma_known is not None:
-        raise ValueError("--sigma-known is read only by --method sure")
-    if args.method == "oracle" and not args.truth:
-        raise ValueError("--method oracle needs --truth")
-    grid = _parse_grid(args.grid)
-    y, _ = _read_input(args.infile)
-    sigma = truth = None
-    if args.method == "oracle":
-        truth, _ = _read_input(args.truth)
-    else:
-        sigma = _sigma(args, y)
-    curve = _grid_risk_curve(y, grid, args.method, sigma, truth)
+    y, _, sigma, truth, lams, _ = _method_inputs(args, "risk-curve",
+                                                 args.method)
+    curve = risk_curve(y, lams, args.method, sigma=sigma, f_true=truth)
     if args.out:
         tvio.write_csv_rows(args.out, ("lambda", "value"),
                             list(zip(curve.lambdas.tolist(),
@@ -318,9 +310,8 @@ def build_parser():
 
     d = sub.add_parser("denoise", help="denoise a signal or image")
     common(d, infile=True, sigma_known=True)
-    d.add_argument("--method",
-                   choices=("fixed", "universal", "adaptive", "sure", "oracle"))
-    d.add_argument("--lambda", dest="lam", type=float,
+    d.add_argument("--method", choices=tuple(_READS["denoise"]))
+    d.add_argument("--lambda", type=float, metavar="LAM",
                    help="fixed threshold (implies --method fixed)")
     d.add_argument("--truth", help="noise-free reference (CSV/PGM)")
     d.add_argument("--coeffs", help="JSON fit file overriding the shipped "
@@ -378,7 +369,8 @@ def build_parser():
 
     rc = sub.add_parser("risk-curve", help="SURE or oracle loss over a grid")
     common(rc, infile=True, sigma_known=True)
-    rc.add_argument("--method", choices=("sure", "oracle"), default="sure")
+    rc.add_argument("--method", choices=tuple(_READS["risk-curve"]),
+                    default="sure")
     rc.add_argument("--truth", help="noise-free reference (--method oracle)")
     rc.add_argument("--grid", help="COUNT or LO,HI,COUNT")
     rc.set_defaults(func=cmd_risk_curve)

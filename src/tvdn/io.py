@@ -102,8 +102,8 @@ def read_pgm(path):
         if len(text) < width * height:
             raise ValueError("truncated PGM raster in %s" % path)
         pix = np.array([int(t) for t in text[:width * height]], dtype=float)
-    if pix.max() > maxval:
-        raise ValueError("PGM sample exceeds maxval in %s" % path)
+    if pix.min() < 0 or pix.max() > maxval:
+        raise ValueError("PGM sample outside 0..%d in %s" % (maxval, path))
     return Signal(LatticeShape((height, width)), pix), maxval, magic == "P5"
 
 

@@ -38,16 +38,9 @@ class PiecewiseConstantSpec:
             raise ValueError("levels and lengths must be equal-length and non-empty")
         if np.any(lengths < 1):
             raise ValueError("segment lengths must be positive")
-        merged_levels = [levels[0]]
-        merged_lengths = [int(lengths[0])]
-        for lev, ln in zip(levels[1:], lengths[1:]):
-            if lev == merged_levels[-1]:
-                merged_lengths[-1] += int(ln)
-            else:
-                merged_levels.append(lev)
-                merged_lengths.append(int(ln))
-        self.levels = np.array(merged_levels)
-        self.lengths = np.array(merged_lengths, dtype=int)
+        starts = np.flatnonzero(np.r_[True, levels[1:] != levels[:-1]])
+        self.levels = levels[starts]
+        self.lengths = np.add.reduceat(lengths, starts)
 
     @property
     def n(self) -> int:
@@ -76,9 +69,7 @@ class PiecewiseConstantSpec:
     @classmethod
     def from_values(cls, values) -> "PiecewiseConstantSpec":
         values = np.asarray(values, dtype=float).ravel()
-        cuts = np.flatnonzero(np.diff(values) != 0.0) + 1
-        bounds = np.concatenate([[0], cuts, [len(values)]])
-        return cls(values[bounds[:-1]], np.diff(bounds))
+        return cls(values, np.ones(values.size, dtype=int))
 
 
 def check_sigma(sigma: float) -> None:

@@ -44,6 +44,10 @@ def test_experiment_config_validation():
             ExperimentConfig(experiment, reps=reps)
     with pytest.raises(ValueError, match="sizes must be distinct"):
         ExperimentConfig("mse_1d", sizes=(100, 100))
+    for experiment, function in (("mse_1d", "blocks"),
+                                 ("seg_1d", "staircase")):
+        with pytest.raises(ValueError, match="functions must be distinct"):
+            ExperimentConfig(experiment, functions=(function, function))
 
 
 def test_result_table():

@@ -1,13 +1,16 @@
 """File format round-trips and command line behavior (in-process main calls)."""
+import argparse
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 import tvdn.tvsolve
 from tvdn._pool import parallel_map, worker_count
-from tvdn.cli import main
+from tvdn.bench import ExperimentConfig, bench_mse, bench_seg
+from tvdn.cli import build_parser, main
 from tvdn.coeffs import default_coefficients, load_coefficients
 from tvdn.grid import LatticeShape, Signal
 from tvdn.io import (SCHEMA_VERSION, read_csv_column, read_json_report,
@@ -76,6 +79,9 @@ def test_csv_malformed_and_empty(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError):
         read_csv_column(path)
+    path.write_text("value\n")
+    with pytest.raises(ValueError, match="no values"):
+        read_signal_csv(path)
 
 
 def test_csv_writer_rejects_2d(tmp_path):
@@ -156,6 +162,9 @@ def test_pgm_errors(tmp_path):
         read_pgm(p)
     p.write_bytes(b"P2\n2 2\n10\n1 2 3 44\n")  # sample over maxval
     with pytest.raises(ValueError):
+        read_pgm(p)
+    p.write_bytes(b"P2\n3 2\n255\n1 -5 3\n4 5 6\n")  # sample below 0
+    with pytest.raises(ValueError, match="outside 0..255"):
         read_pgm(p)
     p.write_bytes(b"P2\n0 2\n10\n\n")
     with pytest.raises(ValueError):
@@ -258,6 +267,29 @@ def test_cli_bad_inputs_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "g.csv")]) == 2
     assert main(["gen", "--sizes", "50"]) == 2  # no --out
     capsys.readouterr()
+    short, negative = str(tmp_path / "short.csv"), str(tmp_path / "neg.pgm")
+    main(["gen", "--sizes", "40", "--out", short])
+    with open(negative, "w") as fh:
+        fh.write("P2\n3 2\n255\n1 -5 3\n4 5 6\n")
+    capsys.readouterr()
+    for argv, message in (
+            (["denoise", "--in", noisy, "--lambda", "1", "--truth", short],
+             "truth shape does not match input"),
+            (["denoise", "--in", negative, "--lambda", "1"],
+             "PGM sample outside 0..255"),
+            (["gen", "--sizes", "50,60", "--out", noisy],
+             "gen expects a single size"),
+            (["lambda-fit", "--in", str(tmp_path), "--out", noisy],
+             "--dim is required when no meta.json is present")):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+    for argv in (["gen", "--sizes", "5o"], ["bench-mse", "--reps", "2,x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expects comma-separated integers" in capsys.readouterr().err
 
 
 def test_cli_pgm_denoise(tmp_path, capsys):
@@ -475,6 +507,61 @@ def test_cli_risk_curve_refuses_truth_with_sure(tmp_path, capsys):
             "--truth is read only by --method oracle")
 
 
+# the methods of denoise and risk-curve that read each option other than
+# --in, --out and --method, as README states them
+READERS = {
+    "denoise": {"--lambda": "fixed",
+                "--sigma-known": "universal, adaptive and sure",
+                "--coeffs": "universal and adaptive",
+                "--grid": "sure and oracle",
+                "--truth": "fixed, universal, adaptive, sure and oracle"},
+    "risk-curve": {"--sigma-known": "sure",
+                   "--grid": "sure and oracle",
+                   "--truth": "oracle"},
+}
+
+
+def test_cli_methods_refuse_exactly_the_options_they_do_not_read(tmp_path,
+                                                                  capsys):
+    # each method of denoise and risk-curve is given each option of its
+    # command in turn: one it does not read is refused before any input is
+    # read, naming the methods that read it; one it reads gets as far as
+    # reading the input, which is missing
+    missing = str(tmp_path / "missing.csv")
+    c = default_coefficients(2)
+    fit = str(tmp_path / "fit.json")
+    write_json_report(fit, {"dim": 2, "a_mu": c.a_mu, "b_mu": c.b_mu,
+                            "a_beta": c.a_beta, "b_beta": c.b_beta})
+    values = {"--lambda": "1", "--sigma-known": "1", "--coeffs": fit,
+              "--grid": "3", "--truth": str(tmp_path / "missing_truth.csv")}
+    needs = {"fixed": "--lambda", "oracle": "--truth"}
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    for command, readers in READERS.items():
+        actions = commands.choices[command]._actions
+        (method_action,) = [a for a in actions if a.dest == "method"]
+        flags = [a.option_strings[-1] for a in actions if a.option_strings
+                 and a.option_strings[-1] not in ("--help", "--in", "--out",
+                                                  "--method")]
+        assert sorted(flags) == sorted(readers)
+        for method in method_action.choices:
+            base = ["--method", method]
+            if method in needs:
+                base += [needs[method], values[needs[method]]]
+            for flag in flags:
+                argv = [command, "--in", missing] + base
+                if flag not in base:
+                    argv += [flag, values[flag]]
+                assert main(argv) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                if method in re.split(", | and ", readers[flag]):
+                    assert missing in captured.err
+                else:
+                    assert ("%s is read only by --method %s"
+                            % (flag, readers[flag])) in captured.err
+
+
 def test_cli_refuses_bad_values_before_reading(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     for lam in ("nan", "-1"):
@@ -519,7 +606,13 @@ def test_cli_drivers_refuse_bad_values_before_the_pool(tmp_path, capsys,
             (["bench-mse", "--functions", "blocks", "--sizes", "100,100"],
              "sizes must be distinct"),
             (["lambda-sample", "--dim", "2", "--sizes", "8,8", "--reps", "3",
-              "--seed", "1"], "sizes must be distinct")):
+              "--seed", "1"], "sizes must be distinct"),
+            (["lambda-sample", "--dim", "4", "--sizes", "8", "--reps", "2"],
+             "--dim must be 1, 2 or 3"),
+            (["bench-mse", "--functions", "blocks,blocks", "--sizes", "100",
+              "--reps", "2"], "functions must be distinct"),
+            (["bench-seg", "--functions", "staircase,staircase"],
+             "functions must be distinct")):
         assert main(argv + ["--out", out]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -574,6 +667,35 @@ def test_cli_rerun_byte_identical(tmp_path, capsys):
     j0 = _report(outs[0] + ".json")
     j1 = _report(outs[1] + ".json")
     assert j0 == j1
+
+
+def test_cli_bench_commands_print_and_write_the_table(tmp_path, capsys):
+    # a tiny bench-mse and bench-seg run: the printed rows are the
+    # library's table, the JSON report holds it with the run's keys, and a
+    # rerun writes the same bytes
+    for argv, table, keys in (
+            (["bench-mse", "--functions", "blocks,zero", "--sizes", "40",
+              "--reps", "2", "--seed", "3"],
+             bench_mse(ExperimentConfig("mse_1d", functions=("blocks", "zero"),
+                                        sizes=(40,), reps=(2,), seed=3)),
+             {"experiment": "mse_1d", "seed": 3}),
+            (["bench-seg", "--sizes", "40", "--reps", "2", "--seed", "3"],
+             bench_seg(ExperimentConfig("seg_1d", sizes=(40,), reps=(2,),
+                                        seed=3)),
+             {"experiment": "seg_1d", "seed": 3, "alpha": 0.05})):
+        outs = [str(tmp_path / (argv[0] + tag + ".json"))
+                for tag in ("one", "two")]
+        for out in outs:
+            assert main(argv + ["--out", out]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert [line.split() for line in lines] == [
+                [r["function"], str(r["size"]), r["method"], r["metric"],
+                 "%.4f" % r["value"], "+-", "%.4f" % r["se"]]
+                for r in table.rows]
+        report = _report(outs[0])
+        assert report.pop("rows") == table.rows
+        assert report == dict(keys, schema_version=SCHEMA_VERSION)
+        assert _read_bytes(outs[0]) == _read_bytes(outs[1])
 
 
 def test_cli_lambda_sample_and_fit(tmp_path, capsys):

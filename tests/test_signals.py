@@ -12,6 +12,28 @@ def test_spec_merges_equal_adjacent_levels():
     assert np.array_equal(spec.lengths, [5, 4])
     assert spec.n == 9
     assert spec.n_levels == 2
+    # against a plain loop over the pieces, on random runs of a few levels
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        k = int(rng.integers(1, 10))
+        levels = rng.choice([0.0, -0.0, 1.0, 2.0], k)
+        lengths = rng.integers(1, 4, k)
+        want_levels, want_lengths = [levels[0]], [int(lengths[0])]
+        for lev, ln in zip(levels[1:], lengths[1:]):
+            if lev == want_levels[-1]:
+                want_lengths[-1] += int(ln)
+            else:
+                want_levels.append(lev)
+                want_lengths.append(int(ln))
+        for spec in (PiecewiseConstantSpec(levels, lengths),
+                     PiecewiseConstantSpec.from_values(
+                         np.repeat(levels, lengths))):
+            assert spec.levels.tobytes() == np.array(want_levels).tobytes()
+            assert spec.lengths.tolist() == want_lengths
+    # at height 0 every level merges
+    for kind in ("battlements", "staircase"):
+        spec = gen_piecewise(kind, 50, 5, 0.0)
+        assert spec.levels.tolist() == [0.0] and spec.lengths.tolist() == [50]
 
 
 def test_spec_validation():
@@ -19,6 +41,8 @@ def test_spec_validation():
         PiecewiseConstantSpec([1.0], [0])
     with pytest.raises(ValueError):
         PiecewiseConstantSpec([1.0, 2.0], [3])
+    with pytest.raises(ValueError, match="non-empty"):
+        PiecewiseConstantSpec.from_values([])
 
 
 def test_spec_jump_locations_and_signs():
