@@ -21,7 +21,8 @@ from . import io as tvio
 from .bench import (ExperimentConfig, bench_mse, bench_seg, lambda_fit_report,
                     qq_pairs, run_lambda_samples)
 from .coeffs import load_coefficients
-from .lambda_stat import DEFAULT_TOL, GumbelParams, sample_lambda
+from .lambda_stat import (DEFAULT_TOL, MIN_FIT_SAMPLES, GumbelParams,
+                          sample_lambda)
 from .risk import default_lambda_grid, loss, ncc, risk_curve
 from .selection import adaptive_tv, estimate_sigma, universal_threshold
 from .signals import check_sigma, gen_test_function
@@ -212,6 +213,9 @@ def cmd_lambda_sample(args):
         raise ValueError("--sizes is required")
     if not args.out:
         raise ValueError("lambda-sample needs --out (a directory)")
+    if args.reps < MIN_FIT_SAMPLES:
+        raise ValueError("--reps must be at least %d, the fewest draws per "
+                         "size lambda-fit accepts" % MIN_FIT_SAMPLES)
     samples = run_lambda_samples(args.dim, args.sizes, args.reps, args.seed,
                                  tol=args.tol)
     os.makedirs(args.out, exist_ok=True)

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 from scipy.special import chdtrc
 
 from .cuts import CutNetwork
@@ -33,6 +32,8 @@ from .grid import Signal, SpectralLaplacian, adjoint_flat, diff_flat
 _MAX_FLOWS = 50000
 # the relative certified bracket of Lambda unless told otherwise
 DEFAULT_TOL = 1e-6
+# the fewest draws fit_gumbel accepts
+MIN_FIT_SAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -212,11 +213,15 @@ def fit_gumbel(samples) -> GumbelParams:
 
     The stationarity condition in beta reduces to a scalar root-finding
     problem; the location then has a closed form. Exponentials are shifted
-    by the sample minimum so every term stays in [0, 1].
+    by the sample minimum so every term stays in [0, 1]. scipy.optimize is
+    imported here, not at module level, so that importing tvdn (and every
+    pool worker forked from it) does not load it.
     """
+    from scipy.optimize import brentq
+
     x = np.asarray(samples, dtype=float).ravel()
-    if x.size < 10:
-        raise ValueError("need at least 10 samples to fit")
+    if x.size < MIN_FIT_SAMPLES:
+        raise ValueError("need at least %d samples to fit" % MIN_FIT_SAMPLES)
     if not np.isfinite(x).all():
         raise ValueError("samples must be finite")
     s = float(x.std(ddof=1))
@@ -266,6 +271,8 @@ def fit_gev_and_lr_test(samples):
     likelihood ordering holds by construction. The statistic
     2*(loglik_gev - loglik_gumbel) is referred to chi-square(1).
     """
+    from scipy.optimize import minimize
+
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 30:
         raise ValueError("need at least 30 samples for the ratio test")

@@ -1,5 +1,6 @@
 """File format round-trips and command line behavior (in-process main calls)."""
 import argparse
+import gc
 import json
 import os
 import re
@@ -593,7 +594,7 @@ def test_cli_drivers_refuse_bad_values_before_the_pool(tmp_path, capsys,
                         lambda fn, items: pooled.append(fn) or [])
     out = str(tmp_path / "out")
     for argv, message in (
-            (["lambda-sample", "--dim", "2", "--sizes", "8", "--reps", "2",
+            (["lambda-sample", "--dim", "2", "--sizes", "8", "--reps", "10",
               "--tol", "nan"], "tol must be positive and finite"),
             (["bench-mse", "--snr", "nan"], "snr must be positive and finite"),
             (["bench-mse", "--functions", "blocks", "--sizes", "5"],
@@ -605,10 +606,12 @@ def test_cli_drivers_refuse_bad_values_before_the_pool(tmp_path, capsys,
             (["bench-seg", "--reps", "1,2"], "got 2 for sizes (100,)"),
             (["bench-mse", "--functions", "blocks", "--sizes", "100,100"],
              "sizes must be distinct"),
-            (["lambda-sample", "--dim", "2", "--sizes", "8,8", "--reps", "3",
+            (["lambda-sample", "--dim", "2", "--sizes", "8,8", "--reps", "10",
               "--seed", "1"], "sizes must be distinct"),
-            (["lambda-sample", "--dim", "4", "--sizes", "8", "--reps", "2"],
+            (["lambda-sample", "--dim", "4", "--sizes", "8", "--reps", "10"],
              "--dim must be 1, 2 or 3"),
+            (["lambda-sample", "--dim", "1", "--sizes", "20,30", "--reps", "5"],
+             "--reps must be at least 10"),
             (["bench-mse", "--functions", "blocks,blocks", "--sizes", "100",
               "--reps", "2"], "functions must be distinct"),
             (["bench-seg", "--functions", "staircase,staircase"],
@@ -626,7 +629,7 @@ def test_cli_bad_lambda_sample_tol_exits_2(tmp_path, capsys, monkeypatch):
     for dim in ("1", "2"):
         for tol in ("nan", "inf", "0"):
             assert main(["lambda-sample", "--dim", dim, "--sizes", "8",
-                         "--reps", "2", "--tol", tol,
+                         "--reps", "10", "--tol", tol,
                          "--out", str(tmp_path / "draws")]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -986,3 +989,38 @@ def test_parallel_map_matches_serial(monkeypatch):
     monkeypatch.setenv("TVDN_THREADS", "2")
     parallel = parallel_map(_square, range(8))
     assert serial == parallel == [x * x for x in range(8)]
+
+
+def _square_or_raise(x):
+    if x == 5:
+        raise ArithmeticError("task 5")
+    return x * x
+
+
+def _freeze_count(_):
+    return gc.get_freeze_count()
+
+
+def test_parallel_map_forks_from_a_frozen_heap(monkeypatch):
+    # the workers fork from a frozen heap, and the parent's heap is thawed
+    # once the map returns, whether or not a task raised
+    monkeypatch.setenv("TVDN_THREADS", "2")
+    assert gc.get_freeze_count() == 0
+    assert min(parallel_map(_freeze_count, range(4))) > 0
+    assert gc.get_freeze_count() == 0
+    assert parallel_map(_square, range(8)) == [_square(x) for x in range(8)]
+    assert gc.get_freeze_count() == 0
+    with pytest.raises(ArithmeticError, match="task 5"):
+        parallel_map(_square_or_raise, range(8))
+    assert gc.get_freeze_count() == 0
+
+
+def test_bad_worker_count_names_the_variable(monkeypatch, capsys):
+    monkeypatch.setenv("TVDN_THREADS", "abc")
+    with pytest.raises(ValueError, match="TVDN_THREADS must be an integer"):
+        worker_count(10)
+    assert main(["bench-mse", "--functions", "blocks", "--sizes", "50",
+                 "--reps", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "TVDN_THREADS must be an integer, got 'abc'" in captured.err

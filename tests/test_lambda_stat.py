@@ -331,16 +331,19 @@ def test_gev_nests_gumbel():
         assert 0.0 <= p <= 1.0
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def test_import_leaves_scipy_stats_and_optimize_unloaded():
     # the ratio test's p-value comes from scipy.special; scipy.stats costs
-    # about half a second and 40 MB at import
+    # about half a second and 40 MB at import, and scipy.optimize, which
+    # only the two fitters use, about 0.15 s and 12 MB, so they import it
+    # on their first call
     root = os.path.dirname(os.path.dirname(tvdn.__file__))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys; import tvdn; print('scipy.stats' in sys.modules)"],
+         "import sys; import tvdn, tvdn.cli; print('scipy.stats' in "
+         "sys.modules, 'scipy.optimize' in sys.modules)"],
         env=dict(os.environ, PYTHONPATH=root), capture_output=True, text=True,
         check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_lr_pvalue_is_chi2_tail():
