@@ -16,8 +16,8 @@ import numpy as np
 
 from ._pool import parallel_map
 from .grid import LatticeShape, Signal
-from .lambda_stat import (DEFAULT_TOL, GumbelParams, check_tol,
-                          fit_gev_and_lr_test, fit_gumbel,
+from .lambda_stat import (DEFAULT_TOL, MIN_GEV_SAMPLES, GumbelParams,
+                          check_tol, fit_gev_and_lr_test, fit_gumbel,
                           fit_loglog_regression, sample_lambda)
 from .risk import default_lambda_grid, loss, sure
 from .segmentation import evaluate_outcome
@@ -264,7 +264,7 @@ def lambda_fit_report(samples_by_n: dict, dim: int, reps=None, seed=None) -> dic
     for n in ns:
         g = fit_gumbel(samples_by_n[n])
         fits.append((n, g))
-        if len(samples_by_n[n]) >= 30:
+        if len(samples_by_n[n]) >= MIN_GEV_SAMPLES:
             gev, p = fit_gev_and_lr_test(samples_by_n[n])
             gev_rows.append({"n": n, "mu": gev.mu, "scale": gev.scale,
                              "xi": gev.xi, "p_value": p})

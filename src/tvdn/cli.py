@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -213,6 +212,9 @@ def cmd_lambda_sample(args):
         raise ValueError("--sizes is required")
     if not args.out:
         raise ValueError("lambda-sample needs --out (a directory)")
+    if min(args.sizes) < 2:
+        raise ValueError("every --sizes side must be at least 2: a 1-site "
+                         "lattice always draws Lambda = 0")
     if args.reps < MIN_FIT_SAMPLES:
         raise ValueError("--reps must be at least %d, the fewest draws per "
                          "size lambda-fit accepts" % MIN_FIT_SAMPLES)
@@ -267,18 +269,22 @@ def _parse_grid(spec):
     LO,HI,COUNT a geometric grid, and COUNT or no spec the default grid
     below Lambda of y (a full solve on a lattice), computed only then."""
     parts = spec.split(",") if spec else []
-    if len(parts) not in (0, 1, 3):
-        raise ValueError("--grid expects COUNT or LO,HI,COUNT")
-    size = {"n_points": int(parts[-1])} if parts else {}
+    try:
+        size = {"n_points": int(parts[-1])} if parts else {}
+        # bounds other than none or LO,HI fail to unpack
+        lo, hi = map(float, parts[:-1]) if parts[1:] else (None, None)
+    except ValueError:
+        raise ValueError("--grid expects COUNT or LO,HI,COUNT") from None
     if parts and size["n_points"] < 1:
         raise ValueError("--grid COUNT must be at least 1")
-    if len(parts) < 3:
+    if lo is None:
         return lambda y: default_lambda_grid(sample_lambda(y)[0], **size)
-    lo, hi = float(parts[0]), float(parts[1])
     if not 0 < lo <= hi:
         raise ValueError("--grid bounds must satisfy 0 < lo <= hi")
-    if hi == math.inf:
-        raise ValueError("--grid bounds must be finite")
+    try:
+        check_lambda(hi)
+    except ValueError:
+        raise ValueError("--grid bounds must be finite") from None
     return lambda y: np.geomspace(lo, hi, size["n_points"])
 
 

@@ -32,8 +32,9 @@ from .grid import Signal, SpectralLaplacian, adjoint_flat, diff_flat
 _MAX_FLOWS = 50000
 # the relative certified bracket of Lambda unless told otherwise
 DEFAULT_TOL = 1e-6
-# the fewest draws fit_gumbel accepts
+# the fewest draws fit_gumbel and fit_gev_and_lr_test accept
 MIN_FIT_SAMPLES = 10
+MIN_GEV_SAMPLES = 30
 
 
 @dataclass(frozen=True)
@@ -274,8 +275,9 @@ def fit_gev_and_lr_test(samples):
     from scipy.optimize import minimize
 
     x = np.asarray(samples, dtype=float).ravel()
-    if x.size < 30:
-        raise ValueError("need at least 30 samples for the ratio test")
+    if x.size < MIN_GEV_SAMPLES:
+        raise ValueError("need at least %d samples for the ratio test"
+                         % MIN_GEV_SAMPLES)
     g0 = fit_gumbel(x)
     theta0 = [g0.mu, math.log(g0.beta)]
     results = []

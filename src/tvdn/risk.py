@@ -18,7 +18,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .grid import Signal, diff_flat, edge_endpoints
 from .signals import check_sigma
-from .tvsolve import SolverConfig, TvSolution, check_grid, tv_denoise_grid
+from .tvsolve import (SolverConfig, TvSolution, check_grid, check_lambda,
+                      tv_denoise_grid)
 
 
 def component_labels(f: Signal) -> np.ndarray:
@@ -68,8 +69,7 @@ def default_lambda_grid(lam_max: float, n_points: int = 30) -> np.ndarray:
     """Geometric grid of n_points from top/1000 up to top, where top is
     lam_max, or 1 when lam_max = 0 (flat data, whose every fit is the
     mean)."""
-    if not 0.0 <= lam_max < np.inf:
-        raise ValueError("lam_max must be finite and nonnegative")
+    check_lambda(lam_max)
     top = lam_max or 1.0
     return np.geomspace(top / 1e3, top, n_points)
 
@@ -97,11 +97,10 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
                cfg: SolverConfig | None = None) -> RiskCurve:
     """Evaluate SURE or oracle loss over a lambda grid.
 
-    The grid may include inf, whose fit is the mean. ``tv_denoise_grid``
-    solves the sorted grid, on any lattice (workers: TVDN_THREADS), and each
-    fit is scored here; the curve does not depend on the worker count. The
-    fit at the argmin is kept on the curve. cfg is accepted for
-    compatibility and not read.
+    ``tv_denoise_grid`` solves the sorted grid, on any lattice (workers:
+    TVDN_THREADS), and each fit is scored here; the curve does not depend
+    on the worker count. The fit at the argmin is kept on the curve. cfg is
+    accepted for compatibility and not read.
     """
     lams = np.sort(np.asarray(lambdas, dtype=float))
     if lams.size == 0:

@@ -17,13 +17,13 @@ difference between flat sites k-1 and k (0-based), so valid locations lie in
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Signal
 from .signals import PiecewiseConstantSpec
+from .tvsolve import check_lambda
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ def kkt_check(y: Signal, jump_locations, lam: float):
     """
     if not y.shape.is_path:
         raise ValueError("kkt_check is defined on path lattices")
-    if not 0.0 <= lam < math.inf:
-        raise ValueError("lambda must be finite and nonnegative")
+    check_lambda(lam)
     n = y.shape.n_sites
     locs = np.asarray(sorted(int(j) for j in jump_locations), dtype=int)
     if locs.size and (locs[0] < 1 or locs[-1] > n - 1

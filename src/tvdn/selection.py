@@ -25,7 +25,7 @@ from .grid import LatticeShape, Signal, diff_flat
 from .lambda_stat import GumbelFitCoefficients
 from .risk import ncc
 from .signals import check_sigma
-from .tvsolve import CutSolver, FusionPath, tv_solver
+from .tvsolve import CutSolver, FusionPath, check_lambda, tv_solver
 
 # MAD-to-sigma factor for Gaussian data; the extra 1/sqrt(2) accounts for
 # differencing doubling the variance
@@ -40,8 +40,9 @@ class ThresholdReport:
     lambda2: float
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0 or self.sigma_used < 0:
-            raise ValueError("thresholds and sigma must be nonnegative")
+        check_sigma(self.sigma_used)
+        check_lambda(self.lambda1)
+        check_lambda(self.lambda2)
 
 
 def estimate_sigma(y: Signal) -> float:

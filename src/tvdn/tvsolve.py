@@ -57,15 +57,14 @@ class SolverConfig:
 
 
 def check_lambda(lam: float) -> None:
-    """Refuse a threshold that is negative or NaN; inf, whose fit is the
-    mean, is allowed."""
-    if not lam >= 0.0:
-        raise ValueError("lambda must be nonnegative")
+    """The one statement of the threshold domain: lambda is finite and
+    nonnegative. Every lambda >= Lambda(y) already gives the mean fit."""
+    if not 0.0 <= lam < np.inf:
+        raise ValueError("lambda must be finite and nonnegative")
 
 
 def check_grid(lams: np.ndarray) -> None:
-    """``check_lambda`` on every value of a grid, which must ascend; it
-    compares neighbours, as a grid may end in repeated infs."""
+    """``check_lambda`` on every value of a grid, which must ascend."""
     for lam in lams.tolist():
         check_lambda(lam)
     if np.any(lams[1:] < lams[:-1]):
@@ -98,9 +97,8 @@ def _certified(y: Signal, lam: float, f: np.ndarray, w: np.ndarray,
     if np.abs(y.values - f - adjoint_flat(w, sizes)).max() > _CERTIFIED_TOL * scale:
         raise RuntimeError("the TV fit could not be certified")
     z = diff_flat(f, sizes)
-    jumps = z != 0.0
     # each term is >= 0 in floating point since |w| <= lam
-    gap = float(np.sum(lam * np.abs(z[jumps]) - z[jumps] * w[jumps]))
+    gap = float(np.sum(lam * np.abs(z) - z * w))
     return TvSolution(Signal(y.shape, f), lam, w, gap, rounds)
 
 
@@ -204,7 +202,7 @@ class FusionPath:
         self.times = np.minimum(_fusion_times(y.values), sample_lambda(y)[0])
 
     def solve(self, lam: float) -> TvSolution:
-        """The certified exact fit at lam >= 0 (at lam = inf, the mean)."""
+        """The certified exact fit at lam >= 0."""
         check_lambda(lam)
         v = self.y.values
         cut = np.flatnonzero(self.times > lam)
@@ -212,21 +210,16 @@ class FusionPath:
         size = np.diff(np.append(start, v.size))
         base = v[start]
         excess = np.add.reduceat(v - np.repeat(base, size), start)
-        if cut.size:
-            # with no cut every s_L + s_R is 0, and inf * 0 would be NaN
-            side = np.sign(v[cut] - v[cut + 1])
-            pull = np.zeros(start.size)     # s_L + s_R per group
-            pull[:-1] += side
-            pull[1:] -= side
-            excess -= lam * pull
+        side = np.sign(v[cut] - v[cut + 1])
+        # s_L + s_R per group
+        excess -= lam * (np.append(side, 0.0) - np.append(0.0, side))
         f = np.repeat(base + excess / size, size)
         return _certified(self.y, lam, f, np.cumsum(f - v)[:-1])
 
 
 def tv_denoise_1d(y: Signal, lam: float) -> TvSolution:
-    """Exact TV minimizer on a path lattice at one lambda >= 0 (at lambda =
-    inf, the mean), written from one ``FusionPath`` pass; the estimate keeps
-    the input's shape."""
+    """Exact TV minimizer on a path lattice at one lambda >= 0, written from
+    one ``FusionPath`` pass; the estimate keeps the input's shape."""
     if not y.shape.is_path:
         raise ValueError("tv_denoise_1d requires a path lattice")
     return tv_denoise(y, lam)
@@ -234,7 +227,7 @@ def tv_denoise_1d(y: Signal, lam: float) -> TvSolution:
 
 def tv_denoise_grid(y: Signal, lambdas) -> list[TvSolution]:
     """Exact TV minimizers on any lattice over an ascending grid of
-    lambda >= 0 (at inf, the mean), in grid order.
+    lambda >= 0, in grid order.
 
     A path lattice takes every fit from one ``FusionPath``, exactly as
     ``tv_denoise`` writes it at that value. On other lattices pieces can
@@ -278,12 +271,11 @@ def tv_solver(y: Signal) -> FusionPath | CutSolver:
 
 
 def tv_denoise(y: Signal, lam: float, cfg: SolverConfig | None = None) -> TvSolution:
-    """Exact TV minimizer on a lattice of any dimension at one lambda >= 0
-    (inf gives the mean; NaN is refused), from ``tv_solver(y)``;
-    ``tv_denoise_grid`` solves a whole grid. ``iterations`` counts a cut
-    solve's batched rounds. cfg is accepted for compatibility and not read.
-    Every fit returns through ``_certified``, which raises RuntimeError
-    rather than return a fit it cannot certify.
+    """Exact TV minimizer on a lattice of any dimension at one lambda >= 0,
+    from ``tv_solver(y)``; ``tv_denoise_grid`` solves a whole grid.
+    ``iterations`` counts a cut solve's batched rounds. cfg is accepted for
+    compatibility and not read. Every fit returns through ``_certified``,
+    which raises RuntimeError rather than return a fit it cannot certify.
     """
     check_lambda(lam)
     return tv_solver(y).solve(lam)
@@ -326,7 +318,7 @@ class CutSolver:
         self.net = CutNetwork(y.shape)
 
     def solve(self, lam: float, start=None) -> TvSolution:
-        """The certified exact fit at lam >= 0 (at lam = inf, the mean)."""
+        """The certified exact fit at lam >= 0."""
         check_lambda(lam)
         y, net = self.y, self.net
         shape = y.shape

@@ -1,7 +1,8 @@
 """Invariant suites shared by the unit tests and the acceptance gate.
 
 Each check runs a self-contained randomized sweep and raises AssertionError
-on the first violation. Seeds are fixed so failures reproduce.
+on the first violation. Seeds are fixed so failures reproduce. An
+``assert_*`` helper checks one given solution.
 """
 import numpy as np
 
@@ -122,3 +123,15 @@ ALL_CHECKS = (
     check_kkt_solver_agreement,
     check_mle_equivariance,
 )
+
+
+def assert_mean_fit(y, sol, lam):
+    """sol is y's fit at lam and that fit is the mean, certified: one
+    constant, gap 0 and a finite dual within +-lam that reconstructs it."""
+    f = sol.estimate.values
+    assert sol.lam == lam and sol.estimate.shape == y.shape
+    assert np.ptp(f) == 0.0 and sol.gap == 0.0
+    assert abs(f[0] - y.values.mean()) <= 1e-15 * np.abs(y.values).max()
+    assert np.all(np.isfinite(sol.dual)) and np.abs(sol.dual).max() <= lam
+    assert np.abs(y.values - adjoint_flat(sol.dual, y.shape.sizes)
+                  - f).max() <= 1e-12 * np.abs(y.values).max()

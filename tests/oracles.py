@@ -100,8 +100,6 @@ def tv_oracle_direct_1d(y, lam):
     n = y.size
     if lam == 0.0 or n == 1 or np.ptp(y) == 0.0:
         return y.copy()
-    if lam == np.inf:
-        return np.full(n, y.mean())
     x = np.empty(n)
     k = k0 = km = kp = 0
     vmin = y[0] - lam

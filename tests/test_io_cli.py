@@ -328,7 +328,7 @@ def test_cli_nan_lambda_exits_2(tmp_path, capsys):
                      "--out", out]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "lambda must be nonnegative" in captured.err
+        assert "lambda must be finite and nonnegative" in captured.err
         assert not os.path.exists(out)
 
 
@@ -565,11 +565,14 @@ def test_cli_methods_refuse_exactly_the_options_they_do_not_read(tmp_path,
 
 def test_cli_refuses_bad_values_before_reading(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
-    for lam in ("nan", "-1"):
+    # inf and an overflowing 1e400 too: json.dumps would print Infinity
+    for lam in ("nan", "-1", "inf", "1e400"):
         _refused_before_reading(
             capsys, ["denoise", "--in", missing, "--lambda", lam],
-            "lambda must be nonnegative")
+            "lambda must be finite and nonnegative")
     for grid, message in (("1,2", "--grid expects COUNT or LO,HI,COUNT"),
+                          ("1.5", "--grid expects COUNT or LO,HI,COUNT"),
+                          ("a,2,3", "--grid expects COUNT or LO,HI,COUNT"),
                           ("0.5,inf,4", "--grid bounds must be finite"),
                           ("4,2,3", "--grid bounds must satisfy")):
         for argv in (["denoise", "--method", "sure"],
@@ -612,6 +615,8 @@ def test_cli_drivers_refuse_bad_values_before_the_pool(tmp_path, capsys,
              "--dim must be 1, 2 or 3"),
             (["lambda-sample", "--dim", "1", "--sizes", "20,30", "--reps", "5"],
              "--reps must be at least 10"),
+            (["lambda-sample", "--dim", "1", "--sizes", "1,2", "--reps", "10"],
+             "every --sizes side must be at least 2"),
             (["bench-mse", "--functions", "blocks,blocks", "--sizes", "100",
               "--reps", "2"], "functions must be distinct"),
             (["bench-seg", "--functions", "staircase,staircase"],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from invariants import check_ncc_floodfill
+from invariants import assert_mean_fit, check_ncc_floodfill
 from tvdn.grid import LatticeShape, Signal, adjoint_flat
 from tvdn.risk import (RiskCurve, component_labels, default_lambda_grid, loss,
                        ncc, risk_curve, sure)
@@ -136,29 +136,33 @@ def test_risk_curve_rejects_nan_grid_values():
                 risk_curve(y, grid, criterion="sure", sigma=1.0)
 
 
-def test_risk_curve_takes_repeated_infinite_lambdas():
-    # a grid may end in repeated infs; its order is checked by comparing
-    # neighbours, never by subtracting inf from inf
+def test_risk_curve_takes_repeated_lambdas_at_the_top():
+    # a grid may repeat its values; from Lambda on every fit is the mean,
+    # so the repeated values at Lambda and 10 Lambda score alike and the
+    # first of them is kept with the certified mean fit
     rng = np.random.default_rng(40)
-    for sizes in [(20,), (4, 4)]:
+    for sizes in [(8,), (1, 8), (4, 4)]:
         y = S(rng.normal(size=sizes))
-        curve = risk_curve(y, [1.0, np.inf, np.inf], "sure", sigma=1.0)
-        assert curve.lambdas.tolist() == [1.0, np.inf, np.inf]
-        assert curve.values[1] == curve.values[2]
+        top = lambda_max(y)
+        grid = [0.1, top, top, 10.0 * top, 10.0 * top]
+        curve = risk_curve(y, grid, "sure", sigma=1.0)
+        assert curve.lambdas.tolist() == grid
+        assert np.all(curve.values[1:] == curve.values[1])
+        assert curve.argmin_lambda == top
+        assert_mean_fit(y, curve.argmin_fit, top)
 
 
-def test_risk_curve_takes_infinite_lambda_on_every_layout():
-    # inf is the mean fit on a path and on a lattice alike; on pure noise at
-    # the true sigma SURE prefers it to a fit at 0.1
+def test_risk_curve_reaches_the_mean_on_every_layout():
+    # the fit at Lambda and above is the mean on a path and on a lattice
+    # alike; on pure noise at the true sigma SURE prefers it to a fit at 0.1
     rng = np.random.default_rng(39)
-    for sizes in [(20,), (1, 20), (4, 5)]:
+    for sizes in [(8,), (1, 8), (4, 4)]:
         y = S(rng.normal(size=sizes))
-        curve = risk_curve(y, [0.1, np.inf], criterion="sure", sigma=1.0)
-        assert curve.argmin_lambda == np.inf
-        fit = curve.argmin_fit.estimate
-        assert fit.shape.sizes == sizes
-        assert np.all(fit.values == fit.values[0])
-        assert fit.values[0] == pytest.approx(y.mean(), abs=1e-12)
+        top = lambda_max(y)
+        for lam in (top, 10.0 * top):
+            curve = risk_curve(y, [0.1, lam], criterion="sure", sigma=1.0)
+            assert curve.argmin_lambda == lam
+            assert_mean_fit(y, curve.argmin_fit, lam)
 
 
 def test_risk_curve_rejects_bad_sigma():
@@ -241,10 +245,10 @@ def test_risk_curve_class_validation():
         RiskCurve(np.array([1.0, 2.0]), np.array([1.0]), 1.0)
     with pytest.raises(ValueError, match="ascending"):
         RiskCurve(np.array([2.0, 1.0]), np.array([1.0, 2.0]), 2.0)
-    for lams in ([-1.0, 2.0], [np.nan, 2.0]):
-        with pytest.raises(ValueError, match="nonnegative"):
+    for lams in ([-1.0, 2.0], [np.nan, 2.0], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
             RiskCurve(lams, [1.0, 2.0], 2.0)
-    RiskCurve([1.0, np.inf, np.inf], [3.0, 2.0, 2.0], np.inf)
+    RiskCurve([1.0, 2.0, 2.0], [3.0, 2.0, 2.0], 2.0)
     curve = RiskCurve([1.0, 2.0], [3.0, 4.0], 1.0)
     assert curve.lambdas.dtype == curve.values.dtype == float
 

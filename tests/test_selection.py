@@ -251,8 +251,11 @@ def test_exact_seg_threshold_values():
 
 
 def test_threshold_report_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sigma"):
         ThresholdReport(-1.0, 1.0, 2, 0.5)
+    for lam1, lam2 in ((-1.0, 0.5), (1.0, np.inf), (np.nan, 0.5)):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            ThresholdReport(1.0, lam1, 2, lam2)
 
 
 def test_adaptive_tv_constant_1d():

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invariants import assert_mean_fit
 from oracles import tv_objective, tv_oracle_boxqp, tv_oracle_direct_1d
 from tvdn.grid import LatticeShape, Signal, adjoint_flat
 from tvdn.lambda_stat import sample_lambda, sample_lambda_1d
 from tvdn._pool import parallel_map
-from tvdn.risk import default_lambda_grid, sure
+from tvdn.risk import RiskCurve, default_lambda_grid, risk_curve, sure
+from tvdn.segmentation import kkt_check
 from tvdn.signals import gen_test_function
 import tvdn.tvsolve
 from tvdn.tvsolve import (CutSolver, FusionPath, SolverConfig, TvSolution,
@@ -153,19 +155,18 @@ def test_path_matches_boxqp_oracle(n, seed, ties, k):
 def test_fusion_path_times_and_bounds():
     # runs of equal data fuse at 0 and every other edge at a finite time, so
     # one path writes the fit at any lambda >= 0 (the direct-pass oracle's):
-    # the mean fit, with gap 0, from Lambda on and at lambda = inf
+    # the mean fit, with gap 0, from Lambda on
     y = S([1.0, 1.0, 4.0, 0.0, 0.0])
     path = FusionPath(y)
     assert path.times[0] == 0.0 and path.times[3] == 0.0
     assert np.all(np.isfinite(path.times))
-    for lam in (0.0, 0.5, 1.0, 10.0, np.inf):
+    for lam in (0.0, 0.5, 1.0, 10.0):
         sol = path.solve(lam)
         assert np.abs(sol.estimate.values
                       - tv_oracle_direct_1d(y.values, lam)).max() <= 1e-15
-    for lam in (10.0, np.inf):
-        assert np.abs(path.solve(lam).estimate.values - 1.2).max() <= 1e-15
-        assert path.solve(lam).gap == 0.0
-    for bad in (-0.1, -np.inf, np.nan):
+    assert np.abs(path.solve(10.0).estimate.values - 1.2).max() <= 1e-15
+    assert path.solve(10.0).gap == 0.0
+    for bad in (-0.1, -np.inf, np.inf, np.nan):
         with pytest.raises(ValueError):
             path.solve(bad)
     with pytest.raises(ValueError):
@@ -178,7 +179,7 @@ def test_fusion_path_times_and_bounds():
                 path = FusionPath(S(v))
                 assert path.times.shape == (n - 1,)
                 assert np.all(np.isfinite(path.times))
-                sol = path.solve(np.inf)
+                sol = path.solve(sample_lambda_1d(S(v)))
                 assert np.ptp(sol.estimate.values) == 0.0 and sol.gap == 0.0
                 assert abs(sol.estimate.values[0] - v.mean()) \
                     <= 1e-12 * (1.0 + np.abs(v).max())
@@ -211,7 +212,7 @@ def test_path_edge_cases_and_bad_grids():
     for y in (S([0.0, 3.0, 1.0]), S([[0.0, 3.0, 1.0], [2.0, -1.0, 0.5]])):
         assert tv_denoise_grid(y, []) == []
         for bad in ([1.0, 0.5], [-0.1, 1.0], [0.0, np.nan], [np.inf, 1.0],
-                    [-np.inf, 1.0]):
+                    [-np.inf, 1.0], [0.0, np.inf]):
             with pytest.raises(ValueError):
                 tv_denoise_grid(y, bad)
 
@@ -226,22 +227,25 @@ def test_path_fit_that_cannot_be_certified_raises():
         path.solve(1.0)
 
 
-def test_path_grid_takes_infinite_lambda():
-    # a grid may end in inf, as tv_denoise_1d and FusionPath.solve accept
-    # it: the fit there is the mean with gap 0, and the finite values keep
-    # their fits
-    v = np.random.default_rng(3).normal(size=12)
-    y = S(v)
-    grid = [0.0, 0.4, np.inf, np.inf]
-    sols = tv_denoise_grid(y, grid)
-    assert [s.lam for s in sols] == grid
-    for lam, sol in zip(grid, sols):
-        ref = tv_denoise_1d(y, lam)
-        assert sol.estimate.values.tobytes() == ref.estimate.values.tobytes()
-        assert sol.gap == ref.gap
-    for sol in sols[2:]:
-        assert np.ptp(sol.estimate.values) == 0.0 and sol.gap == 0.0
-        assert sol.estimate.values[0] == pytest.approx(v.mean(), rel=1e-15)
+def test_grid_ends_in_the_mean_fit():
+    # a grid reaching Lambda gets the mean fit there and above, certified
+    # with gap 0, on a path and on a lattice; on a path every value keeps
+    # tv_denoise's fit bit for bit
+    v = np.random.default_rng(3).normal(size=16)
+    for sizes in [(8,), (1, 8), (4, 4)]:
+        y = Signal(LatticeShape(sizes), v[:np.prod(sizes)])
+        top = sample_lambda(y)[0]
+        grid = [0.0, 0.4, top, 10.0 * top]
+        sols = tv_denoise_grid(y, grid)
+        assert [s.lam for s in sols] == grid
+        for lam, sol in zip(grid[2:], sols[2:]):
+            assert_mean_fit(y, sol, lam)
+        if y.shape.is_path:
+            for lam, sol in zip(grid, sols):
+                ref = tv_denoise(y, lam)
+                assert sol.estimate.values.tobytes() \
+                    == ref.estimate.values.tobytes()
+                assert sol.gap == ref.gap
 
 
 def test_nd_constant_input():
@@ -314,7 +318,7 @@ def test_tv_solver_is_tv_denoise_bit_for_bit():
         solver = tv_solver(y)
         assert type(solver) is kind
         top = sample_lambda(y)[0]
-        for lam in [0.0, 0.05 * top, 0.4 * top, 0.1 * top, top, np.inf]:
+        for lam in [0.0, 0.05 * top, 0.4 * top, 0.1 * top, top, 10.0 * top]:
             a, b = solver.solve(lam), tv_denoise(y, lam)
             assert a.estimate.shape.sizes == y.shape.sizes
             assert a.estimate.values.tobytes() == b.estimate.values.tobytes()
@@ -370,7 +374,7 @@ def test_nd_converged_constant_fit_reports_minimum_sup_dual():
     # minimum sup-norm dual within the bracket
     y = S(np.random.default_rng(1).normal(size=(4, 4)))
     value, _ = sample_lambda(y, tol=1e-8)
-    for lam in (value, value * (1 + 1e-6), np.inf):
+    for lam in (value, value * (1 + 1e-6), 10.0 * value):
         sol = tv_denoise(y, lam)
         assert sol.converged and sol.iterations > 0
         assert np.ptp(sol.estimate.values) == 0.0
@@ -381,20 +385,41 @@ def test_nd_converged_constant_fit_reports_minimum_sup_dual():
         assert sol.gap == 0.0
 
 
-def test_1d_infinite_lambda_gives_mean():
-    # a path lattice at lambda = inf gets the constant mean fit with gap 0,
-    # as the 4x4 lattice above does, with no inf - inf or inf * 0 on the way
-    v = np.random.default_rng(2).normal(size=8)
-    for sizes in [(8,), (1, 8)]:
-        y = Signal(LatticeShape(sizes), v)
-        for sol in (tv_denoise_1d(y, np.inf), tv_denoise(y, np.inf)):
-            assert sol.estimate.shape.sizes == sizes
-            assert np.ptp(sol.estimate.values) == 0.0
-            assert sol.estimate.values[0] == pytest.approx(v.mean(), rel=1e-15)
-            assert np.all(np.isfinite(sol.dual))
-            assert np.abs(v - adjoint_flat(sol.dual, sizes)
-                          - sol.estimate.values).max() <= 1e-12
-            assert sol.gap == 0.0
+def test_lambda_at_and_above_lambda_max_gives_the_mean():
+    # every threshold is finite: at Lambda and at 10 Lambda a path and a
+    # lattice get the constant mean fit, certified with gap 0
+    v = np.random.default_rng(2).normal(size=16)
+    for sizes in [(8,), (1, 8), (4, 4)]:
+        y = Signal(LatticeShape(sizes), v[:np.prod(sizes)])
+        top = sample_lambda(y)[0]
+        for lam in (top, 10.0 * top):
+            assert_mean_fit(y, tv_denoise(y, lam), lam)
+            if y.shape.is_path:
+                assert_mean_fit(y, tv_denoise_1d(y, lam), lam)
+
+
+_PATH = S(np.random.default_rng(8).normal(size=8))
+_LATTICE = S(np.random.default_rng(8).normal(size=(4, 4)))
+
+
+@pytest.mark.parametrize("y", [_PATH, _LATTICE], ids=["path", "lattice"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_every_threshold_entry_refuses_a_non_finite_lambda(y, bad):
+    # check_lambda alone states the threshold domain, so every entry that
+    # takes a lambda refuses +-inf and NaN in its words
+    entries = [lambda: tv_denoise(y, bad),
+               lambda: tv_denoise_grid(y, [0.5, bad]),
+               lambda: CutSolver(y).solve(bad),
+               lambda: risk_curve(y, [0.5, bad], "sure", sigma=1.0),
+               lambda: RiskCurve([0.5, bad], [1.0, 2.0], 0.5),
+               lambda: default_lambda_grid(bad)]
+    if y.shape.is_path:
+        entries += [lambda: FusionPath(y).solve(bad),
+                    lambda: kkt_check(y, [4], bad)]
+    for entry in entries:
+        with pytest.raises(ValueError,
+                           match="lambda must be finite and nonnegative"):
+            entry()
 
 
 def test_boxqp_oracle_is_optimal_on_4x4_lattices():
