@@ -21,10 +21,14 @@ from .lambda_stat import (DEFAULT_TOL, MIN_GEV_SAMPLES, GumbelParams,
                           fit_loglog_regression, sample_lambda)
 from .risk import default_lambda_grid, loss, sure
 from .segmentation import evaluate_outcome
-from .selection import (adaptive_tv, exact_seg_threshold, min_jump_height,
-                        universal_threshold)
-from .signals import TEST_FUNCTIONS, check_sigma, gen_piecewise, gen_test_function
+from .selection import (DEFAULT_ALPHA, adaptive_tv, exact_seg_threshold,
+                        min_jump_height, universal_threshold)
+from .signals import (DEFAULT_SIGMA, DEFAULT_SNR, TEST_FUNCTIONS, check_sigma,
+                      gen_piecewise, gen_test_function)
 from .tvsolve import tv_solver
+
+# the seed of an experiment, and of ``tvdn gen``, unless a caller sets it
+DEFAULT_SEED = 0
 
 # the functions, sizes and replicate count at size n of each experiment,
 # for whatever a config leaves empty; its reps then hold one count per size
@@ -41,10 +45,10 @@ class ExperimentConfig:
     functions: tuple = ()
     sizes: tuple = ()
     reps: tuple = ()
-    alpha: float = 0.05
-    seed: int = 0
-    snr: float = 7.0
-    sigma: float = 1.0
+    alpha: float = DEFAULT_ALPHA
+    seed: int = DEFAULT_SEED
+    snr: float = DEFAULT_SNR
+    sigma: float = DEFAULT_SIGMA
 
     def __post_init__(self):
         if self.experiment not in _DEFAULTS:

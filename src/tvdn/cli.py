@@ -17,14 +17,15 @@ import sys
 import numpy as np
 
 from . import io as tvio
-from .bench import (ExperimentConfig, bench_mse, bench_seg, lambda_fit_report,
-                    qq_pairs, run_lambda_samples)
+from .bench import (DEFAULT_SEED, ExperimentConfig, bench_mse, bench_seg,
+                    lambda_fit_report, qq_pairs, run_lambda_samples)
 from .coeffs import load_coefficients
 from .lambda_stat import (DEFAULT_TOL, MIN_FIT_SAMPLES, GumbelParams,
                           sample_lambda)
 from .risk import default_lambda_grid, loss, ncc, risk_curve
-from .selection import adaptive_tv, estimate_sigma, universal_threshold
-from .signals import check_sigma, gen_test_function
+from .selection import (DEFAULT_ALPHA, adaptive_tv, estimate_sigma,
+                        universal_threshold)
+from .signals import DEFAULT_SIGMA, DEFAULT_SNR, check_sigma, gen_test_function
 from .tvsolve import check_lambda, tv_denoise
 
 
@@ -184,13 +185,13 @@ def _table_out(table, args, payload_extra):
 
 
 def _experiment(args, name, **extra):
-    """The ExperimentConfig of a bench-* command; noise at sigma = 1 unless
-    --sigma-known is given."""
+    """The ExperimentConfig of a bench-* command; noise at DEFAULT_SIGMA
+    unless --sigma-known is given."""
     return ExperimentConfig(
         name,
         functions=tuple(args.functions.split(",")) if args.functions else (),
         sizes=args.sizes or (), reps=args.reps or (), seed=args.seed,
-        sigma=args.sigma_known if args.sigma_known is not None else 1.0,
+        sigma=DEFAULT_SIGMA if args.sigma_known is None else args.sigma_known,
         **extra)
 
 
@@ -313,7 +314,7 @@ def build_parser():
                             help="input CSV (1D) or PGM (2D)")
         sp.add_argument("--out", help="output path")
         if seed:
-            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if sigma_known:
             sp.add_argument("--sigma-known", dest="sigma_known", type=float,
                             help="known noise standard deviation")
@@ -334,8 +335,8 @@ def build_parser():
     common(g, seed=True)
     g.add_argument("--function", default="blocks")
     g.add_argument("--sizes", type=_parse_sizes, default=(1000,))
-    g.add_argument("--snr", type=float, default=7.0)
-    g.add_argument("--sigma", type=float, default=1.0,
+    g.add_argument("--snr", type=float, default=DEFAULT_SNR)
+    g.add_argument("--sigma", type=float, default=DEFAULT_SIGMA,
                    help="noise standard deviation")
     g.add_argument("--truth-out", dest="truth_out",
                    help="also write the clean signal here")
@@ -347,7 +348,7 @@ def build_parser():
     bm.add_argument("--sizes", type=_parse_sizes)
     bm.add_argument("--reps", type=_parse_sizes,
                     help="replicates, scalar or one per size")
-    bm.add_argument("--snr", type=float, default=7.0)
+    bm.add_argument("--snr", type=float, default=DEFAULT_SNR)
     bm.set_defaults(func=cmd_bench_mse)
 
     bs = sub.add_parser("bench-seg", help="segmentation event benchmark")
@@ -355,7 +356,7 @@ def build_parser():
     bs.add_argument("--functions", help="battlements,staircase by default")
     bs.add_argument("--sizes", type=_parse_sizes)
     bs.add_argument("--reps", type=_parse_sizes)
-    bs.add_argument("--alpha", type=float, default=0.05)
+    bs.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     bs.set_defaults(func=cmd_bench_seg)
 
     ls = sub.add_parser("lambda-sample", help="Monte Carlo draws of the dual "

@@ -16,8 +16,8 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from .grid import LatticeShape, edge_endpoints
 
 # maximum_flow works in int32 and its residual arcs reach twice a capacity,
-# so every integer capacity stays at or below 2^29
-_CAP_LIMIT = 2 ** 29
+# so every integer capacity stays at or below 2^_CAP_BITS
+_CAP_BITS = 29
 
 
 class CutNetwork:
@@ -66,7 +66,7 @@ class CutNetwork:
         Each group's demands must sum to zero.
 
         Every group is scaled by its own power of two so that its largest
-        capacity fits under _CAP_LIMIT; demands are rounded, the rounding
+        capacity fits under 2^_CAP_BITS; demands are rounded, the rounding
         surplus of a group is taken off its last site so the group stays
         balanced, and edge capacities are rounded down. No edge needs more
         than its group's total demand, so edge capacities are clipped to it
@@ -96,10 +96,12 @@ class CutNetwork:
         np.maximum.at(top, g_edge, np.maximum(up, down))
         if not top.any():
             return np.zeros(p), None
-        unit_scale = np.exp2(np.floor(np.log2(_CAP_LIMIT / np.where(top > 0, top, 1.0))))
-        s_site = unit_scale[gs]
-        s_edge = unit_scale[g_edge]
-        net = np.rint(ds * s_site).astype(np.int64)
+        # scale each group by 2^k, the largest with top 2^k <= 2^_CAP_BITS:
+        # top = mant 2^e, mant in [0.5, 1), exact even where 2^k overflows
+        mant, e = np.frexp(np.where(top > 0, top, 1.0))
+        k = _CAP_BITS - e + (mant == 0.5)
+        k_edge = k[g_edge]
+        net = np.rint(np.ldexp(ds, k[gs])).astype(np.int64)
         surplus = np.bincount(gs, net, n_groups).astype(np.int64)
         last = np.full(n_groups, -1)
         np.maximum.at(last, gs, np.arange(gs.size))
@@ -108,8 +110,8 @@ class CutNetwork:
         zero = np.zeros(m, dtype=np.int64)
         up_int = np.zeros(p, dtype=np.int64)
         down_int = np.zeros(p, dtype=np.int64)
-        up_int[edges] = np.floor(up * s_edge).astype(np.int64)
-        down_int[edges] = np.floor(down * s_edge).astype(np.int64)
+        up_int[edges] = np.floor(np.ldexp(up, k_edge)).astype(np.int64)
+        down_int[edges] = np.floor(np.ldexp(down, k_edge)).astype(np.int64)
         supply = zero.copy()
         absorb = zero.copy()
         supply[sites] = np.maximum(-net, 0)
@@ -123,7 +125,7 @@ class CutNetwork:
             raise RuntimeError("maximum_flow returned a different arc layout")
         fdata = result.flow.data.astype(np.int64)
         w = np.zeros(p)
-        w[edges] = fdata[self._edge_slots[edges]] / s_edge
+        w[edges] = np.ldexp(fdata[self._edge_slots[edges]], -k_edge)
         if result.flow_value >= int(supply.sum()):
             return w, None
         # the residual arcs on the network's own layout; copy=True because

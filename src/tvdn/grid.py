@@ -74,9 +74,6 @@ class Signal:
         arr = np.asarray(arr, dtype=float)
         return cls(LatticeShape(arr.shape), arr.ravel())
 
-    def mean(self) -> float:
-        return float(self.values.mean())
-
 
 def _edge_slices(sizes):
     """The (near, far) slice pair of each direction's edges, in the fixed

@@ -163,14 +163,14 @@ def sample_lambda(y: Signal, tol: float = DEFAULT_TOL):
             better = ratio(blocked)
             if better > lb:
                 lb = better
-            elif not dw.any():
-                break
-            continue
-        rest = c - adjoint_flat(w, shape.sizes)
-        wc = w + diff_flat(spectral.solve(rest), shape.sizes)
-        value = float(np.abs(wc).max())
-        if value - lb <= tol * value:
-            return value, wc
+                continue
+        else:
+            rest = c - adjoint_flat(w, shape.sizes)
+            wc = w + diff_flat(spectral.solve(rest), shape.sizes)
+            value = float(np.abs(wc).max())
+            if value - lb <= tol * value:
+                return value, wc
+        # a flow that routed nothing and raised no bound changes nothing
         if not dw.any():
             break
     raise RuntimeError(

@@ -22,26 +22,18 @@ from .tvsolve import (SolverConfig, TvSolution, check_grid, check_lambda,
                       tv_denoise_grid)
 
 
-def component_labels(f: Signal) -> np.ndarray:
-    """Component labels, numbered by smallest member site; neighbours are
-    joined exactly when their difference is 0."""
-    joined = diff_flat(f.values, f.shape.sizes) == 0.0
-    near, far = edge_endpoints(f.shape)
-    m = f.shape.n_sites
-    links = sp.csr_matrix((np.ones(int(np.count_nonzero(joined))),
-                           (near[joined], far[joined])), shape=(m, m))
-    # the traversal starts a new label at the first unlabeled site in index
-    # order, which is the smallest member of its component
-    return connected_components(links, directed=False)[1]
-
-
 def ncc(f: Signal) -> int:
     """Connected components of the fit: neighbours are joined exactly when
     their difference is 0."""
     if f.shape.is_path:
         # on a path every nonzero difference starts a component
         return 1 + int(np.count_nonzero(np.diff(f.values)))
-    return int(component_labels(f).max()) + 1
+    joined = diff_flat(f.values, f.shape.sizes) == 0.0
+    near, far = edge_endpoints(f.shape)
+    m = f.shape.n_sites
+    links = sp.csr_matrix((np.ones(int(np.count_nonzero(joined))),
+                           (near[joined], far[joined])), shape=(m, m))
+    return int(connected_components(links, directed=False)[0])
 
 
 def _check_shapes(a: Signal, b: Signal) -> None:

@@ -30,6 +30,8 @@ from .tvsolve import CutSolver, FusionPath, check_lambda, tv_solver
 # MAD-to-sigma factor for Gaussian data; the extra 1/sqrt(2) accounts for
 # differencing doubling the variance
 _MAD_SCALE = 1.4826 / math.sqrt(2.0)
+# the segmentation experiment's alpha unless a caller sets it
+DEFAULT_ALPHA = 0.05
 
 
 @dataclass(frozen=True)

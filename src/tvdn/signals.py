@@ -17,6 +17,9 @@ _BUMPS_H = np.array([4.0, 5.0, 3.0, 4.0, 5.0, 4.2, 2.1, 4.3, 3.1, 5.1, 4.2])
 _BUMPS_W = np.array([0.005, 0.005, 0.006, 0.01, 0.01, 0.03, 0.01, 0.01, 0.005, 0.008, 0.005])
 
 TEST_FUNCTIONS = ("blocks", "bumps", "heavisine", "doppler", "zero")
+# the default snr of the test functions and sigma of the noise added to them
+DEFAULT_SNR = 7.0
+DEFAULT_SIGMA = 1.0
 
 
 @dataclass
@@ -93,12 +96,13 @@ def _dj_values(name, t):
     raise ValueError(f"unknown test function {name!r}")
 
 
-def gen_test_function(name: str, n: int, snr: float = 7.0) -> Signal:
+def gen_test_function(name: str, n: int, snr: float = DEFAULT_SNR) -> Signal:
     """Sample a named test function on n equispaced points.
 
     The clean signal is rescaled so its sample standard deviation equals
     ``snr``, which must be positive and finite; benchmark noise is then
-    added at sigma = 1. The zero function returns all zeros.
+    added at DEFAULT_SIGMA unless a caller sets it. The zero function
+    returns all zeros.
     """
     if n < 8:
         raise ValueError("n must be at least 8")

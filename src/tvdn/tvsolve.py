@@ -22,7 +22,6 @@ is nonnegative by construction and zero at the optimum.
 from __future__ import annotations
 
 import heapq
-from itertools import repeat
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,8 +111,9 @@ def _fusion_times(y):
     and s_L, s_R are the signs of its value minus its neighbours' (0 at an
     end). In 1D groups only merge as lambda grows (Friedman et al. 2007;
     Hoefling 2010), so the path is a sequence of merges of neighbouring
-    groups. A heap holds the lambda at which each neighbouring pair meets;
-    an entry is skipped once either of its groups has changed.
+    groups. A heap holds the lambda at which each neighbouring pair meets,
+    stamped with both groups' sizes, which change exactly when a group
+    absorbs its right neighbour (an absorbed group's becomes 0).
     """
     n = y.size
     # a group is indexed by its first site; runs of equal data start fused
@@ -127,7 +127,6 @@ def _fusion_times(y):
     left = [0] * n          # s_L
     right = [0] * n         # s_R
     prev = [0] * n          # first site of the left neighbour
-    version = [0] * n
     for g, k in zip(first.tolist(), count.tolist()):
         size[g] = k
         level[g] = float(y[g])
@@ -141,7 +140,7 @@ def _fusion_times(y):
     meets = d != 0.0
     heap = list(zip(((y[lo] - y[hi])[meets] / d[meets]).tolist(),
                     lo[meets].tolist(), hi[meets].tolist(),
-                    repeat(0), repeat(0)))
+                    count[:-1][meets].tolist(), count[1:][meets].tolist()))
     heapq.heapify(heap)
 
     def push(g, h):
@@ -150,7 +149,7 @@ def _fusion_times(y):
         d = (left[g] + right[g]) / size[g] - (left[h] + right[h]) / size[h]
         if d != 0.0:
             heapq.heappush(heap, ((level[g] - level[h]) / d, g, h,
-                                  version[g], version[h]))
+                                  size[g], size[h]))
 
     # a meeting time computed after a merge can undercut the merge's own by
     # rounding; recording the running maximum keeps the edges fused at any
@@ -158,18 +157,17 @@ def _fusion_times(y):
     top = 0.0
     pop = heapq.heappop
     while heap:
-        t, g, h, vg, vh = pop(heap)
+        t, g, h, sg, sh = pop(heap)
         if t > top:
             top = t
-        if version[g] != vg or version[h] != vh:
+        if size[g] != sg or size[h] != sh:
             continue
         times[h - 1] = top
         k = size[g] + size[h]
         level[g] = (level[g] * size[g] + level[h] * size[h]) / k
         size[g] = k
         right[g] = right[h]
-        version[g] += 1
-        version[h] = -1
+        size[h] = 0
         if left[g]:
             push(prev[g], g)
         if g + k < n:
@@ -330,21 +328,21 @@ class CutSolver:
         near, far = net.near, net.far
         scale = float(np.abs(yv).max())
         label = np.zeros(shape.n_sites, dtype=np.intp)
-        jump = np.zeros(p, dtype=bool)   # edges between regions
         # +-lam across regions, flow inside
         w = np.zeros(p) if start is None else np.clip(start, -lam, lam)
         last = np.array([np.inf])        # leftover demand when last routed
-        done = np.array([False])
         rounds = 0
         while True:
             n = last.size
+            jump = label[near] != label[far]     # edges between regions
             count = np.bincount(label, minlength=n)
             shifted = yv - adjoint_flat(np.where(jump, w, 0.0), sizes)
             f = (np.bincount(label, shifted, n) / count)[label]
             rest = yv - f - adjoint_flat(w, sizes)
             left = np.zeros(n)
             np.maximum.at(left, label, np.abs(rest))
-            done |= (left <= _RESIDUAL_TOL * scale) | (left > 0.5 * last)
+            # a final region is never routed or split again, so it stays final
+            done = (left <= _RESIDUAL_TOL * scale) | (left > 0.5 * last)
             if done.all():
                 break
             last = np.where(done, last, left)
@@ -370,11 +368,9 @@ class CutSolver:
             fresh = np.full(n, -1)
             fresh[split] = n + np.arange(k)
             label[move] = fresh[label[move]]
-            jump |= cut
             w[cut] = np.where(high[far[cut]], lam, -lam)
             last[split] = np.inf
             last = np.concatenate([last, np.full(k, np.inf)])
-            done = np.concatenate([done, np.zeros(k, dtype=bool)])
         return _certified(y, lam, f, w, rounds)
 
 

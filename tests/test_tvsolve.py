@@ -534,6 +534,25 @@ def test_cut_fit_is_scale_equivariant():
                               - ref.estimate.values).max() <= 1e-9 * np.abs(v).max()
 
 
+def test_lattice_lambda_and_fit_at_extreme_scales():
+    # each route's unit comes from an exact binary exponent, so data near
+    # the bottom and top of the double range route like unit-scale data
+    tol = 1e-6
+    for sizes in [(8, 8), (3, 4, 5)]:
+        v = np.random.default_rng(17).normal(size=sizes)
+        lam_max = sample_lambda(S(v), tol)[0]
+        lam = 0.3 * lam_max
+        ref = tv_denoise(S(v), lam)
+        for scale in (1e-300, 1e150):
+            ys = S(scale * v)
+            assert abs(sample_lambda(ys, tol)[0] / scale - lam_max) \
+                <= 2 * tol * lam_max
+            sol = tv_denoise(ys, scale * lam)
+            _cut_certificate(ys, scale * lam, sol)
+            assert np.abs(sol.estimate.values / scale
+                          - ref.estimate.values).max() <= 1e-12
+
+
 def _bench_phantom(k, n):
     # perfbench's noisy_phantom(2, k, n): three rectangles and two discs at
     # levels +-[2, 4], plus unit noise
