@@ -20,12 +20,11 @@ from .lambda_stat import (DEFAULT_TOL, MIN_GEV_SAMPLES, GumbelParams,
                           check_tol, fit_gev_and_lr_test, fit_gumbel,
                           fit_loglog_regression, sample_lambda)
 from .risk import default_lambda_grid, loss, sure
-from .segmentation import evaluate_outcome
 from .selection import (DEFAULT_ALPHA, adaptive_tv, exact_seg_threshold,
                         min_jump_height, universal_threshold)
 from .signals import (DEFAULT_SIGMA, DEFAULT_SNR, TEST_FUNCTIONS, check_sigma,
                       gen_piecewise, gen_test_function)
-from .tvsolve import tv_solver
+from .tvsolve import FusionPath, tv_solver
 
 # the seed of an experiment, and of ``tvdn gen``, unless a caller sets it
 DEFAULT_SEED = 0
@@ -162,21 +161,20 @@ def bench_mse(config: ExperimentConfig) -> ResultTable:
 
 
 def _seg_rep(args):
-    """One segmentation replicate of the piecewise signal spec:
-    exact/screening events and level count, every threshold's fit from one
-    solver object for the noisy signal."""
-    spec, sigma, lambdas, entropy = args
+    """One segmentation replicate of the clean piecewise signal f with its
+    true jumps on the edges true_edges, read off one fusion pass: the fit
+    at lambda jumps exactly at the edges fusing after lambda, so it
+    segments exactly iff lo <= lambda < hi (hi the first fusion time of a
+    true edge, lo the last of any other) and screens iff lambda < hi."""
+    f, true_edges, sigma, lambdas, entropy = args
     rng = np.random.default_rng(entropy)
-    f = spec.realize()
-    y = Signal(f.shape, f.values + sigma * rng.standard_normal(spec.n))
-    solver = tv_solver(y)
-    res = {}
-    for method, lam in lambdas.items():
-        est = solver.solve(lam).estimate
-        outcome = evaluate_outcome(est, spec)
-        res[method] = (outcome.exact, outcome.screening,
-                       len(outcome.jumps_estimated) + 1)
-    return res
+    y = Signal(f.shape, f.values + sigma * rng.standard_normal(f.shape.n_sites))
+    times = FusionPath(y).times
+    hi = times[true_edges].min(initial=np.inf)
+    lo = np.delete(times, true_edges).max(initial=0.0)
+    return {method: (bool(lo <= lam < hi), bool(lam < hi),
+                     1 + int(np.count_nonzero(times > lam)))
+            for method, lam in lambdas.items()}
 
 
 def bench_seg(config: ExperimentConfig) -> ResultTable:
@@ -206,8 +204,9 @@ def bench_seg(config: ExperimentConfig) -> ResultTable:
         for fi, kind in enumerate(config.functions):
             for hi, (tag, height) in enumerate(heights):
                 spec = gen_piecewise(kind, n, n_levels, height)
+                f, edges = spec.realize(), spec.jump_locations - 1
                 cells.append((("%s@%s" % (kind, tag), n, reps, lambdas), [
-                    (spec, sigma, lambdas, (config.seed, fi, si, hi, r))
+                    (f, edges, sigma, lambdas, (config.seed, fi, si, hi, r))
                     for r in range(reps)]))
     table = ResultTable()
     for (fn, n, reps, lambdas), out in _map_cells(_seg_rep, cells):

@@ -94,7 +94,7 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
     on the worker count. The fit at the argmin is kept on the curve. cfg is
     accepted for compatibility and not read.
     """
-    lams = np.sort(np.asarray(lambdas, dtype=float))
+    lams = np.sort(np.asarray(lambdas, dtype=float).ravel())
     if lams.size == 0:
         raise ValueError("lambda grid is empty")
     if criterion == "sure":

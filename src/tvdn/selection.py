@@ -115,8 +115,9 @@ def universal_threshold(shape: LatticeShape, sigma: float,
 
 
 def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 0.5:
-        raise ValueError("alpha must lie in (0, 1/2)")
+    # at or below 2**-53, 1 - alpha/2 rounds to 1 and z_{1-alpha/2} is inf
+    if not 2.0 ** -53 < alpha < 0.5:
+        raise ValueError("alpha must lie in (2**-53, 1/2)")
 
 
 def exact_seg_threshold(n_max: int, sigma: float, alpha: float) -> float:

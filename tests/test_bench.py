@@ -10,7 +10,11 @@ from tvdn.bench import (ExperimentConfig, ResultTable, _mean_se, _mse_rep,
 from tvdn.grid import LatticeShape, Signal
 from tvdn.lambda_stat import GumbelParams, sample_lambda, sample_lambda_1d
 from tvdn.risk import default_lambda_grid, risk_curve
+from tvdn.segmentation import evaluate_outcome
+from tvdn.selection import (exact_seg_threshold, min_jump_height,
+                            universal_threshold)
 from tvdn.signals import TEST_FUNCTIONS, gen_piecewise, gen_test_function
+from tvdn.tvsolve import FusionPath
 
 
 def test_experiment_config_validation():
@@ -132,8 +136,13 @@ def test_mse_rep_runs_one_fusion_pass(monkeypatch):
     assert calls == [200]
 
 
+def _seg_args(spec, sigma, lambdas, entropy):
+    return (spec.realize(), spec.jump_locations - 1, sigma, lambdas, entropy)
+
+
 def test_seg_rep_runs_one_fusion_pass(monkeypatch):
-    # both thresholds' fits share one pass over each replicate's signal
+    # both thresholds' events are read off one pass over each replicate's
+    # signal
     calls = []
     fusion_times = tvdn.tvsolve._fusion_times
 
@@ -144,10 +153,61 @@ def test_seg_rep_runs_one_fusion_pass(monkeypatch):
     monkeypatch.setattr(tvdn.tvsolve, "_fusion_times", counted)
     lambdas = {"exact_seg": 3.0, "universal": 3.5}
     for r in range(3):
-        res = _seg_rep((gen_piecewise("staircase", 100, 5, 4.0), 1.0, lambdas,
-                        (3, 0, 0, 1, r)))
+        res = _seg_rep(_seg_args(gen_piecewise("staircase", 100, 5, 4.0),
+                                 1.0, lambdas, (3, 0, 0, 1, r)))
         assert sorted(res) == sorted(lambdas)
         assert calls == [100] * (r + 1)
+
+
+def test_seg_rep_makes_no_fit(monkeypatch):
+    # the events come from the fusion times alone: no threshold's fit is
+    # written or certified
+    def refused(*args, **kwargs):
+        raise AssertionError("a replicate wrote a fit")
+
+    monkeypatch.setattr(tvdn.tvsolve.FusionPath, "solve", refused)
+    monkeypatch.setattr(tvdn.tvsolve.CutSolver, "solve", refused)
+    monkeypatch.setattr(tvdn.tvsolve, "_certified", refused)
+    lambdas = {"exact_seg": 3.0, "universal": 3.5}
+    res = _seg_rep(_seg_args(gen_piecewise("battlements", 100, 5, 8.0), 1.0,
+                             lambdas, (3, 0, 0, 0, 0)))
+    assert sorted(res) == sorted(lambdas)
+
+
+def test_seg_rep_events_match_the_scored_fits():
+    # the window lookups give evaluate_outcome's events on each lambda's
+    # certified fit: both bench thresholds, random lambdas and the window's
+    # own ends, far below and above unit scale, and on a one-piece signal
+    # (h = 0), which has no true edge, so hi is inf
+    rng = np.random.default_rng(26)
+    n, alpha = 60, 0.05
+    for sigma in (1e-4, 1.0, 1e4):
+        hstar = min_jump_height(sigma, alpha)
+        for kind in ("battlements", "staircase"):
+            for height in (2.0 * hstar, hstar, hstar / 10.0, 0.0):
+                spec = gen_piecewise(kind, n, 5, height)
+                f, edges = spec.realize(), spec.jump_locations - 1
+                for r in range(4):
+                    entropy = (26, r)
+                    noise = np.random.default_rng(entropy).standard_normal(n)
+                    path = FusionPath(Signal(f.shape, f.values + sigma * noise))
+                    top = float(path.times.max())
+                    lambdas = {
+                        "exact_seg": exact_seg_threshold(
+                            int(spec.lengths.max()), sigma, alpha),
+                        "universal": universal_threshold(f.shape, sigma),
+                        "lo": float(np.delete(path.times, edges).max(
+                            initial=0.0)),
+                        "hi": float(path.times[edges].min(initial=top)),
+                    }
+                    for i, lam in enumerate(rng.uniform(0.0, 1.2 * top, 8)):
+                        lambdas["random%d" % i] = float(lam)
+                    res = _seg_rep((f, edges, sigma, lambdas, entropy))
+                    for method, lam in lambdas.items():
+                        out = evaluate_outcome(path.solve(lam).estimate, spec)
+                        assert res[method] == (
+                            out.exact, out.screening,
+                            len(out.jumps_estimated) + 1), (sigma, method)
 
 
 def test_bench_mse_default_reps_follow_the_size(monkeypatch):

@@ -587,9 +587,10 @@ def test_cli_refuses_bad_values_before_reading(tmp_path, capsys):
 
 def test_cli_drivers_refuse_bad_values_before_the_pool(tmp_path, capsys,
                                                        monkeypatch):
-    # a bad tolerance, signal ratio or size, a repeated size and replicate
-    # counts that fit neither one count nor one per size of the sizes
-    # given or defaulted are refused before the pool starts, in the words
+    # a bad tolerance, signal ratio, size or alpha (one whose quantile
+    # z_{1-alpha/2} is infinite), a repeated size and replicate counts that
+    # fit neither one count nor one per size of the sizes given or
+    # defaulted are refused before the pool starts, in the words
     # of the value at fault
     import tvdn.bench
     pooled = []
@@ -620,7 +621,9 @@ def test_cli_drivers_refuse_bad_values_before_the_pool(tmp_path, capsys,
             (["bench-mse", "--functions", "blocks,blocks", "--sizes", "100",
               "--reps", "2"], "functions must be distinct"),
             (["bench-seg", "--functions", "staircase,staircase"],
-             "functions must be distinct")):
+             "functions must be distinct"),
+            (["bench-seg", "--alpha", "1e-17", "--sizes", "10", "--reps", "1"],
+             "alpha must lie in (2**-53, 1/2)")):
         assert main(argv + ["--out", out]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

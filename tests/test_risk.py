@@ -165,6 +165,20 @@ def test_risk_curve_reaches_the_mean_on_every_layout():
             assert_mean_fit(y, curve.argmin_fit, lam)
 
 
+def test_risk_curve_takes_a_scalar_grid():
+    # a scalar lambda is a one-point grid, as tv_denoise_grid takes it
+    rng = np.random.default_rng(0)
+    for sizes in [(20,), (4, 5)]:
+        y = S(rng.normal(size=sizes))
+        for kwargs in ({"criterion": "sure", "sigma": 1.0},
+                       {"criterion": "oracle", "f_true": y}):
+            curve = risk_curve(y, 0.5, **kwargs)
+            assert curve.lambdas.tolist() == [0.5]
+            assert curve.argmin_lambda == 0.5
+            assert curve.values.tolist() == \
+                risk_curve(y, [0.5], **kwargs).values.tolist()
+
+
 def test_risk_curve_rejects_bad_sigma():
     rng = np.random.default_rng(40)
     for sizes in [(20,), (4, 5)]:

@@ -245,9 +245,18 @@ def test_exact_seg_threshold_values():
     with pytest.raises(ValueError):
         exact_seg_threshold(0, 1.0, 0.05)
     with pytest.raises(ValueError):
-        min_jump_height(1.0, 0.0)
-    with pytest.raises(ValueError):
         exact_seg_prob_bound(1, 0.05)
+    # at or below 2**-53, 1 - alpha/2 rounds to 1, so z_{1-alpha/2} would
+    # be inf; just above it every threshold is finite
+    for alpha in (0.0, 1e-17, 2.0 ** -53):
+        for call in (lambda: exact_seg_threshold(20, 1.0, alpha),
+                     lambda: min_jump_height(1.0, alpha),
+                     lambda: exact_seg_prob_bound(5, alpha)):
+            with pytest.raises(ValueError, match="alpha"):
+                call()
+    alpha = np.nextafter(2.0 ** -53, 1.0)
+    assert math.isfinite(exact_seg_threshold(20, 1.0, alpha))
+    assert math.isfinite(min_jump_height(1.0, alpha))
 
 
 def test_threshold_report_validation():
