@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: denoise, gen, bench-mse, bench-seg, lambda-sample, lambda-fit,
-risk-curve. 1D signals travel as single-column CSV (header `value`), images
-as PGM (P2/P5), results as JSON with a schema_version field. Exit codes:
+risk-curve. A signal file's name gives its format: a .pgm name is a PGM
+image (P2/P5), any other a single-column CSV (header `value`); results are
+JSON with a schema_version field. Exit codes:
 0 success, 2 bad input, 3 a solver could not certify its result.
 Bad option values are refused, by the library's own checks, before any
 input is read.
@@ -36,20 +37,21 @@ def _parse_sizes(text):
         raise argparse.ArgumentTypeError("expects comma-separated integers")
 
 
+def _is_pgm(path):
+    """Whether a signal file, read or written, is PGM rather than CSV."""
+    return os.path.splitext(path)[1].lower() == ".pgm"
+
+
 def _read_input(path):
-    ext = os.path.splitext(path)[1].lower()
-    if ext == ".pgm":
+    """The signal in a file, and the header a fit written as PGM keeps."""
+    if _is_pgm(path):
         y, maxval, binary = tvio.read_pgm(path)
-        return y, {"format": "pgm", "maxval": maxval, "binary": binary}
-    y = tvio.read_signal_csv(path)
-    return y, {"format": "csv"}
+        return y, {"maxval": maxval, "binary": binary}
+    return tvio.read_signal_csv(path), {}
 
 
-def _write_output(path, est, meta):
-    if meta["format"] == "pgm":
-        tvio.write_pgm(path, est, maxval=meta["maxval"], binary=meta["binary"])
-    else:
-        tvio.write_signal_csv(path, est)
+def _draws_path(indir, dim, n):
+    return os.path.join(indir, "lambda_d%d_n%d.csv" % (dim, n))
 
 
 # the options each threshold method reads besides --in and --out: a given
@@ -78,7 +80,7 @@ def _method_inputs(args, command, method):
     then read the input and the truth. A method that reads --sigma-known
     takes its value or else the MAD estimate of the input, with a warning
     when that is 0, and one that reads --grid its lambda grid. Returns
-    (y, format, sigma, truth, lambda grid, coeffs)."""
+    (y, its PGM header, sigma, truth, lambda grid, coeffs)."""
     if args.sigma_known is not None:
         check_sigma(args.sigma_known)
     reads = _READS[command]
@@ -95,6 +97,9 @@ def _method_inputs(args, command, method):
     grid = _parse_grid(args.grid)
     coeffs = _option(args, "--coeffs")
     coeffs = load_coefficients(coeffs) if coeffs else None
+    if command == "denoise" and args.out and \
+            _is_pgm(args.out) != _is_pgm(args.infile):
+        raise ValueError("--out must be .pgm exactly when --in is")
     y, meta = _read_input(args.infile)
     truth = _read_input(args.truth)[0] if args.truth else None
     if truth is not None and truth.shape.sizes != y.shape.sizes:
@@ -147,7 +152,8 @@ def cmd_denoise(args):
     if truth is not None:
         payload["loss"] = loss(sol.estimate, truth)
     if args.out:
-        _write_output(args.out, sol.estimate, meta)
+        write = tvio.write_pgm if _is_pgm(args.out) else tvio.write_signal_csv
+        write(args.out, sol.estimate, **meta)
         tvio.write_json_report(args.out + ".json", payload)
     print(json.dumps(payload, sort_keys=True))
     return 0
@@ -158,6 +164,8 @@ def cmd_gen(args):
         raise ValueError("gen needs --out")
     if len(args.sizes) != 1:
         raise ValueError("gen expects a single size")
+    if any(_is_pgm(path) for path in (args.out, args.truth_out) if path):
+        raise ValueError("gen writes CSV, never to a .pgm name")
     check_sigma(args.sigma)
     n = args.sizes[0]
     f = gen_test_function(args.function, n, snr=args.snr)
@@ -223,8 +231,8 @@ def cmd_lambda_sample(args):
                                  tol=args.tol)
     os.makedirs(args.out, exist_ok=True)
     for n, draws in samples.items():
-        path = os.path.join(args.out, "lambda_d%d_n%d.csv" % (args.dim, n))
-        tvio.write_csv_column(path, draws, "lambda")
+        tvio.write_csv_column(_draws_path(args.out, args.dim, n), draws,
+                              "lambda")
     tvio.write_json_report(os.path.join(args.out, "meta.json"),
                            {"dim": args.dim, "sizes": list(args.sizes),
                             "reps": args.reps, "seed": args.seed,
@@ -235,23 +243,16 @@ def cmd_lambda_sample(args):
 
 
 def cmd_lambda_fit(args):
-    meta_path = os.path.join(args.indir, "meta.json")
-    meta = tvio.read_json_report(meta_path) if os.path.exists(meta_path) else {}
-    dim = args.dim if args.dim is not None else meta.get("dim")
-    if dim is None:
-        raise ValueError("--dim is required when no meta.json is present")
+    meta = tvio.read_json_report(os.path.join(args.indir, "meta.json"))
+    dim, reps = meta["dim"], meta["reps"]
     samples = {}
-    prefix = "lambda_d%d_n" % dim
-    for name in sorted(os.listdir(args.indir)):
-        if name.startswith(prefix) and name.endswith(".csv"):
-            n = int(name[len(prefix):-4])
-            samples[n] = tvio.read_csv_column(os.path.join(args.indir, name),
-                                              header="lambda")
-    if len(samples) < 2:
-        raise ValueError("need sample files for at least 2 sizes in %s"
-                         % args.indir)
-    payload = lambda_fit_report(samples, dim, reps=meta.get("reps"),
-                                seed=meta.get("seed"))
+    for n in meta["sizes"]:
+        path = _draws_path(args.indir, dim, n)
+        samples[n] = tvio.read_csv_column(path, header="lambda")
+        if samples[n].size != reps:
+            raise ValueError("%s holds %d draws, not the %d of meta.json"
+                             % (path, samples[n].size, reps))
+    payload = lambda_fit_report(samples, dim, reps=reps, seed=meta["seed"])
     tvio.write_json_report(args.out, payload)
     stem = os.path.splitext(args.out)[0]
     for n, mu, beta in zip(payload["n_values"], payload["mu"], payload["beta"]):
@@ -374,7 +375,6 @@ def build_parser():
                                            "regression to sampled draws")
     lf.add_argument("--in", dest="indir", required=True,
                     help="directory written by lambda-sample")
-    lf.add_argument("--dim", type=int)
     lf.add_argument("--out", required=True, help="fit JSON path")
     lf.set_defaults(func=cmd_lambda_fit)
 

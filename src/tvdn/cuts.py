@@ -94,8 +94,6 @@ class CutNetwork:
         top = np.zeros(n_groups)
         np.maximum.at(top, gs, np.abs(ds))
         np.maximum.at(top, g_edge, np.maximum(up, down))
-        if not top.any():
-            return np.zeros(p), None
         # scale each group by 2^k, the largest with top 2^k <= 2^_CAP_BITS:
         # top = mant 2^e, mant in [0.5, 1), exact even where 2^k overflows
         mant, e = np.frexp(np.where(top > 0, top, 1.0))

@@ -62,6 +62,8 @@ def default_lambda_grid(lam_max: float, n_points: int = 30) -> np.ndarray:
     lam_max, or 1 when lam_max = 0 (flat data, whose every fit is the
     mean)."""
     check_lambda(lam_max)
+    if n_points < 1:
+        raise ValueError("n_points must be at least 1")
     top = lam_max or 1.0
     return np.geomspace(top / 1e3, top, n_points)
 
@@ -89,12 +91,12 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
                cfg: SolverConfig | None = None) -> RiskCurve:
     """Evaluate SURE or oracle loss over a lambda grid.
 
-    ``tv_denoise_grid`` solves the sorted grid, on any lattice (workers:
-    TVDN_THREADS), and each fit is scored here; the curve does not depend
-    on the worker count. The fit at the argmin is kept on the curve. cfg is
-    accepted for compatibility and not read.
+    ``tv_denoise_grid`` solves the grid, which must ascend, on any lattice
+    (workers: TVDN_THREADS), and each fit is scored here; the curve does not
+    depend on the worker count. The fit at the argmin is kept on the curve.
+    cfg is accepted for compatibility and not read.
     """
-    lams = np.sort(np.asarray(lambdas, dtype=float).ravel())
+    lams = np.asarray(lambdas, dtype=float).ravel()
     if lams.size == 0:
         raise ValueError("lambda grid is empty")
     if criterion == "sure":

@@ -41,6 +41,28 @@ def test_route_groups_are_independent_networks():
     assert blocked is None and not w[groups[net.near] + groups[net.far] > 0].any()
 
 
+def test_route_of_zero_demand_on_zero_capacity_is_zero(monkeypatch):
+    # nothing to route: each call makes one maximum_flow call on the
+    # network's whole arc layout, routes 0 and reports no cut, with or
+    # without sites in a group
+    import tvdn.cuts
+    flows = []
+
+    def recorded(graph, s, t, method):
+        result = maximum_flow(graph, s, t, method=method)
+        flows.append((graph.nnz, result.flow.nnz, int(result.flow_value)))
+        return result
+
+    monkeypatch.setattr(tvdn.cuts, "maximum_flow", recorded)
+    shape = LatticeShape((4, 5))
+    net = CutNetwork(shape)
+    zero = np.zeros(shape.n_edges)
+    for groups in (None, np.full(shape.n_sites, -1)):
+        w, blocked = net.route(np.zeros(shape.n_sites), zero, zero, groups)
+        assert w.tolist() == [0.0] * shape.n_edges and blocked is None
+    assert flows == [(142, 142, 0)] * 2
+
+
 def test_route_reports_the_blocking_cut_of_each_group():
     # the right half cannot route through capacity 1e-12: its sink side is a
     # proper part of it, while the left half is routed and lies wholly on

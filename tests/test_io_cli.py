@@ -158,9 +158,15 @@ def test_pgm_errors(tmp_path):
     p.write_bytes(b"P6\n2 2\n255\n....")
     with pytest.raises(ValueError):
         read_pgm(p)
-    p.write_bytes(b"P5\n2 2\n255\n\x00\x01")  # raster too short
-    with pytest.raises(ValueError):
-        read_pgm(p)
+    for data in (b"P5\n2 2\n255\n\x00\x01",  # raster too short
+                 b"P5\n2 2\n65535\n" + bytes(7)):
+        p.write_bytes(data)
+        with pytest.raises(ValueError, match="truncated PGM raster"):
+            read_pgm(p)
+    for data in (b"P2\n2 2\n", b"P5\n2 2\n"):
+        p.write_bytes(data)
+        with pytest.raises(ValueError, match="truncated PGM header"):
+            read_pgm(p)
     p.write_bytes(b"P2\n2 2\n10\n1 2 3 44\n")  # sample over maxval
     with pytest.raises(ValueError):
         read_pgm(p)
@@ -280,8 +286,11 @@ def test_cli_bad_inputs_exit_2(tmp_path, capsys):
              "PGM sample outside 0..255"),
             (["gen", "--sizes", "50,60", "--out", noisy],
              "gen expects a single size"),
+            (["lambda-sample", "--dim", "1", "--sizes", "8,16",
+              "--reps", "10"], "lambda-sample needs --out (a directory)"),
             (["lambda-fit", "--in", str(tmp_path), "--out", noisy],
-             "--dim is required when no meta.json is present")):
+             "No such file or directory: %r"
+             % os.path.join(str(tmp_path), "meta.json"))):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -618,6 +627,8 @@ def test_cli_drivers_refuse_bad_values_before_the_pool(tmp_path, capsys,
              "--reps must be at least 10"),
             (["lambda-sample", "--dim", "1", "--sizes", "1,2", "--reps", "10"],
              "every --sizes side must be at least 2"),
+            (["lambda-sample", "--dim", "1", "--sizes", "", "--reps", "10"],
+             "--sizes is required"),
             (["bench-mse", "--functions", "blocks,blocks", "--sizes", "100",
               "--reps", "2"], "functions must be distinct"),
             (["bench-seg", "--functions", "staircase,staircase"],
@@ -751,6 +762,129 @@ def test_cli_lambda_fit_needs_two_sizes(tmp_path, capsys):
     assert main(["lambda-fit", "--in", samp,
                  "--out", str(tmp_path / "f.json")]) == 2
     capsys.readouterr()
+
+
+def _sample(tmp_path, name, sizes, seed, dim="1", reps="10"):
+    out = str(tmp_path / name)
+    assert main(["lambda-sample", "--dim", dim, "--sizes", sizes, "--reps",
+                 reps, "--seed", str(seed), "--out", out]) == 0
+    return out
+
+
+def test_cli_lambda_fit_reads_the_draws_meta_json_lists(tmp_path, capsys,
+                                                        monkeypatch):
+    # a second lambda-sample run into the same directory leaves the first
+    # run's files beside its own; the fit reads only the sizes and the seed
+    # of meta.json, the second run, and writes the bytes of a fit of the
+    # second run alone
+    monkeypatch.setenv("TVDN_THREADS", "1")
+    stale = _sample(tmp_path, "stale", "8,16", 1)
+    _sample(tmp_path, "stale", "32,64", 2)
+    fresh = _sample(tmp_path, "fresh", "32,64", 2)
+    fits = []
+    for draws in (stale, fresh):
+        fit = str(tmp_path / (os.path.basename(draws) + "_fit.json"))
+        assert main(["lambda-fit", "--in", draws, "--out", fit]) == 0
+        fits.append(fit)
+    capsys.readouterr()
+    payload = _report(fits[0])
+    assert payload["n_values"] == [32, 64] and payload["seed"] == 2
+    assert payload["reps"] == 10
+    assert _read_bytes(fits[0]) == _read_bytes(fits[1])
+    for n in (32, 64):
+        qq = [os.path.splitext(f)[0] + "_qq_n%d.csv" % n for f in fits]
+        assert _read_bytes(qq[0]) == _read_bytes(qq[1])
+    assert not os.path.exists(os.path.splitext(fits[0])[0] + "_qq_n8.csv")
+
+
+def test_cli_lambda_fit_refuses_a_directory_meta_json_does_not_describe(
+        tmp_path, capsys, monkeypatch):
+    # no meta.json, a listed file that is missing and a listed file whose
+    # draw count is not meta.json's reps: exit 2, and no fit or QQ table
+    monkeypatch.setenv("TVDN_THREADS", "1")
+    draws = _sample(tmp_path, "draws", "20,30", 3)
+    fit = str(tmp_path / "fit.json")
+    capsys.readouterr()
+
+    def refused(message):
+        assert main(["lambda-fit", "--in", draws, "--out", fit]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert [f for f in os.listdir(tmp_path) if f.startswith("fit")] == []
+
+    n30 = os.path.join(draws, "lambda_d1_n30.csv")
+    values = read_csv_column(n30, header="lambda")
+    write_csv_column(n30, values[:-1], "lambda")
+    refused("%s holds 9 draws, not the 10 of meta.json" % n30)
+    os.remove(n30)
+    refused("No such file or directory: %r" % n30)
+    write_csv_column(n30, values, "lambda")
+    os.remove(os.path.join(draws, "meta.json"))
+    refused("No such file or directory: %r"
+            % os.path.join(draws, "meta.json"))
+    # the dimension comes from meta.json alone
+    with pytest.raises(SystemExit) as exc:
+        main(["lambda-fit", "--in", draws, "--dim", "1", "--out", fit])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dim 1" in capsys.readouterr().err
+
+
+def test_cli_signal_file_names_give_their_format(tmp_path, capsys):
+    # denoise refuses an --out whose name gives another format than that of
+    # --in, before reading --in: a missing input is not reported; gen writes
+    # CSV and refuses a .pgm name; each refusal exits 2 and writes nothing
+    csv, pgm = str(tmp_path / "y.csv"), str(tmp_path / "y.pgm")
+    write_csv_column(csv, np.arange(20.0), "value")
+    write_pgm(pgm, Signal.from_array(np.eye(6) * 200), maxval=255)
+    made = sorted(os.listdir(tmp_path))
+    missing = str(tmp_path / "missing.csv")
+    for src, out in ((csv, "o.pgm"), (pgm, "o.csv"), (csv, "o.PGM"),
+                     (pgm, "o.txt"), (missing, "o.pgm")):
+        assert main(["denoise", "--in", src, "--lambda", "1",
+                     "--out", str(tmp_path / out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--out must be .pgm exactly when --in is" in captured.err
+    for argv in (["--out", pgm[:-4] + "_gen.pgm"],
+                 ["--out", csv[:-4] + "_gen.csv", "--truth-out", "f.Pgm"]):
+        assert main(["gen", "--sizes", "40"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "gen writes CSV, never to a .pgm name" in captured.err
+    assert sorted(os.listdir(tmp_path)) == made
+
+
+def test_cli_outputs_read_back_as_inputs(tmp_path, capsys, monkeypatch):
+    # every file a command writes is read back by the rule that wrote it:
+    # gen, then denoise on a CSV and on a (P2) PGM, then denoise on its own
+    # output; lambda-sample, lambda-fit, then denoise --coeffs on that fit
+    monkeypatch.setenv("TVDN_THREADS", "1")
+    csv = str(tmp_path / "y.csv")
+    assert main(["gen", "--sizes", "60", "--seed", "5", "--out", csv]) == 0
+    pgm = str(tmp_path / "y.pgm")
+    img = np.random.default_rng(6).integers(0, 256, (8, 8)).astype(float)
+    write_pgm(pgm, Signal.from_array(img), maxval=255, binary=False)
+    for src in (csv, pgm):
+        stem, ext = os.path.splitext(src)
+        once, twice = stem + "_once" + ext, stem + "_twice" + ext
+        assert main(["denoise", "--in", src, "--lambda", "3",
+                     "--out", once]) == 0
+        # lambda 0 fits the input itself, so the output reads back and is
+        # written again byte for byte
+        assert main(["denoise", "--in", once, "--lambda", "0",
+                     "--out", twice]) == 0
+        assert _read_bytes(twice) == _read_bytes(once)
+        capsys.readouterr()
+    draws = _sample(tmp_path, "draws", "4,6", 1, dim="2")
+    fit = str(tmp_path / "fit.json")
+    assert main(["lambda-fit", "--in", draws, "--out", fit]) == 0
+    capsys.readouterr()
+    assert main(["denoise", "--in", pgm, "--method", "universal",
+                 "--sigma-known", "10", "--coeffs", fit]) == 0
+    y = read_pgm(pgm)[0]
+    assert _payload(capsys.readouterr().out)["lambda1"] == \
+        universal_threshold(y.shape, 10.0, load_coefficients(fit))
 
 
 def test_cli_risk_curve(tmp_path, capsys):
@@ -924,6 +1058,16 @@ def test_cli_coeffs_override(tmp_path, capsys):
             assert main(["denoise", "--in", series, "--method", method,
                          "--sigma-known", "10.0", "--coeffs", fit]) == 0
             capsys.readouterr()
+
+
+def test_load_coefficients_names_a_missing_field(tmp_path):
+    c = default_coefficients(2)
+    fit = str(tmp_path / "fit.json")
+    write_json_report(fit, {"dim": 2, "a_mu": c.a_mu, "a_beta": c.a_beta,
+                            "b_beta": c.b_beta})
+    with pytest.raises(ValueError,
+                       match="fit file %s is missing field 'b_mu'" % fit):
+        load_coefficients(fit)
 
 
 def _path_images(tmp_path):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,13 @@ def test_param_validation():
         GumbelParams(0.0, 0.0)
     with pytest.raises(ValueError):
         GevParams(0.0, -1.0, 0.1)
+    with pytest.raises(ValueError,
+                       match=r"quantile level must lie in \(0, 1\)"):
+        GumbelParams(2.0, 0.5).quantile(1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError,
+                           match="fit coefficients must be finite"):
+            GumbelFitCoefficients(-0.4, 0.5, bad, -0.2, dim=2)
 
 
 def test_gumbel_quantile_formula():
@@ -298,6 +306,11 @@ def test_fit_gumbel_errors():
         fit_gumbel(np.ones(50))
     with pytest.raises(ValueError):
         fit_gumbel(np.arange(5.0))
+    for bad in (np.nan, np.inf):
+        draws = np.linspace(1.0, 2.0, 20)
+        draws[7] = bad
+        with pytest.raises(ValueError, match="samples must be finite"):
+            fit_gumbel(draws)
 
 
 def test_mle_equivariance_suite():
@@ -396,6 +409,16 @@ def test_loglog_regression_errors():
         fit_loglog_regression([(8, g)], dim=2)
     with pytest.raises(ValueError):
         fit_loglog_regression([(8, g), (8, g)], dim=2)
+    for n in (1, 0.5):
+        with pytest.raises(ValueError, match="side lengths must exceed 1"):
+            fit_loglog_regression([(n, g), (8, g)], dim=2)
+    # GumbelParams itself refuses beta <= 0, so a nonpositive beta comes in
+    # through any object with mu and beta
+    for mu, beta in ((0.0, 0.2), (-1.0, 0.2), (1.0, 0.0), (1.0, -0.1)):
+        bad = SimpleNamespace(mu=mu, beta=beta)
+        with pytest.raises(ValueError,
+                           match="log-log fit needs positive mu and beta"):
+            fit_loglog_regression([(8, g), (16, bad)], dim=2)
 
 
 def test_coefficients_params_at():

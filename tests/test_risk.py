@@ -96,6 +96,10 @@ def test_default_lambda_grid():
     assert g[0] == pytest.approx(0.01)
     assert g[-1] == pytest.approx(10.0)
     assert np.all(np.diff(g) > 0)
+    assert default_lambda_grid(3.0, 1).size == 1
+    for n_points in (0, -1):
+        with pytest.raises(ValueError, match="n_points must be at least 1"):
+            default_lambda_grid(3.0, n_points)
 
 
 def test_risk_curve_oracle_argmin_zero():
@@ -124,10 +128,17 @@ def test_risk_curve_deterministic_and_validated():
         risk_curve(y, np.array([]), criterion="sure", sigma=1.0)
     with pytest.raises(ValueError):
         risk_curve(y, np.array([-1.0]), criterion="sure", sigma=1.0)
+    with pytest.raises(ValueError,
+                       match="criterion must be 'sure' or 'oracle'"):
+        risk_curve(y, grid, criterion="cv", sigma=1.0, f_true=y)
+    # the grid must ascend, as tv_denoise_grid and RiskCurve require: it is
+    # not sorted on the caller's behalf
+    with pytest.raises(ValueError, match="lambda grid must be ascending"):
+        risk_curve(y, grid[::-1], criterion="sure", sigma=1.0)
 
 
 def test_risk_curve_rejects_nan_grid_values():
-    # sorting puts NaN last; it is refused on a path and on a lattice alike
+    # a NaN anywhere in the grid is refused on a path and on a lattice alike
     rng = np.random.default_rng(36)
     for sizes in [(20,), (1, 20), (4, 5)]:
         y = S(rng.normal(size=sizes))

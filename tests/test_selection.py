@@ -167,6 +167,12 @@ def test_universal_threshold_dispatch():
             0.5 * 1.3 * math.sqrt(500 * math.log(math.log(500))), rel=1e-15)
     with pytest.raises(ValueError):
         universal_threshold(LatticeShape((2,)), 1.0)
+    # alpha = 2/sqrt(log P) is below 1 only from P > e^4 edges: a 5 x 5
+    # lattice has 40, a 6 x 6 one 60
+    for sizes in [(5, 5), (2, 2, 2), (1, 4, 4)]:
+        with pytest.raises(ValueError, match="lattice too small"):
+            universal_threshold(LatticeShape(sizes), 1.0)
+    assert universal_threshold(LatticeShape((6, 6)), 1.0) >= 0.0
     # any other lattice, a 1 x N x M one included: the Gumbel quantile of
     # its dimension at the geometric-mean side
     for sizes, d in [((32, 128), 2), ((1, 8, 64), 2), ((8, 8, 8), 3)]:
