@@ -19,12 +19,12 @@ from .grid import LatticeShape, Signal
 from .lambda_stat import (DEFAULT_TOL, MIN_GEV_SAMPLES, GumbelParams,
                           check_tol, fit_gev_and_lr_test, fit_gumbel,
                           fit_loglog_regression, sample_lambda)
-from .risk import default_lambda_grid, loss, sure
+from .risk import default_lambda_grid, loss, loss_rows, sure_rows
 from .selection import (DEFAULT_ALPHA, adaptive_tv, exact_seg_threshold,
                         min_jump_height, universal_threshold)
 from .signals import (DEFAULT_SIGMA, DEFAULT_SNR, TEST_FUNCTIONS, check_sigma,
                       gen_piecewise, gen_test_function)
-from .tvsolve import FusionPath, tv_solver
+from .tvsolve import FusionPath
 
 # the seed of an experiment, and of ``tvdn gen``, unless a caller sets it
 DEFAULT_SEED = 0
@@ -116,19 +116,18 @@ def _map_cells(fn, cells):
 
 def _mse_rep(args):
     """One Table-style risk replicate of the clean signal f: oracle, SURE
-    and adaptive losses, every fit from one solver object for the noisy
-    signal."""
+    and adaptive losses, every fit from one ``FusionPath`` for the noisy
+    signal, the grid's scored as the rows of its blocks."""
     f, sigma, entropy = args
     rng = np.random.default_rng(entropy)
     y = Signal(f.shape, f.values + sigma * rng.standard_normal(f.shape.n_sites))
-    grid = default_lambda_grid(sample_lambda(y)[0])
-    losses = np.empty(grid.size)
-    sures = np.empty(grid.size)
-    solver = tv_solver(y)
-    for i, sol in enumerate(map(solver.solve, grid.tolist())):
-        losses[i] = loss(sol.estimate, f)
-        sures[i] = sure(y, sol.estimate, sigma)
-    _, sol2, _ = adaptive_tv(solver, sigma=sigma)
+    path = FusionPath(y)
+    losses, sures = [], []
+    for _, fits, _, _ in path.blocks(default_lambda_grid(path.lam_max)):
+        losses.append(loss_rows(fits, f))
+        sures.append(sure_rows(y, fits, sigma))
+    losses, sures = np.concatenate(losses), np.concatenate(sures)
+    _, sol2, _ = adaptive_tv(path, sigma=sigma)
     return (float(losses.min()),
             float(losses[int(np.argmin(sures))]),
             loss(sol2.estimate, f))

@@ -243,10 +243,15 @@ def cmd_lambda_sample(args):
 
 
 def cmd_lambda_fit(args):
-    meta = tvio.read_json_report(os.path.join(args.indir, "meta.json"))
-    dim, reps = meta["dim"], meta["reps"]
+    meta_path = os.path.join(args.indir, "meta.json")
+    meta = tvio.read_json_report(meta_path, ("dim", "sizes", "reps", "seed"))
+    dim, sizes, reps = meta["dim"], meta["sizes"], meta["reps"]
+    if not (isinstance(sizes, list) and all(
+            type(v) is int for v in [dim, reps, meta["seed"], *sizes])):
+        raise ValueError("%s: dim, reps and seed must be integers and sizes "
+                         "a list of integers" % meta_path)
     samples = {}
-    for n in meta["sizes"]:
+    for n in sizes:
         path = _draws_path(args.indir, dim, n)
         samples[n] = tvio.read_csv_column(path, header="lambda")
         if samples[n].size != reps:

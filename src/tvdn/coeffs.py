@@ -14,8 +14,7 @@ overridden by pointing --coeffs at the resulting fit file.
 """
 from __future__ import annotations
 
-import json
-
+from .io import read_json_report
 from .lambda_stat import GumbelFitCoefficients
 
 DEFAULT_COEFFICIENTS = {
@@ -37,12 +36,14 @@ def default_coefficients(dim: int) -> GumbelFitCoefficients:
 
 def load_coefficients(path) -> GumbelFitCoefficients:
     """Read coefficients from a fit JSON (as written by the lambda-fit tool)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    name = "fit file %s" % path
+    obj = read_json_report(path, ("a_mu", "b_mu", "a_beta", "b_beta", "dim"),
+                           name)
     try:
         return GumbelFitCoefficients(
             a_mu=float(obj["a_mu"]), b_mu=float(obj["b_mu"]),
             a_beta=float(obj["a_beta"]), b_beta=float(obj["b_beta"]),
             dim=int(obj["dim"]))
-    except KeyError as exc:
-        raise ValueError("fit file %s is missing field %s" % (path, exc))
+    except TypeError:
+        raise ValueError("%s holds a field that is not a number"
+                         % name) from None

@@ -9,6 +9,7 @@ site. Each edge value is (far neighbor - near neighbor).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ class LatticeShape:
 
     @property
     def n_sites(self) -> int:
-        return int(np.prod(self.sizes))
+        return math.prod(self.sizes)
 
     @property
     def n_edges(self) -> int:
@@ -87,21 +88,30 @@ def _edge_slices(sizes):
 
 
 def diff_flat(values: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
-    arr = values.reshape(sizes)
-    return np.concatenate([(arr[far] - arr[near]).ravel()
-                           for near, far in _edge_slices(sizes)])
+    """B values: the edge differences of a signal stored flat, in the fixed
+    edge order. Leading axes of values hold one signal per row and are
+    kept: a (k, sites) block gives (k, edges)."""
+    lead = values.shape[:-1]
+    arr = values.reshape(lead + tuple(sizes))
+    return np.concatenate([(arr[(...,) + far] - arr[(...,) + near])
+                           .reshape(lead + (-1,))
+                           for near, far in _edge_slices(sizes)], axis=-1)
 
 
 def adjoint_flat(w: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
-    out = np.zeros(sizes, dtype=float)
+    """B^T w, flat; leading axes of w hold one edge vector per row and are
+    kept, as in ``diff_flat``."""
+    lead = w.shape[:-1]
+    out = np.zeros(lead + tuple(sizes), dtype=float)
     pos = 0
     for near, far in _edge_slices(sizes):
-        low = out[near]
-        blk = w[pos:pos + low.size].reshape(low.shape)
-        pos += low.size
+        low = out[(...,) + near]
+        size = math.prod(low.shape[len(lead):])
+        blk = w[..., pos:pos + size].reshape(low.shape)
+        pos += size
         low -= blk
-        out[far] += blk
-    return out.ravel()
+        out[(...,) + far] += blk
+    return out.reshape(lead + (-1,))
 
 
 def edge_endpoints(shape: LatticeShape) -> tuple[np.ndarray, np.ndarray]:

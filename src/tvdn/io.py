@@ -149,6 +149,16 @@ def write_json_report(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def read_json_report(path) -> dict:
+def read_json_report(path, fields=(), name=None) -> dict:
+    """The JSON object in path. A file holding anything else, or an object
+    missing one of fields, is refused with a ValueError that calls the file
+    name (its path by default) and names the first missing field."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    name = name or path
+    if not isinstance(obj, dict):
+        raise ValueError("%s does not hold a JSON object" % name)
+    for field in fields:
+        if field not in obj:
+            raise ValueError("%s is missing field %r" % (name, field))
+    return obj

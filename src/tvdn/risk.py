@@ -41,20 +41,38 @@ def _check_shapes(a: Signal, b: Signal) -> None:
         raise ValueError("signal shapes do not match")
 
 
+def _check_rows(fits: np.ndarray, f: Signal) -> None:
+    if fits.ndim != 2 or fits.shape[1] != f.shape.n_sites:
+        raise ValueError("signal shapes do not match")
+
+
+def sure_rows(y: Signal, fits: np.ndarray, sigma: float) -> np.ndarray:
+    """``sure`` of each row of fits, one fit of y per row."""
+    _check_rows(fits, y)
+    m = y.shape.n_sites
+    rss = np.sum((y.values - fits) ** 2, axis=1)
+    pieces = np.array([ncc(Signal(y.shape, f)) for f in fits])
+    return rss / m + 2.0 * sigma ** 2 * pieces / m - sigma ** 2
+
+
 def sure(y: Signal, f_hat: Signal, sigma: float) -> float:
     """Stein's unbiased estimate of the per-site risk of f_hat: RSS/m +
     2 sigma^2 df/m - sigma^2, df = ncc(f_hat), its number of pieces."""
     _check_shapes(y, f_hat)
-    m = y.shape.n_sites
-    rss = float(np.sum((y.values - f_hat.values) ** 2))
-    return rss / m + 2.0 * sigma ** 2 * ncc(f_hat) / m - sigma ** 2
+    return float(sure_rows(y, f_hat.values[None], sigma)[0])
+
+
+def loss_rows(fits: np.ndarray, f_true: Signal) -> np.ndarray:
+    """``loss`` of each row of fits against f_true, one fit per row."""
+    _check_rows(fits, f_true)
+    d = fits - f_true.values
+    return np.array([row @ row for row in d]) / f_true.shape.n_sites
 
 
 def loss(f_hat: Signal, f_true: Signal) -> float:
     """The oracle risk of f_hat: its per-site squared error against f_true."""
     _check_shapes(f_hat, f_true)
-    d = f_hat.values - f_true.values
-    return float(d @ d) / d.size
+    return float(loss_rows(f_hat.values[None], f_true)[0])
 
 
 def default_lambda_grid(lam_max: float, n_points: int = 30) -> np.ndarray:

@@ -5,15 +5,16 @@ one signal, such as a grid and both adaptive thresholds; ``tv_solver(y)``
 picks it. On a path lattice (at most one axis longer than 1, so its sites
 form one chain in flat order) groups only merge as lambda grows, so
 ``FusionPath`` makes one heap pass over the whole fusion path, recording
-the lambda at which each edge fuses, and writes the fit at any lambda >= 0
-from those times. On every other lattice ``CutSolver`` builds one
-``CutNetwork`` and solves each lambda by divide-and-conquer minimum cuts
-over the level sets of the fit. ``tv_denoise`` solves one lambda and
-``tv_denoise_grid`` an ascending grid, on other lattices in warm-started
-chains. No solver iterates to a tolerance: every one writes each piece of
-the fit as one constant and returns through ``_certified``, which keeps a
-dual edge vector w with ||w||_inf <= lambda whose reconstruction y - B^T w
-equals the estimate up to rounding, so the gap
+the lambda at which each edge fuses, and writes the fits at any lambda >= 0
+from those times, many at once as the rows of a block. On every other
+lattice ``CutSolver`` builds one ``CutNetwork`` and solves each lambda by
+divide-and-conquer minimum cuts over the level sets of the fit.
+``tv_denoise`` solves one lambda and ``tv_denoise_grid`` an ascending grid,
+on other lattices in warm-started chains. No solver iterates to a
+tolerance: every one writes each piece of the fit as one constant and
+returns through ``_certified``, which takes one fit per row and keeps for
+each a dual edge vector w with ||w||_inf <= lambda whose reconstruction
+y - B^T w equals the estimate up to rounding, so the gap
 
     gap = lambda * ||B f||_1 - <B f, w>
 
@@ -38,6 +39,9 @@ _CERTIFIED_TOL = 1e-8
 # grid values per warm-started chain of lattice solves; a constant, so the
 # chains, and with them every fit and dual, depend only on the grid
 _CHAIN = 5
+# values per block of path fits written at once (grid values times sites,
+# at least one row); a constant, and no fit depends on it
+_BLOCK = 1 << 15
 
 
 @dataclass
@@ -86,19 +90,31 @@ class TvSolution:
             + self.lam * float(np.abs(z).sum())
 
 
-def _certified(y: Signal, lam: float, f: np.ndarray, w: np.ndarray,
-               rounds: int = 0) -> TvSolution:
-    """The fit f of y at lam with its dual w clipped to +-lam, after
-    checking that y - B^T w reconstructs f; raises RuntimeError if not."""
+def _certified(y: Signal, lams: np.ndarray, f: np.ndarray, w: np.ndarray):
+    """The duals w clipped to +-lambda and the gaps of fits f of y, one row
+    of f and w per value of lams, after checking that y - B^T w
+    reconstructs every row of f; raises RuntimeError if one does not. This
+    is the one certificate check: ``FusionPath`` calls it on each block of
+    rows and ``CutSolver`` on one row. Returns (w, gaps)."""
     sizes = y.shape.sizes
+    lam = lams[:, None]
     w = np.clip(w, -lam, lam)
     scale = float(np.abs(y.values).max())
-    if np.abs(y.values - f - adjoint_flat(w, sizes)).max() > _CERTIFIED_TOL * scale:
+    # the residual and the gap terms are formed in place: a large block's
+    # every temporary is fresh memory, whose page faults cost more than
+    # the arithmetic
+    rest = y.values - f
+    rest -= adjoint_flat(w, sizes)
+    if np.abs(rest, out=rest).max() > _CERTIFIED_TOL * scale:
         raise RuntimeError("the TV fit could not be certified")
     z = diff_flat(f, sizes)
-    # each term is >= 0 in floating point since |w| <= lam
-    gap = float(np.sum(lam * np.abs(z) - z * w))
-    return TvSolution(Signal(y.shape, f), lam, w, gap, rounds)
+    # lam |z| - z w: each term is >= 0 in floating point since |w| <= lam;
+    # the row sums are those of one row alone, bit for bit
+    terms = np.abs(z)
+    terms *= lam
+    z *= w
+    terms -= z
+    return w, np.sum(terms, axis=1)
 
 
 def _fusion_times(y):
@@ -176,43 +192,90 @@ def _fusion_times(y):
     return np.array(times)
 
 
+def _certified_fit(y: Signal, lam: float, f: np.ndarray, w: np.ndarray,
+                   rounds: int = 0) -> TvSolution:
+    """``_certified`` on the one fit f of y at lam, with its dual w."""
+    w, gaps = _certified(y, np.array([lam], dtype=float), f[None], w[None])
+    return TvSolution(Signal(y.shape, f), lam, w[0], float(gaps[0]), rounds)
+
+
 class FusionPath:
     """Every exact TV fit on a path lattice, from one pass over the fusion
     path.
 
     The pass runs until every edge has fused and records each edge's fusion
-    time, clipped at Lambda, the closed form of ``sample_lambda``: the last
-    merge is at Lambda exactly, but the pass's running maximum can pass it
-    by a few ulps, and the fit at Lambda is the mean. ``solve`` then writes
-    the fit at any lambda >= 0 from those times alone. The edges fusing
-    after lambda split the sites into groups, and a group g takes the value
-    b + (sum_g (y - b) - lambda (s_L + s_R)) / |g|,
+    time, clipped at Lambda (kept as ``lam_max``), the closed form of
+    ``sample_lambda``: the last merge is at Lambda exactly, but the pass's
+    running maximum can pass it by a few ulps, and the fit at Lambda is the
+    mean. The fit at any lambda >= 0 is then written from those times
+    alone. The edges fusing after lambda split the sites into groups, and a
+    group g takes the value b + (sum_g (y - b) - lambda (s_L + s_R)) / |g|,
     b its first datum: across an unfused edge the sign of the fit's
     difference is that of the data's, fixed at lambda = 0. Within a group
     the fit's differences are exactly 0, and the dual at an edge is the
     running sum of f - y up to it.
+
+    One kernel writes the fits at many lambda at once, as the rows of a
+    block: ``blocks`` splits a grid into blocks of at most _BLOCK values,
+    and ``solve`` is the one-row case. Each row is written and certified
+    bit for bit as it would be alone, so the fits do not depend on _BLOCK.
     """
 
     def __init__(self, y: Signal):
         if not y.shape.is_path:
             raise ValueError("FusionPath requires a path lattice")
         self.y = y
-        self.times = np.minimum(_fusion_times(y.values), sample_lambda(y)[0])
+        self.lam_max = sample_lambda(y)[0]
+        self.times = np.minimum(_fusion_times(y.values), self.lam_max)
+        # sign(y[i-1] - y[i]) at each site i, 0 at the first: s_L of a
+        # group that starts at i, gathered by every write
+        v = y.values
+        self._step = np.append(0.0, np.sign(v[:-1] - v[1:]))
 
     def solve(self, lam: float) -> TvSolution:
         """The certified exact fit at lam >= 0."""
         check_lambda(lam)
+        _, f, w, gaps = self._write(np.array([lam], dtype=float))
+        return TvSolution(Signal(self.y.shape, f[0]), lam, w[0],
+                          float(gaps[0]), 0)
+
+    def blocks(self, lams):
+        """The certified exact fits over a grid as ``check_grid`` takes it,
+        in grid order: an iterator of (lams, fits, duals, gaps), one per
+        block of consecutive values, row i of the fits and duals at
+        lams[i]. The grid is checked at once, each block written when it
+        is drawn."""
+        lams = np.asarray(lams, dtype=float).ravel()
+        check_grid(lams)
+        rows = max(1, _BLOCK // self.y.shape.n_sites)
+        return map(self._write, [lams[i:i + rows]
+                                 for i in range(0, lams.size, rows)])
+
+    def _write(self, lams: np.ndarray):
+        """(lams, fits, duals, gaps): the fits at lams as the rows of one
+        block, their groups numbered across the rows in flat order (every
+        row starts one), with their duals and gaps from ``_certified``."""
         v = self.y.values
-        cut = np.flatnonzero(self.times > lam)
-        start = np.concatenate(([0], cut + 1))
-        size = np.diff(np.append(start, v.size))
-        base = v[start]
-        excess = np.add.reduceat(v - np.repeat(base, size), start)
-        side = np.sign(v[cut] - v[cut + 1])
-        # s_L + s_R per group
-        excess -= lam * (np.append(side, 0.0) - np.append(0.0, side))
-        f = np.repeat(base + excess / size, size)
-        return _certified(self.y, lam, f, np.cumsum(f - v)[:-1])
+        k, n = lams.size, v.size
+        # a group starts at each row's first site and after each edge
+        # fusing after that row's lambda
+        first = np.ones((k, n), dtype=bool)
+        np.greater(self.times, lams[:, None], out=first[:, 1:])
+        start = np.flatnonzero(first)
+        # each group's row and column; one row needs no division
+        row = start // n if k > 1 else 0
+        col = start - n * row
+        size = np.diff(np.append(start, k * n))
+        base = v[col]
+        x = np.repeat(base, size).reshape(k, n)
+        excess = np.add.reduceat(np.subtract(v, x, out=x).ravel(), start)
+        # s_R is the next group's s_L, and 0 at a row's end
+        left = self._step[col]
+        excess -= lams[row] * (np.append(left[1:], 0.0) - left)
+        f = np.repeat(base + excess / size, size).reshape(k, n)
+        # x's memory, fresh at large n, is reused for the running sums
+        w = np.cumsum(np.subtract(f, v, out=x), axis=1, out=x)
+        return (lams, f) + _certified(self.y, lams, f, w[:, :-1])
 
 
 def tv_denoise_1d(y: Signal, lam: float) -> TvSolution:
@@ -227,10 +290,11 @@ def tv_denoise_grid(y: Signal, lambdas) -> list[TvSolution]:
     """Exact TV minimizers on any lattice over an ascending grid of
     lambda >= 0, in grid order.
 
-    A path lattice takes every fit from one ``FusionPath``, exactly as
-    ``tv_denoise`` writes it at that value. On other lattices pieces can
-    split as lambda grows, so there is no path to follow: the grid is cut
-    into contiguous chains of _CHAIN values; each chain is solved by one
+    A path lattice takes every fit from one ``FusionPath``, written in row
+    blocks of at most _BLOCK values, each row the bytes ``tv_denoise``
+    writes at that value. On other lattices pieces can split as lambda
+    grows, so there is no path to follow: the grid is cut into contiguous
+    chains of _CHAIN values; each chain is solved by one
     ``CutSolver`` from its largest value down, every solve started from the
     dual of the one before: that saves routing, and the fits are those of
     cold solves up to the rounding of the flows. The chains are distributed
@@ -242,7 +306,10 @@ def tv_denoise_grid(y: Signal, lambdas) -> list[TvSolution]:
     lams = np.asarray(lambdas, dtype=float).ravel()
     check_grid(lams)
     if y.shape.is_path:
-        return list(map(FusionPath(y).solve, lams.tolist()))
+        return [TvSolution(Signal(y.shape, fi), lam, wi, gap, 0)
+                for part, f, w, gaps in FusionPath(y).blocks(lams)
+                for fi, lam, wi, gap in zip(f, part.tolist(), w,
+                                            gaps.tolist())]
     # the chains from the top, each descending, so the results read the
     # whole grid backwards
     args = [(y.shape.sizes, y.values, lams[i:i + _CHAIN][::-1].tolist())
@@ -324,7 +391,7 @@ class CutSolver:
         yv = y.values
         p = shape.n_edges
         if lam == 0.0 or np.ptp(yv) == 0.0:
-            return _certified(y, lam, yv.copy(), np.zeros(p))
+            return _certified_fit(y, lam, yv.copy(), np.zeros(p))
         near, far = net.near, net.far
         scale = float(np.abs(yv).max())
         label = np.zeros(shape.n_sites, dtype=np.intp)
@@ -371,7 +438,7 @@ class CutSolver:
             w[cut] = np.where(high[far[cut]], lam, -lam)
             last[split] = np.inf
             last = np.concatenate([last, np.full(k, np.inf)])
-        return _certified(y, lam, f, w, rounds)
+        return _certified_fit(y, lam, f, w, rounds)
 
 
 def lambda_max(y: Signal) -> float:

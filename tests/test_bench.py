@@ -11,8 +11,8 @@ from tvdn.grid import LatticeShape, Signal
 from tvdn.lambda_stat import GumbelParams, sample_lambda, sample_lambda_1d
 from tvdn.risk import default_lambda_grid, risk_curve
 from tvdn.segmentation import evaluate_outcome
-from tvdn.selection import (exact_seg_threshold, min_jump_height,
-                            universal_threshold)
+from tvdn.selection import (adaptive_tv, exact_seg_threshold,
+                            min_jump_height, universal_threshold)
 from tvdn.signals import TEST_FUNCTIONS, gen_piecewise, gen_test_function
 from tvdn.tvsolve import FusionPath
 
@@ -123,17 +123,92 @@ def test_bench_mse_cells_share_one_flat_run(monkeypatch):
 
 
 def test_mse_rep_runs_one_fusion_pass(monkeypatch):
-    # the grid fits and both adaptive fits share one pass over the signal
+    # the grid fits and both adaptive fits share one pass over the signal,
+    # and the grid reads its top, Lambda, off that pass
     calls = []
     fusion_times = tvdn.tvsolve._fusion_times
+    lambdas = []
 
     def counted(y):
         calls.append(y.size)
         return fusion_times(y)
 
+    def counted_lambda(y, *args, **kwargs):
+        lambdas.append(y.shape.n_sites)
+        return sample_lambda(y, *args, **kwargs)
+
     monkeypatch.setattr(tvdn.tvsolve, "_fusion_times", counted)
+    monkeypatch.setattr(tvdn.tvsolve, "sample_lambda", counted_lambda)
+    monkeypatch.setattr(tvdn.bench, "sample_lambda", counted_lambda)
     _mse_rep((gen_test_function("bumps", 200, 7.0), 1.0, (3, 0, 200, 0)))
     assert calls == [200]
+    assert lambdas == [200]
+
+
+def _reference_loss(f_hat, f):
+    d = f_hat.values - f.values
+    return float(d @ d) / d.size
+
+
+def _reference_sure(y, f_hat, sigma):
+    m = y.shape.n_sites
+    rss = float(np.sum((y.values - f_hat.values) ** 2))
+    pieces = 1 + int(np.count_nonzero(np.diff(f_hat.values)))
+    return rss / m + 2.0 * sigma ** 2 * pieces / m - sigma ** 2
+
+
+def _reference_mse_rep(args):
+    # the replicate as it was written before grid fits were written in
+    # blocks: one FusionPath.solve, loss and sure per grid value, with loss
+    # and sure as they were written for one fit
+    f, sigma, entropy = args
+    rng = np.random.default_rng(entropy)
+    y = Signal(f.shape, f.values + sigma * rng.standard_normal(f.shape.n_sites))
+    grid = default_lambda_grid(sample_lambda(y)[0])
+    losses = np.empty(grid.size)
+    sures = np.empty(grid.size)
+    path = FusionPath(y)
+    for i, sol in enumerate(map(path.solve, grid.tolist())):
+        losses[i] = _reference_loss(sol.estimate, f)
+        sures[i] = _reference_sure(y, sol.estimate, sigma)
+    _, sol2, _ = adaptive_tv(path, sigma=sigma)
+    return (float(losses.min()),
+            float(losses[int(np.argmin(sures))]),
+            _reference_loss(sol2.estimate, f))
+
+
+def test_mse_rep_matches_the_one_row_reference():
+    # bit for bit, with every grid in one block (n = 200) and with blocks
+    # of fewer rows than the grid's 30 values
+    long = 2000
+    assert tvdn.tvsolve._BLOCK // long < 30
+    cases = [(function, 200) for function in TEST_FUNCTIONS[:4]]
+    cases += [("doppler", long), ("blocks", long)]
+    for i, (function, n) in enumerate(cases):
+        f = gen_test_function(function, n, 7.0)
+        for sigma in (1.0, 0.25):
+            args = (f, sigma, (28, i, n, int(4 * sigma)))
+            got, want = _mse_rep(args), _reference_mse_rep(args)
+            assert [v.hex() for v in got] == [v.hex() for v in want], \
+                (function, n, sigma)
+
+
+def test_fits_do_not_depend_on_the_block_size(monkeypatch):
+    # grid fits, duals and gaps on a path, and replicate results, are the
+    # same bytes with one row per block, 7 and every row in one block
+    f = gen_test_function("heavisine", 300, 7.0)
+    y = Signal(f.shape, f.values + np.random.default_rng(28).normal(size=300))
+    grid = default_lambda_grid(sample_lambda(y)[0], 40)
+    seen = set()
+    for block in (1, 7 * 300, 1 << 40):
+        monkeypatch.setattr(tvdn.tvsolve, "_BLOCK", block)
+        sols = tvdn.tvsolve.tv_denoise_grid(y, grid)
+        reps = [_mse_rep((f, 1.0, (28, 0, 300, r))) for r in range(3)]
+        seen.add((b"".join(s.estimate.values.tobytes() + s.dual.tobytes()
+                           for s in sols),
+                  tuple(s.gap.hex() for s in sols),
+                  tuple(v.hex() for rep in reps for v in rep)))
+    assert len(seen) == 1
 
 
 def _seg_args(spec, sigma, lambdas, entropy):

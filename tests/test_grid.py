@@ -96,6 +96,23 @@ def test_operators_follow_the_edge_endpoints():
                                    rtol=0, atol=1e-12)
 
 
+def test_operators_keep_leading_row_axes():
+    # a block with one signal (or edge vector) per row gives each row's
+    # result bit for bit, with the leading axes kept, one row included
+    rng = np.random.default_rng(28)
+    for sizes in ALL_SHAPES + [(1, 64), (64, 1), (3, 1, 4), (1,)]:
+        shape = LatticeShape(sizes)
+        for lead in ((1,), (5,), (2, 3)):
+            v = rng.normal(size=lead + (shape.n_sites,))
+            w = rng.normal(size=lead + (shape.n_edges,))
+            z, u = diff_flat(v, sizes), adjoint_flat(w, sizes)
+            assert z.shape == lead + (shape.n_edges,)
+            assert u.shape == lead + (shape.n_sites,)
+            for i in np.ndindex(lead):
+                assert z[i].tobytes() == diff_flat(v[i], sizes).tobytes()
+                assert u[i].tobytes() == adjoint_flat(w[i], sizes).tobytes()
+
+
 def test_laplacian_solve_zero():
     shape = LatticeShape((4, 4))
     out = laplacian_solve(Signal(shape, np.zeros(16)))

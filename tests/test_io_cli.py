@@ -1070,6 +1070,63 @@ def test_load_coefficients_names_a_missing_field(tmp_path):
         load_coefficients(fit)
 
 
+def test_cli_json_inputs_refuse_other_values_by_name(tmp_path, capsys,
+                                                     monkeypatch):
+    # a meta.json or --coeffs file that is not a JSON object, misses a
+    # field or holds a field of the wrong type exits 2, naming the file and
+    # the field, before anything is written
+    monkeypatch.setenv("TVDN_THREADS", "1")
+    draws = _sample(tmp_path, "draws", "20,30", 3)
+    meta = os.path.join(draws, "meta.json")
+    good = read_json_report(meta)
+    fit = str(tmp_path / "fit.json")
+    csv = str(tmp_path / "y.csv")
+    write_csv_column(csv, np.arange(20.0) % 3, "value")
+    coeffs = str(tmp_path / "c.json")
+    capsys.readouterr()
+
+    def refused(argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
+        assert not os.path.exists(fit)
+
+    fit_argv = ["lambda-fit", "--in", draws, "--out", fit]
+    for value in ([1, 2], 3, "meta", None):
+        with open(meta, "w") as fh:
+            json.dump(value, fh)
+        refused(fit_argv, "%s does not hold a JSON object" % meta)
+    for field in ("dim", "sizes", "reps", "seed"):
+        write_json_report(meta, {k: v for k, v in good.items() if k != field})
+        refused(fit_argv, "%s is missing field %r" % (meta, field))
+    for field, value in (("dim", "1"), ("reps", 10.0), ("seed", None),
+                         ("sizes", 20), ("sizes", [20, "30"]), ("dim", True)):
+        write_json_report(meta, dict(good, **{field: value}))
+        refused(fit_argv, "%s: dim, reps and seed must be integers and sizes "
+                          "a list of integers" % meta)
+    write_json_report(meta, good)
+    assert main(fit_argv) == 0
+    os.remove(fit)
+    capsys.readouterr()
+
+    c = default_coefficients(2)
+    fields = {"a_mu": c.a_mu, "b_mu": c.b_mu, "a_beta": c.a_beta,
+              "b_beta": c.b_beta, "dim": 2}
+    coeff_argv = ["denoise", "--in", csv, "--method", "universal",
+                  "--sigma-known", "1", "--coeffs", coeffs]
+    with open(coeffs, "w") as fh:
+        json.dump([1, 2], fh)
+    refused(coeff_argv, "fit file %s does not hold a JSON object" % coeffs)
+    write_json_report(coeffs, {k: v for k, v in fields.items() if k != "dim"})
+    refused(coeff_argv, "fit file %s is missing field 'dim'" % coeffs)
+    write_json_report(coeffs, dict(fields, b_beta=[1.0]))
+    refused(coeff_argv, "fit file %s holds a field that is not a number"
+            % coeffs)
+    write_json_report(coeffs, fields)
+    assert load_coefficients(coeffs) == c
+
+
 def _path_images(tmp_path):
     # 60 samples of blocks plus noise as a 60-sample CSV and as 1x60 and
     # 60x1 PGMs holding the same values

@@ -3,8 +3,8 @@ import pytest
 
 from invariants import assert_mean_fit, check_ncc_floodfill
 from tvdn.grid import LatticeShape, Signal, adjoint_flat
-from tvdn.risk import (RiskCurve, default_lambda_grid, loss, ncc, risk_curve,
-                       sure)
+from tvdn.risk import (RiskCurve, default_lambda_grid, loss, loss_rows, ncc,
+                       risk_curve, sure, sure_rows)
 from tvdn.signals import gen_piecewise, gen_test_function
 from tvdn.tvsolve import FusionPath, lambda_max, tv_denoise, tv_denoise_1d
 
@@ -55,6 +55,37 @@ def test_loss_and_sure_refuse_mismatched_shapes():
             with pytest.raises(ValueError, match="shapes do not match"):
                 score(fit, truth)
     assert loss(S(np.ones((2, 3))), S(np.zeros((2, 3)))) == 1.0
+    # row blocks take one fit per row, of the signal's site count
+    y = S(np.zeros((2, 3)))
+    for fits in (np.zeros(6), np.zeros((2, 5)), np.zeros((1, 2, 3)),
+                 np.zeros((6, 1))):
+        with pytest.raises(ValueError, match="shapes do not match"):
+            loss_rows(fits, y)
+        with pytest.raises(ValueError, match="shapes do not match"):
+            sure_rows(y, fits, 1.0)
+
+
+def test_rows_score_each_fit_as_it_is_scored_alone():
+    # sure_rows and loss_rows on a block give, bit for bit, sure and loss of
+    # each row, on paths (odd and even lengths) and on a lattice
+    rng = np.random.default_rng(28)
+    for sizes in ((101,), (1, 64), (7, 9)):
+        y = Signal(LatticeShape(sizes), rng.normal(size=int(np.prod(sizes))))
+        truth = Signal(y.shape, np.round(y.values))
+        top = lambda_max(y)
+        fits = np.array([tv_denoise(y, lam).estimate.values
+                         for lam in (0.0, 0.01 * top, 0.2 * top, top)])
+        rows = (sure_rows(y, fits, 0.7), loss_rows(fits, truth))
+        for i, f in enumerate(fits):
+            fit = Signal(y.shape, f)
+            assert rows[0][i].hex() == sure(y, fit, 0.7).hex()
+            assert rows[1][i].hex() == loss(fit, truth).hex()
+            m = y.shape.n_sites
+            d = f - truth.values
+            assert loss(fit, truth).hex() == (float(d @ d) / m).hex()
+            rss = float(np.sum((y.values - f) ** 2))
+            assert sure(y, fit, 0.7).hex() == (
+                rss / m + 2.0 * 0.7 ** 2 * ncc(fit) / m - 0.7 ** 2).hex()
 
 
 def test_sure_mean_fit():

@@ -187,8 +187,9 @@ def test_fusion_path_times_and_bounds():
 
 def test_path_fit_at_lambda_max_is_constant():
     # every default grid ends at Lambda, the closed form of
-    # sample_lambda_1d; the pass's last fusion time can exceed it by a few
-    # ulps, but the fit there is the mean, with no step left at any scale
+    # sample_lambda_1d, which the path keeps; the pass's last fusion time
+    # can exceed it by a few ulps, but the fit there is the mean, with no
+    # step left at any scale
     rng = np.random.default_rng(1)
     for function in ("blocks", "bumps", "heavisine", "doppler", "zero"):
         for n in (100, 1000, 10000):
@@ -196,6 +197,7 @@ def test_path_fit_at_lambda_max_is_constant():
             y = Signal(f.shape, f.values + rng.standard_normal(n))
             lam = sample_lambda_1d(y)
             path = FusionPath(y)
+            assert path.lam_max == lam
             assert path.times.max() <= lam
             fit = path.solve(lam).estimate.values
             assert np.ptp(fit) == 0.0, (function, n)
@@ -225,6 +227,55 @@ def test_path_fit_that_cannot_be_certified_raises():
     path.times = np.array([0.5])
     with pytest.raises(RuntimeError):
         path.solve(1.0)
+    # a block is refused when any of its rows is: the fit at 0.2 still
+    # certifies, the one at 1 in the same block does not
+    assert path.solve(0.2).estimate.values.tolist() == [0.2, 9.8]
+    for grid in ([0.2, 1.0], [1.0, 2.0], [0.2, 0.3, 1.0]):
+        with pytest.raises(RuntimeError):
+            list(path.blocks(grid))
+    # a bad grid is refused before any block is drawn
+    for bad in ([1.0, 0.5], [-0.1], [np.nan]):
+        with pytest.raises(ValueError):
+            path.blocks(bad)
+
+
+def _path_cases():
+    # noisy, tied and integer data on every path layout, with a grid that
+    # repeats values and holds 0, Lambda and values above it
+    rng = np.random.default_rng(28)
+    v = gen_test_function("bumps", 97, 7.0).values + rng.normal(size=97)
+    for data in (v, np.round(v), np.repeat(rng.integers(-2, 3, 20), 5)[:97],
+                 np.full(97, 2.5)):
+        for sizes in ((97,), (1, 97), (97, 1)):
+            y = Signal(LatticeShape(sizes), data)
+            top = sample_lambda(y)[0]
+            grid = np.sort(np.concatenate([
+                [0.0, 0.0, top, top, 2.0 * top + 1.0],
+                np.geomspace(1e-3, 1.0, 12) * (top or 1.0)]))
+            yield y, grid
+
+
+def test_path_blocks_write_every_row_as_one_row_writes_it(monkeypatch):
+    # fit, dual and gap of every row, within a block and across block
+    # boundaries, are the bytes of the one-row write at that value
+    for rows in (1, 3, 7, 100):
+        monkeypatch.setattr(tvdn.tvsolve, "_BLOCK", 97 * rows)
+        for y, grid in _path_cases():
+            path = FusionPath(y)
+            blocks = list(path.blocks(grid))
+            assert [b[0].size for b in blocks[:-1]] == \
+                [rows] * (len(blocks) - 1)
+            assert np.concatenate([b[0] for b in blocks]).tolist() \
+                == grid.tolist()
+            written = [row for _, *block in blocks for row in zip(*block)]
+            for lam, (f, w, gap), sol in zip(grid.tolist(), written,
+                                            tv_denoise_grid(y, grid)):
+                one = path.solve(lam)
+                assert f.tobytes() == one.estimate.values.tobytes() \
+                    == sol.estimate.values.tobytes()
+                assert w.tobytes() == one.dual.tobytes() == sol.dual.tobytes()
+                assert float(gap).hex() == one.gap.hex() == sol.gap.hex()
+                assert sol.lam == lam and sol.estimate.shape == y.shape
 
 
 def test_grid_ends_in_the_mean_fit():
