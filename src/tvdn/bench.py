@@ -123,7 +123,7 @@ def _mse_rep(args):
     y = Signal(f.shape, f.values + sigma * rng.standard_normal(f.shape.n_sites))
     path = FusionPath(y)
     losses, sures = [], []
-    for _, fits, _, _ in path.blocks(default_lambda_grid(path.lam_max)):
+    for _, fits, _ in path.blocks(default_lambda_grid(path.lam_max)):
         losses.append(loss_rows(fits, f))
         sures.append(sure_rows(y, fits, sigma))
     losses, sures = np.concatenate(losses), np.concatenate(sures)

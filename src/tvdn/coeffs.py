@@ -14,6 +14,8 @@ overridden by pointing --coeffs at the resulting fit file.
 """
 from __future__ import annotations
 
+import sys
+
 from .io import read_json_report
 from .lambda_stat import GumbelFitCoefficients
 
@@ -23,6 +25,8 @@ DEFAULT_COEFFICIENTS = {
     3: GumbelFitCoefficients(a_mu=-0.523, b_mu=0.267,
                              a_beta=-2.008, b_beta=-0.598, dim=3),
 }
+# the fields of a fit file that hold JSON numbers; dim holds an integer
+_NUMBERS = ("a_mu", "b_mu", "a_beta", "b_beta")
 
 
 def default_coefficients(dim: int) -> GumbelFitCoefficients:
@@ -35,15 +39,20 @@ def default_coefficients(dim: int) -> GumbelFitCoefficients:
 
 
 def load_coefficients(path) -> GumbelFitCoefficients:
-    """Read coefficients from a fit JSON (as written by the lambda-fit tool)."""
+    """Read coefficients from a fit JSON (as written by the lambda-fit
+    tool). The four coefficients must be finite JSON numbers and dim a JSON
+    integer, as in meta.json: a boolean, a string, NaN, an integer beyond
+    float range or a dim such as 2.0 is refused, naming the file and the
+    field."""
     name = "fit file %s" % path
-    obj = read_json_report(path, ("a_mu", "b_mu", "a_beta", "b_beta", "dim"),
-                           name)
-    try:
-        return GumbelFitCoefficients(
-            a_mu=float(obj["a_mu"]), b_mu=float(obj["b_mu"]),
-            a_beta=float(obj["a_beta"]), b_beta=float(obj["b_beta"]),
-            dim=int(obj["dim"]))
-    except TypeError:
-        raise ValueError("%s holds a field that is not a number"
-                         % name) from None
+    obj = read_json_report(path, _NUMBERS + ("dim",), name)
+    for field in _NUMBERS:
+        # ints compare exactly, so one too large for a float fails too
+        if type(obj[field]) not in (int, float) \
+                or not abs(obj[field]) <= sys.float_info.max:
+            raise ValueError("%s: field %r must be a finite number"
+                             % (name, field))
+    if type(obj["dim"]) is not int:
+        raise ValueError("%s: field 'dim' must be an integer" % name)
+    return GumbelFitCoefficients(*(float(obj[f]) for f in _NUMBERS),
+                                 dim=obj["dim"])

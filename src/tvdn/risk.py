@@ -93,15 +93,20 @@ class RiskCurve:
 
     lambdas: np.ndarray
     values: np.ndarray
-    argmin_lambda: float
     argmin_fit: TvSolution | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.lambdas = np.asarray(self.lambdas, dtype=float)
+        self.lambdas = check_grid(self.lambdas)
         self.values = np.asarray(self.values, dtype=float)
         if self.lambdas.shape != self.values.shape:
             raise ValueError("lambdas and values must have equal length")
-        check_grid(self.lambdas)
+        if self.lambdas.size == 0:
+            raise ValueError("lambda grid is empty")
+
+    @property
+    def argmin_lambda(self) -> float:
+        """The first lambda of the grid at which the values are least."""
+        return float(self.lambdas[int(np.argmin(self.values))])
 
 
 def risk_curve(y: Signal, lambdas, criterion: str = "sure",
@@ -114,8 +119,7 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
     depend on the worker count. The fit at the argmin is kept on the curve.
     cfg is accepted for compatibility and not read.
     """
-    lams = np.asarray(lambdas, dtype=float).ravel()
-    if lams.size == 0:
+    if np.size(lambdas) == 0:
         raise ValueError("lambda grid is empty")
     if criterion == "sure":
         if sigma is None:
@@ -127,8 +131,7 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
         _check_shapes(f_true, y)
     else:
         raise ValueError("criterion must be 'sure' or 'oracle'")
-    sols = tv_denoise_grid(y, lams)
+    sols = tv_denoise_grid(y, lambdas)
     values = np.array([sure(y, sol.estimate, sigma) if criterion == "sure"
                        else loss(sol.estimate, f_true) for sol in sols])
-    best = int(np.argmin(values))
-    return RiskCurve(lams, values, float(lams[best]), sols[best])
+    return RiskCurve(lambdas, values, sols[int(np.argmin(values))])

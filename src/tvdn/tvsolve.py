@@ -14,9 +14,10 @@ on other lattices in warm-started chains. No solver iterates to a
 tolerance: every one writes each piece of the fit as one constant and
 returns through ``_certified``, which takes one fit per row and keeps for
 each a dual edge vector w with ||w||_inf <= lambda whose reconstruction
-y - B^T w equals the estimate up to rounding, so the gap
+y - B^T w equals the estimate up to rounding, so the gap a ``TvSolution``
+derives from its estimate and dual,
 
-    gap = lambda * ||B f||_1 - <B f, w>
+    gap = lambda * ||B f||_1 - <B f, w>,
 
 is nonnegative by construction and zero at the optimum.
 """
@@ -66,12 +67,15 @@ def check_lambda(lam: float) -> None:
         raise ValueError("lambda must be finite and nonnegative")
 
 
-def check_grid(lams: np.ndarray) -> None:
-    """``check_lambda`` on every value of a grid, which must ascend."""
+def check_grid(lams) -> np.ndarray:
+    """The grid lams as a float vector, after ``check_lambda`` on every
+    value; the grid must ascend."""
+    lams = np.asarray(lams, dtype=float).ravel()
     for lam in lams.tolist():
         check_lambda(lam)
     if np.any(lams[1:] < lams[:-1]):
         raise ValueError("lambda grid must be ascending")
+    return lams
 
 
 @dataclass
@@ -79,10 +83,21 @@ class TvSolution:
     estimate: Signal
     lam: float
     dual: np.ndarray
-    gap: float
     iterations: int
     # every fit is certified before it is returned
     converged = True
+
+    @property
+    def gap(self) -> float:
+        """lam ||B f||_1 - <B f, w> of the estimate f and the dual w."""
+        z = diff_flat(self.estimate.values, self.estimate.shape.sizes)
+        # lam |z| - z w, in place: each term is >= 0 in floating point
+        # since |w| <= lam
+        terms = np.abs(z)
+        terms *= self.lam
+        z *= self.dual
+        terms -= z
+        return float(terms.sum())
 
     def objective(self, y: Signal) -> float:
         z = diff_flat(self.estimate.values, y.shape.sizes)
@@ -91,30 +106,21 @@ class TvSolution:
 
 
 def _certified(y: Signal, lams: np.ndarray, f: np.ndarray, w: np.ndarray):
-    """The duals w clipped to +-lambda and the gaps of fits f of y, one row
-    of f and w per value of lams, after checking that y - B^T w
-    reconstructs every row of f; raises RuntimeError if one does not. This
-    is the one certificate check: ``FusionPath`` calls it on each block of
-    rows and ``CutSolver`` on one row. Returns (w, gaps)."""
-    sizes = y.shape.sizes
+    """The duals w of fits f of y clipped to +-lambda, one row of f and w
+    per value of lams, after checking that y - B^T w reconstructs every row
+    of f; raises RuntimeError if one does not. This is the one certificate
+    check: ``FusionPath`` calls it on each block of rows and ``CutSolver``
+    on one row."""
     lam = lams[:, None]
     w = np.clip(w, -lam, lam)
     scale = float(np.abs(y.values).max())
-    # the residual and the gap terms are formed in place: a large block's
-    # every temporary is fresh memory, whose page faults cost more than
-    # the arithmetic
+    # the residual is formed in place: a large block's every temporary is
+    # fresh memory, whose page faults cost more than the arithmetic
     rest = y.values - f
-    rest -= adjoint_flat(w, sizes)
+    rest -= adjoint_flat(w, y.shape.sizes)
     if np.abs(rest, out=rest).max() > _CERTIFIED_TOL * scale:
         raise RuntimeError("the TV fit could not be certified")
-    z = diff_flat(f, sizes)
-    # lam |z| - z w: each term is >= 0 in floating point since |w| <= lam;
-    # the row sums are those of one row alone, bit for bit
-    terms = np.abs(z)
-    terms *= lam
-    z *= w
-    terms -= z
-    return w, np.sum(terms, axis=1)
+    return w
 
 
 def _fusion_times(y):
@@ -195,8 +201,8 @@ def _fusion_times(y):
 def _certified_fit(y: Signal, lam: float, f: np.ndarray, w: np.ndarray,
                    rounds: int = 0) -> TvSolution:
     """``_certified`` on the one fit f of y at lam, with its dual w."""
-    w, gaps = _certified(y, np.array([lam], dtype=float), f[None], w[None])
-    return TvSolution(Signal(y.shape, f), lam, w[0], float(gaps[0]), rounds)
+    w = _certified(y, np.array([lam], dtype=float), f[None], w[None])
+    return TvSolution(Signal(y.shape, f), lam, w[0], rounds)
 
 
 class FusionPath:
@@ -235,26 +241,23 @@ class FusionPath:
     def solve(self, lam: float) -> TvSolution:
         """The certified exact fit at lam >= 0."""
         check_lambda(lam)
-        _, f, w, gaps = self._write(np.array([lam], dtype=float))
-        return TvSolution(Signal(self.y.shape, f[0]), lam, w[0],
-                          float(gaps[0]), 0)
+        _, f, w = self._write(np.array([lam], dtype=float))
+        return TvSolution(Signal(self.y.shape, f[0]), lam, w[0], 0)
 
     def blocks(self, lams):
         """The certified exact fits over a grid as ``check_grid`` takes it,
-        in grid order: an iterator of (lams, fits, duals, gaps), one per
-        block of consecutive values, row i of the fits and duals at
-        lams[i]. The grid is checked at once, each block written when it
-        is drawn."""
-        lams = np.asarray(lams, dtype=float).ravel()
-        check_grid(lams)
+        in grid order: an iterator of (lams, fits, duals), one per block of
+        consecutive values, row i of the fits and duals at lams[i]. The
+        grid is checked at once, each block written when it is drawn."""
+        lams = check_grid(lams)
         rows = max(1, _BLOCK // self.y.shape.n_sites)
         return map(self._write, [lams[i:i + rows]
                                  for i in range(0, lams.size, rows)])
 
     def _write(self, lams: np.ndarray):
-        """(lams, fits, duals, gaps): the fits at lams as the rows of one
-        block, their groups numbered across the rows in flat order (every
-        row starts one), with their duals and gaps from ``_certified``."""
+        """(lams, fits, duals): the fits at lams as the rows of one block,
+        their groups numbered across the rows in flat order (every row
+        starts one), with their duals from ``_certified``."""
         v = self.y.values
         k, n = lams.size, v.size
         # a group starts at each row's first site and after each edge
@@ -275,7 +278,7 @@ class FusionPath:
         f = np.repeat(base + excess / size, size).reshape(k, n)
         # x's memory, fresh at large n, is reused for the running sums
         w = np.cumsum(np.subtract(f, v, out=x), axis=1, out=x)
-        return (lams, f) + _certified(self.y, lams, f, w[:, :-1])
+        return lams, f, _certified(self.y, lams, f, w[:, :-1])
 
 
 def tv_denoise_1d(y: Signal, lam: float) -> TvSolution:
@@ -303,13 +306,11 @@ def tv_denoise_grid(y: Signal, lambdas) -> list[TvSolution]:
     only on the grid, so the fits and their duals do not depend on the
     worker count.
     """
-    lams = np.asarray(lambdas, dtype=float).ravel()
-    check_grid(lams)
+    lams = check_grid(lambdas)
     if y.shape.is_path:
-        return [TvSolution(Signal(y.shape, fi), lam, wi, gap, 0)
-                for part, f, w, gaps in FusionPath(y).blocks(lams)
-                for fi, lam, wi, gap in zip(f, part.tolist(), w,
-                                            gaps.tolist())]
+        return [TvSolution(Signal(y.shape, fi), lam, wi, 0)
+                for part, f, w in FusionPath(y).blocks(lams)
+                for fi, lam, wi in zip(f, part.tolist(), w)]
     # the chains from the top, each descending, so the results read the
     # whole grid backwards
     args = [(y.shape.sizes, y.values, lams[i:i + _CHAIN][::-1].tolist())

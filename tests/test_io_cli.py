@@ -1083,6 +1083,7 @@ def test_cli_json_inputs_refuse_other_values_by_name(tmp_path, capsys,
     csv = str(tmp_path / "y.csv")
     write_csv_column(csv, np.arange(20.0) % 3, "value")
     coeffs = str(tmp_path / "c.json")
+    out = str(tmp_path / "o.csv")
     capsys.readouterr()
 
     def refused(argv, message):
@@ -1090,7 +1091,7 @@ def test_cli_json_inputs_refuse_other_values_by_name(tmp_path, capsys,
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: %s\n" % message
-        assert not os.path.exists(fit)
+        assert not os.path.exists(fit) and not os.path.exists(out)
 
     fit_argv = ["lambda-fit", "--in", draws, "--out", fit]
     for value in ([1, 2], 3, "meta", None):
@@ -1114,17 +1115,30 @@ def test_cli_json_inputs_refuse_other_values_by_name(tmp_path, capsys,
     fields = {"a_mu": c.a_mu, "b_mu": c.b_mu, "a_beta": c.a_beta,
               "b_beta": c.b_beta, "dim": 2}
     coeff_argv = ["denoise", "--in", csv, "--method", "universal",
-                  "--sigma-known", "1", "--coeffs", coeffs]
+                  "--sigma-known", "1", "--coeffs", coeffs, "--out", out]
     with open(coeffs, "w") as fh:
         json.dump([1, 2], fh)
     refused(coeff_argv, "fit file %s does not hold a JSON object" % coeffs)
     write_json_report(coeffs, {k: v for k, v in fields.items() if k != "dim"})
     refused(coeff_argv, "fit file %s is missing field 'dim'" % coeffs)
-    write_json_report(coeffs, dict(fields, b_beta=[1.0]))
-    refused(coeff_argv, "fit file %s holds a field that is not a number"
-            % coeffs)
+    # the coefficients are finite JSON numbers and dim a JSON integer; a
+    # boolean is neither, and nothing is converted
+    for field, value in (("b_beta", [1.0]), ("a_mu", True), ("a_mu", False),
+                         ("a_mu", "-0.395"), ("a_mu", "abc"),
+                         ("a_beta", None), ("b_mu", float("nan")),
+                         ("b_mu", -float("inf")), ("a_mu", 10 ** 400)):
+        write_json_report(coeffs, dict(fields, **{field: value}))
+        refused(coeff_argv, "fit file %s: field %r must be a finite number"
+                % (coeffs, field))
+    for value in (2.9, 2.0, "2", True):
+        write_json_report(coeffs, dict(fields, dim=value))
+        refused(coeff_argv, "fit file %s: field 'dim' must be an integer"
+                % coeffs)
     write_json_report(coeffs, fields)
     assert load_coefficients(coeffs) == c
+    # an integral coefficient is a JSON number like any other
+    write_json_report(coeffs, dict(fields, b_mu=1))
+    assert load_coefficients(coeffs).b_mu == 1.0
 
 
 def _path_images(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -298,15 +300,36 @@ def test_path_lattices_match_1d():
 
 def test_risk_curve_class_validation():
     with pytest.raises(ValueError):
-        RiskCurve(np.array([1.0, 2.0]), np.array([1.0]), 1.0)
+        RiskCurve(np.array([1.0, 2.0]), np.array([1.0]))
+    # an empty curve has no argmin to derive
+    with pytest.raises(ValueError, match="lambda grid is empty"):
+        RiskCurve([], [])
     with pytest.raises(ValueError, match="ascending"):
-        RiskCurve(np.array([2.0, 1.0]), np.array([1.0, 2.0]), 2.0)
+        RiskCurve(np.array([2.0, 1.0]), np.array([1.0, 2.0]))
     for lams in ([-1.0, 2.0], [np.nan, 2.0], [1.0, np.inf]):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            RiskCurve(lams, [1.0, 2.0], 2.0)
-    RiskCurve([1.0, 2.0, 2.0], [3.0, 2.0, 2.0], 2.0)
-    curve = RiskCurve([1.0, 2.0], [3.0, 4.0], 1.0)
+            RiskCurve(lams, [1.0, 2.0])
+    RiskCurve([1.0, 2.0, 2.0], [3.0, 2.0, 2.0])
+    curve = RiskCurve([1.0, 2.0], [3.0, 4.0])
     assert curve.lambdas.dtype == curve.values.dtype == float
+    assert curve.argmin_lambda == 1.0
+
+
+def test_argmin_lambda_is_the_first_minimizer():
+    # the argmin is read off the values, so a curve cannot disagree with it
+    assert [f.name for f in dataclasses.fields(RiskCurve)] \
+        == ["lambdas", "values", "argmin_fit"]
+    for values, want in (([3.0, 1.0, 1.0, 2.0], 2.0),
+                         ([1.0, 1.0, 1.0, 1.0], 1.0),
+                         ([2.0, 5.0, 0.5, 0.5], 3.0),
+                         ([4.0, 3.0, 2.0, 1.0], 4.0)):
+        assert RiskCurve([1.0, 2.0, 3.0, 4.0], values).argmin_lambda == want
+    # tied values at repeated lambdas keep the first
+    assert RiskCurve([1.0, 2.0, 2.0], [3.0, 1.0, 1.0]).argmin_lambda == 2.0
+    y = Signal.from_array(np.full(20, 1.5))
+    curve = risk_curve(y, [0.1, 0.2, 0.3], "sure", sigma=1.0)
+    assert curve.values[0] == curve.values[1] == curve.values[2]
+    assert curve.argmin_lambda == 0.1 == curve.argmin_fit.lam
 
 
 def _fit_values(args):

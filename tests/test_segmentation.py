@@ -1,15 +1,18 @@
 """Tests for jump extraction on path lattices, the dual certificate check, and outcome scoring."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tvdn.grid import LatticeShape, Signal
 from tvdn.lambda_stat import sample_lambda_1d
+from tvdn.risk import default_lambda_grid
 from tvdn.segmentation import (SegmentationOutcome, evaluate_outcome,
                                extract_jumps, kkt_check)
 from tvdn.selection import (count_jumps, exact_seg_threshold,
                             min_jump_height, universal_threshold)
 from tvdn.signals import PiecewiseConstantSpec, gen_piecewise, gen_test_function
-from tvdn.tvsolve import tv_denoise_1d
+from tvdn.tvsolve import FusionPath, tv_denoise_1d
 
 
 def test_extract_jumps_constant_empty():
@@ -189,9 +192,33 @@ def test_path_lattices_match_1d():
         assert w.tobytes() == ref_kkt[2].tobytes()
 
 
+def test_verdicts_follow_the_set_relations():
+    # exact and screening are read off the two jump tuples, so an
+    # inconsistent verdict cannot be built
+    assert [f.name for f in dataclasses.fields(SegmentationOutcome)] \
+        == ["jumps_estimated", "jumps_true"]
+    for est, true, exact, screening in [
+            ((), (), True, True), ((1,), (1,), True, True),
+            ((1, 5), (5, 1), True, True), ((1, 2), (1,), False, True),
+            ((1,), (1, 2), False, False), ((3,), (2,), False, False),
+            ((4,), (), False, True), ((), (4,), False, False)]:
+        out = SegmentationOutcome(est, true)
+        assert (out.exact, out.screening) == (exact, screening)
+    # over a whole grid of fits every verdict occurs and follows the sets
+    spec = gen_piecewise("battlements", 80, 4, 5.0)
+    y = spec.realize().values + np.random.default_rng(29).normal(size=80)
+    path = FusionPath(Signal.from_array(y))
+    seen = set()
+    for lam in default_lambda_grid(path.lam_max, 40).tolist():
+        out = evaluate_outcome(path.solve(lam).estimate, spec)
+        est, true = set(out.jumps_estimated), set(out.jumps_true)
+        assert out.exact == (est == true)
+        assert out.screening == true.issubset(est)
+        seen.add((out.exact, out.screening))
+    assert seen == {(False, False), (False, True), (True, True)}
+
+
 def test_outcome_validation():
-    with pytest.raises(ValueError):
-        SegmentationOutcome((1,), (2,), exact=True, screening=False)
     spec = gen_piecewise("battlements", 60, 3, 5.0)
     with pytest.raises(ValueError):
         evaluate_outcome(Signal.from_array(np.zeros(59)), spec)

@@ -106,3 +106,26 @@ def test_no_private_name_crosses_modules():
              if isinstance(node, ast.ImportFrom)
              for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+# calls that open or parse a file: open() in any form, json.load(s),
+# np.load, pickle.load and pathlib's readers
+_FILE_READS = {"open", "load", "loads", "read_text", "read_bytes"}
+
+
+def _file_reads(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+            if name in _FILE_READS:
+                yield path.name, name, node.lineno
+
+
+def test_only_io_opens_files():
+    # every file input goes through one of io's checked readers, which
+    # refuse what they cannot read by name; no other module opens a file
+    found = [r for path in sorted(SRC.glob("*.py")) for r in _file_reads(path)]
+    assert {name for module, name, _ in found if module == "io.py"} \
+        == {"open", "load"}, "the check no longer sees io's own readers"
+    assert [r for r in found if r[0] != "io.py"] == []

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invariants import assert_mean_fit
-from oracles import tv_objective, tv_oracle_boxqp, tv_oracle_direct_1d
+from oracles import (oracle_diff, tv_objective, tv_oracle_boxqp,
+                     tv_oracle_direct_1d)
 from tvdn.grid import LatticeShape, Signal, adjoint_flat
 from tvdn.lambda_stat import sample_lambda, sample_lambda_1d
 from tvdn._pool import parallel_map
@@ -257,7 +260,8 @@ def _path_cases():
 
 def test_path_blocks_write_every_row_as_one_row_writes_it(monkeypatch):
     # fit, dual and gap of every row, within a block and across block
-    # boundaries, are the bytes of the one-row write at that value
+    # boundaries, are the bytes of the one-row write at that value; a block
+    # holds no gaps, each solution derives its own
     for rows in (1, 3, 7, 100):
         monkeypatch.setattr(tvdn.tvsolve, "_BLOCK", 97 * rows)
         for y, grid in _path_cases():
@@ -267,14 +271,16 @@ def test_path_blocks_write_every_row_as_one_row_writes_it(monkeypatch):
                 [rows] * (len(blocks) - 1)
             assert np.concatenate([b[0] for b in blocks]).tolist() \
                 == grid.tolist()
+            assert all(len(b) == 3 for b in blocks)
             written = [row for _, *block in blocks for row in zip(*block)]
-            for lam, (f, w, gap), sol in zip(grid.tolist(), written,
-                                            tv_denoise_grid(y, grid)):
+            for lam, (f, w), sol in zip(grid.tolist(), written,
+                                        tv_denoise_grid(y, grid)):
                 one = path.solve(lam)
                 assert f.tobytes() == one.estimate.values.tobytes() \
                     == sol.estimate.values.tobytes()
                 assert w.tobytes() == one.dual.tobytes() == sol.dual.tobytes()
-                assert float(gap).hex() == one.gap.hex() == sol.gap.hex()
+                row = TvSolution(Signal(y.shape, f), lam, w, 0)
+                assert row.gap.hex() == one.gap.hex() == sol.gap.hex()
                 assert sol.lam == lam and sol.estimate.shape == y.shape
 
 
@@ -462,7 +468,7 @@ def test_every_threshold_entry_refuses_a_non_finite_lambda(y, bad):
                lambda: tv_denoise_grid(y, [0.5, bad]),
                lambda: CutSolver(y).solve(bad),
                lambda: risk_curve(y, [0.5, bad], "sure", sigma=1.0),
-               lambda: RiskCurve([0.5, bad], [1.0, 2.0], 0.5),
+               lambda: RiskCurve([0.5, bad], [1.0, 2.0]),
                lambda: default_lambda_grid(bad)]
     if y.shape.is_path:
         entries += [lambda: FusionPath(y).solve(bad),
@@ -666,10 +672,43 @@ def test_tvsolution_objective():
     expect = 0.5 * np.sum((y.values - sol.estimate.values) ** 2) \
         + 0.5 * np.abs(np.diff(sol.estimate.values)).sum()
     assert sol.objective(y) == pytest.approx(expect, abs=1e-12)
-    # converged is a constant of the class, not a field a caller can set
+    # converged is a constant of the class and the gap is derived, so
+    # neither is a field a caller can set
     assert sol.converged is True
     with pytest.raises(TypeError):
-        TvSolution(sol.estimate, 0.5, sol.dual, 0.0, 0, False)
+        TvSolution(sol.estimate, 0.5, sol.dual, 0, False)
+    with pytest.raises(TypeError):
+        TvSolution(sol.estimate, 0.5, sol.dual, 0.0, 0)
+    assert [f.name for f in dataclasses.fields(TvSolution)] \
+        == ["estimate", "lam", "dual", "iterations"]
+
+
+def _assert_oracle_gap(sol):
+    # lam sum |B f| - (B f) . w with the test suite's own difference
+    # operator, within the rounding of sums of the size of lam ||B f||_1
+    z = oracle_diff(sol.estimate.values, sol.estimate.shape.sizes)
+    tv = sol.lam * float(np.abs(z).sum())
+    assert sol.gap >= 0.0
+    assert sol.gap == pytest.approx(tv - float(z @ sol.dual), rel=0.0,
+                                    abs=1e-12 * (1.0 + tv))
+
+
+def test_gap_is_derived_from_the_estimate_and_dual(monkeypatch):
+    # path block rows, one-row solves and lattice cut solves all read the
+    # gap lam ||B f||_1 - <B f, w> of their own estimate and dual
+    rng = np.random.default_rng(29)
+    monkeypatch.setattr(tvdn.tvsolve, "_BLOCK", 97 * 5)
+    for y, grid in _path_cases():
+        path = FusionPath(y)
+        for sol in tv_denoise_grid(y, grid):
+            _assert_oracle_gap(sol)
+            _assert_oracle_gap(path.solve(sol.lam))
+    for sizes in ((8, 8), (6, 9), (3, 4, 5)):
+        y = S(rng.normal(size=sizes) + np.arange(np.prod(sizes)).reshape(
+            sizes) % 3)
+        solver = CutSolver(y)
+        for lam in default_lambda_grid(lambda_max(y), 6).tolist():
+            _assert_oracle_gap(solver.solve(lam))
 
 
 def test_lambda_max_constant_and_hand_value():
