@@ -5,7 +5,10 @@ A risk or segmentation replicate draws its generator from the entropy
 (seed, tags..., rep); the draws of Lambda at the i-th size are the children
 of SeedSequence(seed + i).spawn(reps). So results do not depend on how
 replicates are spread over workers, and the same configuration always
-reproduces the same table.
+reproduces the same table. Risk and segmentation replicates run as chunks
+of consecutive replicates of one cell, one task and one fusion pass per
+chunk (``FusionPath.block``); the chunks depend only on the config. Each
+draw of Lambda is a task of its own.
 """
 from __future__ import annotations
 
@@ -28,6 +31,10 @@ from .tvsolve import FusionPath
 
 # the seed of an experiment, and of ``tvdn gen``, unless a caller sets it
 DEFAULT_SEED = 0
+
+# sites per chunk of replicates (at least one replicate); a constant, so
+# the chunks, and with them the fusion times, depend only on the config
+_CHUNK = 1 << 15
 
 # the functions, sizes and replicate count at size n of each experiment,
 # for whatever a config leaves empty; its reps then hold one count per size
@@ -114,33 +121,47 @@ def _map_cells(fn, cells):
     return [(key, [next(out) for _ in args]) for key, args in cells]
 
 
-def _mse_rep(args):
-    """One Table-style risk replicate of the clean signal f: oracle, SURE
-    and adaptive losses, every fit from one ``FusionPath`` for the noisy
-    signal, the grid's scored as the rows of its blocks."""
-    f, sigma, entropy = args
-    rng = np.random.default_rng(entropy)
-    y = Signal(f.shape, f.values + sigma * rng.standard_normal(f.shape.n_sites))
-    path = FusionPath(y)
-    losses, sures = [], []
-    for _, fits, _ in path.blocks(default_lambda_grid(path.lam_max)):
-        losses.append(loss_rows(fits, f))
-        sures.append(sure_rows(y, fits, sigma))
-    losses, sures = np.concatenate(losses), np.concatenate(sures)
-    _, sol2, _ = adaptive_tv(path, sigma=sigma)
-    return (float(losses.min()),
-            float(losses[int(np.argmin(sures))]),
-            loss(sol2.estimate, f))
+def _chunks(cell, n: int, reps: int) -> list:
+    """The entropies (*cell, r) of reps replicates at size n, in chunks of
+    consecutive replicates of at most _CHUNK sites, at least one each."""
+    per = max(1, _CHUNK // n)
+    return [[(*cell, r) for r in range(i, min(i + per, reps))]
+            for i in range(0, reps, per)]
+
+
+def _noisy(f: Signal, sigma: float, entropy) -> Signal:
+    noise = np.random.default_rng(entropy).standard_normal(f.shape.n_sites)
+    return Signal(f.shape, f.values + sigma * noise)
+
+
+def _mse_reps(args):
+    """Table-style risk replicates of the clean signal f, one per entropy:
+    oracle, SURE and adaptive losses. One ``FusionPath.block`` pass gives
+    every replicate's noisy signal its path, and every fit of a replicate
+    comes from its path, the grid's scored as the rows of its blocks."""
+    f, sigma, entropies = args
+    out = []
+    for path in FusionPath.block([_noisy(f, sigma, e) for e in entropies]):
+        losses, sures = [], []
+        for _, fits, _ in path.blocks(default_lambda_grid(path.lam_max)):
+            losses.append(loss_rows(fits, f))
+            sures.append(sure_rows(path.y, fits, sigma))
+        losses, sures = np.concatenate(losses), np.concatenate(sures)
+        _, sol2, _ = adaptive_tv(path, sigma=sigma)
+        out.append((float(losses.min()),
+                    float(losses[int(np.argmin(sures))]),
+                    loss(sol2.estimate, f)))
+    return out
 
 
 def bench_mse(config: ExperimentConfig) -> ResultTable:
     """Risk (x100) of oracle, SURE and adaptive selection on 1D test signals.
 
     Each cell's clean signal is built once, before any replicate runs, and
-    the replicates of every (function, size) cell go through one
-    ``parallel_map`` call. A size n takes 50000 // n replicates by default
-    (at least 1): more where solves are cheap, 500/50/5 at the default
-    sizes.
+    the chunks of replicates (``_chunks``) of every (function, size) cell go
+    through one ``parallel_map`` call. A size n takes 50000 // n replicates
+    by default (at least 1): more where solves are cheap, 500/50/5 at the
+    default sizes.
     """
     if config.experiment != "mse_1d":
         raise ValueError("config is not an mse_1d experiment")
@@ -148,32 +169,35 @@ def bench_mse(config: ExperimentConfig) -> ResultTable:
     for fi, function in enumerate(config.functions):
         for n, reps in zip(config.sizes, config.reps):
             f = gen_test_function(function, n, snr=config.snr)
-            cells.append(((function, n, reps),
-                          [(f, config.sigma, (config.seed, fi, n, r))
-                           for r in range(reps)]))
+            cells.append(((function, n, reps), [
+                (f, config.sigma, chunk)
+                for chunk in _chunks((config.seed, fi, n), n, reps)]))
     table = ResultTable()
-    for (function, n, reps), out in _map_cells(_mse_rep, cells):
+    for (function, n, reps), chunks in _map_cells(_mse_reps, cells):
+        out = [o for chunk in chunks for o in chunk]
         for mi, method in enumerate(("oracle", "sure", "adaptive")):
             mean, se = _mean_se([100.0 * o[mi] for o in out])
             table.add(function, n, method, "risk_x100", mean, se, reps)
     return table
 
 
-def _seg_rep(args):
-    """One segmentation replicate of the clean piecewise signal f with its
-    true jumps on the edges true_edges, read off one fusion pass: the fit
-    at lambda jumps exactly at the edges fusing after lambda, so it
-    segments exactly iff lo <= lambda < hi (hi the first fusion time of a
-    true edge, lo the last of any other) and screens iff lambda < hi."""
-    f, true_edges, sigma, lambdas, entropy = args
-    rng = np.random.default_rng(entropy)
-    y = Signal(f.shape, f.values + sigma * rng.standard_normal(f.shape.n_sites))
-    times = FusionPath(y).times
-    hi = times[true_edges].min(initial=np.inf)
-    lo = np.delete(times, true_edges).max(initial=0.0)
-    return {method: (bool(lo <= lam < hi), bool(lam < hi),
-                     1 + int(np.count_nonzero(times > lam)))
-            for method, lam in lambdas.items()}
+def _seg_reps(args):
+    """Segmentation replicates of the clean piecewise signal f with its
+    true jumps on the edges true_edges, one per entropy, each read off its
+    path of one ``FusionPath.block`` pass: the fit at lambda jumps exactly
+    at the edges fusing after lambda, so it segments exactly iff
+    lo <= lambda < hi (hi the first fusion time of a true edge, lo the last
+    of any other) and screens iff lambda < hi."""
+    f, true_edges, sigma, lambdas, entropies = args
+    out = []
+    for path in FusionPath.block([_noisy(f, sigma, e) for e in entropies]):
+        times = path.times
+        hi = times[true_edges].min(initial=np.inf)
+        lo = np.delete(times, true_edges).max(initial=0.0)
+        out.append({method: (bool(lo <= lam < hi), bool(lam < hi),
+                             1 + int(np.count_nonzero(times > lam)))
+                    for method, lam in lambdas.items()})
+    return out
 
 
 def bench_seg(config: ExperimentConfig) -> ResultTable:
@@ -182,8 +206,8 @@ def bench_seg(config: ExperimentConfig) -> ResultTable:
     Jump heights sweep {2h*, h*, h*/10} around the recovery boundary h*;
     thresholds compared are the exact-recovery scale at the config's alpha
     and the universal threshold. Each cell's signal is built once, before
-    any replicate runs, and the replicates of every (size, function,
-    height) cell go through one ``parallel_map`` call.
+    any replicate runs, and the chunks of replicates (``_chunks``) of every
+    (size, function, height) cell go through one ``parallel_map`` call.
     """
     if config.experiment != "seg_1d":
         raise ValueError("config is not a seg_1d experiment")
@@ -205,10 +229,11 @@ def bench_seg(config: ExperimentConfig) -> ResultTable:
                 spec = gen_piecewise(kind, n, n_levels, height)
                 f, edges = spec.realize(), spec.jump_locations - 1
                 cells.append((("%s@%s" % (kind, tag), n, reps, lambdas), [
-                    (f, edges, sigma, lambdas, (config.seed, fi, si, hi, r))
-                    for r in range(reps)]))
+                    (f, edges, sigma, lambdas, chunk)
+                    for chunk in _chunks((config.seed, fi, si, hi), n, reps)]))
     table = ResultTable()
-    for (fn, n, reps, lambdas), out in _map_cells(_seg_rep, cells):
+    for (fn, n, reps, lambdas), chunks in _map_cells(_seg_reps, cells):
+        out = [o for chunk in chunks for o in chunk]
         for method in lambdas:
             ex, sc, lv = zip(*(o[method] for o in out))
             p_ex = float(np.mean(ex))

@@ -6,6 +6,8 @@ breadth-first search, a published direct 1D algorithm) rather than reusing
 package internals, so agreement between package and oracle is meaningful
 evidence.
 """
+import heapq
+
 import numpy as np
 import scipy.sparse as sp
 from functools import lru_cache
@@ -281,3 +283,80 @@ def ncc_floodfill(values, sizes, quantization):
                     seen[j] = True
                     stack.append(j)
     return count
+
+
+def fusion_times_heap(y):
+    """The reference heap pass, as the package wrote it before fusion times
+    were computed by top-down splits: the lambda at which each edge of the
+    1D signal y fuses, by one pass over the whole fusion path: 0 inside
+    runs of equal data, finite for every edge, since the pass ends with one
+    group.
+
+    A group g of neighbouring sites sharing one fitted value has, between
+    merges, the value (S_g - lambda (s_L + s_R)) / |g|: S_g is its data sum
+    and s_L, s_R are the signs of its value minus its neighbours' (0 at an
+    end). In 1D groups only merge as lambda grows (Friedman et al. 2007;
+    Hoefling 2010), so the path is a sequence of merges of neighbouring
+    groups. A heap holds the lambda at which each neighbouring pair meets,
+    stamped with both groups' sizes, which change exactly when a group
+    absorbs its right neighbour (an absorbed group's becomes 0).
+    """
+    n = y.size
+    # a group is indexed by its first site; runs of equal data start fused
+    first = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+    times = np.where(y[1:] == y[:-1], 0.0, np.inf).tolist()
+    lo, hi = first[:-1], first[1:]      # the initial neighbouring pairs
+    count = np.diff(np.append(first, n))
+    side = np.sign(y[lo] - y[hi])
+    size = [0] * n
+    level = [0.0] * n       # S_g / |g|
+    left = [0] * n          # s_L
+    right = [0] * n         # s_R
+    prev = [0] * n          # first site of the left neighbour
+    for g, k in zip(first.tolist(), count.tolist()):
+        size[g] = k
+        level[g] = float(y[g])
+    for g, h, s in zip(lo.tolist(), hi.tolist(), side.astype(int).tolist()):
+        right[g] = s
+        left[h] = -s
+        prev[h] = g
+    # the initial meeting times, computed as push does, all at once
+    slope = (np.append(side, 0.0) - np.append(0.0, side)) / count
+    d = slope[:-1] - slope[1:]
+    meets = d != 0.0
+    heap = list(zip(((y[lo] - y[hi])[meets] / d[meets]).tolist(),
+                    lo[meets].tolist(), hi[meets].tolist(),
+                    count[:-1][meets].tolist(), count[1:][meets].tolist()))
+    heapq.heapify(heap)
+
+    def push(g, h):
+        # neighbouring slopes have opposite signs or are both 0, so d is 0
+        # exactly when the pair moves in parallel and never meets
+        d = (left[g] + right[g]) / size[g] - (left[h] + right[h]) / size[h]
+        if d != 0.0:
+            heapq.heappush(heap, ((level[g] - level[h]) / d, g, h,
+                                  size[g], size[h]))
+
+    # a meeting time computed after a merge can undercut the merge's own by
+    # rounding; recording the running maximum keeps the edges fused at any
+    # lambda exactly the merges the pass had made by then
+    top = 0.0
+    pop = heapq.heappop
+    while heap:
+        t, g, h, sg, sh = pop(heap)
+        if t > top:
+            top = t
+        if size[g] != sg or size[h] != sh:
+            continue
+        times[h - 1] = top
+        k = size[g] + size[h]
+        level[g] = (level[g] * size[g] + level[h] * size[h]) / k
+        size[g] = k
+        right[g] = right[h]
+        size[h] = 0
+        if left[g]:
+            push(prev[g], g)
+        if g + k < n:
+            prev[g + k] = g
+            push(g, g + k)
+    return np.array(times)

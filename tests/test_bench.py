@@ -4,9 +4,9 @@ import pytest
 
 import tvdn.bench
 import tvdn.tvsolve
-from tvdn.bench import (ExperimentConfig, ResultTable, _mean_se, _mse_rep,
-                        _seg_rep, bench_mse, bench_seg, lambda_fit_report,
-                        qq_pairs, run_lambda_samples)
+from tvdn.bench import (ExperimentConfig, ResultTable, _chunks, _mean_se,
+                        _mse_reps, _seg_reps, bench_mse, bench_seg,
+                        lambda_fit_report, qq_pairs, run_lambda_samples)
 from tvdn.grid import LatticeShape, Signal
 from tvdn.lambda_stat import GumbelParams, sample_lambda, sample_lambda_1d
 from tvdn.risk import default_lambda_grid, risk_curve
@@ -109,7 +109,7 @@ def test_bench_mse_cells_share_one_flat_run(monkeypatch):
     for fi, function in enumerate(cfg.functions):
         for n, reps in zip(cfg.sizes, cfg.reps):
             f = gen_test_function(function, n, snr=cfg.snr)
-            out = [_mse_rep((f, cfg.sigma, (cfg.seed, fi, n, r)))
+            out = [_mse_reps((f, cfg.sigma, [(cfg.seed, fi, n, r)]))[0]
                    for r in range(reps)]
             for mi, method in enumerate(("oracle", "sure", "adaptive")):
                 mean, se = _mean_se([100.0 * o[mi] for o in out])
@@ -123,14 +123,15 @@ def test_bench_mse_cells_share_one_flat_run(monkeypatch):
 
 
 def test_mse_rep_runs_one_fusion_pass(monkeypatch):
-    # the grid fits and both adaptive fits share one pass over the signal,
-    # and the grid reads its top, Lambda, off that pass
+    # a chunk's replicates share one pass over the block of their signals,
+    # and each replicate's grid fits and both adaptive fits come from its
+    # row's path, whose grid reads its top, Lambda, off that path
     calls = []
     fusion_times = tvdn.tvsolve._fusion_times
     lambdas = []
 
     def counted(y):
-        calls.append(y.size)
+        calls.append(y.shape)
         return fusion_times(y)
 
     def counted_lambda(y, *args, **kwargs):
@@ -140,9 +141,11 @@ def test_mse_rep_runs_one_fusion_pass(monkeypatch):
     monkeypatch.setattr(tvdn.tvsolve, "_fusion_times", counted)
     monkeypatch.setattr(tvdn.tvsolve, "sample_lambda", counted_lambda)
     monkeypatch.setattr(tvdn.bench, "sample_lambda", counted_lambda)
-    _mse_rep((gen_test_function("bumps", 200, 7.0), 1.0, (3, 0, 200, 0)))
-    assert calls == [200]
-    assert lambdas == [200]
+    out = _mse_reps((gen_test_function("bumps", 200, 7.0), 1.0,
+                     [(3, 0, 200, r) for r in range(3)]))
+    assert len(out) == 3
+    assert calls == [(3, 200)]
+    assert lambdas == [200] * 3
 
 
 def _reference_loss(f_hat, f):
@@ -179,18 +182,24 @@ def _reference_mse_rep(args):
 
 def test_mse_rep_matches_the_one_row_reference():
     # bit for bit, with every grid in one block (n = 200) and with blocks
-    # of fewer rows than the grid's 30 values
+    # of fewer rows than the grid's 30 values, each replicate of a chunk
+    # as the one-row reference scores it alone: a chunk of 5 at n = 2000
+    # takes the split pass, a lone signal of that size the heap
     long = 2000
     assert tvdn.tvsolve._BLOCK // long < 30
+    assert 5 * long >= tvdn.tvsolve._SPLIT_MIN > long
     cases = [(function, 200) for function in TEST_FUNCTIONS[:4]]
     cases += [("doppler", long), ("blocks", long)]
     for i, (function, n) in enumerate(cases):
         f = gen_test_function(function, n, 7.0)
         for sigma in (1.0, 0.25):
-            args = (f, sigma, (28, i, n, int(4 * sigma)))
-            got, want = _mse_rep(args), _reference_mse_rep(args)
-            assert [v.hex() for v in got] == [v.hex() for v in want], \
-                (function, n, sigma)
+            entropies = [(28, i, n, int(4 * sigma) + r)
+                         for r in range(5 if n == long else 2)]
+            got = _mse_reps((f, sigma, entropies))
+            for rep, entropy in zip(got, entropies):
+                want = _reference_mse_rep((f, sigma, entropy))
+                assert [v.hex() for v in rep] == [v.hex() for v in want], \
+                    (function, n, sigma)
 
 
 def test_fits_do_not_depend_on_the_block_size(monkeypatch):
@@ -203,7 +212,7 @@ def test_fits_do_not_depend_on_the_block_size(monkeypatch):
     for block in (1, 7 * 300, 1 << 40):
         monkeypatch.setattr(tvdn.tvsolve, "_BLOCK", block)
         sols = tvdn.tvsolve.tv_denoise_grid(y, grid)
-        reps = [_mse_rep((f, 1.0, (28, 0, 300, r))) for r in range(3)]
+        reps = _mse_reps((f, 1.0, [(28, 0, 300, r) for r in range(3)]))
         seen.add((b"".join(s.estimate.values.tobytes() + s.dual.tobytes()
                            for s in sols),
                   tuple(s.gap.hex() for s in sols),
@@ -211,27 +220,31 @@ def test_fits_do_not_depend_on_the_block_size(monkeypatch):
     assert len(seen) == 1
 
 
-def _seg_args(spec, sigma, lambdas, entropy):
-    return (spec.realize(), spec.jump_locations - 1, sigma, lambdas, entropy)
+def _seg_args(spec, sigma, lambdas, entropies):
+    return (spec.realize(), spec.jump_locations - 1, sigma, lambdas,
+            entropies)
 
 
 def test_seg_rep_runs_one_fusion_pass(monkeypatch):
-    # both thresholds' events are read off one pass over each replicate's
-    # signal
+    # both thresholds' events of every replicate of a chunk are read off
+    # one pass over the block of the chunk's signals
     calls = []
     fusion_times = tvdn.tvsolve._fusion_times
 
     def counted(y):
-        calls.append(y.size)
+        calls.append(y.shape)
         return fusion_times(y)
 
     monkeypatch.setattr(tvdn.tvsolve, "_fusion_times", counted)
     lambdas = {"exact_seg": 3.0, "universal": 3.5}
-    for r in range(3):
-        res = _seg_rep(_seg_args(gen_piecewise("staircase", 100, 5, 4.0),
-                                 1.0, lambdas, (3, 0, 0, 1, r)))
-        assert sorted(res) == sorted(lambdas)
-        assert calls == [100] * (r + 1)
+    for r in range(1, 4):
+        res = _seg_reps(_seg_args(gen_piecewise("staircase", 100, 5, 4.0),
+                                  1.0, lambdas,
+                                  [(3, 0, 0, 1, i) for i in range(r)]))
+        assert len(res) == r
+        assert all(sorted(rep) == sorted(lambdas) for rep in res)
+        assert calls[-1] == (r, 100)
+    assert len(calls) == 3
 
 
 def test_seg_rep_makes_no_fit(monkeypatch):
@@ -244,9 +257,9 @@ def test_seg_rep_makes_no_fit(monkeypatch):
     monkeypatch.setattr(tvdn.tvsolve.CutSolver, "solve", refused)
     monkeypatch.setattr(tvdn.tvsolve, "_certified", refused)
     lambdas = {"exact_seg": 3.0, "universal": 3.5}
-    res = _seg_rep(_seg_args(gen_piecewise("battlements", 100, 5, 8.0), 1.0,
-                             lambdas, (3, 0, 0, 0, 0)))
-    assert sorted(res) == sorted(lambdas)
+    res = _seg_reps(_seg_args(gen_piecewise("battlements", 100, 5, 8.0), 1.0,
+                              lambdas, [(3, 0, 0, 0, r) for r in range(2)]))
+    assert [sorted(rep) for rep in res] == [sorted(lambdas)] * 2
 
 
 def test_seg_rep_events_match_the_scored_fits():
@@ -277,7 +290,7 @@ def test_seg_rep_events_match_the_scored_fits():
                     }
                     for i, lam in enumerate(rng.uniform(0.0, 1.2 * top, 8)):
                         lambdas["random%d" % i] = float(lam)
-                    res = _seg_rep((f, edges, sigma, lambdas, entropy))
+                    (res,) = _seg_reps((f, edges, sigma, lambdas, [entropy]))
                     for method, lam in lambdas.items():
                         out = evaluate_outcome(path.solve(lam).estimate, spec)
                         assert res[method] == (
@@ -291,8 +304,9 @@ def test_bench_mse_default_reps_follow_the_size(monkeypatch):
     counts = []
 
     def counted(fn, items):
-        counts.append(len(items))
-        return [(0.0, 0.0, 0.0)] * len(items)
+        counts.append(sum(len(entropies) for _, _, entropies in items))
+        return [[(0.0, 0.0, 0.0)] * len(entropies)
+                for _, _, entropies in items]
 
     monkeypatch.setattr(tvdn.bench, "parallel_map", counted)
     for sizes, reps in (((10000,), [5]), ((100, 10000), [500, 5]),
@@ -361,6 +375,80 @@ def test_bench_seg_parallel_matches_serial(monkeypatch):
     parallel = bench_seg(cfg)
     assert len(serial.rows) == 2 * 2 * 3 * 2 * 3
     assert serial.rows == parallel.rows
+
+
+def test_bench_seg_chunks_do_not_depend_on_the_worker_count(monkeypatch):
+    # cells of several chunks, some above the split pass's block size:
+    # bench_seg rows, like bench_mse rows, are the same at any TVDN_THREADS
+    cfg = ExperimentConfig("seg_1d", functions=("staircase",),
+                           sizes=(60, 5000), reps=(5, 8), seed=30,
+                           alpha=0.05, sigma=1.0)
+    assert [len(c) for c in _chunks((30,), 5000, 8)] == [6, 2]
+    assert 2 * 5000 >= tvdn.tvsolve._SPLIT_MIN
+    rows = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("TVDN_THREADS", threads)
+        rows.append(bench_seg(cfg).rows)
+    assert rows[0] == rows[1]
+
+
+def test_chunks_depend_only_on_the_config(monkeypatch):
+    # every cell's replicates go out in order, as chunks of consecutive
+    # replicates of at most _CHUNK sites (or one replicate), whatever the
+    # worker count; an mc_1d-shaped job (20 replicates at 1e3, 2 at 1e4)
+    # is 2 tasks; recorded with no solves
+    seen = []
+
+    def recorded(fn, items):
+        seen.append([item[-1] for item in items])
+        if fn is tvdn.bench._seg_reps:
+            return [[{method: (False, False, 1) for method in item[3]}]
+                    * len(item[-1]) for item in items]
+        return [[(0.0, 0.0, 0.0)] * len(item[-1]) for item in items]
+
+    monkeypatch.setattr(tvdn.bench, "parallel_map", recorded)
+    configs = [
+        ExperimentConfig("mse_1d", functions=("blocks",), sizes=(1000, 10000),
+                         reps=(20, 2), seed=4, sigma=1.0),
+        ExperimentConfig("mse_1d", functions=("bumps", "doppler"),
+                         sizes=(300, 40000), reps=(120, 2), seed=4),
+        ExperimentConfig("seg_1d", sizes=(100, 2000), reps=(400, 40), seed=4)]
+    for threads in ("1", "2"):
+        monkeypatch.setenv("TVDN_THREADS", threads)
+        for cfg in configs:
+            (bench_mse if cfg.experiment == "mse_1d" else bench_seg)(cfg)
+    assert seen[:3] == seen[3:]
+    assert len(seen[0]) == 2
+    for chunks in seen[:3]:
+        for chunk in chunks:
+            # an mse entropy is (seed, function, n, r), a seg one (seed,
+            # function, size index, height, r)
+            n = chunk[0][2] if len(chunk[0]) == 4 else (100, 2000)[chunk[0][2]]
+            assert len(chunk) == 1 or len(chunk) * n <= tvdn.bench._CHUNK
+            assert [e[-1] for e in chunk] == list(range(chunk[0][-1],
+                                                        chunk[-1][-1] + 1))
+        cells = {}
+        for chunk in chunks:
+            cells.setdefault(chunk[0][:-1], []).extend(e[-1] for e in chunk)
+        assert all(reps == list(range(len(reps))) for reps in cells.values())
+    assert [len(c) for c in seen[1]] == [109, 11, 1, 1] * 2
+    assert _chunks((1,), 1 << 16, 3) == [[(1, 0)], [(1, 1)], [(1, 2)]]
+
+
+def test_run_lambda_samples_submits_one_task_per_draw(monkeypatch):
+    # draws of Lambda are not chunked: one task per draw keeps a large
+    # calibration spread over every worker
+    items = []
+    pmap = tvdn.bench.parallel_map
+
+    def recorded(fn, args):
+        items.append(len(args))
+        return pmap(fn, args)
+
+    monkeypatch.setattr(tvdn.bench, "parallel_map", recorded)
+    run_lambda_samples(2, (4, 6, 5), reps=7, seed=9)
+    run_lambda_samples(1, (2000,), reps=20, seed=9)
+    assert items == [21, 20]
 
 
 def test_events_and_sure_argmin_are_scale_equivariant():

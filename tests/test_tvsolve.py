@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invariants import assert_mean_fit
-from oracles import (oracle_diff, tv_objective, tv_oracle_boxqp,
-                     tv_oracle_direct_1d)
+from oracles import (fusion_times_heap, oracle_diff, tv_objective,
+                     tv_oracle_boxqp, tv_oracle_direct_1d)
 from tvdn.grid import LatticeShape, Signal, adjoint_flat
 from tvdn.lambda_stat import sample_lambda, sample_lambda_1d
 from tvdn._pool import parallel_map
 from tvdn.risk import RiskCurve, default_lambda_grid, risk_curve, sure
 from tvdn.segmentation import kkt_check
-from tvdn.signals import gen_test_function
+from tvdn.signals import TEST_FUNCTIONS, gen_test_function
 import tvdn.tvsolve
 from tvdn.tvsolve import (CutSolver, FusionPath, SolverConfig, TvSolution,
                           lambda_max, tv_denoise, tv_denoise_1d,
@@ -186,6 +186,141 @@ def test_fusion_path_times_and_bounds():
                 assert np.ptp(sol.estimate.values) == 0.0 and sol.gap == 0.0
                 assert abs(sol.estimate.values[0] - v.mean()) \
                     <= 1e-12 * (1.0 + np.abs(v).max())
+
+
+def _fusion_corpus(n, rng, amps):
+    # the four test functions plus noise (below 8 sites, the first n values
+    # of their 8-site versions), integers in {0, 1, 2}, normals rounded to
+    # 0.1, a mirrored sequence and a noiseless ramp, at each amplitude
+    rows = [gen_test_function(f, max(n, 8), 7.0).values[:n]
+            + rng.standard_normal(n) for f in TEST_FUNCTIONS[:4]]
+    half = rng.standard_normal((n + 1) // 2)
+    rows += [rng.integers(0, 3, n).astype(float),
+             np.round(rng.standard_normal(n), 1),
+             np.concatenate((half, half[:n // 2][::-1])),
+             np.arange(n, dtype=float)]
+    return [amp * row for amp in amps for row in rows]
+
+
+def test_fusion_times_match_the_reference_heap_pass(monkeypatch):
+    # the split pass and its heap tail against the heap pass they replace,
+    # on every row of blocks of 1, 7 and 20 rows at amplitudes 1e-6, 1 and
+    # 1e6 (at n = 1e4, to save time, amplitude 1 only): every time within
+    # 1e-12 Lambda of the reference's, every row the tail takes whole (all
+    # rows of a block under _SPLIT_MIN sites) the reference's bits, and a
+    # row's times the same bits in every block of at least _SPLIT_MIN
+    # sites. The tail takes a row whole when it gets a segment of the full
+    # row with no cap
+    whole = []
+    tail = tvdn.tvsolve._heap_tail
+
+    def spy(v, times, starts, sizes, s_left, s_right, caps):
+        whole.append(starts[np.isinf(caps)])
+        return tail(v, times, starts, sizes, s_left, s_right, caps)
+
+    monkeypatch.setattr(tvdn.tvsolve, "_heap_tail", spy)
+    rng = np.random.default_rng(30)
+    split_min = tvdn.tvsolve._SPLIT_MIN
+    for n in (1, 2, 3, 100, 1000, 10000):
+        rows = _fusion_corpus(n, rng, (1.0,) if n == 10000
+                              else (1e-6, 1.0, 1e6))
+        want = [fusion_times_heap(row) for row in rows]
+        lams = [sample_lambda_1d(S(row)) for row in rows]
+        seen = {}
+        for k in (1, 7, 20):
+            for i in range(0, len(rows), k):
+                block = np.array(rows[i:i + k])
+                whole.clear()
+                got = tvdn.tvsolve._fusion_times(block)
+                assert got.shape == (block.shape[0], n - 1)
+                taken = {int(x) // (n + 1) for x in np.concatenate(whole)}
+                if block.size < split_min:
+                    assert taken == set(range(block.shape[0]))
+                for j, times in enumerate(got):
+                    r = i + j
+                    assert np.abs(times - want[r]).max(initial=0.0) \
+                        <= 1e-12 * lams[r], (n, r, k)
+                    if j in taken:
+                        assert times.tobytes() == want[r].tobytes(), (n, r, k)
+                    if block.size >= split_min:
+                        seen.setdefault(r, set()).add(times.tobytes())
+        assert all(len(v) == 1 for v in seen.values()), n
+        if n >= split_min:
+            assert len(seen) == len(rows)
+
+
+def test_split_pass_hands_a_tie_to_the_heap(monkeypatch):
+    # after the first split, at edge 4, sites 0..4 (s_L = 0, s_R = +1) have
+    # t = 1.44 / 0.8 = 1.08 / 0.6 = 1.8 at edges 0 and 1; only edge 0
+    # unfuses there, and edge 1 at 0.6. Rounding puts edge 1's t above edge
+    # 0's, so the split levels alone would record edge 1 at 1.8; the group
+    # goes to the heap tail, which puts it at 0.6 as the reference does
+    y = np.array([-2.0, -0.2, 1.0, -1.3, -0.3, 2.1])
+    monkeypatch.setattr(tvdn.tvsolve, "_SPLIT_MIN", 1)
+    handed = []
+    tail = tvdn.tvsolve._heap_tail
+
+    def spy(v, times, starts, sizes, *rest):
+        handed.extend(sizes.tolist())
+        return tail(v, times, starts, sizes, *rest)
+
+    monkeypatch.setattr(tvdn.tvsolve, "_heap_tail", spy)
+    got = tvdn.tvsolve._fusion_times(y[None])[0]
+    want = fusion_times_heap(y)
+    assert handed
+    assert np.abs(got - want).max() <= 1e-12 * sample_lambda_1d(S(y))
+    assert got[1] == pytest.approx(0.6, abs=1e-12)
+
+
+def test_fusion_times_of_a_noiseless_ramp_are_exact_to_rounding():
+    # on y_j = c j the end group of s sites meets the next site at
+    # c s (s + 1) / 2, from either end, until the two end groups meet. A
+    # ramp's A is a small difference of large running sums near a group's
+    # end, where its d is about 1 / |g|, so the split levels take A from
+    # the nearer end of the group and the running sums in extended
+    # precision, where the platform has it (10 to 100 times the error
+    # without either)
+    n = 20000
+    bound = 1e-13 if np.finfo(np.longdouble).eps < np.finfo(float).eps \
+        else 1e-12
+    e = np.arange(n - 1)
+    s = np.minimum(e + 1, n - 1 - e)
+    off = np.abs(2 * e + 2 - n) > 2
+    for c in (1e-6, 0.1):
+        exact = c * s * (s + 1) / 2
+        got = tvdn.tvsolve._fusion_times(c * np.arange(float(n))[None])[0]
+        assert np.abs(got - exact)[off].max() <= bound * exact.max(), c
+
+
+def test_fusion_path_block_is_one_pass_over_its_signals(monkeypatch):
+    # one pass over the block, one path per signal, each the one-row
+    # path's Lambda and, up to rounding, its times and fits
+    calls = []
+    fusion_times = tvdn.tvsolve._fusion_times
+
+    def counted(y):
+        calls.append(y.shape)
+        return fusion_times(y)
+
+    monkeypatch.setattr(tvdn.tvsolve, "_fusion_times", counted)
+    rng = np.random.default_rng(30)
+    ys = [S(rng.normal(size=500) + np.repeat([0.0, 3.0], 250))
+          for _ in range(17)]
+    paths = FusionPath.block(ys)
+    assert calls == [(17, 500)]
+    assert 17 * 500 >= tvdn.tvsolve._SPLIT_MIN > 500
+    for path, y in zip(paths, ys):
+        one = FusionPath(y)
+        assert path.y is y and path.lam_max == one.lam_max
+        assert np.abs(path.times - one.times).max() <= 1e-12 * one.lam_max
+        for lam in default_lambda_grid(one.lam_max, 7).tolist():
+            assert np.array_equal(path.solve(lam).estimate.values,
+                                  one.solve(lam).estimate.values)
+    assert FusionPath.block([]) == []
+    with pytest.raises(ValueError):
+        FusionPath.block([S(np.zeros((2, 3)))])
+    with pytest.raises(ValueError):
+        FusionPath.block([S(np.zeros(3)), S(np.zeros((1, 3)))])
 
 
 def test_path_fit_at_lambda_max_is_constant():
