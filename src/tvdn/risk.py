@@ -115,8 +115,9 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
     """Evaluate SURE or oracle loss over a lambda grid.
 
     ``tv_denoise_grid`` solves the grid, which must ascend, on any lattice
-    (workers: TVDN_THREADS), and each fit is scored here; the curve does not
-    depend on the worker count. The fit at the argmin is kept on the curve.
+    (on TVDN_THREADS processes, the caller included), and each fit is scored
+    here; the curve does not depend on the process count. The fit at the
+    argmin is kept on the curve.
     cfg is accepted for compatibility and not read.
     """
     if np.size(lambdas) == 0:

@@ -550,11 +550,11 @@ def tv_denoise_grid(y: Signal, lambdas) -> list[TvSolution]:
     chains of _CHAIN values; each chain is solved by one
     ``CutSolver`` from its largest value down, every solve started from the
     dual of the one before: that saves routing, and the fits are those of
-    cold solves up to the rounding of the flows. The chains are distributed
-    across workers (TVDN_THREADS), highest values first, as solves grow
-    costlier with lambda over most of a default grid; their layout depends
-    only on the grid, so the fits and their duals do not depend on the
-    worker count.
+    cold solves up to the rounding of the flows. The chains are the tasks of
+    one ``parallel_map``, run by the caller and forked workers (TVDN_THREADS
+    processes in all), highest values first, as solves grow costlier with
+    lambda over most of a default grid; their layout depends only on the
+    grid, so the fits and their duals do not depend on the process count.
     """
     lams = check_grid(lambdas)
     if y.shape.is_path:

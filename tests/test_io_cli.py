@@ -2,15 +2,20 @@
 import argparse
 import gc
 import json
+import multiprocessing
 import os
 import re
+import signal
+import sys
+import time
 
 import numpy as np
 import pytest
 
 import tvdn.tvsolve
 from tvdn._pool import parallel_map, worker_count
-from tvdn.bench import ExperimentConfig, bench_mse, bench_seg
+from tvdn.bench import (ExperimentConfig, bench_mse, bench_seg,
+                        run_lambda_samples)
 from tvdn.cli import build_parser, main
 from tvdn.coeffs import default_coefficients, load_coefficients
 from tvdn.grid import LatticeShape, Signal
@@ -1206,12 +1211,27 @@ def test_worker_count_env(monkeypatch):
     assert worker_count(10) == min(os.cpu_count() or 1, 10)
 
 
+_RUNS = None  # a fork-shared count of task runs, set by the test below
+
+
+def _counted_square(x):
+    with _RUNS.get_lock():
+        _RUNS.value += 1
+    return x * x
+
+
 def test_parallel_map_matches_serial(monkeypatch):
+    # up to four processes contend for the shared task counter: a lost
+    # update would run a task twice, or leave one unrun
     monkeypatch.setenv("TVDN_THREADS", "1")
-    serial = parallel_map(_square, range(8))
-    monkeypatch.setenv("TVDN_THREADS", "2")
-    parallel = parallel_map(_square, range(8))
-    assert serial == parallel == [x * x for x in range(8)]
+    serial = parallel_map(_square, range(300))
+    assert serial == [x * x for x in range(300)]
+    for threads in ("2", "4"):
+        monkeypatch.setenv("TVDN_THREADS", threads)
+        runs = multiprocessing.get_context("fork").Value("i", 0)
+        monkeypatch.setattr(sys.modules[__name__], "_RUNS", runs)
+        assert parallel_map(_counted_square, range(300)) == serial
+        assert runs.value == 300
 
 
 def _square_or_raise(x):
@@ -1236,6 +1256,98 @@ def test_parallel_map_forks_from_a_frozen_heap(monkeypatch):
     with pytest.raises(ArithmeticError, match="task 5"):
         parallel_map(_square_or_raise, range(8))
     assert gc.get_freeze_count() == 0
+
+
+def _pid_after_nap(_):
+    time.sleep(0.05)
+    return os.getpid()
+
+
+def test_parallel_map_runs_tasks_in_the_caller_and_one_worker(monkeypatch):
+    # at TVDN_THREADS=2 the caller runs its share of the tasks in place
+    # beside exactly one forked worker
+    monkeypatch.setenv("TVDN_THREADS", "2")
+    pids = parallel_map(_pid_after_nap, range(8))
+    me = os.getpid()
+    assert me in pids
+    assert len(set(pids) - {me}) == 1
+
+
+def _no_children():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _raise_in(args):
+    where, caller, x = args
+    time.sleep(0.05)
+    if (os.getpid() == caller) == (where == "caller"):
+        raise ArithmeticError("task %d in the %s" % (x, where))
+    return x
+
+
+def test_parallel_map_leaves_no_child_behind(monkeypatch):
+    # every worker is reaped whether the map returns or a task raises in
+    # the caller or in a worker: a child left behind would still be
+    # running, or a zombie
+    monkeypatch.setenv("TVDN_THREADS", "2")
+    assert _no_children()
+    assert parallel_map(_square, range(8)) == [_square(x) for x in range(8)]
+    assert _no_children()
+    me = os.getpid()
+    for where in ("caller", "worker"):
+        with pytest.raises(ArithmeticError, match="in the " + where):
+            parallel_map(_raise_in, [(where, me, x) for x in range(8)])
+        assert _no_children()
+
+
+def _exit_in_worker(args):
+    caller, x = args
+    time.sleep(0.05)
+    if os.getpid() != caller:
+        os._exit(3)
+    return x
+
+
+def _hung(signum, frame):
+    raise TimeoutError("parallel_map still waits for a dead worker")
+
+
+def test_parallel_map_reports_a_worker_that_died(monkeypatch):
+    # a worker that dies mid-map sends nothing: the map raises once every
+    # worker is reaped, and does not wait for results that never come
+    monkeypatch.setenv("TVDN_THREADS", "2")
+    me = os.getpid()
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match=r"exited with codes \[3\]"):
+            parallel_map(_exit_in_worker, [(me, x) for x in range(8)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert _no_children()
+
+
+def test_monte_carlo_loops_match_at_every_process_count(monkeypatch):
+    # results are placed by task index, so the tables and the draws are the
+    # same whichever process ran each task
+    cfg = ExperimentConfig("mse_1d", functions=("blocks", "bumps"),
+                           sizes=(100, 200), reps=(3, 2), seed=4, sigma=1.0)
+    runs = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("TVDN_THREADS", threads)
+        runs.append((bench_mse(cfg).rows,
+                     run_lambda_samples(2, (4, 6), reps=3, seed=9)))
+    (rows, draws), *others = runs
+    for other_rows, other_draws in others:
+        assert other_rows == rows
+        assert list(other_draws) == list(draws)
+        for n in draws:
+            np.testing.assert_array_equal(other_draws[n], draws[n])
 
 
 def test_bad_worker_count_names_the_variable(monkeypatch, capsys):
