@@ -1,8 +1,8 @@
 """Flow routing and minimum cuts on lattice graphs.
 
 One s-t network layout serves both exact lattice computations: the
-Dinkelbach rounds of the statistic Lambda and the divide-and-conquer TV
-solve with its dual certificate. Both ask the same question: can site
+Dinkelbach rounds of the statistic Lambda and the minimum-cut rounds of
+the TV solve with its dual certificate. Both ask the same question: can site
 demands be routed through edge capacities, and if not, which site set
 blocks them? Flows come from scipy's ``maximum_flow`` (Dinic) in integer
 units.

@@ -1,5 +1,6 @@
-"""Lattice geometry, the finite-difference operator B and the exact
-lattice-Laplacian solve (one cosine-transform solve, no iteration).
+"""Lattice geometry, the finite-difference operator B, connected components
+of the lattice graph and the exact lattice-Laplacian solve (one
+cosine-transform solve, no iteration).
 
 The difference operator stacks one block per direction (direction-major). A
 direction is a lattice axis, enumerated from the fastest-varying axis of the
@@ -14,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,20 @@ def edge_endpoints(shape: LatticeShape) -> tuple[np.ndarray, np.ndarray]:
     near, far = zip(*((idx[n].ravel(), idx[f].ravel())
                       for n, f in _edge_slices(shape.sizes)))
     return np.concatenate(near), np.concatenate(far)
+
+
+def components(shape: LatticeShape,
+               joined: np.ndarray) -> tuple[int, np.ndarray]:
+    """The connected components of the lattice graph that keeps exactly the
+    edges where the boolean edge vector joined is True, in the fixed edge
+    order: (count, labels), labels[i] in 0..count-1 the component of site
+    i. The package's one connected-components routine."""
+    near, far = edge_endpoints(shape)
+    m = shape.n_sites
+    links = sp.csr_matrix((np.ones(int(np.count_nonzero(joined))),
+                           (near[joined], far[joined])), shape=(m, m))
+    count, labels = connected_components(links, directed=False)
+    return int(count), labels
 
 
 def laplacian_solve(rhs: Signal) -> Signal:

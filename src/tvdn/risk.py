@@ -2,21 +2,19 @@
 
 The oracle risk is ``loss``, the per-site squared error. The unbiased risk
 estimate charges one degree of freedom per connected component of the fit,
-its fused groups (Tibshirani & Taylor 2011), so component counting, written
-once here, is the workhorse. The solvers write every piece of a fit as one
-constant, so two neighbouring sites lie in one piece exactly when their
-difference is 0; the count takes no tolerance. The default lambda grid
-tops out at Lambda, or at 1 on flat data.
+its fused groups (Tibshirani & Taylor 2011), so component counting
+(``ncc``, through ``grid.components``) is the workhorse. The solvers write
+every piece of a fit as one constant, so two neighbouring sites lie in one
+piece exactly when their difference is 0; the count takes no tolerance.
+The default lambda grid tops out at Lambda, or at 1 on flat data.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
-from .grid import Signal, diff_flat, edge_endpoints
+from .grid import Signal, components, diff_flat
 from .signals import check_sigma
 from .tvsolve import (SolverConfig, TvSolution, check_grid, check_lambda,
                       tv_denoise_grid)
@@ -28,12 +26,7 @@ def ncc(f: Signal) -> int:
     if f.shape.is_path:
         # on a path every nonzero difference starts a component
         return 1 + int(np.count_nonzero(np.diff(f.values)))
-    joined = diff_flat(f.values, f.shape.sizes) == 0.0
-    near, far = edge_endpoints(f.shape)
-    m = f.shape.n_sites
-    links = sp.csr_matrix((np.ones(int(np.count_nonzero(joined))),
-                           (near[joined], far[joined])), shape=(m, m))
-    return int(connected_components(links, directed=False)[0])
+    return components(f.shape, diff_flat(f.values, f.shape.sizes) == 0.0)[0]
 
 
 def _check_shapes(a: Signal, b: Signal) -> None:

@@ -13,7 +13,9 @@ evaluations and blocks too small for the levels to pay left to one heap
 tail, which merges upwards. It then writes the fits at any lambda >= 0
 from those times, many at once as the rows of a block. On every other
 lattice ``CutSolver`` builds one ``CutNetwork`` and solves each lambda by
-divide-and-conquer minimum cuts over the level sets of the fit.
+rounds of minimum cuts over the level sets of the fit, each round over
+every unfinished region at once; a region its cut splits falls into the
+connected components the cut leaves.
 ``tv_denoise`` solves one lambda and ``tv_denoise_grid`` an ascending grid,
 on other lattices in warm-started chains. No solver iterates to a
 tolerance: every one writes each piece of the fit as one constant and
@@ -35,7 +37,7 @@ import numpy as np
 
 from ._pool import parallel_map
 from .cuts import CutNetwork
-from .grid import LatticeShape, Signal, adjoint_flat, diff_flat
+from .grid import LatticeShape, Signal, adjoint_flat, components, diff_flat
 from .lambda_stat import sample_lambda
 
 # a region's rounds stop once its leftover demand is below this times max|y|
@@ -611,15 +613,21 @@ class CutSolver:
     exactly when y' - v can be routed through its internal edges at
     capacity lam. Each round routes the leftover demand of every unfinished
     region on the leftover capacity, all regions in one maximum_flow call.
-    A region that cannot route all of it splits at the sink side T of the
-    minimum cut, which is the level set {f >= v} of its fit, into T (higher)
-    and the rest (lower), once the excess of T over its cut capacity is
-    positive in floating point; rounding can then never split a region
-    whose data do not ask for it. The flow of a region stays in place for
-    its parts. A region is final once its leftover demand is below
-    _RESIDUAL_TOL or stops halving; the flows inside the regions are the
-    dual there, so every piece is written as one constant and certified by
-    w with ||w||_inf <= lam and y - B^T w = f up to _CERTIFIED_TOL.
+    A region that cannot route all of it is split at the sink side T of the
+    minimum cut, which is the level set {f >= v} of its fit, once the
+    excess of T over its cut capacity is positive in floating point;
+    rounding can then never split a region whose data do not ask for it.
+    The cut edges take +-lam, T the higher side, and the regions become the
+    connected components of the lattice without the edges between regions,
+    so every region is connected. T and the rest are in general many
+    components; parts that share no edge are independent TV problems, each
+    with its own mean, so one round settles them all where a split into
+    two parts would take a round per level. The flow of a region stays in
+    place for its parts, and each part starts afresh. A region is final
+    once its leftover demand is below _RESIDUAL_TOL or stops halving; the
+    flows inside the regions are the dual there, so every piece is written
+    as one constant and certified by w with ||w||_inf <= lam and
+    y - B^T w = f up to _CERTIFIED_TOL.
 
     ``solve`` may start from an edge dual, such as another lambda's dual
     for y: clipped to +-lam, it is the first flow of the starting region,
@@ -678,17 +686,17 @@ class CutSolver:
                 - lam * np.bincount(label[near[cut]], minlength=n)
             n_high = np.bincount(label[high], minlength=n)
             split = blocked & (excess > 0) & (n_high < count)
-            k = np.count_nonzero(split)
-            if k == 0:
+            if not split.any():
                 continue
             cut &= split[label[near]]
-            move = high & split[label]
-            fresh = np.full(n, -1)
-            fresh[split] = n + np.arange(k)
-            label[move] = fresh[label[move]]
             w[cut] = np.where(high[far[cut]], lam, -lam)
-            last[split] = np.inf
-            last = np.concatenate([last, np.full(k, np.inf)])
+            # the regions are the components left once the jumps and the cuts
+            # are taken out: every part of a split region is fresh
+            n, part = components(shape, ~jump & ~cut)
+            old = np.empty(n, dtype=np.intp)
+            old[part] = label
+            last = np.where(split[old], np.inf, last[old])
+            label = part
         return _certified_fit(y, lam, f, w, rounds)
 
 

@@ -4,7 +4,9 @@ Everything here is deliberately written from scratch against the problem
 definitions (dense matrices, exhaustive enumeration, generic LP/QP solvers,
 breadth-first search, a published direct 1D algorithm) rather than reusing
 package internals, so agreement between package and oracle is meaningful
-evidence.
+evidence. The exceptions are the references kept from earlier package
+passes (``fusion_times_heap`` and ``cut_solve_two_way``), against which a
+faster rule that must give the same results is checked.
 """
 import heapq
 
@@ -14,6 +16,10 @@ from functools import lru_cache
 from itertools import product
 from scipy.linalg import null_space
 from scipy.optimize import linprog, lsq_linear
+
+from tvdn.cuts import CutNetwork
+from tvdn.grid import adjoint_flat
+from tvdn.tvsolve import _RESIDUAL_TOL, _certified_fit, check_lambda
 
 
 def oracle_diff(x, sizes):
@@ -360,3 +366,69 @@ def fusion_times_heap(y):
             prev[g + k] = g
             push(g, g + k)
     return np.array(times)
+
+
+def cut_solve_two_way(y, lam, start=None):
+    """The reference cut solve, as the package wrote it before a split
+    region was relabelled by its connected components: ``CutSolver.solve``
+    on the signal y at lam from the edge dual start, where a blocked region
+    splits into exactly two parts, the sink side T of its minimum cut
+    (higher) and the rest (lower), connected or not. It routes on the
+    package's ``CutNetwork`` and returns through its certificate check, as
+    the solver it is compared with does; only the splitting rule differs.
+    """
+    check_lambda(lam)
+    net = CutNetwork(y.shape)
+    shape = y.shape
+    sizes = shape.sizes
+    yv = y.values
+    p = shape.n_edges
+    if lam == 0.0 or np.ptp(yv) == 0.0:
+        return _certified_fit(y, lam, yv.copy(), np.zeros(p))
+    near, far = net.near, net.far
+    scale = float(np.abs(yv).max())
+    label = np.zeros(shape.n_sites, dtype=np.intp)
+    # +-lam across regions, flow inside
+    w = np.zeros(p) if start is None else np.clip(start, -lam, lam)
+    last = np.array([np.inf])        # leftover demand when last routed
+    rounds = 0
+    while True:
+        n = last.size
+        jump = label[near] != label[far]     # edges between regions
+        count = np.bincount(label, minlength=n)
+        shifted = yv - adjoint_flat(np.where(jump, w, 0.0), sizes)
+        f = (np.bincount(label, shifted, n) / count)[label]
+        rest = yv - f - adjoint_flat(w, sizes)
+        left = np.zeros(n)
+        np.maximum.at(left, label, np.abs(rest))
+        # a final region is never routed or split again, so it stays final
+        done = (left <= _RESIDUAL_TOL * scale) | (left > 0.5 * last)
+        if done.all():
+            break
+        last = np.where(done, last, left)
+        groups = np.where(done[label], -1, label)
+        dw, sink_side = net.route(rest, lam - w, lam + w, groups)
+        w += dw
+        rounds += 1
+        if sink_side is None:
+            continue
+        blocked = np.zeros(n, dtype=bool)
+        blocked[label[(groups >= 0) & ~sink_side]] = True
+        high = sink_side & blocked[label]
+        cut = ~jump & blocked[label[near]] & (high[near] != high[far])
+        excess = np.bincount(label[high], (shifted - f)[high], n) \
+            - lam * np.bincount(label[near[cut]], minlength=n)
+        n_high = np.bincount(label[high], minlength=n)
+        split = blocked & (excess > 0) & (n_high < count)
+        k = np.count_nonzero(split)
+        if k == 0:
+            continue
+        cut &= split[label[near]]
+        move = high & split[label]
+        fresh = np.full(n, -1)
+        fresh[split] = n + np.arange(k)
+        label[move] = fresh[label[move]]
+        w[cut] = np.where(high[far[cut]], lam, -lam)
+        last[split] = np.inf
+        last = np.concatenate([last, np.full(k, np.inf)])
+    return _certified_fit(y, lam, f, w, rounds)

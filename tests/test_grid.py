@@ -4,7 +4,7 @@ import pytest
 from invariants import ALL_SHAPES, check_adjointness
 from oracles import oracle_edge_count, oracle_edge_list, oracle_laplacian_pinv
 from tvdn.grid import (LatticeShape, Signal, SpectralLaplacian, adjoint_flat,
-                       diff_flat, edge_endpoints, laplacian_solve)
+                       components, diff_flat, edge_endpoints, laplacian_solve)
 
 
 def test_lattice_shape_counts():
@@ -111,6 +111,31 @@ def test_operators_keep_leading_row_axes():
             for i in np.ndindex(lead):
                 assert z[i].tobytes() == diff_flat(v[i], sizes).tobytes()
                 assert u[i].tobytes() == adjoint_flat(w[i], sizes).tobytes()
+
+
+def test_components_partition_the_joined_graph():
+    # the labels against a label propagation over the oracle's edge list:
+    # both partitions of the sites are the same
+    rng = np.random.default_rng(32)
+    for sizes in ALL_SHAPES + [(1,), (1, 7), (9, 8)]:
+        shape = LatticeShape(sizes)
+        edges = oracle_edge_list(sizes)
+        for keep in (0.0, 0.3, 0.7, 1.0):
+            joined = rng.random(len(edges)) < keep
+            count, labels = components(shape, joined)
+            ref = np.arange(shape.n_sites)
+            while True:
+                low = np.minimum(ref[edges[joined, 0]], ref[edges[joined, 1]])
+                new = ref.copy()
+                np.minimum.at(new, edges[joined, 0], low)
+                np.minimum.at(new, edges[joined, 1], low)
+                if np.array_equal(new, ref):
+                    break
+                ref = new
+            assert labels.shape == (shape.n_sites,)
+            assert set(labels.tolist()) == set(range(count))
+            assert count == len(set(ref.tolist()))
+            assert len(set(zip(labels.tolist(), ref.tolist()))) == count
 
 
 def test_laplacian_solve_zero():

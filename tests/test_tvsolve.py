@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invariants import assert_mean_fit
-from oracles import (fusion_times_heap, oracle_diff, tv_objective,
-                     tv_oracle_boxqp, tv_oracle_direct_1d)
+from oracles import (cut_solve_two_way, fusion_times_heap, oracle_diff,
+                     tv_objective, tv_oracle_boxqp, tv_oracle_direct_1d)
 from tvdn.grid import LatticeShape, Signal, adjoint_flat
 from tvdn.lambda_stat import sample_lambda, sample_lambda_1d
 from tvdn._pool import parallel_map
-from tvdn.risk import RiskCurve, default_lambda_grid, risk_curve, sure
+from tvdn.risk import RiskCurve, default_lambda_grid, ncc, risk_curve, sure
 from tvdn.segmentation import kkt_check
 from tvdn.signals import TEST_FUNCTIONS, gen_test_function
 import tvdn.tvsolve
@@ -778,27 +778,80 @@ def test_cut_solve_converges_on_the_256_phantom():
     assert np.mean((sol.estimate.values - f.ravel()) ** 2) < 0.1
 
 
-def _cold_fit(args):
+def _cold_fits(args):
+    # a cold solve's fit, and the fit of the two-way-split reference
     values, lam = args
-    return CutSolver(S(values)).solve(lam).estimate.values
+    return (CutSolver(S(values)).solve(lam).estimate.values,
+            cut_solve_two_way(S(values), lam).estimate.values)
 
 
 def test_warm_grid_fits_are_the_cold_fits_on_the_bench_phantoms():
     # the 30-point SURE grid on the three 64^2 benchmark phantoms, solved in
     # tv_denoise_grid's warm-started chains: every fit and risk value is
-    # bitwise that of a cold solve
+    # bitwise that of a cold solve and of the two-way-split reference
     for k in range(3):
         v, _ = _bench_phantom(k, 64)
         y = S(v)
         grid = default_lambda_grid(lambda_max(y))
         warm = tv_denoise_grid(y, grid)
-        cold = parallel_map(_cold_fit, [(v, float(lam)) for lam in grid])
+        cold = parallel_map(_cold_fits, [(v, float(lam)) for lam in grid])
         assert len(warm) == len(cold) == 30
-        for lam, sol, f in zip(grid, warm, cold):
+        for lam, sol, (f, ref) in zip(grid, warm, cold):
             assert sol.lam == lam
             assert sol.estimate.values.tobytes() == f.tobytes()
+            assert f.tobytes() == ref.tobytes()
             assert sure(y, sol.estimate, 1.0) \
                 == sure(y, Signal(y.shape, f), 1.0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sizes=_WARM_SHAPES, seed=st.integers(0, 2 ** 32 - 2),
+       tied=st.booleans(), log_amp=st.floats(-3.0, 3.0),
+       fracs=st.lists(st.floats(0.0, 1.2), min_size=1, max_size=4))
+def test_cut_solve_matches_the_two_way_split(sizes, seed, tied, log_amp,
+                                             fracs):
+    # a region split into its connected components gives the fit of the
+    # reference that splits it in two, sink side and rest, with its
+    # certificate; tied integer data give level sets with many ties
+    shape = LatticeShape(sizes)
+    rng = np.random.default_rng(seed)
+    if tied:
+        v = rng.integers(-2, 3, size=shape.n_sites).astype(float)
+    else:
+        v = 10.0 ** log_amp * rng.normal(size=shape.n_sites)
+    y = Signal(shape, v)
+    top = sample_lambda(y)[0]
+    solver = CutSolver(y)
+    for frac in fracs:
+        lam = frac * top
+        sol, ref = solver.solve(lam), cut_solve_two_way(y, lam)
+        _cut_certificate(y, lam, sol)
+        assert np.abs(sol.estimate.values - ref.estimate.values).max() \
+            <= 1e-12 * np.abs(v).max()
+
+
+def test_separated_plateaus_settle_in_one_split():
+    # eight 4x4 plateaus at heights 8..15 on a zero background, far enough
+    # apart that at these lambda the fit keeps each plateau and the
+    # background one piece. The first minimum cut takes every plateau at
+    # once; split into its components, each plateau is its own region, so
+    # a second round routes every region and the solve ends. The reference
+    # keeps the plateaus in one region and needs a binary split per level,
+    # at least log2(8) more rounds. Every piece has a power-of-two size and
+    # lambda is dyadic, so the flows are exact and no round is spent on
+    # rounding.
+    img = np.zeros((24, 48))
+    for i in range(8):
+        r, c = divmod(i, 4)
+        img[5 + 10 * r:9 + 10 * r, 6 + 10 * c:10 + 10 * c] = 8 + i
+    y = S(img)
+    for lam in (2.0 ** -6, 2.0 ** -4, 2.0 ** -2):
+        sol, ref = CutSolver(y).solve(lam), cut_solve_two_way(y, lam)
+        _cut_certificate(y, lam, sol)
+        assert ncc(sol.estimate) == 9
+        assert sol.estimate.values.tobytes() == ref.estimate.values.tobytes()
+        assert sol.iterations <= 2
+        assert ref.iterations >= 3
 
 
 def test_tvsolution_objective():
