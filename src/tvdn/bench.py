@@ -143,7 +143,7 @@ def _mse_reps(args):
     out = []
     for path in FusionPath.block([_noisy(f, sigma, e) for e in entropies]):
         losses, sures = [], []
-        for _, fits, _ in path.blocks(default_lambda_grid(path.lam_max)):
+        for _, fits, _, _ in path.blocks(default_lambda_grid(path.lam_max)):
             losses.append(loss_rows(fits, f))
             sures.append(sure_rows(path.y, fits, sigma))
         losses, sures = np.concatenate(losses), np.concatenate(sures)

@@ -17,7 +17,7 @@ import numpy as np
 from .grid import Signal, components, diff_flat
 from .signals import check_sigma
 from .tvsolve import (SolverConfig, TvSolution, check_grid, check_lambda,
-                      tv_denoise_grid)
+                      tv_solver)
 
 
 def ncc(f: Signal) -> int:
@@ -107,10 +107,12 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
                cfg: SolverConfig | None = None) -> RiskCurve:
     """Evaluate SURE or oracle loss over a lambda grid.
 
-    ``tv_denoise_grid`` solves the grid, which must ascend, on any lattice
-    (on TVDN_THREADS processes, the caller included), and each fit is scored
-    here; the curve does not depend on the process count. The fit at the
-    argmin is kept on the curve.
+    ``tv_solver(y).blocks`` solves the grid, which must ascend, on any
+    lattice (on TVDN_THREADS processes, the caller included), and each
+    block of fits is scored by ``sure_rows`` or ``loss_rows`` as it is
+    drawn; the curve does not depend on the process count. Only the values
+    and the fit at the first least value are kept, so a path's curve holds
+    about two blocks of fits at a time.
     cfg is accepted for compatibility and not read.
     """
     if np.size(lambdas) == 0:
@@ -125,7 +127,15 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
         _check_shapes(f_true, y)
     else:
         raise ValueError("criterion must be 'sure' or 'oracle'")
-    sols = tv_denoise_grid(y, lambdas)
-    values = np.array([sure(y, sol.estimate, sigma) if criterion == "sure"
-                       else loss(sol.estimate, f_true) for sol in sols])
-    return RiskCurve(lambdas, values, sols[int(np.argmin(values))])
+    values, best = [], None
+    for lams, fits, duals, rounds in tv_solver(y).blocks(lambdas):
+        scores = sure_rows(y, fits, sigma) if criterion == "sure" \
+            else loss_rows(fits, f_true)
+        i = int(np.argmin(scores))
+        # strictly less: a tie keeps the first lambda, as argmin_lambda does
+        if best is None or scores[i] < least:
+            least = scores[i]
+            best = TvSolution(Signal(y.shape, fits[i].copy()),
+                              float(lams[i]), duals[i].copy(), int(rounds[i]))
+        values.append(scores)
+    return RiskCurve(lambdas, np.concatenate(values), best)

@@ -16,13 +16,16 @@ lattice ``CutSolver`` builds one ``CutNetwork`` and solves each lambda by
 rounds of minimum cuts over the level sets of the fit, each round over
 every unfinished region at once; a region its cut splits falls into the
 connected components the cut leaves.
-``tv_denoise`` solves one lambda and ``tv_denoise_grid`` an ascending grid,
-on other lattices in warm-started chains. No solver iterates to a
-tolerance: every one writes each piece of the fit as one constant and
-returns through ``_certified``, which takes one fit per row and keeps for
-each a dual edge vector w with ||w||_inf <= lambda whose reconstruction
-y - B^T w equals the estimate up to rounding, so the gap a ``TvSolution``
-derives from its estimate and dual,
+Both solvers write an ascending grid as ``blocks``: the fits, duals and
+rounds of consecutive values as the rows of one block, which a risk curve
+scores as it is drawn. ``tv_denoise`` solves one lambda and
+``tv_denoise_grid`` a grid, one ``TvSolution`` per row of the blocks of
+``tv_solver(y)``. No solver iterates to a tolerance: every one writes
+each piece of the fit as one constant and returns through ``_certified``,
+which takes one fit per row and keeps for each a dual edge vector w with
+||w||_inf <= lambda whose reconstruction y - B^T w equals the estimate up
+to rounding, so the gap a ``TvSolution`` derives from its estimate and
+dual,
 
     gap = lambda * ||B f||_1 - <B f, w>,
 
@@ -37,7 +40,7 @@ import numpy as np
 
 from ._pool import parallel_map
 from .cuts import CutNetwork
-from .grid import LatticeShape, Signal, adjoint_flat, components, diff_flat
+from .grid import Signal, adjoint_flat, components, diff_flat
 from .lambda_stat import sample_lambda
 
 # a region's rounds stop once its leftover demand is below this times max|y|
@@ -488,23 +491,25 @@ class FusionPath:
     def solve(self, lam: float) -> TvSolution:
         """The certified exact fit at lam >= 0."""
         check_lambda(lam)
-        _, f, w = self._write(np.array([lam], dtype=float))
+        _, f, w, _ = self._write(np.array([lam], dtype=float))
         return TvSolution(Signal(self.y.shape, f[0]), lam, w[0], 0)
 
     def blocks(self, lams):
         """The certified exact fits over a grid as ``check_grid`` takes it,
-        in grid order: an iterator of (lams, fits, duals), one per block of
-        consecutive values, row i of the fits and duals at lams[i]. The
-        grid is checked at once, each block written when it is drawn."""
+        in grid order: an iterator of (lams, fits, duals, rounds), one per
+        block of consecutive values, row i of each at lams[i]; a path write
+        takes no rounds, so they are 0. The grid is checked at once, each
+        block written when it is drawn."""
         lams = check_grid(lams)
         rows = max(1, _BLOCK // self.y.shape.n_sites)
         return map(self._write, [lams[i:i + rows]
                                  for i in range(0, lams.size, rows)])
 
     def _write(self, lams: np.ndarray):
-        """(lams, fits, duals): the fits at lams as the rows of one block,
-        their groups numbered across the rows in flat order (every row
-        starts one), with their duals from ``_certified``."""
+        """(lams, fits, duals, rounds): the fits at lams as the rows of one
+        block, their groups numbered across the rows in flat order (every
+        row starts one), with their duals from ``_certified`` and no
+        rounds."""
         v = self.y.values
         k, n = lams.size, v.size
         # a group starts at each row's first site and after each edge
@@ -525,7 +530,8 @@ class FusionPath:
         f = np.repeat(base + excess / size, size).reshape(k, n)
         # x's memory, fresh at large n, is reused for the running sums
         w = np.cumsum(np.subtract(f, v, out=x), axis=1, out=x)
-        return lams, f, _certified(self.y, lams, f, w[:, :-1])
+        return (lams, f, _certified(self.y, lams, f, w[:, :-1]),
+                np.zeros(k, dtype=int))
 
 
 def _check_path(y: Signal) -> None:
@@ -543,44 +549,12 @@ def tv_denoise_1d(y: Signal, lam: float) -> TvSolution:
 
 def tv_denoise_grid(y: Signal, lambdas) -> list[TvSolution]:
     """Exact TV minimizers on any lattice over an ascending grid of
-    lambda >= 0, in grid order.
-
-    A path lattice takes every fit from one ``FusionPath``, written in row
-    blocks of at most _BLOCK values, each row the bytes ``tv_denoise``
-    writes at that value. On other lattices pieces can split as lambda
-    grows, so there is no path to follow: the grid is cut into contiguous
-    chains of _CHAIN values; each chain is solved by one
-    ``CutSolver`` from its largest value down, every solve started from the
-    dual of the one before: that saves routing, and the fits are those of
-    cold solves up to the rounding of the flows. The chains are the tasks of
-    one ``parallel_map``, run by the caller and forked workers (TVDN_THREADS
-    processes in all), highest values first, as solves grow costlier with
-    lambda over most of a default grid; their layout depends only on the
-    grid, so the fits and their duals do not depend on the process count.
-    """
-    lams = check_grid(lambdas)
-    if y.shape.is_path:
-        return [TvSolution(Signal(y.shape, fi), lam, wi, 0)
-                for part, f, w in FusionPath(y).blocks(lams)
-                for fi, lam, wi in zip(f, part.tolist(), w)]
-    # the chains from the top, each descending, so the results read the
-    # whole grid backwards
-    args = [(y.shape.sizes, y.values, lams[i:i + _CHAIN][::-1].tolist())
-            for i in range(0, lams.size, _CHAIN)][::-1]
-    return [sol for chain in parallel_map(_solve_chain, args)
-            for sol in chain][::-1]
-
-
-def _solve_chain(args):
-    """The fits at each lambda of a descending chain from one
-    ``CutSolver``, every solve started from the dual of the one before."""
-    sizes, yv, lams = args
-    solve = CutSolver(Signal(LatticeShape(sizes), yv)).solve
-    out, dual = [], None
-    for lam in lams:
-        out.append(solve(lam, dual))
-        dual = out[-1].dual
-    return out
+    lambda >= 0, in grid order: one ``TvSolution`` per row of the blocks
+    of ``tv_solver(y).blocks``, each the bytes those blocks hold."""
+    return [TvSolution(Signal(y.shape, f), lam, w, r)
+            for lams, fits, duals, rounds in tv_solver(y).blocks(lambdas)
+            for lam, f, w, r in zip(lams.tolist(), fits, duals,
+                                    rounds.tolist())]
 
 
 def tv_solver(y: Signal) -> FusionPath | CutSolver:
@@ -633,13 +607,46 @@ class CutSolver:
     for y: clipped to +-lam, it is the first flow of the starting region,
     and all else is a cold start's. The fit does not depend on the start up
     to the rounding of the integer capacities; the dual, the rounds and the
-    rounding-level gap can. The network is built once; ``solve`` keeps no
-    state between calls.
+    rounding-level gap can. The network is built once, for every lambda
+    ``solve`` and ``blocks`` are asked; ``solve`` keeps no state between
+    calls.
+
+    ``blocks`` solves a grid in warm-started chains: there is no path to
+    follow, as pieces can split as lambda grows. The grid is cut into
+    contiguous chains of _CHAIN values, each solved from its largest value
+    down, every solve started from the dual of the one before: that saves
+    routing, and the fits are those of cold solves up to the rounding of
+    the flows. The chains are the tasks of one ``parallel_map``, run by the
+    caller and forked workers (TVDN_THREADS processes in all) on this
+    solver's network, highest values first, as solves grow costlier with
+    lambda over most of a default grid; their layout depends only on the
+    grid, so the fits and their duals do not depend on the process count.
     """
 
     def __init__(self, y: Signal):
         self.y = y
         self.net = CutNetwork(y.shape)
+
+    def blocks(self, lams):
+        """The certified exact fits over a grid as ``check_grid`` takes it,
+        in grid order: an iterator of (lams, fits, duals, rounds), one per
+        chain, row i of each at lams[i]. The grid is checked, and every
+        chain solved, at the call."""
+        lams = check_grid(lams)
+        chains = [lams[i:i + _CHAIN] for i in range(0, lams.size, _CHAIN)]
+        return reversed(parallel_map(self._chain, chains[::-1]))
+
+    def _chain(self, lams: np.ndarray):
+        """(lams, fits, duals, rounds) of one chain, solved from its largest
+        value down, every solve started from the dual of the one before."""
+        sols, dual = [], None
+        for lam in lams[::-1].tolist():
+            sols.append(self.solve(lam, dual))
+            dual = sols[-1].dual
+        sols.reverse()
+        return (lams, np.array([s.estimate.values for s in sols]),
+                np.array([s.dual for s in sols]),
+                np.array([s.iterations for s in sols]))
 
     def solve(self, lam: float, start=None) -> TvSolution:
         """The certified exact fit at lam >= 0."""

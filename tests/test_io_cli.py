@@ -967,9 +967,9 @@ def test_cli_denoise_counts_small_steps_as_pieces(tmp_path, capsys):
 
 def test_cli_sure_denoise_reuses_the_curve_fit(tmp_path, capsys, monkeypatch):
     # the fit at the SURE argmin comes from the risk curve: 30 cut solves
-    # for the 30-point grid on 6 networks, one per chain, the same output as
-    # a fresh solve there, and the rounds and gap of the warm-started solve
-    # kept on the curve
+    # for the 30-point grid on one network, the curve's solver's, the same
+    # output as a fresh solve there, and the rounds and gap of the
+    # warm-started solve kept on the curve
     monkeypatch.setenv("TVDN_THREADS", "1")
     rng = np.random.default_rng(40)
     img = np.clip(np.rint(np.kron([[60.0, 160.0], [110.0, 30.0]], np.ones((8, 8)))
@@ -994,7 +994,7 @@ def test_cli_sure_denoise_reuses_the_curve_fit(tmp_path, capsys, monkeypatch):
     assert main(["denoise", "--in", src, "--method", "sure", "--out", out]) == 0
     payload = _payload(capsys.readouterr().out)
     assert len(calls) == 30
-    assert len(networks) == 6
+    assert len(networks) == 1
     y, _, _ = read_pgm(src)
     curve = risk_curve(y, default_lambda_grid(lambda_max(y)), "sure",
                        sigma=estimate_sigma(y))

@@ -8,6 +8,7 @@ from tvdn.grid import LatticeShape, Signal, adjoint_flat
 from tvdn.risk import (RiskCurve, default_lambda_grid, loss, loss_rows, ncc,
                        risk_curve, sure, sure_rows)
 from tvdn.signals import gen_piecewise, gen_test_function
+import tvdn.tvsolve
 from tvdn.tvsolve import FusionPath, lambda_max, tv_denoise, tv_denoise_1d
 
 S = Signal.from_array
@@ -180,20 +181,34 @@ def test_risk_curve_rejects_nan_grid_values():
                 risk_curve(y, grid, criterion="sure", sigma=1.0)
 
 
-def test_risk_curve_takes_repeated_lambdas_at_the_top():
+def test_risk_curve_takes_repeated_lambdas_at_the_top(monkeypatch):
     # a grid may repeat its values; from Lambda on every fit is the mean,
     # so the repeated values at Lambda and 10 Lambda score alike and the
-    # first of them is kept with the certified mean fit
+    # first of them is kept with the certified mean fit. The ties straddle
+    # block boundaries: a path writes one row per block here, and the
+    # lattice's first chain of _CHAIN values ends inside the run at Lambda.
+    # Every value is the bits of sure or loss of tv_denoise's fit there.
+    monkeypatch.setattr(tvdn.tvsolve, "_BLOCK", 1)
+    chain = tvdn.tvsolve._CHAIN
     rng = np.random.default_rng(40)
     for sizes in [(8,), (1, 8), (4, 4)]:
         y = S(rng.normal(size=sizes))
         top = lambda_max(y)
-        grid = [0.1, top, top, 10.0 * top, 10.0 * top]
-        curve = risk_curve(y, grid, "sure", sigma=1.0)
-        assert curve.lambdas.tolist() == grid
-        assert np.all(curve.values[1:] == curve.values[1])
-        assert curve.argmin_lambda == top
-        assert_mean_fit(y, curve.argmin_fit, top)
+        grid = [0.1 * top] * (chain - 2) + [top] * 4 + [10.0 * top] * 2
+        first = chain - 2
+        assert grid[chain - 1] == grid[chain] == top
+        truth = S(np.zeros(sizes))
+        for curve, score in (
+                (risk_curve(y, grid, "sure", sigma=1.0),
+                 lambda f: sure(y, f, 1.0)),
+                (risk_curve(y, grid, "oracle", f_true=truth),
+                 lambda f: loss(f, truth))):
+            assert curve.lambdas.tolist() == grid
+            assert [v.hex() for v in curve.values.tolist()] == \
+                [score(tv_denoise(y, lam).estimate).hex() for lam in grid]
+            assert np.all(curve.values[first:] == curve.values[first])
+            assert curve.argmin_lambda == top == curve.argmin_fit.lam
+            assert_mean_fit(y, curve.argmin_fit, top)
 
 
 def test_risk_curve_reaches_the_mean_on_every_layout():

@@ -129,3 +129,29 @@ def test_only_io_opens_files():
     assert {name for module, name, _ in found if module == "io.py"} \
         == {"open", "load"}, "the check no longer sees io's own readers"
     assert [r for r in found if r[0] != "io.py"] == []
+
+
+_SOLVERS = {"FusionPath", "CutSolver"}
+
+
+def _solver_builds(path):
+    """(module, innermost enclosing definition, class) for every call in
+    the module that builds a solver by its class name."""
+    tree = ast.parse(path.read_text())
+    defs = list(_definitions(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in _SOLVERS:
+            inside = [(d.lineno, name) for name, d in defs
+                      if d.lineno <= node.lineno <= d.end_lineno]
+            yield path.name, max(inside)[1] if inside else None, node.func.id
+
+
+def test_one_solver_choice():
+    # tv_solver is where the package picks a lattice's solver; every grid
+    # and every lambda goes through the solver it returns (a block of paths
+    # comes from FusionPath.block, which is not a choice)
+    found = {b for path in sorted(SRC.glob("*.py"))
+             for b in _solver_builds(path)}
+    assert found == {("tvsolve.py", "tv_solver", "FusionPath"),
+                     ("tvsolve.py", "tv_solver", "CutSolver")}

@@ -377,6 +377,59 @@ def test_path_fit_that_cannot_be_certified_raises():
             path.blocks(bad)
 
 
+def test_cut_blocks_are_warm_chains_of_cold_fits(monkeypatch):
+    # CutSolver.blocks, the lattice twin of FusionPath.blocks: the grid is
+    # checked before any solve, the blocks are the _CHAIN-value chains in
+    # grid order, every row's fit is the bytes of a cold solve with a
+    # certified dual, and the rows do not depend on the process count
+    rng = np.random.default_rng(33)
+    solves = []
+    solve = CutSolver.solve
+
+    def counted(self, lam, start=None):
+        solves.append(lam)
+        return solve(self, lam, start)
+
+    monkeypatch.setattr(CutSolver, "solve", counted)
+    blocky = np.kron(rng.integers(0, 4, (3, 3)), np.ones((4, 4)))
+    for v in (blocky, np.round(rng.normal(size=(3, 4, 5)))):
+        y = S(v + 0.5 * rng.normal(size=v.shape))
+        solver = CutSolver(y)
+        solves.clear()
+        for bad in ([1.0, 0.5], [-0.1], [0.1, np.nan], [0.1, np.inf]):
+            with pytest.raises(ValueError):
+                solver.blocks(bad)
+        assert list(solver.blocks([])) == [] and solves == []
+        top = sample_lambda(y)[0]
+        grid = np.sort(np.concatenate([[0.0, top, top, 2.0 * top],
+                                       np.geomspace(1e-3, 0.9, 9) * top]))
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("TVDN_THREADS", threads)
+            runs.append(list(solver.blocks(grid)))
+        for blocks in runs:
+            assert [len(b) for b in blocks] == [4, 4, 4]
+            assert [b[0].size for b in blocks] == [5, 5, 3]
+            assert np.concatenate([b[0] for b in blocks]).tolist() \
+                == grid.tolist()
+        rows = [[a.tobytes() for a in block] for block in runs[0]]
+        assert rows == [[a.tobytes() for a in block] for block in runs[1]]
+        for lams, fits, duals, rounds in runs[0]:
+            # each chain is solved from its top down, every solve started
+            # from the dual of the one above: its duals and rounds are those
+            warm = None
+            for lam, f, w, r in reversed(list(zip(
+                    lams.tolist(), fits, duals, rounds.tolist()))):
+                cold = solve(CutSolver(y), lam)
+                assert f.tobytes() == cold.estimate.values.tobytes()
+                _cut_certificate(y, lam, TvSolution(Signal(y.shape, f),
+                                                    lam, w, r))
+                sol = solve(solver, lam, warm)
+                assert w.tobytes() == sol.dual.tobytes()
+                assert r == sol.iterations
+                warm = sol.dual
+
+
 def _path_cases():
     # noisy, tied and integer data on every path layout, with a grid that
     # repeats values and holds 0, Lambda and values above it
@@ -406,8 +459,9 @@ def test_path_blocks_write_every_row_as_one_row_writes_it(monkeypatch):
                 [rows] * (len(blocks) - 1)
             assert np.concatenate([b[0] for b in blocks]).tolist() \
                 == grid.tolist()
-            assert all(len(b) == 3 for b in blocks)
-            written = [row for _, *block in blocks for row in zip(*block)]
+            assert all(len(b) == 4 for b in blocks)
+            assert all(b[3].tolist() == [0] * b[0].size for b in blocks)
+            written = [row for _, *block, _ in blocks for row in zip(*block)]
             for lam, (f, w), sol in zip(grid.tolist(), written,
                                         tv_denoise_grid(y, grid)):
                 one = path.solve(lam)
