@@ -27,8 +27,9 @@ class LatticeShape:
 
     def __post_init__(self):
         sizes = tuple(int(n) for n in self.sizes)
-        if not sizes or any(n < 1 for n in sizes):
-            raise ValueError("lattice sizes must be positive")
+        if not sizes or any(n < 1 or n != m
+                            for n, m in zip(sizes, self.sizes)):
+            raise ValueError("lattice sizes must be positive integers")
         object.__setattr__(self, "sizes", sizes)
 
     @property

@@ -40,7 +40,9 @@ def _check_rows(fits: np.ndarray, f: Signal) -> None:
 
 
 def sure_rows(y: Signal, fits: np.ndarray, sigma: float) -> np.ndarray:
-    """``sure`` of each row of fits, one fit of y per row."""
+    """``sure`` of each row of fits, one fit of y per row, after
+    ``check_sigma`` on sigma."""
+    check_sigma(sigma)
     _check_rows(fits, y)
     m = y.shape.n_sites
     rss = np.sum((y.values - fits) ** 2, axis=1)

@@ -62,10 +62,11 @@ def kkt_check(y: Signal, jump_locations, lam: float):
         raise ValueError("kkt_check is defined on path lattices")
     check_lambda(lam)
     n = y.shape.n_sites
-    locs = np.asarray(sorted(int(j) for j in jump_locations), dtype=int)
-    if locs.size and (locs[0] < 1 or locs[-1] > n - 1
-                      or np.any(np.diff(locs) < 1)):
+    locs = np.asarray(sorted(jump_locations), dtype=float)
+    if locs.size and (np.any(locs != np.round(locs)) or locs[0] < 1
+                      or locs[-1] > n - 1 or np.any(np.diff(locs) < 1)):
         raise ValueError("jump locations must be distinct integers in 1..N-1")
+    locs = locs.astype(int)
     bounds = np.concatenate(([0], locs, [n]))
     sizes = np.diff(bounds).astype(float)
     yv = y.values

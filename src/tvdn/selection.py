@@ -1,14 +1,22 @@
 """Threshold selection: noise scale, universal and adaptive rules, jump counts.
 
-The universal threshold is the (1-alpha)-quantile of the dual sup-norm
-statistic under pure noise, with alpha = 2/sqrt(log P) for a lattice with P
-edges. On a path lattice (at most one axis longer than 1) it has the closed
-form (sigma/2)*sqrt(N log log N); on every other lattice it comes from the
-Gumbel law fitted for its dimension. ``_threshold`` holds both forms and
-is the only place the rule is written: ``universal_threshold`` applies it
-at the lattice's size, and ``adaptive_tv`` applies it a second time at the
-average piece size N_bar of its first fit, with P_bar = d * N_bar^(d-1) *
-(N_bar - 1) edges. On a path lattice step 1 counts the pieces of its fit by
+The universal threshold is meant as the (1-alpha)-quantile of the dual
+sup-norm statistic Lambda under pure noise, with alpha = 2/sqrt(log P) for
+a lattice with P edges. On every lattice that is not a path it comes from
+the Gumbel law fitted for its dimension. On a path lattice (at most one
+axis longer than 1) it is the closed form (sigma/2)*sqrt(N log log N),
+which solves 2 exp(-2 x^2) = 2/sqrt(log N) at x = lambda/(sigma sqrt(N)).
+2 exp(-2 x^2) is the leading term of the tail of sup|Brownian bridge|, the
+limit law of Lambda/(sigma sqrt(N)), so the closed form is a
+(1-alpha)-quantile only as N grows: unit noise exceeds it with
+probability 0.75 at N = 100, against a nominal alpha of 0.93, and 0.69 at
+N = 1000, against 0.76. Below N = e^4 (about 55), alpha >= 1 and no
+quantile exists, yet the closed form still returns a threshold.
+
+``_threshold`` holds both forms and is the only place the rule is written:
+``universal_threshold`` applies it at the lattice's size, and
+``adaptive_tv`` applies it a second time at the average piece size N_bar
+of its first fit, with P_bar = d * N_bar^(d-1) * (N_bar - 1) edges. On a path lattice step 1 counts the pieces of its fit by
 ``count_jumps``, the differences above the calibrated cutoff; the exact
 jumps of a fit are ``segmentation.extract_jumps``.
 """
@@ -77,7 +85,8 @@ def _threshold(d: int, n_side: float, n_edges: float, sigma: float,
                coeffs: GumbelFitCoefficients | None) -> float | None:
     """The universal rule on a d-lattice with side n_side and n_edges edges.
 
-    d = 1: the closed form (sigma/2)*sqrt(N log log N) at N = n_side.
+    d = 1: the closed form (sigma/2)*sqrt(N log log N) at N = n_side,
+    which the module docstring relates to alpha.
     d >= 2: sigma times the (1 - alpha)-quantile of the Gumbel law at side
     n_side, alpha = 2/sqrt(log n_edges); coeffs (the shipped fit for d when
     None) must have been fitted in dimension d. None when alpha >= 1.

@@ -16,12 +16,15 @@ lattice ``CutSolver`` builds one ``CutNetwork`` and solves each lambda by
 rounds of minimum cuts over the level sets of the fit, each round over
 every unfinished region at once; a region its cut splits falls into the
 connected components the cut leaves.
-Both solvers write an ascending grid as ``blocks``: the fits, duals and
-rounds of consecutive values as the rows of one block, which a risk curve
-scores as it is drawn. ``tv_denoise`` solves one lambda and
-``tv_denoise_grid`` a grid, one ``TvSolution`` per row of the blocks of
-``tv_solver(y)``. No solver iterates to a tolerance: every one writes
-each piece of the fit as one constant and returns through ``_certified``,
+Each solver has one row kernel, ``_rows``, which writes the fits, duals
+and rounds at a vector of lambda as the rows of one block: a block of a
+grid on a path, one warm-started chain on a lattice. Both write an
+ascending grid as ``blocks`` of those rows, which a risk curve scores as
+it is drawn, and ``solve`` (shared, on ``_Solver``) is the one-value
+block's row. ``tv_denoise`` solves one lambda and ``tv_denoise_grid`` a
+grid, one ``TvSolution`` per row of the blocks of ``tv_solver(y)``. No
+solver iterates to a tolerance: every one writes each piece of the fit as
+one constant, and each ``_rows`` returns its block through ``_certified``,
 which takes one fit per row and keeps for each a dual edge vector w with
 ||w||_inf <= lambda whose reconstruction y - B^T w equals the estimate up
 to rounding, so the gap a ``TvSolution`` derives from its estimate and
@@ -125,8 +128,8 @@ def _certified(y: Signal, lams: np.ndarray, f: np.ndarray, w: np.ndarray):
     """The duals w of fits f of y clipped to +-lambda, one row of f and w
     per value of lams, after checking that y - B^T w reconstructs every row
     of f; raises RuntimeError if one does not. This is the one certificate
-    check: ``FusionPath`` calls it on each block of rows and ``CutSolver``
-    on one row."""
+    check, and each solver calls it once per block, from its ``_rows``: on
+    a block of grid values on a path, on one chain on a lattice."""
     lam = lams[:, None]
     w = np.clip(w, -lam, lam)
     scale = float(np.abs(y.values).max())
@@ -421,14 +424,20 @@ def _heap_tail(v, times, starts, sizes, s_left, s_right, caps):
                                     np.repeat(caps, sizes)[inner])
 
 
-def _certified_fit(y: Signal, lam: float, f: np.ndarray, w: np.ndarray,
-                   rounds: int = 0) -> TvSolution:
-    """``_certified`` on the one fit f of y at lam, with its dual w."""
-    w = _certified(y, np.array([lam], dtype=float), f[None], w[None])
-    return TvSolution(Signal(y.shape, f), lam, w[0], rounds)
+class _Solver:
+    """What both solvers share: ``solve``, the one-value case of the
+    solver's own row kernel ``_rows``, which writes the certified fits at
+    a vector of lambda as the rows of one block."""
+
+    def solve(self, lam: float) -> TvSolution:
+        """The certified exact fit at lam >= 0: row 0 of the one-value
+        block ``_rows`` writes."""
+        check_lambda(lam)
+        _, f, w, r = self._rows(np.array([lam], dtype=float))
+        return TvSolution(Signal(self.y.shape, f[0]), lam, w[0], int(r[0]))
 
 
-class FusionPath:
+class FusionPath(_Solver):
     """Every exact TV fit on a path lattice, from one pass over the fusion
     path.
 
@@ -450,9 +459,9 @@ class FusionPath:
     exactly 0, and the dual at an edge is the running sum of f - y up to
     it.
 
-    One kernel writes the fits at many lambda at once, as the rows of a
-    block: ``blocks`` splits a grid into blocks of at most _BLOCK values,
-    and ``solve`` is the one-row case. Each row is written and certified
+    One kernel, ``_rows``, writes the fits at many lambda at once, as the
+    rows of a block: ``blocks`` splits a grid into blocks of at most _BLOCK
+    values, and ``solve`` is the one-row case. Each row is written and certified
     bit for bit as it would be alone, so the fits do not depend on _BLOCK.
     """
 
@@ -488,24 +497,18 @@ class FusionPath:
         v = y.values
         self._step = np.append(0.0, np.sign(v[:-1] - v[1:]))
 
-    def solve(self, lam: float) -> TvSolution:
-        """The certified exact fit at lam >= 0."""
-        check_lambda(lam)
-        _, f, w, _ = self._write(np.array([lam], dtype=float))
-        return TvSolution(Signal(self.y.shape, f[0]), lam, w[0], 0)
-
     def blocks(self, lams):
         """The certified exact fits over a grid as ``check_grid`` takes it,
-        in grid order: an iterator of (lams, fits, duals, rounds), one per
-        block of consecutive values, row i of each at lams[i]; a path write
-        takes no rounds, so they are 0. The grid is checked at once, each
-        block written when it is drawn."""
+        in grid order: an iterator of (lams, fits, duals, rounds), one
+        ``_rows`` block of consecutive values each, row i of each at
+        lams[i]; a path write takes no rounds, so they are 0. The grid is checked at once, each block
+        written when it is drawn."""
         lams = check_grid(lams)
         rows = max(1, _BLOCK // self.y.shape.n_sites)
-        return map(self._write, [lams[i:i + rows]
-                                 for i in range(0, lams.size, rows)])
+        return map(self._rows, [lams[i:i + rows]
+                                for i in range(0, lams.size, rows)])
 
-    def _write(self, lams: np.ndarray):
+    def _rows(self, lams: np.ndarray):
         """(lams, fits, duals, rounds): the fits at lams as the rows of one
         block, their groups numbered across the rows in flat order (every
         row starts one), with their duals from ``_certified`` and no
@@ -569,11 +572,10 @@ def tv_denoise(y: Signal, lam: float, cfg: SolverConfig | None = None) -> TvSolu
     compatibility and not read. Every fit returns through ``_certified``,
     which raises RuntimeError rather than return a fit it cannot certify.
     """
-    check_lambda(lam)
     return tv_solver(y).solve(lam)
 
 
-class CutSolver:
+class CutSolver(_Solver):
     """Every exact TV fit on any lattice, path lattices included, by minimum
     cuts over one ``CutNetwork``: ``FusionPath``'s counterpart for lattices
     where pieces can split as lambda grows.
@@ -603,24 +605,24 @@ class CutSolver:
     as one constant and certified by w with ||w||_inf <= lam and
     y - B^T w = f up to _CERTIFIED_TOL.
 
-    ``solve`` may start from an edge dual, such as another lambda's dual
-    for y: clipped to +-lam, it is the first flow of the starting region,
-    and all else is a cold start's. The fit does not depend on the start up
-    to the rounding of the integer capacities; the dual, the rounds and the
-    rounding-level gap can. The network is built once, for every lambda
-    ``solve`` and ``blocks`` are asked; ``solve`` keeps no state between
-    calls.
+    The warm start belongs to the chain. ``_rows`` solves a chain of values
+    from its largest down, each by ``_fit`` from the dual of the one above:
+    clipped to +-lam, it is the first flow of the starting region, and all
+    else is a cold start's. That saves flow work per round, and the fits
+    are those of cold solves up to the rounding of the integer capacities;
+    the dual, the rounds and the rounding-level gap can differ. The chain's
+    rows are certified as one block. ``solve`` is a chain of one value, so
+    a cold start. The network is built once, for every lambda ``solve`` and
+    ``blocks`` are asked; neither keeps state between calls.
 
-    ``blocks`` solves a grid in warm-started chains: there is no path to
-    follow, as pieces can split as lambda grows. The grid is cut into
-    contiguous chains of _CHAIN values, each solved from its largest value
-    down, every solve started from the dual of the one before: that saves
-    routing, and the fits are those of cold solves up to the rounding of
-    the flows. The chains are the tasks of one ``parallel_map``, run by the
-    caller and forked workers (TVDN_THREADS processes in all) on this
-    solver's network, highest values first, as solves grow costlier with
-    lambda over most of a default grid; their layout depends only on the
-    grid, so the fits and their duals do not depend on the process count.
+    ``blocks`` solves a grid in such chains: there is no path to follow, as
+    pieces can split as lambda grows. The grid is cut into contiguous
+    chains of _CHAIN values. The chains are the tasks of one
+    ``parallel_map``, run by the caller and forked workers (TVDN_THREADS
+    processes in all) on this solver's network, highest values first, as
+    solves grow costlier with lambda over most of a default grid; their
+    layout depends only on the grid, so the fits and their duals do not
+    depend on the process count.
     """
 
     def __init__(self, y: Signal):
@@ -629,35 +631,34 @@ class CutSolver:
 
     def blocks(self, lams):
         """The certified exact fits over a grid as ``check_grid`` takes it,
-        in grid order: an iterator of (lams, fits, duals, rounds), one per
-        chain, row i of each at lams[i]. The grid is checked, and every
-        chain solved, at the call."""
+        in grid order: an iterator of (lams, fits, duals, rounds), one
+        ``_rows`` block per chain, row i of each at lams[i]. The grid is
+        checked, and every chain solved, at the call."""
         lams = check_grid(lams)
         chains = [lams[i:i + _CHAIN] for i in range(0, lams.size, _CHAIN)]
-        return reversed(parallel_map(self._chain, chains[::-1]))
+        return reversed(parallel_map(self._rows, chains[::-1]))
 
-    def _chain(self, lams: np.ndarray):
-        """(lams, fits, duals, rounds) of one chain, solved from its largest
-        value down, every solve started from the dual of the one before."""
-        sols, dual = [], None
+    def _rows(self, lams: np.ndarray):
+        """(lams, fits, duals, rounds) of one chain: ``_fit`` from its
+        largest value down, each value started from the dual of the one
+        above, and the rows certified as one block."""
+        rows, w = [], None
         for lam in lams[::-1].tolist():
-            sols.append(self.solve(lam, dual))
-            dual = sols[-1].dual
-        sols.reverse()
-        return (lams, np.array([s.estimate.values for s in sols]),
-                np.array([s.dual for s in sols]),
-                np.array([s.iterations for s in sols]))
+            f, w, r = self._fit(lam, w)
+            rows.append((f, w, r))
+        f, w, r = (np.array(a[::-1]) for a in zip(*rows))
+        return lams, f, _certified(self.y, lams, f, w), r
 
-    def solve(self, lam: float, start=None) -> TvSolution:
-        """The certified exact fit at lam >= 0."""
-        check_lambda(lam)
+    def _fit(self, lam: float, start):
+        """(fit, dual, rounds) at lam >= 0, uncertified, from the edge dual
+        start (None for a cold start), clipped to +-lam."""
         y, net = self.y, self.net
         shape = y.shape
         sizes = shape.sizes
         yv = y.values
         p = shape.n_edges
         if lam == 0.0 or np.ptp(yv) == 0.0:
-            return _certified_fit(y, lam, yv.copy(), np.zeros(p))
+            return yv.copy(), np.zeros(p), 0
         near, far = net.near, net.far
         scale = float(np.abs(yv).max())
         label = np.zeros(shape.n_sites, dtype=np.intp)
@@ -704,7 +705,7 @@ class CutSolver:
             old[part] = label
             last = np.where(split[old], np.inf, last[old])
             label = part
-        return _certified_fit(y, lam, f, w, rounds)
+        return f, w, rounds
 
 
 def lambda_max(y: Signal) -> float:

@@ -18,8 +18,8 @@ from scipy.linalg import null_space
 from scipy.optimize import linprog, lsq_linear
 
 from tvdn.cuts import CutNetwork
-from tvdn.grid import adjoint_flat
-from tvdn.tvsolve import _RESIDUAL_TOL, _certified_fit, check_lambda
+from tvdn.grid import Signal, adjoint_flat
+from tvdn.tvsolve import _RESIDUAL_TOL, TvSolution, _certified, check_lambda
 
 
 def oracle_diff(x, sizes):
@@ -368,12 +368,20 @@ def fusion_times_heap(y):
     return np.array(times)
 
 
+def _certified_fit(y, lam, f, w, rounds=0):
+    """The ``TvSolution`` of the one fit f of y at lam with its dual w,
+    through the package's certificate check ``_certified``."""
+    w = _certified(y, np.array([lam], dtype=float), f[None], w[None])
+    return TvSolution(Signal(y.shape, f), lam, w[0], rounds)
+
+
 def cut_solve_two_way(y, lam, start=None):
     """The reference cut solve, as the package wrote it before a split
-    region was relabelled by its connected components: ``CutSolver.solve``
-    on the signal y at lam from the edge dual start, where a blocked region
-    splits into exactly two parts, the sink side T of its minimum cut
-    (higher) and the rest (lower), connected or not. It routes on the
+    region was relabelled by its connected components: ``CutSolver._fit``,
+    certified, on the signal y at lam from the edge dual start (clipped to
+    +-lam; None for a cold start), where a blocked region splits into
+    exactly two parts, the sink side T of its minimum cut (higher) and the
+    rest (lower), connected or not. It routes on the
     package's ``CutNetwork`` and returns through its certificate check, as
     the solver it is compared with does; only the splitting rule differs.
     """

@@ -978,18 +978,18 @@ def test_cli_sure_denoise_reuses_the_curve_fit(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "o.pgm")
     write_pgm(src, Signal.from_array(img), maxval=255)
     calls, networks = [], []
-    solve = tvdn.tvsolve.CutSolver.solve
+    fit = tvdn.tvsolve.CutSolver._fit
     network = tvdn.tvsolve.CutNetwork
 
-    def counted(self, lam, start=None):
+    def counted(self, lam, start):
         calls.append(lam)
-        return solve(self, lam, start)
+        return fit(self, lam, start)
 
     def built(shape):
         networks.append(shape)
         return network(shape)
 
-    monkeypatch.setattr(tvdn.tvsolve.CutSolver, "solve", counted)
+    monkeypatch.setattr(tvdn.tvsolve.CutSolver, "_fit", counted)
     monkeypatch.setattr(tvdn.tvsolve, "CutNetwork", built)
     assert main(["denoise", "--in", src, "--method", "sure", "--out", out]) == 0
     payload = _payload(capsys.readouterr().out)

@@ -8,6 +8,7 @@ from tvdn.grid import LatticeShape, Signal, adjoint_flat
 from tvdn.risk import (RiskCurve, default_lambda_grid, loss, loss_rows, ncc,
                        risk_curve, sure, sure_rows)
 from tvdn.signals import gen_piecewise, gen_test_function
+import tvdn.risk
 import tvdn.tvsolve
 from tvdn.tvsolve import FusionPath, lambda_max, tv_denoise, tv_denoise_1d
 
@@ -238,13 +239,27 @@ def test_risk_curve_takes_a_scalar_grid():
                 risk_curve(y, [0.5], **kwargs).values.tolist()
 
 
-def test_risk_curve_rejects_bad_sigma():
+def test_risk_curve_rejects_bad_sigma(monkeypatch):
     rng = np.random.default_rng(40)
-    for sizes in [(20,), (4, 5)]:
-        y = S(rng.normal(size=sizes))
+    ys = [S(rng.normal(size=sizes)) for sizes in [(20,), (4, 5)]]
+    for y in ys:
         for sigma in (np.nan, np.inf, -1.0):
             with pytest.raises(ValueError, match="sigma"):
                 risk_curve(y, [0.1, 1.0], criterion="sure", sigma=sigma)
+            # the scorers refuse it too, rather than read sigma^2
+            with pytest.raises(ValueError, match="sigma"):
+                sure(y, y, sigma)
+            with pytest.raises(ValueError, match="sigma"):
+                sure_rows(y, y.values[None], sigma)
+
+    # the curve refuses a bad sigma before any solver is built
+    def built(y):
+        raise AssertionError("a solver was built")
+
+    monkeypatch.setattr(tvdn.risk, "tv_solver", built)
+    for y in ys:
+        with pytest.raises(ValueError, match="sigma"):
+            risk_curve(y, [0.1, 1.0], criterion="sure", sigma=-1.0)
 
 
 def test_risk_curve_sure_close_to_oracle_on_blocks():

@@ -139,6 +139,12 @@ def test_kkt_invalid_inputs():
         kkt_check(y, [10], 1.0)
     with pytest.raises(ValueError):
         kkt_check(y, [3, 3], 1.0)
+    # a location that is not an integer is refused, not truncated
+    for locs in ([4.7], [2, 5.5], [np.nan]):
+        with pytest.raises(ValueError, match="distinct integers"):
+            kkt_check(y, locs, 1.0)
+    assert kkt_check(y, [4.0], 1.0)[1].tolist() \
+        == kkt_check(y, np.array([4]), 1.0)[1].tolist()
     with pytest.raises(ValueError):
         kkt_check(y, [3], -1.0)
     with pytest.raises(ValueError):

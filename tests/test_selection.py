@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import tv_oracle_direct_1d
 from tvdn.coeffs import default_coefficients
 from tvdn.grid import LatticeShape, Signal, adjoint_flat
-from tvdn.lambda_stat import GumbelFitCoefficients
+from tvdn.lambda_stat import GumbelFitCoefficients, sample_lambda
 from tvdn.segmentation import extract_jumps
 from tvdn.selection import (ThresholdReport, _threshold, adaptive_tv,
                             count_jumps, estimate_sigma, exact_seg_prob_bound,
@@ -54,6 +54,32 @@ def test_universal_threshold_1d_values():
     assert _path_threshold(10000, 1.0) == pytest.approx(74.51, abs=1e-2)
     with pytest.raises(ValueError):
         _path_threshold(2, 1.0)
+
+
+def _path_lambdas(y):
+    """Lambda of each row of y, a block of signals on one path: the largest
+    |partial sum| of the row less its mean, over the interior edges."""
+    c = y - y.mean(axis=1, keepdims=True)
+    return np.abs(np.cumsum(c, axis=1)[:, :-1]).max(axis=1)
+
+
+def test_universal_threshold_1d_exceedance():
+    # the 1D closed form solves 2 exp(-2 x^2) = alpha, the leading tail
+    # term of sup|Brownian bridge|, so unit noise exceeds it less often than
+    # the nominal alpha = 2/sqrt(log(N - 1)); pinned at the measured rates
+    # (N, draws, measured rate, its standard error)
+    rng = np.random.default_rng(12)
+    y = rng.normal(size=(200, 100))
+    want = [sample_lambda(S(row))[0] for row in y]
+    assert _path_lambdas(y).tolist() == want
+    for n, draws, rate, err in ((100, 20000, 0.755, 0.003),
+                                (1000, 4000, 0.691, 0.007)):
+        lam = _path_threshold(n, 1.0)
+        p = float(np.mean(_path_lambdas(rng.normal(size=(draws, n))) > lam))
+        se = math.sqrt(p * (1.0 - p) / draws)
+        alpha = 2.0 / math.sqrt(math.log(n - 1))
+        assert p <= alpha - 4.0 * se
+        assert abs(p - rate) <= 4.0 * math.hypot(se, err)
 
 
 def test_adaptive_threshold_1d_values():

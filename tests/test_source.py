@@ -134,24 +134,43 @@ def test_only_io_opens_files():
 _SOLVERS = {"FusionPath", "CutSolver"}
 
 
-def _solver_builds(path):
-    """(module, innermost enclosing definition, class) for every call in
-    the module that builds a solver by its class name."""
-    tree = ast.parse(path.read_text())
-    defs = list(_definitions(tree))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id in _SOLVERS:
-            inside = [(d.lineno, name) for name, d in defs
-                      if d.lineno <= node.lineno <= d.end_lineno]
-            yield path.name, max(inside)[1] if inside else None, node.func.id
+def _calls(names):
+    """(module, innermost enclosing definition, name) for every call in the
+    package of a function or class in names, by its bare name."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = list(_definitions(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in names:
+                inside = [(d.lineno, q) for q, d in defs
+                          if d.lineno <= node.lineno <= d.end_lineno]
+                yield (path.name, max(inside)[1] if inside else None,
+                       node.func.id)
 
 
 def test_one_solver_choice():
     # tv_solver is where the package picks a lattice's solver; every grid
     # and every lambda goes through the solver it returns (a block of paths
     # comes from FusionPath.block, which is not a choice)
-    found = {b for path in sorted(SRC.glob("*.py"))
-             for b in _solver_builds(path)}
-    assert found == {("tvsolve.py", "tv_solver", "FusionPath"),
-                     ("tvsolve.py", "tv_solver", "CutSolver")}
+    assert set(_calls(_SOLVERS)) == {
+        ("tvsolve.py", "tv_solver", "FusionPath"),
+        ("tvsolve.py", "tv_solver", "CutSolver")}
+
+
+def test_one_certificate_per_row_kernel():
+    # each solver certifies its fits once per block, in its row kernel:
+    # a block of grid values on a path, a warm-started chain on a lattice
+    assert sorted(_calls({"_certified"})) == [
+        ("tvsolve.py", "CutSolver._rows", "_certified"),
+        ("tvsolve.py", "FusionPath._rows", "_certified")]
+
+
+def test_one_solve():
+    # both TV solvers inherit one solve, the one-value block of their row
+    # kernel; the spectral Laplacian's solve is a linear solve, not a fit
+    found = sorted((path.name, q) for path in sorted(SRC.glob("*.py"))
+                   for q, _ in _definitions(ast.parse(path.read_text()))
+                   if q.split(".")[-1] == "solve")
+    assert found == [("grid.py", "SpectralLaplacian.solve"),
+                     ("tvsolve.py", "_Solver.solve")]

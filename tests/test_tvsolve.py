@@ -16,7 +16,7 @@ from tvdn.segmentation import kkt_check
 from tvdn.signals import TEST_FUNCTIONS, gen_test_function
 import tvdn.tvsolve
 from tvdn.tvsolve import (CutSolver, FusionPath, SolverConfig, TvSolution,
-                          lambda_max, tv_denoise, tv_denoise_1d,
+                          _certified, lambda_max, tv_denoise, tv_denoise_1d,
                           tv_denoise_grid, tv_solver)
 
 S = Signal.from_array
@@ -384,13 +384,13 @@ def test_cut_blocks_are_warm_chains_of_cold_fits(monkeypatch):
     # certified dual, and the rows do not depend on the process count
     rng = np.random.default_rng(33)
     solves = []
-    solve = CutSolver.solve
+    fit = CutSolver._fit
 
-    def counted(self, lam, start=None):
+    def counted(self, lam, start):
         solves.append(lam)
-        return solve(self, lam, start)
+        return fit(self, lam, start)
 
-    monkeypatch.setattr(CutSolver, "solve", counted)
+    monkeypatch.setattr(CutSolver, "_fit", counted)
     blocky = np.kron(rng.integers(0, 4, (3, 3)), np.ones((4, 4)))
     for v in (blocky, np.round(rng.normal(size=(3, 4, 5)))):
         y = S(v + 0.5 * rng.normal(size=v.shape))
@@ -420,14 +420,14 @@ def test_cut_blocks_are_warm_chains_of_cold_fits(monkeypatch):
             warm = None
             for lam, f, w, r in reversed(list(zip(
                     lams.tolist(), fits, duals, rounds.tolist()))):
-                cold = solve(CutSolver(y), lam)
+                cold = CutSolver(y).solve(lam)
                 assert f.tobytes() == cold.estimate.values.tobytes()
                 _cut_certificate(y, lam, TvSolution(Signal(y.shape, f),
                                                     lam, w, r))
-                sol = solve(solver, lam, warm)
-                assert w.tobytes() == sol.dual.tobytes()
-                assert r == sol.iterations
-                warm = sol.dual
+                g, dual, n = fit(solver, lam, warm)
+                warm = _certified(y, np.array([lam]), g[None], dual[None])[0]
+                assert w.tobytes() == warm.tobytes()
+                assert r == n
 
 
 def _path_cases():
@@ -742,8 +742,9 @@ def test_cut_solve_warm_start_keeps_the_fit(sizes, seed, log_amp, fracs):
     solver = CutSolver(y)
     cold = [solver.solve(lam) for lam in lams]
     for lam, ref, start in zip(lams, cold, cold[::-1]):
-        sol = solver.solve(lam, start.dual)
-        f = sol.estimate.values
+        f, w, rounds = solver._fit(lam, start.dual)
+        w = _certified(y, np.array([lam]), f[None], w[None])[0]
+        sol = TvSolution(Signal(shape, f), lam, w, rounds)
         assert np.abs(sol.dual).max() <= lam
         assert np.abs(v - adjoint_flat(sol.dual, sizes) - f).max() <= 1e-8 * amp
         assert 0.0 <= sol.gap <= 1e-12 * (1.0 + sol.objective(y))
