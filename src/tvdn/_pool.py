@@ -9,7 +9,10 @@ caller runs its share of the tasks in place. Each worker sends its
 every worker before it returns or raises. Results are placed by index, so
 parallel and serial runs produce identical output. Workers fork from a
 frozen heap (``gc.freeze``): their collections then skip every object they
-inherit, so they do not touch, and so copy, the pages that hold them.
+inherit, so they do not touch, and so copy, the pages that hold them. A
+module the caller has not imported when a map forks is imported again by
+every worker whose tasks need it. The package loads its scipy modules on
+first use, so a caller imports what its tasks need before the map.
 """
 from __future__ import annotations
 

@@ -172,6 +172,9 @@ def bench_mse(config: ExperimentConfig) -> ResultTable:
             cells.append(((function, n, reps), [
                 (f, config.sigma, chunk)
                 for chunk in _chunks((config.seed, fi, n), n, reps)]))
+    # the adaptive rule's quantiles need scipy.special: loaded before the
+    # workers fork, or each imports it again
+    import scipy.special
     table = ResultTable()
     for (function, n, reps), chunks in _map_cells(_mse_reps, cells):
         out = [o for chunk in chunks for o in chunk]
@@ -280,6 +283,12 @@ def run_lambda_samples(dim: int, sizes, reps: int, seed: int,
         raise ValueError("sizes must be distinct")
     cells = [(n, _mc_tasks(LatticeShape((n,) * dim), reps, seed + i, tol))
              for i, n in enumerate(sizes)]
+    if dim > 1:
+        # a lattice draw needs the cut network (scipy.sparse) and scipy.fft:
+        # loaded before the workers fork, or each imports them again
+        import scipy.fft
+
+        from . import cuts
     return {n: np.array(draws) for n, draws in _map_cells(_mc_one, cells)}
 
 

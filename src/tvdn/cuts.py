@@ -6,6 +6,11 @@ the TV solve with its dual certificate. Both ask the same question: can site
 demands be routed through edge capacities, and if not, which site set
 blocks them? Flows come from scipy's ``maximum_flow`` (Dinic) in integer
 units.
+
+This is the one module that loads scipy.sparse and its csgraph when it is
+imported. Nothing imports it at package import: ``tvsolve.CutSolver`` and
+the lattice branch of ``lambda_stat.sample_lambda`` import it when they
+first run, so a path-lattice run never loads it.
 """
 from __future__ import annotations
 

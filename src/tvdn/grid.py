@@ -2,6 +2,10 @@
 of the lattice graph and the exact lattice-Laplacian solve (one
 cosine-transform solve, no iteration).
 
+Only numpy loads with this module. ``components`` imports scipy.sparse and
+its csgraph, and ``SpectralLaplacian.solve`` scipy.fft, where they are
+first needed, so a path-lattice run never loads them.
+
 The difference operator stacks one block per direction (direction-major). A
 direction is a lattice axis, enumerated from the fastest-varying axis of the
 row-major layout outward, so that for an image the horizontal differences come
@@ -14,9 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,9 @@ def components(shape: LatticeShape,
     edges where the boolean edge vector joined is True, in the fixed edge
     order: (count, labels), labels[i] in 0..count-1 the component of site
     i. The package's one connected-components routine."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     near, far = edge_endpoints(shape)
     m = shape.n_sites
     links = sp.csr_matrix((np.ones(int(np.count_nonzero(joined))),
@@ -180,10 +184,12 @@ class SpectralLaplacian:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The mean-zero solution of B^T B x = rhs (pseudo-inverse)."""
+        from scipy.fft import dctn, idctn
+
         arr = np.asarray(rhs, dtype=float).reshape(self.shape.sizes)
-        coef = scipy.fft.dctn(arr, type=2, norm="ortho")
+        coef = dctn(arr, type=2, norm="ortho")
         den = self._eig.copy()
         den.reshape(-1)[0] = 1.0
         coef = coef / den
         coef.reshape(-1)[0] = 0.0
-        return scipy.fft.idctn(coef, type=2, norm="ortho").ravel()
+        return idctn(coef, type=2, norm="ortho").ravel()

@@ -16,6 +16,10 @@ clipped to it the first flow.
 Monte Carlo draws of Lambda under white noise (``bench.run_lambda_samples``)
 feed a Gumbel fit, and the fitted location/scale follow a log-log-linear law
 in the side length, which is what the regression here captures.
+
+Importing this module loads no scipy: the lattice branch of
+``sample_lambda`` imports ``cuts`` (scipy.sparse) and the fitters import
+scipy.optimize and scipy.special when they first run.
 """
 from __future__ import annotations
 
@@ -23,9 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
-from .cuts import CutNetwork
 from .grid import Signal, SpectralLaplacian, adjoint_flat, diff_flat
 
 # sample_lambda gives up after this many flows; noise draws certify in 4-6
@@ -144,6 +146,8 @@ def sample_lambda(y: Signal, tol: float = DEFAULT_TOL):
         # w_i = -(c_0 + ... + c_i) alone
         w = -np.cumsum(c)[:-1]
         return float(np.abs(w).max()), w
+    from .cuts import CutNetwork
+
     spectral = SpectralLaplacian(shape)
     net = CutNetwork(shape)
 
@@ -273,6 +277,7 @@ def fit_gev_and_lr_test(samples):
     2*(loglik_gev - loglik_gumbel) is referred to chi-square(1).
     """
     from scipy.optimize import minimize
+    from scipy.special import chdtrc
 
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < MIN_GEV_SAMPLES:

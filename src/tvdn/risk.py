@@ -129,6 +129,7 @@ def risk_curve(y: Signal, lambdas, criterion: str = "sure",
         _check_shapes(f_true, y)
     else:
         raise ValueError("criterion must be 'sure' or 'oracle'")
+    lambdas = check_grid(lambdas)
     values, best = [], None
     for lams, fits, duals, rounds in tv_solver(y).blocks(lambdas):
         scores = sure_rows(y, fits, sigma) if criterion == "sure" \

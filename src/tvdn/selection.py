@@ -19,6 +19,10 @@ quantile exists, yet the closed form still returns a threshold.
 of its first fit, with P_bar = d * N_bar^(d-1) * (N_bar - 1) edges. On a path lattice step 1 counts the pieces of its fit by
 ``count_jumps``, the differences above the calibrated cutoff; the exact
 jumps of a fit are ``segmentation.extract_jumps``.
+
+The normal quantiles come from scipy.special through ``_normal_quantile``,
+which imports it on the first call, so importing this module loads no
+scipy.
 """
 from __future__ import annotations
 
@@ -26,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .coeffs import default_coefficients
 from .grid import LatticeShape, Signal, diff_flat
@@ -55,6 +58,13 @@ class ThresholdReport:
         check_lambda(self.lambda2)
 
 
+def _normal_quantile(p: float) -> float:
+    """z_p, the p-quantile of the standard normal law."""
+    from scipy.special import ndtri
+
+    return float(ndtri(p))
+
+
 def estimate_sigma(y: Signal) -> float:
     """Noise scale from the median absolute deviation of finite differences."""
     if y.shape.n_edges < 2:
@@ -70,7 +80,8 @@ def jump_threshold(n: int, sigma: float) -> float:
     if n < 2:
         raise ValueError("N must be at least 2")
     check_sigma(sigma)
-    return sigma * math.sqrt(2.0 / n) * float(ndtri(1.0 - 0.025 / (n - 1)))
+    return sigma * math.sqrt(2.0 / n) \
+        * _normal_quantile(1.0 - 0.025 / (n - 1))
 
 
 def count_jumps(f: Signal, sigma: float) -> int:
@@ -135,14 +146,14 @@ def exact_seg_threshold(n_max: int, sigma: float, alpha: float) -> float:
     if n_max < 1:
         raise ValueError("N_max must be at least 1")
     check_sigma(sigma)
-    return sigma * n_max * float(ndtri(1.0 - alpha / 2.0))
+    return sigma * n_max * _normal_quantile(1.0 - alpha / 2.0)
 
 
 def min_jump_height(sigma: float, alpha: float) -> float:
     """Smallest jump size 4*sigma*z_{1-alpha/2} the guarantee asks for."""
     _check_alpha(alpha)
     check_sigma(sigma)
-    return 4.0 * sigma * float(ndtri(1.0 - alpha / 2.0))
+    return 4.0 * sigma * _normal_quantile(1.0 - alpha / 2.0)
 
 
 def exact_seg_prob_bound(n_levels: int, alpha: float) -> float:

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pool import parallel_map
-from .cuts import CutNetwork
 from .grid import Signal, adjoint_flat, components, diff_flat
 from .lambda_stat import sample_lambda
 
@@ -553,7 +552,9 @@ def tv_denoise_1d(y: Signal, lam: float) -> TvSolution:
 def tv_denoise_grid(y: Signal, lambdas) -> list[TvSolution]:
     """Exact TV minimizers on any lattice over an ascending grid of
     lambda >= 0, in grid order: one ``TvSolution`` per row of the blocks
-    of ``tv_solver(y).blocks``, each the bytes those blocks hold."""
+    of ``tv_solver(y).blocks``, each the bytes those blocks hold. The grid
+    is checked before the solver is built."""
+    lambdas = check_grid(lambdas)
     return [TvSolution(Signal(y.shape, f), lam, w, r)
             for lams, fits, duals, rounds in tv_solver(y).blocks(lambdas)
             for lam, f, w, r in zip(lams.tolist(), fits, duals,
@@ -571,7 +572,9 @@ def tv_denoise(y: Signal, lam: float, cfg: SolverConfig | None = None) -> TvSolu
     ``iterations`` counts a cut solve's batched rounds. cfg is accepted for
     compatibility and not read. Every fit returns through ``_certified``,
     which raises RuntimeError rather than return a fit it cannot certify.
+    lam is checked before the solver is built.
     """
+    check_lambda(lam)
     return tv_solver(y).solve(lam)
 
 
@@ -626,6 +629,8 @@ class CutSolver(_Solver):
     """
 
     def __init__(self, y: Signal):
+        from .cuts import CutNetwork
+
         self.y = y
         self.net = CutNetwork(y.shape)
 

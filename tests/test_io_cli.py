@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import tvdn.cuts
 import tvdn.tvsolve
 from tvdn._pool import parallel_map, worker_count
 from tvdn.bench import (ExperimentConfig, bench_mse, bench_seg,
@@ -969,7 +970,8 @@ def test_cli_sure_denoise_reuses_the_curve_fit(tmp_path, capsys, monkeypatch):
     # the fit at the SURE argmin comes from the risk curve: 30 cut solves
     # for the 30-point grid on one network, the curve's solver's, the same
     # output as a fresh solve there, and the rounds and gap of the
-    # warm-started solve kept on the curve
+    # warm-started solve kept on the curve; the only other network is the
+    # one Lambda's flows are routed on, so a fresh solve would be a third
     monkeypatch.setenv("TVDN_THREADS", "1")
     rng = np.random.default_rng(40)
     img = np.clip(np.rint(np.kron([[60.0, 160.0], [110.0, 30.0]], np.ones((8, 8)))
@@ -979,7 +981,7 @@ def test_cli_sure_denoise_reuses_the_curve_fit(tmp_path, capsys, monkeypatch):
     write_pgm(src, Signal.from_array(img), maxval=255)
     calls, networks = [], []
     fit = tvdn.tvsolve.CutSolver._fit
-    network = tvdn.tvsolve.CutNetwork
+    network = tvdn.cuts.CutNetwork
 
     def counted(self, lam, start):
         calls.append(lam)
@@ -990,11 +992,11 @@ def test_cli_sure_denoise_reuses_the_curve_fit(tmp_path, capsys, monkeypatch):
         return network(shape)
 
     monkeypatch.setattr(tvdn.tvsolve.CutSolver, "_fit", counted)
-    monkeypatch.setattr(tvdn.tvsolve, "CutNetwork", built)
+    monkeypatch.setattr(tvdn.cuts, "CutNetwork", built)
     assert main(["denoise", "--in", src, "--method", "sure", "--out", out]) == 0
     payload = _payload(capsys.readouterr().out)
     assert len(calls) == 30
-    assert len(networks) == 1
+    assert len(networks) == 2
     y, _, _ = read_pgm(src)
     curve = risk_curve(y, default_lambda_grid(lambda_max(y)), "sure",
                        sigma=estimate_sigma(y))

@@ -344,19 +344,44 @@ def test_gev_nests_gumbel():
         assert 0.0 <= p <= 1.0
 
 
+_IMPORT_PROBE = """
+import sys
+import numpy as np
+
+def loaded():
+    return sorted({m.split(".")[1] for m in sys.modules
+                   if m.startswith("scipy.")})
+
+import tvdn, tvdn.cli
+print("import", "scipy" in sys.modules, loaded())
+from tvdn import (Signal, adaptive_tv, default_lambda_grid, lambda_max,
+                  risk_curve, tv_denoise)
+rng = np.random.default_rng(3)
+y = Signal.from_array(np.repeat([0.0, 4.0], 60) + rng.standard_normal(120))
+tv_denoise(y, 1.0)
+risk_curve(y, default_lambda_grid(lambda_max(y)), "sure", sigma=1.0)
+adaptive_tv(y)
+print("1d", "sparse" in loaded(), "fft" in loaded())
+y = Signal.from_array(rng.standard_normal((4, 4)))
+tv_denoise(y, 0.5 * lambda_max(y))
+print("4x4", "sparse" in loaded(), "fft" in loaded())
+"""
+
+
 def test_import_leaves_scipy_stats_and_optimize_unloaded():
-    # the ratio test's p-value comes from scipy.special; scipy.stats costs
-    # about half a second and 40 MB at import, and scipy.optimize, which
-    # only the two fitters use, about 0.15 s and 12 MB, so they import it
-    # on their first call
+    # importing tvdn loads numpy alone: each scipy module is imported where
+    # it is first needed. scipy.stats costs about half a second and 40 MB
+    # at import and is never used; scipy.optimize, which only the two
+    # fitters use, about 0.15 s and 12 MB; scipy.sparse, its csgraph,
+    # scipy.fft and scipy.special together about 0.35 s and 38 MB, of which
+    # a path-lattice run needs only scipy.special, for its quantiles
     root = os.path.dirname(os.path.dirname(tvdn.__file__))
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; import tvdn, tvdn.cli; print('scipy.stats' in "
-         "sys.modules, 'scipy.optimize' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=root), capture_output=True, text=True,
-        check=True)
-    assert out.stdout.strip() == "False False"
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env=dict(os.environ, PYTHONPATH=root, TVDN_THREADS="1"),
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines() == [
+        "import False []", "1d False False", "4x4 True True"]
 
 
 def test_lr_pvalue_is_chi2_tail():

@@ -668,6 +668,28 @@ def test_every_threshold_entry_refuses_a_non_finite_lambda(y, bad):
             entry()
 
 
+@pytest.mark.parametrize("y", [_PATH, _LATTICE], ids=["path", "lattice"])
+def test_a_bad_lambda_is_refused_before_a_solver_is_built(y, monkeypatch):
+    # a solver's set-up is a whole fusion pass or a cut network, so a bad
+    # threshold or grid is refused before any solver exists
+    def built(y):
+        raise AssertionError("a solver was built")
+
+    monkeypatch.setattr(tvdn.tvsolve, "tv_solver", built)
+    monkeypatch.setattr(tvdn.risk, "tv_solver", built)
+    for bad in (np.nan, -1.0, np.inf):
+        for entry in (lambda: tv_denoise(y, bad),
+                      lambda: tv_denoise_grid(y, [0.5, bad]),
+                      lambda: risk_curve(y, [0.5, bad], "sure", sigma=1.0)):
+            with pytest.raises(ValueError,
+                               match="lambda must be finite and nonnegative"):
+                entry()
+    for entry in (lambda: tv_denoise_grid(y, [1.0, 0.5]),
+                  lambda: risk_curve(y, [1.0, 0.5], "sure", sigma=1.0)):
+        with pytest.raises(ValueError, match="lambda grid must be ascending"):
+            entry()
+
+
 def test_boxqp_oracle_is_optimal_on_4x4_lattices():
     # instances where bvls at its default iteration cap returned fits above
     # the minimum objective (by 0.54%, 2.8% and 5e-5 relative); the oracle

@@ -17,7 +17,11 @@ With ``--against DIR --against-pr N`` every run alternates with the same run
 on the checkout at DIR (odd seeds DIR first, even seeds this checkout
 first), and BENCH_<N>.json is written for DIR as well. That takes about 20
 minutes and gives pairs measured under the same load, as a claimed speed-up
-needs. Usage, from the repository root:
+needs. This checkout's file then also holds, per workload and end-to-end
+metric, the pairs read as one comparison: the median of the per-seed
+ratios this/DIR, how many pairs moved the way BENCHMARK.json's ``better``
+marks as better, and how many moved the other way or tied; one line per
+metric is printed as well. Usage, from the repository root:
 
     python3 tools/bench_trajectory.py --pr 31
     python3 tools/bench_trajectory.py --pr 31 --against ../parent --against-pr 30
@@ -37,12 +41,12 @@ SECONDS = 15
 
 
 def spec(root):
-    """The workload names and end-to-end metric units that ``root``'s
-    BENCHMARK.json declares."""
+    """The workload names and the end-to-end metrics, each with its unit
+    and which way is better, that ``root``'s BENCHMARK.json declares."""
     with open(os.path.join(root, "BENCHMARK.json")) as fh:
         doc = json.load(fh)
     return ([w["name"] for w in doc["workloads"]],
-            {m["name"]: m["unit"] for m in doc["end_to_end"]})
+            {m["name"]: (m["unit"], m["better"]) for m in doc["end_to_end"]})
 
 
 def bench_run(root, workload, seed):
@@ -68,11 +72,11 @@ def bench_run(root, workload, seed):
             }, prov
 
 
-def summarize(runs, units):
+def summarize(runs, metrics):
     """Median and quartiles of every metric over the runs that finished."""
     done = [r for r in runs if "metrics" in r]
     out = {}
-    for name, unit in units.items():
+    for name, (unit, _) in metrics.items():
         values = [r["metrics"][name] for r in done]
         if not values:
             continue
@@ -81,6 +85,38 @@ def summarize(runs, units):
         out[name] = {"unit": unit, "median": q2, "q1": q1, "q3": q3,
                      "runs": len(values)}
     return out
+
+
+def compare_pairs(runs, base, metrics):
+    """The runs against the base runs, paired by seed (pairs where either
+    run did not finish are left out): per metric, the median of the ratios
+    run/base over the pairs whose base is not 0, the number of pairs that
+    moved the way ``better`` marks as better ("won"), and the number that
+    moved the other way or tied ("lost_or_tied")."""
+    by_seed = {r["seed"]: r["metrics"] for r in base if "metrics" in r}
+    pairs = [(r["metrics"], by_seed[r["seed"]]) for r in runs
+             if "metrics" in r and r["seed"] in by_seed]
+    out = {}
+    for name, (_, better) in metrics.items():
+        sign = 1.0 if better == "higher" else -1.0
+        values = [(new[name], old[name]) for new, old in pairs]
+        if not values:
+            continue
+        won = sum(sign * (new - old) > 0 for new, old in values)
+        ratios = [new / old for new, old in values if old != 0]
+        out[name] = {"better": better, "pairs": len(values), "won": won,
+                     "lost_or_tied": len(values) - won,
+                     "ratio_median": (statistics.median(ratios)
+                                      if ratios else None)}
+    return out
+
+
+def pair_line(workload, name, cmp):
+    """One comparison from ``compare_pairs`` as a line of text."""
+    ratio = cmp["ratio_median"]
+    return "%s %s: median ratio %s, better (%s) in %d of %d pairs" % (
+        workload, name, "n/a" if ratio is None else "%.4f" % ratio,
+        cmp["better"], cmp["won"], cmp["pairs"])
 
 
 def provenance(root, prov):
@@ -134,25 +170,33 @@ def main(argv=None):
     sides = [(ROOT, args.pr)]
     if args.against:
         sides.insert(0, (os.path.abspath(args.against), args.against_pr))
-    workloads, units = spec(ROOT)
+    workloads, metrics = spec(ROOT)
     for root, _ in sides:
-        if spec(root) != (workloads, units):
+        if spec(root) != (workloads, metrics):
             p.error("%s declares another benchmark than %s" % (root, ROOT))
     runs, provs = record(sides, workloads)
+    lines = []
     for root, pr in sides:
         doc = {"pr": pr, "provenance": provenance(root, provs[root]),
                "paired_with": [q for r, q in sides if r != root],
                "workloads": {}}
         for w in workloads:
-            stats = summarize(runs[root][w], units)
+            stats = summarize(runs[root][w], metrics)
             doc["workloads"][w] = {
                 "correct": all(r["correct"] for r in runs[root][w]),
                 "metrics": stats, "runs": runs[root][w]}
+            if root == ROOT and args.against:
+                cmp = compare_pairs(runs[root][w], runs[sides[0][0]][w],
+                                    metrics)
+                doc["workloads"][w]["pairs"] = cmp
+                lines += [pair_line(w, name, c) for name, c in cmp.items()]
         path = os.path.join(ROOT, "BENCH_%d.json" % pr)
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
         print(path)
+    for line in lines:
+        print(line)
     return 0
 
 
