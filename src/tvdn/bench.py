@@ -172,9 +172,6 @@ def bench_mse(config: ExperimentConfig) -> ResultTable:
             cells.append(((function, n, reps), [
                 (f, config.sigma, chunk)
                 for chunk in _chunks((config.seed, fi, n), n, reps)]))
-    # the adaptive rule's quantiles need scipy.special: loaded before the
-    # workers fork, or each imports it again
-    import scipy.special
     table = ResultTable()
     for (function, n, reps), chunks in _map_cells(_mse_reps, cells):
         out = [o for chunk in chunks for o in chunk]

@@ -366,15 +366,14 @@ def _heap_tail(v, times, starts, sizes, s_left, s_right, caps):
     ends = np.searchsorted(group, head)
     gl[ends] = s_left
     gr[np.append(ends[1:], group.size) - 1] = -s_right
-    # the initial meeting times, computed as push does, all at once
+    # the initial meeting times, computed as push does, all at once; a
+    # segment's heap entries are made from these columns when it runs
     slope = (gr + gl) / count
     d = slope[pair] - slope[pair + 1]
     meets = d != 0.0
-    heaps = list(zip(((y[lo] - y[hi])[meets] / d[meets]).tolist(),
-                     lo[meets].tolist(), hi[meets].tolist(),
-                     count[pair][meets].tolist(),
-                     count[pair + 1][meets].tolist()))
-    cut = np.searchsorted(lo[meets], head).tolist() + [len(heaps)]
+    t0, g0, h0 = (y[lo] - y[hi])[meets] / d[meets], lo[meets], hi[meets]
+    sg0, sh0 = count[pair][meets], count[pair + 1][meets]
+    cut = np.searchsorted(g0, head).tolist() + [g0.size]
     size, left, right, prev = (np.zeros(n, dtype=int) for _ in range(4))
     level = np.zeros(n)
     size[group] = count
@@ -396,10 +395,12 @@ def _heap_tail(v, times, starts, sizes, s_left, s_right, caps):
                                   size[g], size[h]))
 
     pop = heapq.heappop
-    for j, start in enumerate(head.tolist()):
-        heap = heaps[cut[j]:cut[j + 1]]
+    for start, width, a, b in zip(head.tolist(), sizes.tolist(), cut,
+                                  cut[1:]):
+        heap = list(zip(t0[a:b].tolist(), g0[a:b].tolist(), h0[a:b].tolist(),
+                        sg0[a:b].tolist(), sh0[a:b].tolist()))
         heapq.heapify(heap)
-        stop = start + int(sizes[j])
+        stop = start + width
         top = 0.0
         while heap:
             t, g, h, sg, sh = pop(heap)

@@ -361,7 +361,15 @@ y = Signal.from_array(np.repeat([0.0, 4.0], 60) + rng.standard_normal(120))
 tv_denoise(y, 1.0)
 risk_curve(y, default_lambda_grid(lambda_max(y)), "sure", sigma=1.0)
 adaptive_tv(y)
-print("1d", "sparse" in loaded(), "fft" in loaded())
+from tvdn.bench import ExperimentConfig, bench_mse, bench_seg
+from tvdn.selection import exact_seg_threshold, jump_threshold
+jump_threshold(120, 1.0)
+exact_seg_threshold(60, 1.0, 0.05)
+bench_mse(ExperimentConfig(
+    "mse_1d", functions=("blocks",), sizes=(64,), reps=(2,)))
+bench_seg(ExperimentConfig(
+    "seg_1d", functions=("staircase",), sizes=(60,), reps=(2,)))
+print("1d", "scipy" in sys.modules)
 y = Signal.from_array(rng.standard_normal((4, 4)))
 tv_denoise(y, 0.5 * lambda_max(y))
 print("4x4", "sparse" in loaded(), "fft" in loaded())
@@ -374,14 +382,16 @@ def test_import_leaves_scipy_stats_and_optimize_unloaded():
     # at import and is never used; scipy.optimize, which only the two
     # fitters use, about 0.15 s and 12 MB; scipy.sparse, its csgraph,
     # scipy.fft and scipy.special together about 0.35 s and 38 MB, of which
-    # a path-lattice run needs only scipy.special, for its quantiles
+    # a path-lattice run needs none: its normal quantiles are computed in
+    # pure Python, so fits, risk curves, the adaptive rule, its thresholds
+    # and both 1D experiments load no scipy module at all
     root = os.path.dirname(os.path.dirname(tvdn.__file__))
     out = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE],
         env=dict(os.environ, PYTHONPATH=root, TVDN_THREADS="1"),
         capture_output=True, text=True, check=True)
     assert out.stdout.strip().splitlines() == [
-        "import False []", "1d False False", "4x4 True True"]
+        "import False []", "1d False", "4x4 True True"]
 
 
 def test_lr_pvalue_is_chi2_tail():

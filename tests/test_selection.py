@@ -10,10 +10,11 @@ from tvdn.coeffs import default_coefficients
 from tvdn.grid import LatticeShape, Signal, adjoint_flat
 from tvdn.lambda_stat import GumbelFitCoefficients, sample_lambda
 from tvdn.segmentation import extract_jumps
-from tvdn.selection import (ThresholdReport, _threshold, adaptive_tv,
-                            count_jumps, estimate_sigma, exact_seg_prob_bound,
-                            exact_seg_threshold, jump_threshold,
-                            min_jump_height, universal_threshold)
+from tvdn.selection import (ThresholdReport, _normal_quantile, _threshold,
+                            adaptive_tv, count_jumps, estimate_sigma,
+                            exact_seg_prob_bound, exact_seg_threshold,
+                            jump_threshold, min_jump_height,
+                            universal_threshold)
 from tvdn.signals import gen_piecewise, gen_test_function
 from tvdn.tvsolve import (CutSolver, FusionPath, tv_denoise, tv_denoise_1d,
                           tv_solver)
@@ -141,6 +142,31 @@ def test_jump_threshold_closed_form():
     for n in (1, 0):
         with pytest.raises(ValueError, match="at least 2"):
             jump_threshold(n, 1.0)
+
+
+def test_normal_quantile_matches_ndtri_bit_for_bit():
+    # the port of cephes's ndtri returns scipy's bits: every jump_threshold
+    # level up to N = 2e5, the segmentation levels 1 - alpha/2, uniform
+    # draws, both tails, and both sides of each branch point
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(36)
+    e2 = math.exp(-2.0)
+    edges = [b + k * math.ulp(b) for b in (e2, 1.0 - e2)
+             for k in range(-3, 4)]
+    p = np.concatenate((
+        1.0 - 0.025 / (np.arange(2, 200_001) - 1.0),
+        1.0 - rng.uniform(0.001, 0.5, 5_000) / 2.0,
+        rng.uniform(size=300_000),
+        1.0 - rng.uniform(0.0, 1e-3, 100_000),
+        10.0 ** rng.uniform(-300.0, 0.0, 100_000),
+        edges, [0.0, 1.0, 0.5, -0.25, 1.5]))
+    ours = np.array([_normal_quantile(q) for q in p.tolist()])
+    theirs = ndtri(p)
+    assert np.array_equal(ours, theirs, equal_nan=True)
+    assert ours[-5:-2].tolist() == [-math.inf, math.inf, 0.0]
+    assert np.isnan(ours[-2:]).all()
+    assert math.isnan(_normal_quantile(math.nan))
 
 
 def test_count_jumps_ordering_frequency():

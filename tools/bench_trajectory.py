@@ -15,13 +15,17 @@ A run takes about 10 minutes (3 workloads x 11 seeds x about 17 s each).
 
 With ``--against DIR --against-pr N`` every run alternates with the same run
 on the checkout at DIR (odd seeds DIR first, even seeds this checkout
-first), and BENCH_<N>.json is written for DIR as well. That takes about 20
-minutes and gives pairs measured under the same load, as a claimed speed-up
-needs. This checkout's file then also holds, per workload and end-to-end
-metric, the pairs read as one comparison: the median of the per-seed
+first). That takes about 20 minutes and gives pairs measured under the same
+load, as a claimed speed-up needs. DIR's file is left as it is: this
+checkout's file holds DIR's runs, medians and provenance in an ``against``
+section, with N as its PR number, so every committed file stays the run of
+its own checkout. Each workload then also holds, per end-to-end metric,
+the pairs read as one comparison (``pairs``): the median of the per-seed
 ratios this/DIR, how many pairs moved the way BENCHMARK.json's ``better``
 marks as better, and how many moved the other way or tied; one line per
-metric is printed as well. Usage, from the repository root:
+metric is printed as well. ``bench_doc`` builds the file's contents from
+the runs; only ``main`` runs anything or writes the file. Usage, from the
+repository root:
 
     python3 tools/bench_trajectory.py --pr 31
     python3 tools/bench_trajectory.py --pr 31 --against ../parent --against-pr 30
@@ -154,6 +158,34 @@ def record(sides, workloads):
     return runs, provs
 
 
+def side_doc(pr, prov, runs, metrics):
+    """One checkout's runs as a document: its PR number and provenance,
+    and per workload its runs, their medians and quartiles, and whether
+    every run was correct."""
+    return {"pr": pr, "provenance": prov, "workloads": {
+        w: {"correct": all(r["correct"] for r in rs),
+            "metrics": summarize(rs, metrics), "runs": rs}
+        for w, rs in runs.items()}}
+
+
+def bench_doc(pr, prov, runs, metrics, against=None):
+    """The contents of this checkout's BENCH_<pr>.json, and the pair lines
+    to print. ``runs`` maps each workload to this checkout's runs;
+    ``against``, when given, is the other checkout's (pr, provenance, runs).
+    Its runs, medians and provenance go into an ``against`` section, and
+    each workload gains ``pairs``, this checkout's runs read against them
+    by ``compare_pairs``."""
+    doc = side_doc(pr, prov, runs, metrics)
+    lines = []
+    if against is not None:
+        doc["against"] = side_doc(*against, metrics)
+        for w, rs in runs.items():
+            cmp = compare_pairs(rs, against[2][w], metrics)
+            doc["workloads"][w]["pairs"] = cmp
+            lines += [pair_line(w, name, c) for name, c in cmp.items()]
+    return doc, lines
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0],
@@ -163,7 +195,7 @@ def main(argv=None):
     p.add_argument("--against", metavar="DIR",
                    help="another checkout, run alternately with this one")
     p.add_argument("--against-pr", type=int,
-                   help="number in the name of the file for --against")
+                   help="its PR number, recorded in the against section")
     args = p.parse_args(argv)
     if (args.against is None) != (args.against_pr is None):
         p.error("--against and --against-pr go together")
@@ -175,26 +207,17 @@ def main(argv=None):
         if spec(root) != (workloads, metrics):
             p.error("%s declares another benchmark than %s" % (root, ROOT))
     runs, provs = record(sides, workloads)
-    lines = []
-    for root, pr in sides:
-        doc = {"pr": pr, "provenance": provenance(root, provs[root]),
-               "paired_with": [q for r, q in sides if r != root],
-               "workloads": {}}
-        for w in workloads:
-            stats = summarize(runs[root][w], metrics)
-            doc["workloads"][w] = {
-                "correct": all(r["correct"] for r in runs[root][w]),
-                "metrics": stats, "runs": runs[root][w]}
-            if root == ROOT and args.against:
-                cmp = compare_pairs(runs[root][w], runs[sides[0][0]][w],
-                                    metrics)
-                doc["workloads"][w]["pairs"] = cmp
-                lines += [pair_line(w, name, c) for name, c in cmp.items()]
-        path = os.path.join(ROOT, "BENCH_%d.json" % pr)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(path)
+    against = None
+    if args.against:
+        root = sides[0][0]
+        against = (args.against_pr, provenance(root, provs[root]), runs[root])
+    doc, lines = bench_doc(args.pr, provenance(ROOT, provs[ROOT]), runs[ROOT],
+                           metrics, against)
+    path = os.path.join(ROOT, "BENCH_%d.json" % args.pr)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(path)
     for line in lines:
         print(line)
     return 0
