@@ -26,7 +26,7 @@ from .risk import default_lambda_grid, loss, loss_rows, sure_rows
 from .selection import (DEFAULT_ALPHA, adaptive_tv, exact_seg_threshold,
                         min_jump_height, universal_threshold)
 from .signals import (DEFAULT_SIGMA, DEFAULT_SNR, TEST_FUNCTIONS, check_sigma,
-                      gen_piecewise, gen_test_function)
+                      gen_piecewise, gen_test_function, noisy)
 from .tvsolve import FusionPath
 
 # the seed of an experiment, and of ``tvdn gen``, unless a caller sets it
@@ -129,11 +129,6 @@ def _chunks(cell, n: int, reps: int) -> list:
             for i in range(0, reps, per)]
 
 
-def _noisy(f: Signal, sigma: float, entropy) -> Signal:
-    noise = np.random.default_rng(entropy).standard_normal(f.shape.n_sites)
-    return Signal(f.shape, f.values + sigma * noise)
-
-
 def _mse_reps(args):
     """Table-style risk replicates of the clean signal f, one per entropy:
     oracle, SURE and adaptive losses. One ``FusionPath.block`` pass gives
@@ -141,7 +136,7 @@ def _mse_reps(args):
     comes from its path, the grid's scored as the rows of its blocks."""
     f, sigma, entropies = args
     out = []
-    for path in FusionPath.block([_noisy(f, sigma, e) for e in entropies]):
+    for path in FusionPath.block([noisy(f, sigma, e) for e in entropies]):
         losses, sures = [], []
         for _, fits, _, _ in path.blocks(default_lambda_grid(path.lam_max)):
             losses.append(loss_rows(fits, f))
@@ -190,7 +185,7 @@ def _seg_reps(args):
     of any other) and screens iff lambda < hi."""
     f, true_edges, sigma, lambdas, entropies = args
     out = []
-    for path in FusionPath.block([_noisy(f, sigma, e) for e in entropies]):
+    for path in FusionPath.block([noisy(f, sigma, e) for e in entropies]):
         times = path.times
         hi = times[true_edges].min(initial=np.inf)
         lo = np.delete(times, true_edges).max(initial=0.0)

@@ -26,7 +26,8 @@ from .lambda_stat import (DEFAULT_TOL, MIN_FIT_SAMPLES, GumbelParams,
 from .risk import default_lambda_grid, loss, ncc, risk_curve
 from .selection import (DEFAULT_ALPHA, adaptive_tv, estimate_sigma,
                         universal_threshold)
-from .signals import DEFAULT_SIGMA, DEFAULT_SNR, check_sigma, gen_test_function
+from .signals import (DEFAULT_SIGMA, DEFAULT_SNR, check_sigma,
+                      gen_test_function, noisy)
 from .tvsolve import check_lambda, tv_denoise
 
 
@@ -169,9 +170,8 @@ def cmd_gen(args):
     check_sigma(args.sigma)
     n = args.sizes[0]
     f = gen_test_function(args.function, n, snr=args.snr)
-    rng = np.random.default_rng(args.seed)
-    y = f.values + args.sigma * rng.standard_normal(n)
-    tvio.write_csv_column(args.out, y, "value")
+    y = noisy(f, args.sigma, args.seed)
+    tvio.write_csv_column(args.out, y.values, "value")
     if args.truth_out:
         tvio.write_csv_column(args.truth_out, f.values, "value")
     print(json.dumps({"function": args.function, "n": n, "sigma": args.sigma,

@@ -60,6 +60,12 @@ class LatticeShape:
         return self.squeezed.ndim <= 1
 
 
+def check_path(shape: LatticeShape, name: str) -> None:
+    """Refuse a lattice that is not a path, for ``name``, which needs one."""
+    if not shape.is_path:
+        raise ValueError("%s requires a path lattice" % name)
+
+
 @dataclass
 class Signal:
     """Real values on a lattice, stored flat in row-major order."""

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Signal, SpectralLaplacian, adjoint_flat, diff_flat
+from .grid import (Signal, SpectralLaplacian, adjoint_flat, check_path,
+                   diff_flat)
 
 # sample_lambda gives up after this many flows; noise draws certify in 4-6
 _MAX_FLOWS = 50000
@@ -91,8 +92,7 @@ class GumbelFitCoefficients:
 
 def sample_lambda_1d(y: Signal) -> float:
     """Closed form on a path lattice: the sup of centered cumulative sums."""
-    if not y.shape.is_path:
-        raise ValueError("sample_lambda_1d requires a path lattice")
+    check_path(y.shape, "sample_lambda_1d")
     return sample_lambda(y)[0]
 
 

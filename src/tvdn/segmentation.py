@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Signal
+from .grid import Signal, check_path
 from .signals import PiecewiseConstantSpec
 from .tvsolve import check_lambda
 
@@ -45,8 +45,7 @@ class SegmentationOutcome:
 def extract_jumps(f_hat: Signal) -> np.ndarray:
     """Sorted jump locations of a fit on a path lattice: its nonzero
     differences."""
-    if not f_hat.shape.is_path:
-        raise ValueError("extract_jumps is defined on path lattices")
+    check_path(f_hat.shape, "extract_jumps")
     return np.flatnonzero(np.diff(f_hat.values)) + 1
 
 
@@ -58,8 +57,7 @@ def kkt_check(y: Signal, jump_locations, lam: float):
     the jump signs reproduce themselves from the fitted levels and the dual
     never leaves [-lambda, lambda].
     """
-    if not y.shape.is_path:
-        raise ValueError("kkt_check is defined on path lattices")
+    check_path(y.shape, "kkt_check")
     check_lambda(lam)
     n = y.shape.n_sites
     locs = np.asarray(sorted(jump_locations), dtype=float)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import default_coefficients
-from .grid import LatticeShape, Signal, diff_flat
+from .grid import LatticeShape, Signal, check_path, diff_flat
 from .lambda_stat import GumbelFitCoefficients
 from .risk import ncc
 from .signals import check_sigma
@@ -152,8 +152,7 @@ def jump_threshold(n: int, sigma: float) -> float:
 
 def count_jumps(f: Signal, sigma: float) -> int:
     """Differences of a fit on a path lattice above ``jump_threshold``."""
-    if not f.shape.is_path:
-        raise ValueError("count_jumps is defined on path lattices")
+    check_path(f.shape, "count_jumps")
     thr = jump_threshold(f.shape.n_sites, sigma)
     return int((np.abs(diff_flat(f.values, f.shape.sizes)) > thr).sum())
 

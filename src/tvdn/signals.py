@@ -1,6 +1,6 @@
 """Test-signal generators, piecewise-constant constructions and the noise
 level rule: y = f + sigma * eps needs sigma finite and nonnegative
-(``check_sigma``). The benchmarks and ``tvdn gen`` draw eps inline."""
+(``check_sigma``). The benchmarks and ``tvdn gen`` draw eps by ``noisy``."""
 from __future__ import annotations
 
 import math
@@ -79,6 +79,13 @@ def check_sigma(sigma: float) -> None:
     """Refuse a noise level that is NaN, negative or infinite."""
     if not 0.0 <= sigma < math.inf:
         raise ValueError("sigma must be finite and nonnegative")
+
+
+def noisy(f: Signal, sigma: float, entropy) -> Signal:
+    """f + sigma * eps, with eps the standard normal draws of
+    ``np.random.default_rng(entropy)``, one per site."""
+    noise = np.random.default_rng(entropy).standard_normal(f.shape.n_sites)
+    return Signal(f.shape, f.values + sigma * noise)
 
 
 def _dj_values(name, t):

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pool import parallel_map
-from .grid import Signal, adjoint_flat, components, diff_flat
+from .grid import Signal, adjoint_flat, check_path, components, diff_flat
 from .lambda_stat import sample_lambda
 
 # a region's rounds stop once its leftover demand is below this times max|y|
@@ -466,7 +466,7 @@ class FusionPath(_Solver):
     """
 
     def __init__(self, y: Signal):
-        _check_path(y)
+        check_path(y.shape, "FusionPath")
         self._adopt(y, _fusion_times(y.values[None])[0])
 
     @classmethod
@@ -477,7 +477,7 @@ class FusionPath(_Solver):
         within 1e-12 Lambda of those of smaller blocks."""
         ys = list(ys)
         for y in ys:
-            _check_path(y)
+            check_path(y.shape, "FusionPath")
         if len({y.shape for y in ys}) > 1:
             raise ValueError("a block's signals must share one lattice")
         if not ys:
@@ -537,16 +537,10 @@ class FusionPath(_Solver):
                 np.zeros(k, dtype=int))
 
 
-def _check_path(y: Signal) -> None:
-    if not y.shape.is_path:
-        raise ValueError("FusionPath requires a path lattice")
-
-
 def tv_denoise_1d(y: Signal, lam: float) -> TvSolution:
     """Exact TV minimizer on a path lattice at one lambda >= 0, written from
     one ``FusionPath`` pass; the estimate keeps the input's shape."""
-    if not y.shape.is_path:
-        raise ValueError("tv_denoise_1d requires a path lattice")
+    check_path(y.shape, "tv_denoise_1d")
     return tv_denoise(y, lam)
 
 

@@ -2,24 +2,25 @@
 
 Runs ``perfbench/run.py --workload W --seed S --seconds 15 --trace 0`` as a
 subprocess for every workload that BENCHMARK.json declares, over seeds 1-10
-and the held-out seed 7919. Each run's summary is the last line of its
-standard output. The file written at the repository root holds, per
-workload, every run's end-to-end metrics and correctness, the median and
-quartiles of each metric, and whether every run was correct, with the
-provenance of the measurement: perfbench's own record (commit, source
-digest, numpy/scipy versions, CPU count), and whether the checkout had
-uncommitted changes. Every run also keeps its source digest, so a tree
-edited while the runs went on shows.
+and the held-out seed 7919, on this checkout and on the parent's checkout
+at DIR in turn (odd seeds DIR first, even seeds this checkout first), so
+that every pair is measured under the same load, as a claimed speed-up
+needs. Each run's summary is the last line of its standard output; a run
+that fails, times out or leaves no summary is kept as a failed run, and
+the session goes on. A session takes about 20 minutes (3 workloads x 11
+seeds x 2 checkouts x about 17 s each).
 
-A run takes about 10 minutes (3 workloads x 11 seeds x about 17 s each).
-
-With ``--against DIR --against-pr N`` every run alternates with the same run
-on the checkout at DIR (odd seeds DIR first, even seeds this checkout
-first). That takes about 20 minutes and gives pairs measured under the same
-load, as a claimed speed-up needs. DIR's file is left as it is: this
-checkout's file holds DIR's runs, medians and provenance in an ``against``
-section, with N as its PR number, so every committed file stays the run of
-its own checkout. Each workload then also holds, per end-to-end metric,
+The parent's PR number is the largest N among DIR's BENCH_<N>.json files;
+DIR must hold one, and --pr must be above it. DIR's file is left as it is.
+The file written at this repository's root holds, per workload, every
+run's end-to-end metrics and correctness, the median and quartiles of each
+metric, and whether every run was correct, with the provenance of the
+measurement: perfbench's own record (commit, source digest, numpy/scipy
+versions, CPU count), and whether the measured paths (src/, perfbench/,
+BENCHMARK.json) differed from the commit before the checkout's first run.
+Every run also keeps its source digest, so a tree edited while the runs
+went on shows. The parent's runs, medians and provenance go into an
+``against`` section, and each workload also holds, per end-to-end metric,
 the pairs read as one comparison (``pairs``): the median of the per-seed
 ratios this/DIR, how many pairs moved the way BENCHMARK.json's ``better``
 marks as better, and how many moved the other way or tied; one line per
@@ -27,14 +28,14 @@ metric is printed as well. ``bench_doc`` builds the file's contents from
 the runs; only ``main`` runs anything or writes the file. Usage, from the
 repository root:
 
-    python3 tools/bench_trajectory.py --pr 31
-    python3 tools/bench_trajectory.py --pr 31 --against ../parent --against-pr 30
+    python3 tools/bench_trajectory.py --pr 31 --against ../parent
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -42,6 +43,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = tuple(range(1, 11)) + (7919,)
 SECONDS = 15
+# what a run measures: a change elsewhere does not make a checkout dirty
+MEASURED = ("src", "perfbench", "BENCHMARK.json")
 
 
 def spec(root):
@@ -55,20 +58,28 @@ def spec(root):
 
 def bench_run(root, workload, seed):
     """One perfbench run on the checkout at ``root``: its summary line, and
-    the provenance from the result file the run wrote."""
+    the provenance from the result file the run wrote. A run that fails,
+    times out, or leaves no summary or result file is a failed run, with
+    its ``error`` lines, and no provenance."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
-                          timeout=30 * SECONDS)
+    failed, limit = {"seed": seed, "correct": False}, 30 * SECONDS
+    try:
+        proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                              timeout=limit)
+    except subprocess.TimeoutExpired:
+        return dict(failed, error=["timed out after %d s" % limit]), None
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        return {"seed": seed, "correct": False,
-                "error": proc.stderr.strip().splitlines()[-5:]}, None
-    summary = json.loads(lines[-1])
+        return dict(failed, error=proc.stderr.strip().splitlines()[-5:]), None
     path = os.path.join(root, "perfbench", "results",
                         "%s-seed%d-trace0.json" % (workload, seed))
-    with open(path) as fh:
-        prov = json.load(fh)["provenance"]
+    try:
+        summary = json.loads(lines[-1])
+        with open(path) as fh:
+            prov = json.load(fh)["provenance"]
+    except (OSError, ValueError) as exc:
+        return dict(failed, error=[repr(exc)]), None
     return {"seed": seed, "correct": summary["correct"],
             "attempted": summary["attempted"], "failed": summary["failed"],
             "source_sha256": prov["source_sha256"],
@@ -123,39 +134,53 @@ def pair_line(workload, name, cmp):
         cmp["better"], cmp["won"], cmp["pairs"])
 
 
-def provenance(root, prov):
-    """perfbench's provenance of the last run on ``root``, less its seed,
-    with the CPU count and whether tracked files differ from the commit."""
-    prov = dict(prov or {}, cpu_count=os.cpu_count(), seconds=SECONDS,
-                seeds=list(SEEDS))
-    prov.pop("workload_seed", None)
+def dirty(root):
+    """Whether the tracked files of ``root``'s measured paths differ from
+    its commit; None where git cannot tell."""
     try:
         status = subprocess.run(
-            ["git", "status", "--porcelain", "--untracked-files=no"],
-            cwd=root, capture_output=True, text=True, timeout=60)
-    except OSError:  # no git here
-        status = None
-    prov["dirty"] = (bool(status.stdout.strip())
-                     if status and status.returncode == 0 else None)
+            ["git", "status", "--porcelain", "--untracked-files=no", "--",
+             *MEASURED], cwd=root, capture_output=True, text=True, timeout=60)
+    except (OSError, subprocess.TimeoutExpired):  # no git here
+        return None
+    return bool(status.stdout.strip()) if status.returncode == 0 else None
+
+
+def provenance(prov, is_dirty):
+    """perfbench's provenance of a checkout's last run, less its seed, with
+    the CPU count and ``dirty`` as probed before its first run."""
+    prov = dict(prov or {}, cpu_count=os.cpu_count(), seconds=SECONDS,
+                seeds=list(SEEDS), dirty=is_dirty)
+    prov.pop("workload_seed", None)
     return prov
 
 
 def record(sides, workloads):
-    """Run every (workload, seed) on every side; returns {side: {w: runs}}
-    and each side's last provenance."""
-    runs = {root: {w: [] for w in workloads} for root, _ in sides}
-    provs = {root: None for root, _ in sides}
+    """Run every (workload, seed) on both sides, (parent, this checkout):
+    odd seeds the parent first. Each side's git probe runs before its
+    first run. Returns, by side, the runs as {workload: runs} and the
+    provenance."""
+    probes = [dirty(root) for root, _ in sides]
+    runs = [{w: [] for w in workloads} for _ in sides]
+    provs = [None] * len(sides)
     for w in workloads:
         for seed in SEEDS:
-            order = sides if seed % 2 else sides[::-1]
-            for root, pr in order:
+            for i in ((0, 1) if seed % 2 else (1, 0)):
+                root, pr = sides[i]
                 r, prov = bench_run(root, w, seed)
-                runs[root][w].append(r)
-                provs[root] = prov or provs[root]
+                runs[i][w].append(r)
+                provs[i] = prov or provs[i]
                 print("BENCH_%d %s seed %d: %s" % (
                     pr, w, seed, r.get("metrics", r.get("error"))),
                     file=sys.stderr, flush=True)
-    return runs, provs
+    return runs, [provenance(p, d) for p, d in zip(provs, probes)]
+
+
+def parent_pr(root):
+    """The largest N among ``root``'s BENCH_<N>.json files, or None."""
+    found = (re.fullmatch(r"BENCH_(\d+)\.json", name)
+             for name in os.listdir(root))
+    return max((int(m.group(1)) for m in found if m), default=None)
 
 
 def side_doc(pr, prov, runs, metrics):
@@ -168,51 +193,51 @@ def side_doc(pr, prov, runs, metrics):
         for w, rs in runs.items()}}
 
 
-def bench_doc(pr, prov, runs, metrics, against=None):
+def bench_doc(pr, prov, runs, metrics, against):
     """The contents of this checkout's BENCH_<pr>.json, and the pair lines
-    to print. ``runs`` maps each workload to this checkout's runs;
-    ``against``, when given, is the other checkout's (pr, provenance, runs).
-    Its runs, medians and provenance go into an ``against`` section, and
-    each workload gains ``pairs``, this checkout's runs read against them
-    by ``compare_pairs``."""
+    to print. ``runs`` maps each workload to this checkout's runs, and
+    ``against`` is the parent's (pr, provenance, runs). Its runs, medians
+    and provenance go into an ``against`` section, and each workload gains
+    ``pairs``, this checkout's runs read against them by
+    ``compare_pairs``."""
     doc = side_doc(pr, prov, runs, metrics)
+    doc["against"] = side_doc(*against, metrics)
     lines = []
-    if against is not None:
-        doc["against"] = side_doc(*against, metrics)
-        for w, rs in runs.items():
-            cmp = compare_pairs(rs, against[2][w], metrics)
-            doc["workloads"][w]["pairs"] = cmp
-            lines += [pair_line(w, name, c) for name, c in cmp.items()]
+    for w, rs in runs.items():
+        cmp = compare_pairs(rs, against[2][w], metrics)
+        doc["workloads"][w]["pairs"] = cmp
+        lines += [pair_line(w, name, c) for name, c in cmp.items()]
     return doc, lines
 
 
 def main(argv=None):
     p = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0],
-        epilog="A run takes about 10 minutes; with --against, about 20.")
+        epilog="A session takes about 20 minutes.")
     p.add_argument("--pr", type=int, required=True,
                    help="number in the name of the file for this checkout")
-    p.add_argument("--against", metavar="DIR",
-                   help="another checkout, run alternately with this one")
-    p.add_argument("--against-pr", type=int,
-                   help="its PR number, recorded in the against section")
+    p.add_argument("--against", metavar="DIR", required=True,
+                   help="the parent's checkout, run alternately with this "
+                   "one; its newest BENCH_<N>.json gives its PR number")
     args = p.parse_args(argv)
-    if (args.against is None) != (args.against_pr is None):
-        p.error("--against and --against-pr go together")
-    sides = [(ROOT, args.pr)]
-    if args.against:
-        sides.insert(0, (os.path.abspath(args.against), args.against_pr))
+    parent = os.path.abspath(args.against)
+    if not os.path.isdir(parent):
+        p.error("%s is not a directory" % parent)
+    if os.path.samefile(parent, ROOT):
+        p.error("%s is this checkout: it cannot be its own parent" % parent)
+    against_pr = parent_pr(parent)
+    if against_pr is None:
+        p.error("%s holds no BENCH_<N>.json to read its PR number from"
+                % parent)
+    if args.pr <= against_pr:
+        p.error("--pr %d is not above the parent's %d" % (args.pr, against_pr))
     workloads, metrics = spec(ROOT)
-    for root, _ in sides:
-        if spec(root) != (workloads, metrics):
-            p.error("%s declares another benchmark than %s" % (root, ROOT))
-    runs, provs = record(sides, workloads)
-    against = None
-    if args.against:
-        root = sides[0][0]
-        against = (args.against_pr, provenance(root, provs[root]), runs[root])
-    doc, lines = bench_doc(args.pr, provenance(ROOT, provs[ROOT]), runs[ROOT],
-                           metrics, against)
+    if spec(parent) != (workloads, metrics):
+        p.error("%s declares another benchmark than %s" % (parent, ROOT))
+    (base, mine), (base_prov, prov) = record(
+        [(parent, against_pr), (ROOT, args.pr)], workloads)
+    doc, lines = bench_doc(args.pr, prov, mine, metrics,
+                           (against_pr, base_prov, base))
     path = os.path.join(ROOT, "BENCH_%d.json" % args.pr)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
