@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._pool import parallel_map
-from .grid import LatticeShape, Signal
+from .grid import LatticeShape, Signal, positive_ints
 from .lambda_stat import (DEFAULT_TOL, MIN_GEV_SAMPLES, GumbelParams,
                           check_tol, fit_gev_and_lr_test, fit_gumbel,
                           fit_loglog_regression, sample_lambda)
@@ -43,6 +43,9 @@ _DEFAULTS = {
                lambda n: max(1, 50_000 // n)),
     "seg_1d": (("battlements", "staircase"), (100,), lambda n: 200),
 }
+# the fields only one experiment reads, with that experiment and the
+# default the other must leave them at
+_READ_BY = (("alpha", "seg_1d", DEFAULT_ALPHA), ("snr", "mse_1d", DEFAULT_SNR))
 
 
 @dataclass
@@ -61,19 +64,21 @@ class ExperimentConfig:
             raise ValueError("unknown experiment %r" % (self.experiment,))
         functions, sizes, reps_at = _DEFAULTS[self.experiment]
         self.functions = tuple(self.functions) or functions
-        self.sizes = tuple(int(s) for s in self.sizes) or sizes
+        self.sizes = positive_ints(self.sizes, "sizes") or sizes
         if len(set(self.functions)) != len(self.functions):
             raise ValueError("functions must be distinct")
         if len(set(self.sizes)) != len(self.sizes):
             raise ValueError("sizes must be distinct")
-        reps = (tuple(int(r) for r in self.reps)
+        reps = (positive_ints(self.reps, "replicate counts")
                 or tuple(reps_at(n) for n in self.sizes))
         self.reps = reps * len(self.sizes) if len(reps) == 1 else reps
         if len(self.reps) != len(self.sizes):
             raise ValueError("reps must be one count or one count per size; "
                              "got %d for sizes %s" % (len(reps), self.sizes))
-        if any(r < 1 for r in self.reps):
-            raise ValueError("replicate counts must be at least 1")
+        for name, reader, default in _READ_BY:
+            if self.experiment != reader and getattr(self, name) != default:
+                raise ValueError("%s is read only by the %s experiment"
+                                 % (name, reader))
         check_sigma(self.sigma)
 
 
@@ -255,8 +260,6 @@ def _mc_tasks(shape: LatticeShape, reps: int, seed: int, tol: float) -> list:
     """The ``_mc_one`` arguments of reps draws: one child of
     SeedSequence(seed) per draw, so a draw does not depend on the worker
     or the call that runs it."""
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
     check_tol(tol)
     children = np.random.SeedSequence(seed).spawn(reps)
     return [(shape.sizes, ss, tol) for ss in children]
@@ -270,7 +273,8 @@ def run_lambda_samples(dim: int, sizes, reps: int, seed: int,
     The i-th size draws from the children of SeedSequence(seed + i); the
     draws of every size go through one ``parallel_map`` call.
     """
-    sizes = [int(n) for n in sizes]
+    sizes = positive_ints(sizes, "sizes")
+    (reps,) = positive_ints((reps,), "reps")
     if len(set(sizes)) != len(sizes):
         raise ValueError("sizes must be distinct")
     cells = [(n, _mc_tasks(LatticeShape((n,) * dim), reps, seed + i, tol))

@@ -20,6 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def positive_ints(values, what: str) -> tuple[int, ...]:
+    """values as ints, refused unless each is a positive integer: 8.0
+    passes as 8, and 8.6 is refused rather than truncated."""
+    values = tuple(values)
+    ints = tuple(int(n) for n in values)
+    if any(n < 1 or n != m for n, m in zip(ints, values)):
+        raise ValueError("%s must be positive integers" % what)
+    return ints
+
+
 @dataclass(frozen=True)
 class LatticeShape:
     """Rectangular lattice with sizes (N_1, ..., N_d)."""
@@ -27,10 +37,9 @@ class LatticeShape:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.sizes)
-        if not sizes or any(n < 1 or n != m
-                            for n, m in zip(sizes, self.sizes)):
-            raise ValueError("lattice sizes must be positive integers")
+        sizes = positive_ints(self.sizes, "lattice sizes")
+        if not sizes:
+            raise ValueError("a lattice needs at least one axis")
         object.__setattr__(self, "sizes", sizes)
 
     @property

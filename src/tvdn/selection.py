@@ -20,15 +20,17 @@ of its first fit, with P_bar = d * N_bar^(d-1) * (N_bar - 1) edges. On a path la
 ``count_jumps``, the differences above the calibrated cutoff; the exact
 jumps of a fit are ``segmentation.extract_jumps``.
 
-The normal quantiles come from ``_normal_quantile``, a pure-Python port of
-cephes's ndtri that returns scipy.special.ndtri's bits. So importing this
-module loads no scipy, and neither does any rule on a path lattice; off a
-path, ``adaptive_tv``'s cut solves and component count load scipy.sparse.
+The normal quantiles come from the standard library's
+``statistics.NormalDist().inv_cdf`` (Wichura's AS241), within 8 ulp of
+scipy.special.ndtri. So importing this module loads no scipy, and neither
+does any rule on a path lattice; off a path, ``adaptive_tv``'s cut solves
+and component count load scipy.sparse.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -44,6 +46,8 @@ from .tvsolve import CutSolver, FusionPath, check_lambda, tv_solver
 _MAD_SCALE = 1.4826 / math.sqrt(2.0)
 # the segmentation experiment's alpha unless a caller sets it
 DEFAULT_ALPHA = 0.05
+# z_p, the p-quantile of the standard normal law, for 0 < p < 1
+_normal_quantile = NormalDist().inv_cdf
 
 
 @dataclass(frozen=True)
@@ -59,78 +63,6 @@ class ThresholdReport:
         check_lambda(self.lambda2)
 
 
-# cephes's ndtri (Moshier): sqrt(2 pi), exp(-2), and the coefficients of
-# its rational approximations, on exp(-2) < p < 1 - exp(-2) (P0/Q0) and in
-# the tails, with x = sqrt(-2 log min(p, 1 - p)), on x < 8 (P1/Q1) and on
-# x >= 8 (P2/Q2); each Q's leading 1 is written out
-_S2PI, _EXP_M2 = 2.50662827463100050242E0, 0.13533528323661269189
-_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
-       -5.66762857469070293439E1, 1.39312609387279679503E1,
-       -1.23916583867381258016E0)
-_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0,
-       8.63602421390890590575E1, -2.25462687854119370527E2,
-       2.00260212380060660359E2, -8.20372256168333339912E1,
-       1.59056225126211695515E1, -1.18331621121330003142E0)
-_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
-       5.71628192246421288162E1, 4.40805073893200834700E1,
-       1.46849561928858024014E1, 2.18663306850790267539E0,
-       -1.40256079171354495875E-1, -3.50424626827848203418E-2,
-       -8.57456785154685413611E-4)
-_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1,
-       4.13172038254672030440E1, 1.50425385692907503408E1,
-       2.50464946208309415979E0, -1.42182922854787788574E-1,
-       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
-       3.93881025292474443415E0, 1.33303460815807542389E0,
-       2.01485389549179081538E-1, 1.23716634817820021358E-2,
-       3.01581553508235416007E-4, 2.65806974686737550832E-6,
-       6.23974539184983293730E-9)
-_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
-       1.37702099489081330271E0, 2.16236993594496635890E-1,
-       1.34204006088543189037E-2, 3.28014464682127739104E-4,
-       2.89247864745380683936E-6, 6.79019408009981274425E-9)
-
-
-def _polevl(x: float, c: tuple) -> float:
-    """The polynomial with coefficients c, highest degree first, at x by
-    Horner's rule: cephes's polevl, and its p1evl on a Q tuple, as
-    1 * x + c is x + c exactly."""
-    a = c[0]
-    for k in c[1:]:
-        a = a * x + k
-    return a
-
-
-def _normal_quantile(p: float) -> float:
-    """z_p, the p-quantile of the standard normal law: -inf at 0, inf at 1
-    and nan outside [0, 1].
-
-    A port of cephes's ndtri, the algorithm of scipy.special.ndtri, with
-    its operations in the same order, so it returns the same bits.
-    """
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        return math.nan
-    if p == 0.0:
-        return -math.inf
-    if p == 1.0:
-        return math.inf
-    y, flip = p, p > 1.0 - _EXP_M2
-    if flip:
-        y = 1.0 - y
-    if y > _EXP_M2:
-        y -= 0.5
-        y2 = y * y
-        return (y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) \
-            * _S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
-    x1 = z * _polevl(z, p) / _polevl(z, q)
-    return x0 - x1 if flip else -(x0 - x1)
-
-
 def estimate_sigma(y: Signal) -> float:
     """Noise scale from the median absolute deviation of finite differences."""
     if y.shape.n_edges < 2:
@@ -142,7 +74,9 @@ def estimate_sigma(y: Signal) -> float:
 def jump_threshold(n: int, sigma: float) -> float:
     """Cutoff sigma*sqrt(2/N)*z_{1-0.025/(N-1)} on a fit's |difference|:
     Bonferroni level 0.05 over the N-1 differences, at the variance of a
-    within-piece average rather than that of a single observation."""
+    within-piece average rather than that of a single observation. From
+    N - 1 = 0.025 * 2**54 on the level rounds to 1, and NormalDist refuses
+    it with a ValueError."""
     if n < 2:
         raise ValueError("N must be at least 2")
     check_sigma(sigma)
@@ -200,7 +134,8 @@ def universal_threshold(shape: LatticeShape, sigma: float,
 
 
 def _check_alpha(alpha: float) -> None:
-    # at or below 2**-53, 1 - alpha/2 rounds to 1 and z_{1-alpha/2} is inf
+    # at or below 2**-53, 1 - alpha/2 rounds to 1, where NormalDist's
+    # inv_cdf has no quantile
     if not 2.0 ** -53 < alpha < 0.5:
         raise ValueError("alpha must lie in (2**-53, 1/2)")
 

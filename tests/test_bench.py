@@ -52,6 +52,22 @@ def test_experiment_config_validation():
                                  ("seg_1d", "staircase")):
         with pytest.raises(ValueError, match="functions must be distinct"):
             ExperimentConfig(experiment, functions=(function, function))
+    # a size or replicate count that is not integral is refused, not
+    # truncated; an integral float passes
+    for sizes, reps in (((1000.7,), ()), ((100,), (2.9,)), ((0,), ()),
+                        ((1000.7,), (2.9,))):
+        with pytest.raises(ValueError, match="must be positive integers"):
+            ExperimentConfig("mse_1d", sizes=sizes, reps=reps)
+    assert ExperimentConfig("mse_1d", sizes=(100.0,),
+                            reps=(np.int64(3),)).reps == (3,)
+    # a field only the other experiment reads is refused at any value but
+    # its default, naming the experiment that reads it
+    with pytest.raises(ValueError, match="alpha is read only by the seg_1d"):
+        ExperimentConfig("mse_1d", alpha=0.01)
+    with pytest.raises(ValueError, match="snr is read only by the mse_1d"):
+        ExperimentConfig("seg_1d", snr=3.0)
+    assert ExperimentConfig("seg_1d", alpha=0.01).alpha == 0.01
+    assert ExperimentConfig("mse_1d", snr=3.0).snr == 3.0
 
 
 def test_result_table():

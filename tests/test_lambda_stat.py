@@ -263,8 +263,14 @@ def test_lambda_equivariance_suite():
 
 
 def test_monte_carlo_validation_and_determinism():
-    with pytest.raises(ValueError):
-        run_lambda_samples(2, [4], 0, seed=1)
+    for reps in (0, 2.5):
+        with pytest.raises(ValueError, match="reps must be positive integers"):
+            run_lambda_samples(2, [4], reps, seed=1)
+    # a side of 8.6 is refused, not drawn at side 8; 30.0 is side 30
+    for sizes in ((8.6, 12), (12, 0)):
+        with pytest.raises(ValueError, match="sizes must be positive"):
+            run_lambda_samples(2, sizes, 10, 0)
+    assert list(run_lambda_samples(1, (30.0,), 2, 0)) == [30]
     a = run_lambda_samples(2, [4], 5, seed=3)[4]
     b = run_lambda_samples(2, [4], 5, seed=3)[4]
     assert np.array_equal(a, b)
