@@ -248,21 +248,11 @@ def bench_seg(config: ExperimentConfig) -> ResultTable:
 
 
 def _mc_one(args):
-    sizes, seed_entropy, tol = args
+    shape, seed_entropy, tol = args
     rng = np.random.default_rng(seed_entropy)
-    shape = LatticeShape(sizes)
     y = Signal(shape, rng.standard_normal(shape.n_sites))
     lam, _ = sample_lambda(y, tol=tol)
     return lam
-
-
-def _mc_tasks(shape: LatticeShape, reps: int, seed: int, tol: float) -> list:
-    """The ``_mc_one`` arguments of reps draws: one child of
-    SeedSequence(seed) per draw, so a draw does not depend on the worker
-    or the call that runs it."""
-    check_tol(tol)
-    children = np.random.SeedSequence(seed).spawn(reps)
-    return [(shape.sizes, ss, tol) for ss in children]
 
 
 def run_lambda_samples(dim: int, sizes, reps: int, seed: int,
@@ -277,8 +267,14 @@ def run_lambda_samples(dim: int, sizes, reps: int, seed: int,
     (reps,) = positive_ints((reps,), "reps")
     if len(set(sizes)) != len(sizes):
         raise ValueError("sizes must be distinct")
-    cells = [(n, _mc_tasks(LatticeShape((n,) * dim), reps, seed + i, tol))
-             for i, n in enumerate(sizes)]
+    check_tol(tol)
+    cells = []
+    for i, n in enumerate(sizes):
+        shape = LatticeShape((n,) * dim)
+        # one child of SeedSequence(seed + i) per draw, so a draw does not
+        # depend on the worker or the call that runs it
+        children = np.random.SeedSequence(seed + i).spawn(reps)
+        cells.append((n, [(shape, ss, tol) for ss in children]))
     if dim > 1:
         # a lattice draw needs the cut network (scipy.sparse) and scipy.fft:
         # loaded before the workers fork, or each imports them again

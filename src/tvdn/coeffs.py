@@ -6,11 +6,13 @@ approximated by a Gumbel law whose location mu(N) and scale beta(N) obey
     log mu(N)   = a_mu   + b_mu   * log(log N)
     log beta(N) = a_beta + b_beta * log(log N)
 
-The constants below come from Monte Carlo calibration (200 draws per side
-length, side lengths 8..1024 for d=2 and 8..64 for d=3, Gumbel maximum
-likelihood per side, then least squares on the log-log scale). They can be
-regenerated with the lambda-sample / lambda-fit command line tools and
-overridden by pointing --coeffs at the resulting fit file.
+The constants below are stated to come from a Monte Carlo calibration
+(200 draws per side length, side lengths 8..1024 for d=2 and 8..64 for
+d=3, Gumbel maximum likelihood per side, then least squares on the log-log
+scale), but no file in the repository records those draws or that fit;
+ROADMAP item 8 plans to record them. A calibration can be made with the
+lambda-sample / lambda-fit command line tools, and its fit file used in
+place of these constants through --coeffs.
 """
 from __future__ import annotations
 

@@ -22,11 +22,17 @@ import numpy as np
 
 def positive_ints(values, what: str) -> tuple[int, ...]:
     """values as ints, refused unless each is a positive integer: 8.0
-    passes as 8, and 8.6 is refused rather than truncated."""
+    passes as 8, and 8.6 is refused rather than truncated, as are an
+    infinity, a NaN and a boolean."""
     values = tuple(values)
-    ints = tuple(int(n) for n in values)
-    if any(n < 1 or n != m for n, m in zip(ints, values)):
-        raise ValueError("%s must be positive integers" % what)
+    refusal = ValueError("%s must be positive integers" % what)
+    try:
+        ints = tuple(int(n) for n in values)
+    except (OverflowError, ValueError):
+        raise refusal from None
+    if any(isinstance(m, (bool, np.bool_)) or n < 1 or n != m
+           for n, m in zip(ints, values)):
+        raise refusal
     return ints
 
 

@@ -128,14 +128,15 @@ def write_pgm(path, y: Signal, maxval: int = 255, binary: bool = True) -> None:
 
 
 def write_csv_rows(path, header, rows) -> None:
-    """Write a small rectangular CSV; floats rendered with repr."""
+    """Write a small rectangular CSV; a real, numpy's included, is
+    rendered as the repr of its float value."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             parts = []
             for v in row:
-                if isinstance(v, float):
-                    parts.append(repr(v))
+                if isinstance(v, (float, np.floating)):
+                    parts.append(repr(float(v)))
                 else:
                     parts.append(str(v))
             fh.write(",".join(parts) + "\n")

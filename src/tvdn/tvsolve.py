@@ -37,6 +37,7 @@ is nonnegative by construction and zero at the optimum.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -360,31 +361,20 @@ def _heap_tail(v, times, starts, sizes, s_left, s_right, caps):
     pair = np.flatnonzero(~new[group[1:]])    # groups pair, pair + 1
     lo, hi = group[pair], group[pair + 1]
     side = np.sign(y[lo] - y[hi])
-    gl, gr = np.zeros(group.size), np.zeros(group.size)
-    gr[pair] = side
-    gl[pair + 1] = -side
-    ends = np.searchsorted(group, head)
-    gl[ends] = s_left
-    gr[np.append(ends[1:], group.size) - 1] = -s_right
-    # the initial meeting times, computed as push does, all at once; a
-    # segment's heap entries are made from these columns when it runs
-    slope = (gr + gl) / count
-    d = slope[pair] - slope[pair + 1]
-    meets = d != 0.0
-    t0, g0, h0 = (y[lo] - y[hi])[meets] / d[meets], lo[meets], hi[meets]
-    sg0, sh0 = count[pair][meets], count[pair + 1][meets]
-    cut = np.searchsorted(g0, head).tolist() + [g0.size]
     size, left, right, prev = (np.zeros(n, dtype=int) for _ in range(4))
     level = np.zeros(n)
     size[group] = count
     level[group] = y[group]
-    left[group] = gl
-    right[group] = gr
+    right[lo] = side
+    left[hi] = -side
+    # segment j's groups are group[cut[j]:cut[j + 1]]
+    cut = np.append(np.searchsorted(group, head), group.size)
+    left[head] = s_left
+    right[group[cut[1:] - 1]] = -s_right
     prev[hi] = lo
     size, level, left, right, prev = (a.tolist() for a in (
         size, level, left, right, prev))
     out = np.where(y[1:] == y[:-1], 0.0, np.inf).tolist()
-    heap = []
 
     def push(g, h):
         # neighbouring slopes have opposite signs or are both 0, so d is 0
@@ -395,11 +385,12 @@ def _heap_tail(v, times, starts, sizes, s_left, s_right, caps):
                                   size[g], size[h]))
 
     pop = heapq.heappop
+    group, cut = group.tolist(), cut.tolist()
     for start, width, a, b in zip(head.tolist(), sizes.tolist(), cut,
                                   cut[1:]):
-        heap = list(zip(t0[a:b].tolist(), g0[a:b].tolist(), h0[a:b].tolist(),
-                        sg0[a:b].tolist(), sh0[a:b].tolist()))
-        heapq.heapify(heap)
+        heap = []
+        for g, h in itertools.pairwise(group[a:b]):
+            push(g, h)
         stop = start + width
         top = 0.0
         while heap:

@@ -53,9 +53,12 @@ def test_experiment_config_validation():
         with pytest.raises(ValueError, match="functions must be distinct"):
             ExperimentConfig(experiment, functions=(function, function))
     # a size or replicate count that is not integral is refused, not
-    # truncated; an integral float passes
+    # truncated, and so is an infinity, a NaN or a boolean; an integral
+    # float passes
     for sizes, reps in (((1000.7,), ()), ((100,), (2.9,)), ((0,), ()),
-                        ((1000.7,), (2.9,))):
+                        ((1000.7,), (2.9,)), ((float("inf"),), ()),
+                        ((float("nan"),), ()), ((True,), ()),
+                        ((100,), (np.True_,))):
         with pytest.raises(ValueError, match="must be positive integers"):
             ExperimentConfig("mse_1d", sizes=sizes, reps=reps)
     assert ExperimentConfig("mse_1d", sizes=(100.0,),

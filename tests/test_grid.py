@@ -19,8 +19,10 @@ def test_lattice_shape_rejects_bad_sizes():
         LatticeShape((0, 3))
     with pytest.raises(ValueError):
         LatticeShape(())
-    # a size that is not integral is refused, not truncated
-    for sizes in ((2.9, 3), (3, 0.5), (4, 1.0 + 2.0 ** -40)):
+    # a size that is not integral is refused, not truncated, and so is an
+    # infinity, a NaN or a boolean
+    for sizes in ((2.9, 3), (3, 0.5), (4, 1.0 + 2.0 ** -40), (np.inf, 3),
+                  (3, np.nan), (True, 3), (3, np.True_)):
         with pytest.raises(ValueError, match="positive integers"):
             LatticeShape(sizes)
     assert LatticeShape((64.0, np.int64(3))).sizes == (64, 3)

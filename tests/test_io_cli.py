@@ -105,6 +105,16 @@ def test_csv_rows(tmp_path):
                                   [0.5, 2.0])
 
 
+def test_csv_rows_read_back_numpy_floats(tmp_path):
+    # a numpy real is written as its float's repr: read back, it is the
+    # value that was written
+    path = tmp_path / "rows.csv"
+    values = [np.float64(1.5), np.float32(0.1), np.float64(1 / 3)]
+    write_csv_rows(path, ("value",), [(v,) for v in values])
+    back = read_csv_column(path, header="value")
+    assert back.tolist() == [float(v) for v in values]
+
+
 # ---------------------------------------------------------------- PGM
 
 

@@ -19,7 +19,8 @@ The calls:
   ``lambda-fit`` on each;
 - ``denoise`` with universal, adaptive and sure on a seeded 32x32 PGM.
 
-A run takes about a minute on 2 CPUs. Usage, from the repository root:
+A run lists 416 files in about 10 s on 2 CPUs. Usage, from the repository
+root:
 
     TVDN_THREADS=2 python3 tools/cli_digest.py OUT [--root DIR] > digests.txt
 
