@@ -32,8 +32,9 @@ from .tvsolve import FusionPath
 # the seed of an experiment, and of ``tvdn gen``, unless a caller sets it
 DEFAULT_SEED = 0
 
-# sites per chunk of replicates (at least one replicate); a constant, so
-# the chunks, and with them the fusion times, depend only on the config
+# sites per chunk of replicates (at least one replicate): the tasks of a
+# map and the bound on a task's memory; no result depends on it, as a
+# replicate's fusion times are the same bits in any chunk
 _CHUNK = 1 << 15
 
 # the functions, sizes and replicate count at size n of each experiment,

@@ -72,7 +72,7 @@ class LatticeShape:
     def is_path(self) -> bool:
         """Dimension at most 1: the sites form one chain in flat order, and
         edge i joins sites i and i + 1."""
-        return self.squeezed.ndim <= 1
+        return sum(n > 1 for n in self.sizes) <= 1
 
 
 def check_path(shape: LatticeShape, name: str) -> None:

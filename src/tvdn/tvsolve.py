@@ -8,14 +8,14 @@ from the top they only split, each group independently of every other.
 ``FusionPath`` records the lambda at which each edge fuses by one pass
 over a block of signals (``_fusion_times``): levels of top-down splits,
 each over every open group of every signal at once, with the groups that
-rounding could split wrongly, the rows that run out of their budget of
-evaluations and blocks too small for the levels to pay left to one heap
-tail, which merges upwards. It then writes the fits at any lambda >= 0
-from those times, many at once as the rows of a block. On every other
-lattice ``CutSolver`` builds one ``CutNetwork`` and solves each lambda by
-rounds of minimum cuts over the level sets of the fit, each round over
-every unfinished region at once; a region its cut splits falls into the
-connected components the cut leaves.
+rounding could split wrongly and the rows that run out of their budget of
+evaluations left to one heap tail, which merges upwards. A row's times
+are the same bits in whatever block it sits. It then writes the fits at
+any lambda >= 0 from those times, many at once as the rows of a block.
+On every other lattice ``CutSolver`` builds one ``CutNetwork`` and solves
+each lambda by rounds of minimum cuts over the level sets of the fit,
+each round over every unfinished region at once; a region its cut splits
+falls into the connected components the cut leaves.
 Each solver has one row kernel, ``_rows``, which writes the fits, duals
 and rounds at a vector of lambda as the rows of one block: a block of a
 grid on a path, one warm-started chain on a lattice. Both write an
@@ -56,8 +56,6 @@ _CHAIN = 5
 # values per block of path fits written at once (grid values times sites,
 # at least one row); a constant, and no fit depends on it
 _BLOCK = 1 << 15
-# sites below which a block of fusion passes skips the split levels
-_SPLIT_MIN = 1 << 13
 # site evaluations per site a row's split levels may spend
 _SPLIT_BUDGET = 64
 # edges per chunk of a level of splits
@@ -152,26 +150,19 @@ def _fusion_times(y):
     each group independently of every other, in its row and in every
     other row (Tibshirani & Taylor 2011). ``_split_levels`` walks the
     paths down a level at a time, splitting every open group of every row
-    at once. It leaves three cases to ``_heap_tail``, which merges
-    upwards: a group whose split rounding could decide (capped at its
-    parent's split time), every open group of a row that has spent its
-    budget of _SPLIT_BUDGET evaluations per site, and a whole block of
-    fewer than _SPLIT_MIN sites, whose levels would cost more than they
-    save. On a whole row the tail is the merge pass over that row, so a
-    small block's times are, bit for bit, those of one merge pass per row.
-    In a larger block each row's times are the same bits whatever the
-    other rows are, and agree with the merge pass's up to rounding (within
-    1e-12 Lambda on the tests' corpus).
+    at once. It leaves two cases to ``_heap_tail``, which merges upwards:
+    a group whose split rounding could decide (capped at its parent's
+    split time), and every open group of a row that has spent its budget
+    of _SPLIT_BUDGET evaluations per site. So each row's times are the
+    same bits in whatever block it sits, whatever the other rows are, and
+    agree with the merge pass's up to rounding (within 1e-12 Lambda on the
+    tests' corpus).
     """
     k, n = y.shape
     # edge c of row r, between sites c and c + 1, is entry r * (n + 1) + c:
     # the layout of the running sums, which have one more column than y
     times = np.zeros((k, n + 1))
-    if y.size < _SPLIT_MIN:
-        rest = (np.arange(k) * (n + 1), np.full(k, n), np.zeros(k),
-                np.zeros(k), np.full(k, np.inf))
-    else:
-        rest = _split_levels(y, times)
+    rest = _split_levels(y, times)
     v = np.zeros((k, n + 1))
     v[:, :n] = y
     _heap_tail(v.ravel(), times.ravel(), *rest)
@@ -435,15 +426,16 @@ class FusionPath(_Solver):
     The pass (``_fusion_times``) records each edge's fusion time by levels
     of vectorized top-down splits, every open group of every signal at
     once, and leaves to one heap tail, which merges upwards, the groups
-    whose split rounding could decide, the rows past their budget of
-    evaluations and the blocks too small for the levels to pay. Each time
-    is clipped at Lambda (kept as ``lam_max``), the closed form of
-    ``sample_lambda``: the last merge is at Lambda exactly, but the pass
-    can pass it by a few ulps, and the fit at Lambda is the mean. ``block``
-    runs one pass over many signals of one lattice, one path per signal,
-    and ``FusionPath(y)`` is its one-row case. The fit at any lambda >= 0
-    is then written from the times alone. The edges fusing after lambda
-    split the sites into groups, and a group g takes the value
+    whose split rounding could decide and the rows past their budget of
+    evaluations. A signal's times are the same bits in whatever block it
+    sits, and within rounding of the merge pass's. Each time is clipped at
+    Lambda (kept as ``lam_max``), the closed form of ``sample_lambda``:
+    the last merge is at Lambda exactly, but the pass can pass it by a few
+    ulps, and the fit at Lambda is the mean. ``block`` runs one pass over
+    many signals of one lattice, one path per signal, and ``FusionPath(y)``
+    is its one-row case. The fit at any lambda >= 0 is then written from
+    the times alone. The edges fusing after lambda split the sites into
+    groups, and a group g takes the value
     b + (sum_g (y - b) - lambda (s_L + s_R)) / |g|, b its first datum:
     across an unfused edge the sign of the fit's difference is that of the
     data's, fixed at lambda = 0. Within a group the fit's differences are
@@ -464,8 +456,7 @@ class FusionPath(_Solver):
     def block(cls, ys) -> list[FusionPath]:
         """One path per signal of ys, all on one path lattice, from one
         pass over their values as the rows of a block. A row's times are
-        the same bits in every block of at least _SPLIT_MIN sites, and
-        within 1e-12 Lambda of those of smaller blocks."""
+        the same bits in any block, so each path is ``FusionPath(y)``'s."""
         ys = list(ys)
         for y in ys:
             check_path(y.shape, "FusionPath")

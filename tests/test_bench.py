@@ -203,10 +203,9 @@ def test_mse_rep_matches_the_one_row_reference():
     # bit for bit, with every grid in one block (n = 200) and with blocks
     # of fewer rows than the grid's 30 values, each replicate of a chunk
     # as the one-row reference scores it alone: a chunk of 5 at n = 2000
-    # takes the split pass, a lone signal of that size the heap
+    # and a lone signal of that size take the same fusion pass
     long = 2000
     assert tvdn.tvsolve._BLOCK // long < 30
-    assert 5 * long >= tvdn.tvsolve._SPLIT_MIN > long
     cases = [(function, 200) for function in TEST_FUNCTIONS[:4]]
     cases += [("doppler", long), ("blocks", long)]
     for i, (function, n) in enumerate(cases):
@@ -397,13 +396,12 @@ def test_bench_seg_parallel_matches_serial(monkeypatch):
 
 
 def test_bench_seg_chunks_do_not_depend_on_the_worker_count(monkeypatch):
-    # cells of several chunks, some above the split pass's block size:
-    # bench_seg rows, like bench_mse rows, are the same at any TVDN_THREADS
+    # cells of several chunks, of one to six replicates: bench_seg rows,
+    # like bench_mse rows, are the same at any TVDN_THREADS
     cfg = ExperimentConfig("seg_1d", functions=("staircase",),
                            sizes=(60, 5000), reps=(5, 8), seed=30,
                            alpha=0.05, sigma=1.0)
     assert [len(c) for c in _chunks((30,), 5000, 8)] == [6, 2]
-    assert 2 * 5000 >= tvdn.tvsolve._SPLIT_MIN
     rows = []
     for threads in ("1", "2"):
         monkeypatch.setenv("TVDN_THREADS", threads)

@@ -42,12 +42,15 @@ def test_edge_count_formula_all_small_shapes():
 
 def test_is_path_is_the_chain_in_flat_order():
     # a path lattice is a tree whose edge i joins flat sites i and i + 1;
-    # every other lattice has a cycle
+    # every other lattice has a cycle. is_path reads the sizes, and
+    # agrees with the squeezed lattice's dimension
     shapes = ALL_SHAPES + [(1,), (1, 1), (1, 7), (7, 1), (1, 1, 6), (1, 6, 1),
-                           (1, 3, 4), (3, 1, 4)]
+                           (1, 3, 4), (3, 1, 4), (1000,), (1, 1000),
+                           (1000, 1), (2, 1, 3), (1, 1, 7)]
     for sizes in shapes:
         shape = LatticeShape(sizes)
         assert shape.is_path == (shape.n_edges == shape.n_sites - 1)
+        assert shape.is_path == (shape.squeezed.ndim <= 1), sizes
         if shape.is_path:
             m = shape.n_sites
             chain = np.stack([np.arange(m - 1), np.arange(1, m)], axis=1)

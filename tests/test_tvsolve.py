@@ -202,25 +202,13 @@ def _fusion_corpus(n, rng, amps):
     return [amp * row for amp in amps for row in rows]
 
 
-def test_fusion_times_match_the_reference_heap_pass(monkeypatch):
+def test_fusion_times_match_the_reference_heap_pass():
     # the split pass and its heap tail against the heap pass they replace,
     # on every row of blocks of 1, 7 and 20 rows at amplitudes 1e-6, 1 and
     # 1e6 (at n = 1e4, to save time, amplitude 1 only): every time within
-    # 1e-12 Lambda of the reference's, every row the tail takes whole (all
-    # rows of a block under _SPLIT_MIN sites) the reference's bits, and a
-    # row's times the same bits in every block of at least _SPLIT_MIN
-    # sites. The tail takes a row whole when it gets a segment of the full
-    # row with no cap
-    whole = []
-    tail = tvdn.tvsolve._heap_tail
-
-    def spy(v, times, starts, sizes, s_left, s_right, caps):
-        whole.append(starts[np.isinf(caps)])
-        return tail(v, times, starts, sizes, s_left, s_right, caps)
-
-    monkeypatch.setattr(tvdn.tvsolve, "_heap_tail", spy)
+    # 1e-12 Lambda of the reference's, and a row's times the same bits in
+    # every block, lone rows included
     rng = np.random.default_rng(30)
-    split_min = tvdn.tvsolve._SPLIT_MIN
     for n in (1, 2, 3, 100, 1000, 10000):
         rows = _fusion_corpus(n, rng, (1.0,) if n == 10000
                               else (1e-6, 1.0, 1e6))
@@ -230,23 +218,14 @@ def test_fusion_times_match_the_reference_heap_pass(monkeypatch):
         for k in (1, 7, 20):
             for i in range(0, len(rows), k):
                 block = np.array(rows[i:i + k])
-                whole.clear()
                 got = tvdn.tvsolve._fusion_times(block)
                 assert got.shape == (block.shape[0], n - 1)
-                taken = {int(x) // (n + 1) for x in np.concatenate(whole)}
-                if block.size < split_min:
-                    assert taken == set(range(block.shape[0]))
                 for j, times in enumerate(got):
                     r = i + j
                     assert np.abs(times - want[r]).max(initial=0.0) \
                         <= 1e-12 * lams[r], (n, r, k)
-                    if j in taken:
-                        assert times.tobytes() == want[r].tobytes(), (n, r, k)
-                    if block.size >= split_min:
-                        seen.setdefault(r, set()).add(times.tobytes())
+                    seen.setdefault(r, set()).add(times.tobytes())
         assert all(len(v) == 1 for v in seen.values()), n
-        if n >= split_min:
-            assert len(seen) == len(rows)
 
 
 def test_split_pass_hands_a_tie_to_the_heap(monkeypatch):
@@ -254,9 +233,9 @@ def test_split_pass_hands_a_tie_to_the_heap(monkeypatch):
     # t = 1.44 / 0.8 = 1.08 / 0.6 = 1.8 at edges 0 and 1; only edge 0
     # unfuses there, and edge 1 at 0.6. Rounding puts edge 1's t above edge
     # 0's, so the split levels alone would record edge 1 at 1.8; the group
-    # goes to the heap tail, which puts it at 0.6 as the reference does
+    # of sites 0..4 goes to the heap tail, which puts it at 0.6 as the
+    # reference does
     y = np.array([-2.0, -0.2, 1.0, -1.3, -0.3, 2.1])
-    monkeypatch.setattr(tvdn.tvsolve, "_SPLIT_MIN", 1)
     handed = []
     tail = tvdn.tvsolve._heap_tail
 
@@ -267,7 +246,7 @@ def test_split_pass_hands_a_tie_to_the_heap(monkeypatch):
     monkeypatch.setattr(tvdn.tvsolve, "_heap_tail", spy)
     got = tvdn.tvsolve._fusion_times(y[None])[0]
     want = fusion_times_heap(y)
-    assert handed
+    assert handed == [5]
     assert np.abs(got - want).max() <= 1e-12 * sample_lambda_1d(S(y))
     assert got[1] == pytest.approx(0.6, abs=1e-12)
 
@@ -294,7 +273,7 @@ def test_fusion_times_of_a_noiseless_ramp_are_exact_to_rounding():
 
 def test_fusion_path_block_is_one_pass_over_its_signals(monkeypatch):
     # one pass over the block, one path per signal, each the one-row
-    # path's Lambda and, up to rounding, its times and fits
+    # path's Lambda, times and fits
     calls = []
     fusion_times = tvdn.tvsolve._fusion_times
 
@@ -308,11 +287,10 @@ def test_fusion_path_block_is_one_pass_over_its_signals(monkeypatch):
           for _ in range(17)]
     paths = FusionPath.block(ys)
     assert calls == [(17, 500)]
-    assert 17 * 500 >= tvdn.tvsolve._SPLIT_MIN > 500
     for path, y in zip(paths, ys):
         one = FusionPath(y)
         assert path.y is y and path.lam_max == one.lam_max
-        assert np.abs(path.times - one.times).max() <= 1e-12 * one.lam_max
+        assert np.array_equal(path.times, one.times)
         for lam in default_lambda_grid(one.lam_max, 7).tolist():
             assert np.array_equal(path.solve(lam).estimate.values,
                                   one.solve(lam).estimate.values)

@@ -10,16 +10,19 @@ by path. The process count is the one TVDN_THREADS gives, as for any run.
 The calls:
 
 - ``gen`` of blocks, bumps, heavisine and doppler at n = 300 and
-  n = 20,000 (both sides of the fusion pass's split size) with
-  --truth-out, and a 0.5-rounded copy of each input (tied data);
+  n = 20,000 with --truth-out, and a 0.5-rounded copy of each input (tied
+  data);
 - on each input, ``denoise`` with fixed, universal, adaptive, sure and
   oracle, and ``risk-curve`` with sure and oracle;
-- ``bench-mse`` and ``bench-seg`` at their defaults;
+- ``bench-mse`` and ``bench-seg`` at their defaults, and on small sizes
+  whose chunks are blocks of a few hundred to a few thousand sites:
+  ``bench-mse`` of doppler and blocks at n = 50 and 300 with 7 replicates,
+  ``bench-seg`` at n = 60 with 20;
 - ``lambda-sample`` with --dim 1 and --dim 2 at small sizes, and
   ``lambda-fit`` on each;
 - ``denoise`` with universal, adaptive and sure on a seeded 32x32 PGM.
 
-A run lists 416 files in about 10 s on 2 CPUs. Usage, from the repository
+A run lists 420 files in about 10 s on 2 CPUs. Usage, from the repository
 root:
 
     TVDN_THREADS=2 python3 tools/cli_digest.py OUT [--root DIR] > digests.txt
@@ -92,6 +95,12 @@ def calls() -> list:
     out.append(("bench_seg", ["bench-seg", "--out", "bench_seg.json"]))
     out.append(("bench_seg_a01", ["bench-seg", "--alpha", "0.01",
                                   "--out", "bench_seg_a01.json"]))
+    out.append(("bench_mse_small", [
+        "bench-mse", "--functions", "doppler,blocks", "--sizes", "50,300",
+        "--reps", "7", "--out", "bench_mse_small.json"]))
+    out.append(("bench_seg_small", [
+        "bench-seg", "--sizes", "60", "--reps", "20",
+        "--out", "bench_seg_small.json"]))
     for dim, sizes in ((1, "50,200"), (2, "6,10")):
         d = "lambda_d%d" % dim
         out.append(("sample_" + d, ["lambda-sample", "--dim", str(dim),
