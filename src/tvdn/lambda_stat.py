@@ -18,8 +18,10 @@ feed a Gumbel fit, and the fitted location/scale follow a log-log-linear law
 in the side length, which is what the regression here captures.
 
 Importing this module loads no scipy: the lattice branch of
-``sample_lambda`` imports ``cuts`` (scipy.sparse) and the fitters import
-scipy.optimize and scipy.special when they first run.
+``sample_lambda`` imports ``cuts`` (scipy.sparse), and the GEV ratio test
+imports scipy.optimize when it first runs. The Gumbel fit needs no scipy,
+so a calibration with fewer than ``MIN_GEV_SAMPLES`` draws per size loads
+none on a path lattice.
 """
 from __future__ import annotations
 
@@ -216,14 +218,16 @@ def gumbel_loglik(params: GumbelParams, x) -> float:
 def fit_gumbel(samples) -> GumbelParams:
     """Gumbel maximum likelihood via the profile equation for the scale.
 
-    The stationarity condition in beta reduces to a scalar root-finding
-    problem; the location then has a closed form. Exponentials are shifted
-    by the sample minimum so every term stays in [0, 1]. scipy.optimize is
-    imported here, not at module level, so that importing tvdn (and every
-    pool worker forked from it) does not load it.
+    The stationarity condition in beta is g(beta) = 0 with
+    g(beta) = beta - mean(x) + sum(x e) / sum(e), e = exp(-(x - min x) / beta);
+    the location then has a closed form. Shifting the exponentials by the
+    sample minimum keeps every term in [0, 1]. g' = 1 + Var_e(x) / beta^2,
+    the variance of x under the weights e, so g is strictly increasing and
+    bisection of a sign-changing bracket down to two adjacent floats finds
+    the root at every scale; the endpoint with the smaller |g| is returned.
+    Raises ValueError if no sign change is found between 1e-12 and 1e6
+    sample deviations.
     """
-    from scipy.optimize import brentq
-
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < MIN_FIT_SAMPLES:
         raise ValueError("need at least %d samples to fit" % MIN_FIT_SAMPLES)
@@ -245,7 +249,19 @@ def fit_gumbel(samples) -> GumbelParams:
         lo *= 0.5
     while g(hi) < 0.0 and hi < 1e6 * s:
         hi *= 2.0
-    beta = float(brentq(g, lo, hi, rtol=1e-14))
+    g_lo, g_hi = g(lo), g(hi)
+    if not g_lo <= 0.0 <= g_hi:
+        raise ValueError("the scale equation has no root in [%g, %g]"
+                         % (lo, hi))
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        g_mid = g(mid)
+        if g_mid <= 0.0:
+            lo, g_lo = mid, g_mid
+        else:
+            hi, g_hi = mid, g_mid
+        mid = 0.5 * (lo + hi)
+    beta = lo if -g_lo <= g_hi else hi
     mu = xmin - beta * math.log(float(np.exp(-(x - xmin) / beta).mean()))
     return GumbelParams(mu, beta)
 
@@ -274,10 +290,12 @@ def fit_gev_and_lr_test(samples):
     The shape parameter is constrained to (-0.5, 0.5); optimization runs
     from several starts including the Gumbel fit itself, so the nested
     likelihood ordering holds by construction. The statistic
-    2*(loglik_gev - loglik_gumbel) is referred to chi-square(1).
+    2*(loglik_gev - loglik_gumbel) is referred to chi-square(1), whose
+    tail at lr is erfc(sqrt(lr / 2)). scipy.optimize is imported here, not
+    at module level, so that importing tvdn (and every pool worker forked
+    from it) does not load it.
     """
     from scipy.optimize import minimize
-    from scipy.special import chdtrc
 
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < MIN_GEV_SAMPLES:
@@ -298,7 +316,7 @@ def fit_gev_and_lr_test(samples):
     mu, log_s, xi = best.x
     fit = GevParams(float(mu), math.exp(log_s), float(xi))
     lr = max(0.0, 2.0 * (-best.fun - gumbel_loglik(g0, x)))
-    p_value = float(chdtrc(1, lr))
+    p_value = math.erfc(math.sqrt(lr / 2.0))
     return fit, p_value
 
 

@@ -110,7 +110,7 @@ def check_mle_equivariance():
         shifted = fit_gumbel(x + c)
         assert abs(shifted.mu - (base.mu + c)) <= 1e-9 * (1 + abs(base.mu + c))
         assert abs(shifted.beta - base.beta) <= 1e-9 * (1 + base.beta)
-    for c in (3.0, 0.5):
+    for c in (3.0, 0.5, 1e-9, 1e9):
         scaled = fit_gumbel(c * x)
         assert abs(scaled.mu - c * base.mu) <= 1e-8 * (1 + abs(c * base.mu))
         assert abs(scaled.beta - c * base.beta) <= 1e-8 * (1 + c * base.beta)

@@ -317,6 +317,30 @@ def test_fit_gumbel_errors():
         draws[7] = bad
         with pytest.raises(ValueError, match="samples must be finite"):
             fit_gumbel(draws)
+    # finite draws whose spread overflows: no bracket of the scale exists
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError):
+        fit_gumbel(np.linspace(0.0, 1e300, 20))
+
+
+def test_fit_gumbel_scale_is_a_root_to_the_last_float():
+    # the profile equation in beta changes sign between the returned scale
+    # and a neighbouring float, at small, unit and large scale alike
+    base = np.random.default_rng(5).gumbel(2.0, 0.3, 40)
+    wide = np.random.default_rng(23).gumbel(-1.0, 4.0, 500)
+    for x in (base, 1e-8 * base, 1e8 * base, wide):
+        xmin, xbar = float(x.min()), float(x.mean())
+
+        def g(beta):
+            e = np.exp(-(x - xmin) / beta)
+            return beta - xbar + float((x * e).sum() / e.sum())
+
+        beta = fit_gumbel(x).beta
+        below, above = np.nextafter(beta, 0.0), np.nextafter(beta, np.inf)
+        assert g(below) <= 0.0 <= g(beta) or g(beta) <= 0.0 <= g(above)
+    for c in (1e-8, 1e8):
+        assert fit_gumbel(c * base).beta / c == pytest.approx(
+            fit_gumbel(base).beta, rel=1e-15)
 
 
 def test_mle_equivariance_suite():
@@ -376,28 +400,36 @@ bench_mse(ExperimentConfig(
 bench_seg(ExperimentConfig(
     "seg_1d", functions=("staircase",), sizes=(60,), reps=(2,)))
 print("1d", "scipy" in sys.modules)
+from tvdn.bench import lambda_fit_report, run_lambda_samples
+lambda_fit_report(run_lambda_samples(1, (50, 80), 10, seed=0), 1)
+print("calib 1d", "scipy" in sys.modules)
 y = Signal.from_array(rng.standard_normal((4, 4)))
 tv_denoise(y, 0.5 * lambda_max(y))
 print("4x4", "sparse" in loaded(), "fft" in loaded())
+lambda_fit_report(run_lambda_samples(2, (6, 8), 10, seed=0), 2)
+print("calib 2d", "optimize" in loaded())
 """
 
 
 def test_import_leaves_scipy_stats_and_optimize_unloaded():
     # importing tvdn loads numpy alone: each scipy module is imported where
     # it is first needed. scipy.stats costs about half a second and 40 MB
-    # at import and is never used; scipy.optimize, which only the two
-    # fitters use, about 0.15 s and 12 MB; scipy.sparse, its csgraph,
-    # scipy.fft and scipy.special together about 0.35 s and 38 MB, of which
-    # a path-lattice run needs none: its normal quantiles are computed in
-    # pure Python, so fits, risk curves, the adaptive rule, its thresholds
-    # and both 1D experiments load no scipy module at all
+    # at import and is never used; scipy.optimize, which only the GEV ratio
+    # test uses (from MIN_GEV_SAMPLES draws per size on), about 0.15 s and
+    # 12 MB; scipy.sparse, its csgraph and scipy.fft together about 0.35 s
+    # and 38 MB, of which a path-lattice run needs none: its normal
+    # quantiles are computed in pure Python and its Gumbel fit bisects, so
+    # fits, risk curves, the adaptive rule, its thresholds, both 1D
+    # experiments and a small 1D calibration load no scipy module at all,
+    # and a small 2D calibration loads no scipy.optimize
     root = os.path.dirname(os.path.dirname(tvdn.__file__))
     out = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE],
         env=dict(os.environ, PYTHONPATH=root, TVDN_THREADS="1"),
         capture_output=True, text=True, check=True)
     assert out.stdout.strip().splitlines() == [
-        "import False []", "1d False", "4x4 True True"]
+        "import False []", "1d False", "calib 1d False", "4x4 True True",
+        "calib 2d False"]
 
 
 def test_lr_pvalue_is_chi2_tail():

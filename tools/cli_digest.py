@@ -26,8 +26,16 @@ A run lists 420 files in about 10 s on 2 CPUs. Usage, from the repository
 root:
 
     TVDN_THREADS=2 python3 tools/cli_digest.py OUT [--root DIR] > digests.txt
+    python3 tools/cli_digest.py OUT --check tools/cli_digests.txt
 
-Two listings are equal exactly when every output is byte-identical.
+Two listings are equal exactly when every output is byte-identical. A
+listing opens with ``#`` lines that name the Python, numpy and scipy
+versions and the machine it was made on: the bytes can depend on them,
+since numpy's SIMD ``sin`` may differ in the last ulp across CPUs.
+``tools/cli_digests.txt`` is the listing of this checkout; a change that
+moves output bytes commits the new one, so the diff names each moved file.
+``--check FILE`` reruns the calls and prints each path that is added,
+removed or changed against FILE, and exits 1 if there is one.
 """
 from __future__ import annotations
 
@@ -37,6 +45,7 @@ import functools
 import hashlib
 import io
 import os
+import platform
 import random
 import sys
 
@@ -151,16 +160,66 @@ def run_calls(out: str, todo) -> list:
     return sorted(listing, key=lambda row: row[1])
 
 
+def header() -> list:
+    """The ``#`` lines a listing opens with: the versions and machine that
+    its bytes can depend on."""
+    import numpy
+    import scipy
+
+    return ["# sha1  path of every output of tools/cli_digest.py's calls",
+            "# python %s  numpy %s  scipy %s  machine %s" % (
+                platform.python_version(), numpy.__version__,
+                scipy.__version__, platform.machine())]
+
+
+def read_listing(lines) -> dict:
+    """{path: sha1} of a listing's ``sha1  path`` lines; ``#`` lines and
+    blank lines are skipped."""
+    listing = {}
+    for line in lines:
+        line = line.strip()
+        if line and not line.startswith("#"):
+            digest, path = line.split("  ", 1)
+            listing[path] = digest
+    return listing
+
+
+def compare(old: dict, new: dict) -> list:
+    """One line per path that differs between the listings old and new,
+    sorted by path: ``added``, ``removed`` or ``changed`` and the path."""
+    rows = [("added", p) for p in new.keys() - old.keys()]
+    rows += [("removed", p) for p in old.keys() - new.keys()]
+    rows += [("changed", p) for p in old.keys() & new.keys()
+             if old[p] != new[p]]
+    return ["%-8s%s" % (kind, path)
+            for kind, path in sorted(rows, key=lambda row: row[1])]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("out", help="directory to create and run the calls in")
     p.add_argument("--root", default=os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), help="checkout whose src/ is imported")
+    p.add_argument("--check", metavar="FILE",
+                   help="print the paths added, removed or changed against "
+                   "the listing FILE instead of the listing")
     args = p.parse_args(argv)
     sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
-    for digest, path in run_calls(os.path.abspath(args.out), calls()):
-        print("%s  %s" % (digest, path))
-    return 0
+    rows = run_calls(os.path.abspath(args.out), calls())
+    if args.check is None:
+        print("\n".join(header()))
+        for digest, path in rows:
+            print("%s  %s" % (digest, path))
+        return 0
+    with open(args.check) as fh:
+        lines = fh.read().splitlines()
+    if header()[-1] not in lines:
+        print("# %s names other versions or another machine; this run:\n%s"
+              % (args.check, header()[-1]))
+    diff = compare(read_listing(lines), {path: d for d, path in rows})
+    print("\n".join(diff + ["%d files, %d differ from %s"
+                             % (len(rows), len(diff), args.check)]))
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
